@@ -298,9 +298,9 @@ pub fn try_generate_customized_gates_batched(
         }
         report.iterations += 1;
         counter("generator.iterations", 1);
-        let span = grouped.makespan_ns();
         let before = grouped.cp_before();
         let after = grouped.cp_after();
+        let span = grouped.makespan_from(&after);
         // Top-3 whole-path weights, for O(1) "heaviest path elsewhere".
         let mut top_paths: Vec<(f64, usize)> = grouped
             .group_ids()
@@ -309,13 +309,12 @@ pub fn try_generate_customized_gates_batched(
             .collect();
         top_paths.sort_by(|x, y| y.0.total_cmp(&x.0));
         top_paths.truncate(3);
-        let critical: Vec<bool> = {
-            let mut flags = vec![false; before.len()];
-            for id in grouped.critical_groups(opts.tolerance_ns) {
-                flags[id] = true;
-            }
-            flags
-        };
+        let critical: Vec<bool> = (0..before.len())
+            .map(|id| {
+                grouped.try_group(id).is_some()
+                    && grouped.is_critical(id, &before, &after, span, opts.tolerance_ns)
+            })
+            .collect();
 
         // Candidate pairs: direct edges plus sibling pairs sharing a
         // parent or child, filtered to contractible, ≤ maxN qubits, and
@@ -353,9 +352,7 @@ pub fn try_generate_customized_gates_batched(
             counter("generator.candidates_evaluated", 1);
             let ga = grouped.group(a);
             let gb = grouped.group(b);
-            let union_qubits: std::collections::BTreeSet<usize> =
-                ga.qubits.union(&gb.qubits).copied().collect();
-            if union_qubits.len() > opts.max_qubits {
+            if ga.qubits.union(&gb.qubits).count() > opts.max_qubits {
                 counter("generator.pruned_qubit_cap", 1);
                 pruned_qubit_cap += 1;
                 continue;
@@ -816,9 +813,9 @@ fn preprocess_same_qubit_runs(
         std::collections::HashMap::new();
     loop {
         let mut merged_this_round = false;
-        let span = grouped.makespan_ns();
         let before = grouped.cp_before();
         let after = grouped.cp_after();
+        let span = grouped.makespan_from(&after);
         'scan: for a in grouped.group_ids() {
             for &b in &grouped.succs(a).clone() {
                 let qa = &grouped.group(a).qubits;

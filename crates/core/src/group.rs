@@ -374,7 +374,12 @@ impl GroupedCircuit {
 
     /// Whole-circuit latency in ns: the heaviest path through the DAG.
     pub fn makespan_ns(&self) -> f64 {
-        let after = self.cp_after();
+        self.makespan_from(&self.cp_after())
+    }
+
+    /// [`makespan_ns`](Self::makespan_ns) from an already computed
+    /// [`cp_after`](Self::cp_after).
+    pub(crate) fn makespan_from(&self, after: &[f64]) -> f64 {
         self.group_ids()
             .into_iter()
             .map(|id| self.group(id).latency_ns + after[id])
@@ -385,11 +390,25 @@ impl GroupedCircuit {
     pub fn critical_groups(&self, tol: f64) -> Vec<usize> {
         let before = self.cp_before();
         let after = self.cp_after();
-        let span = self.makespan_ns();
+        let span = self.makespan_from(&after);
         self.group_ids()
             .into_iter()
-            .filter(|&id| before[id] + self.group(id).latency_ns + after[id] >= span - tol)
+            .filter(|&id| self.is_critical(id, &before, &after, span, tol))
             .collect()
+    }
+
+    /// `true` when group `id` lies on a path within `tol` ns of `span`,
+    /// given this DAG's [`cp_before`](Self::cp_before) and
+    /// [`cp_after`](Self::cp_after).
+    pub(crate) fn is_critical(
+        &self,
+        id: usize,
+        before: &[f64],
+        after: &[f64],
+        span: f64,
+        tol: f64,
+    ) -> bool {
+        before[id] + self.group(id).latency_ns + after[id] >= span - tol
     }
 
     /// ESP (paper Eq. 2): the product of per-group pulse success rates.

@@ -34,6 +34,8 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
+#[cfg(test)]
+mod acceptance_tests;
 mod error;
 mod generator;
 mod group;

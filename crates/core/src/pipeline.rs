@@ -401,60 +401,17 @@ fn compile_inner(
         }
     };
 
-    // 3. Build the grouped circuit, keeping only APA occurrences whose
-    //    joint contraction (a) leaves the dependence DAG acyclic and
-    //    (b) does not increase the estimated critical path — the paper's
-    //    §V-C guarantee ("APA-basis gate sets are chosen in a way that
-    //    it will guarantee not to increase the critical path").
-    let mut estimator = paqoc_device::AnalyticModel::new();
-    let mut est_cache: std::collections::HashMap<String, f64> = std::collections::HashMap::new();
-    let mut estimated_span = |partition: &[(Vec<usize>, GroupKind)],
-                              estimator: &mut paqoc_device::AnalyticModel|
-     -> f64 {
-        let mut g = GroupedCircuit::new(physical.instructions(), physical.num_qubits(), partition);
-        for id in g.group_ids() {
-            let key = crate::table::group_key(&g.group(id).instructions);
-            let lat = *est_cache.entry(key).or_insert_with(|| {
-                estimator
-                    .generate(
-                        &g.group(id).instructions,
-                        device,
-                        opts.generator.target_fidelity,
-                        None,
-                    )
-                    .latency_ns
-            });
-            g.group_mut(id).latency_ns = lat;
-        }
-        g.makespan_ns()
+    // 3. Build the grouped circuit from the APA occurrences that pass the
+    //    paper's §V-C guarantee (see `accept_apa_occurrences`).
+    let mut grouped = {
+        let _s = span("group");
+        let accepted = accept_apa_occurrences(&physical, &apa, device, &opts.generator);
+        GroupedCircuit::new(
+            physical.instructions(),
+            physical.num_qubits(),
+            &accepted.partition,
+        )
     };
-
-    let group_span = span("group");
-    let mut partition: Vec<(Vec<usize>, GroupKind)> = Vec::new();
-    let mut current_span = if apa.selections.is_empty() {
-        0.0
-    } else {
-        estimated_span(&partition, &mut estimator)
-    };
-    for (pattern_idx, occ) in apa.occurrences() {
-        let mut trial: Vec<(Vec<usize>, GroupKind)> = partition.clone();
-        trial.push((occ.clone(), GroupKind::Apa(pattern_idx)));
-        if !partition_is_acyclic(physical.instructions(), physical.num_qubits(), &trial) {
-            counter("apa.rejected_acyclic", 1);
-            continue;
-        }
-        let trial_span = estimated_span(&trial, &mut estimator);
-        if trial_span <= current_span + opts.generator.tolerance_ns {
-            counter("apa.accepted", 1);
-            partition = trial;
-            current_span = trial_span;
-        } else {
-            counter("apa.rejected_critical_path", 1);
-        }
-    }
-    let mut grouped =
-        GroupedCircuit::new(physical.instructions(), physical.num_qubits(), &partition);
-    drop(group_span);
 
     // 4. Criticality-aware customized gate generation + pulses, over a
     //    pulse table optionally backed by the persistent store.
@@ -616,6 +573,226 @@ fn compile_inner(
     })
 }
 
+/// The APA occurrences kept by [`accept_apa_occurrences`].
+pub(crate) struct ApaAcceptance {
+    /// Accepted occurrences in acceptance order, as handed to
+    /// [`GroupedCircuit::new`].
+    pub(crate) partition: Vec<(Vec<usize>, GroupKind)>,
+    /// Estimated makespan of the accepted grouping (0 when the cover
+    /// selected nothing).
+    pub(crate) span_ns: f64,
+    /// This pass's increments of the `apa.accepted`,
+    /// `apa.rejected_acyclic` and `apa.rejected_critical_path` counters.
+    pub(crate) accepted: usize,
+    pub(crate) rejected_acyclic: usize,
+    pub(crate) rejected_critical_path: usize,
+}
+
+/// Walks the cover's occurrences in order and keeps each one whose
+/// contraction, jointly with those already kept, (a) leaves the
+/// dependence DAG acyclic and (b) does not increase the estimated
+/// critical path — the paper's §V-C guarantee ("APA-basis gate sets are
+/// chosen in a way that it will guarantee not to increase the critical
+/// path").
+///
+/// Every trial is one flat pass over the quotient DAG: instruction `i`
+/// is node `owner[i]` (`i` itself while a singleton, `n + k` once the
+/// k-th accepted occurrence claims it), and a single Kahn pass both
+/// detects a cycle and yields the order the longest path runs over.
+/// Latencies come from the analytic model through a cache keyed by
+/// canonical [`group_key`](crate::table::group_key); the first group
+/// seen with a key sets its latency, so singletons are estimated once
+/// up front in instruction order and each trial estimates only its new
+/// occurrence (members in index order), and only when it is acyclic.
+pub(crate) fn accept_apa_occurrences(
+    physical: &Circuit,
+    apa: &ApaCover,
+    device: &Device,
+    opts: &PaqocOptions,
+) -> ApaAcceptance {
+    let mut out = ApaAcceptance {
+        partition: Vec::new(),
+        span_ns: 0.0,
+        accepted: 0,
+        rejected_acyclic: 0,
+        rejected_critical_path: 0,
+    };
+    if apa.selections.is_empty() {
+        return out;
+    }
+    let instructions = physical.instructions();
+    let num_qubits = physical.num_qubits();
+    let n = instructions.len();
+    let mut estimator = paqoc_device::AnalyticModel::new();
+    let mut est_cache: std::collections::HashMap<String, f64> = std::collections::HashMap::new();
+    let mut estimate = |group: &[Instruction]| -> f64 {
+        *est_cache
+            .entry(crate::table::group_key(group))
+            .or_insert_with(|| {
+                estimator
+                    .generate(group, device, opts.target_fidelity, None)
+                    .latency_ns
+            })
+    };
+
+    let mut owner: Vec<usize> = (0..n).collect();
+    let mut node_lat: Vec<f64> = instructions
+        .iter()
+        .map(|inst| estimate(std::slice::from_ref(inst)))
+        .collect();
+    let mut dag = QuotientDag::default();
+    let circuit_is_acyclic = dag.sort(instructions, num_qubits, &owner, n);
+    debug_assert!(circuit_is_acyclic, "a circuit's dependence DAG is acyclic");
+    out.span_ns = dag.longest_path(&node_lat);
+
+    let mut members: Vec<usize> = Vec::new();
+    for (pattern_idx, occ) in apa.occurrences() {
+        let node = node_lat.len();
+        // Claim the occurrence's instructions; an instruction already
+        // owned by an accepted occurrence (or listed twice) is an overlap.
+        let mut claimed = 0;
+        while claimed < occ.len() && owner[occ[claimed]] == occ[claimed] {
+            owner[occ[claimed]] = node;
+            claimed += 1;
+        }
+        if claimed < occ.len() || !dag.sort(instructions, num_qubits, &owner, node + 1) {
+            for &i in &occ[..claimed] {
+                owner[i] = i;
+            }
+            counter("apa.rejected_acyclic", 1);
+            out.rejected_acyclic += 1;
+            continue;
+        }
+        members.clear();
+        members.extend_from_slice(occ);
+        members.sort_unstable();
+        let group: Vec<Instruction> = members.iter().map(|&i| instructions[i].clone()).collect();
+        node_lat.push(estimate(&group));
+        let trial_span = dag.longest_path(&node_lat);
+        if trial_span <= out.span_ns + opts.tolerance_ns {
+            counter("apa.accepted", 1);
+            out.accepted += 1;
+            out.partition
+                .push((occ.clone(), GroupKind::Apa(pattern_idx)));
+            out.span_ns = trial_span;
+        } else {
+            node_lat.pop();
+            for &i in occ {
+                owner[i] = i;
+            }
+            counter("apa.rejected_critical_path", 1);
+            out.rejected_critical_path += 1;
+        }
+    }
+    out
+}
+
+/// The quotient of a circuit's dependence DAG under an instruction →
+/// node map, in flat reusable buffers. Edges are the per-qubit last-use
+/// chains between distinct nodes (duplicates kept; they change neither
+/// the cycle verdict nor a longest path), stored as CSR successor lists.
+#[derive(Default)]
+pub(crate) struct QuotientDag {
+    last_use: Vec<usize>,
+    edges: Vec<(usize, usize)>,
+    /// Successors of node `v` are `succs[offsets[v]..offsets[v + 1]]`.
+    offsets: Vec<usize>,
+    succs: Vec<usize>,
+    indeg: Vec<usize>,
+    /// Topological order of the live nodes after a successful `sort`.
+    order: Vec<usize>,
+    cp: Vec<f64>,
+}
+
+impl QuotientDag {
+    /// Builds the quotient of `instructions` under `owner` over node ids
+    /// `0..num_nodes` and topologically sorts it with Kahn's algorithm.
+    /// Node `v < owner.len()` is live only while `owner[v] == v`; every
+    /// node from `owner.len()` up is live. Returns `false` on a cycle.
+    pub(crate) fn sort(
+        &mut self,
+        instructions: &[Instruction],
+        num_qubits: usize,
+        owner: &[usize],
+        num_nodes: usize,
+    ) -> bool {
+        const NONE: usize = usize::MAX;
+        self.last_use.clear();
+        self.last_use.resize(num_qubits, NONE);
+        self.edges.clear();
+        self.offsets.clear();
+        self.offsets.resize(num_nodes + 1, 0);
+        self.indeg.clear();
+        self.indeg.resize(num_nodes, 0);
+        for (inst, &g) in instructions.iter().zip(owner) {
+            for &q in inst.qubits() {
+                let p = self.last_use[q];
+                if p != NONE && p != g {
+                    self.edges.push((p, g));
+                    self.offsets[p] += 1;
+                    self.indeg[g] += 1;
+                }
+                self.last_use[q] = g;
+            }
+        }
+        // Out-degrees → end offsets, then place each edge by decrementing
+        // its source's end, leaving `offsets[v]` at the start of `v`'s run.
+        for v in 1..num_nodes {
+            self.offsets[v] += self.offsets[v - 1];
+        }
+        self.offsets[num_nodes] = self.edges.len();
+        self.succs.clear();
+        self.succs.resize(self.edges.len(), 0);
+        for &(p, g) in &self.edges {
+            self.offsets[p] -= 1;
+            self.succs[self.offsets[p]] = g;
+        }
+
+        self.order.clear();
+        let mut live = 0;
+        for v in 0..num_nodes {
+            if v < owner.len() && owner[v] != v {
+                continue; // absorbed into a contracted node
+            }
+            live += 1;
+            if self.indeg[v] == 0 {
+                self.order.push(v);
+            }
+        }
+        let mut head = 0;
+        while head < self.order.len() {
+            let v = self.order[head];
+            head += 1;
+            for &s in &self.succs[self.offsets[v]..self.offsets[v + 1]] {
+                self.indeg[s] -= 1;
+                if self.indeg[s] == 0 {
+                    self.order.push(s);
+                }
+            }
+        }
+        self.order.len() == live
+    }
+
+    /// The heaviest path through the last successfully sorted quotient
+    /// with node weights `lat`: `cp[v] = max over succs (lat[s] + cp[s])`
+    /// in reverse topological order, `span = max (lat[v] + cp[v])` — the
+    /// same float sums as [`GroupedCircuit::makespan_ns`].
+    pub(crate) fn longest_path(&mut self, lat: &[f64]) -> f64 {
+        self.cp.clear();
+        self.cp.resize(lat.len(), 0.0);
+        let mut span = 0.0f64;
+        for &v in self.order.iter().rev() {
+            let mut best = 0.0f64;
+            for &s in &self.succs[self.offsets[v]..self.offsets[v + 1]] {
+                best = best.max(lat[s] + self.cp[s]);
+            }
+            self.cp[v] = best;
+            span = span.max(lat[v] + best);
+        }
+        span
+    }
+}
+
 /// `true` when contracting each set of the partition (remaining
 /// instructions as singletons) leaves the dependence DAG acyclic.
 pub fn partition_is_acyclic(
@@ -634,55 +811,7 @@ pub fn partition_is_acyclic(
             owner[i] = next_group;
         }
     }
-    // Quotient edges.
-    let mut edges: Vec<(usize, usize)> = Vec::new();
-    let mut last_use: Vec<Option<usize>> = vec![None; num_qubits];
-    for (i, inst) in instructions.iter().enumerate() {
-        let g = owner[i];
-        for &q in inst.qubits() {
-            if let Some(p) = last_use[q] {
-                if p != g {
-                    edges.push((p, g));
-                }
-            }
-            last_use[q] = Some(g);
-        }
-    }
-    edges.sort_unstable();
-    edges.dedup();
-    // Kahn over the quotient.
-    use std::collections::HashMap;
-    let mut indeg: HashMap<usize, usize> = HashMap::new();
-    let mut succs: HashMap<usize, Vec<usize>> = HashMap::new();
-    let mut nodes: std::collections::HashSet<usize> = owner.iter().copied().collect();
-    for &(a, b) in &edges {
-        *indeg.entry(b).or_insert(0) += 1;
-        succs.entry(a).or_default().push(b);
-        nodes.insert(a);
-        nodes.insert(b);
-    }
-    let mut queue: Vec<usize> = nodes
-        .iter()
-        .copied()
-        .filter(|v| !indeg.contains_key(v))
-        .collect();
-    let mut seen = 0usize;
-    while let Some(v) = queue.pop() {
-        seen += 1;
-        if let Some(ss) = succs.get(&v) {
-            for &s in ss {
-                // Every successor edge incremented `indeg[s]` above, so
-                // the entry exists; a defensive miss is simply skipped.
-                if let Some(d) = indeg.get_mut(&s) {
-                    *d -= 1;
-                    if *d == 0 {
-                        queue.push(s);
-                    }
-                }
-            }
-        }
-    }
-    seen == nodes.len()
+    QuotientDag::default().sort(instructions, num_qubits, &owner, n + partition.len())
 }
 
 #[cfg(test)]

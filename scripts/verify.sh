@@ -131,6 +131,16 @@ grep -q '"event":"drained"' "$SERVE_LOG"
 cargo run --release -p paqoc-store --bin paqoc-store -- verify "$SERVE_DB"
 echo "serve smoke OK"
 
+echo "== paqoc-perf: unit tests + short table1-minf oracle run =="
+# The benchmark package is its own workspace, so the root `cargo test`
+# never builds it. A table1-minf run compiles all 17 Table-I programs
+# and exits non-zero unless every output is bit-exact against
+# perf/expected/.
+cargo test -q --offline --manifest-path perf/Cargo.toml
+cargo run --release --quiet --offline --manifest-path perf/Cargo.toml -- \
+    --workload table1-minf --seconds 5 > target/verify_perf_table1.txt
+echo "paqoc-perf oracle OK"
+
 echo "== cargo clippy -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
