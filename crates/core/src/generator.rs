@@ -349,11 +349,9 @@ pub fn try_generate_customized_gates_batched(
         let mut pruned_qubit_cap = 0usize;
         let mut scored: Vec<(f64, f64, usize, usize)> = Vec::new();
         for (a, b) in candidates {
-            counter("generator.candidates_evaluated", 1);
             let ga = grouped.group(a);
             let gb = grouped.group(b);
             if ga.qubits.union(&gb.qubits).count() > opts.max_qubits {
-                counter("generator.pruned_qubit_cap", 1);
                 pruned_qubit_cap += 1;
                 continue;
             }
@@ -363,7 +361,6 @@ pub fn try_generate_customized_gates_batched(
                 (false, false) => case3 += 1,
             }
             if opts.criticality_pruning && !critical[a] && !critical[b] {
-                counter("generator.pruned_case3", 1);
                 continue; // Case III: cannot shorten the critical path
             }
             // Contractibility (a graph search) is deferred to commit
@@ -422,6 +419,19 @@ pub fn try_generate_customized_gates_batched(
                 scored.push((span_gain, local_gain, a, b));
             }
         }
+        // One counter call per iteration, from the local sums; a zero
+        // delta is skipped so the snapshot's counter set is the one the
+        // per-candidate calls produced.
+        let pruned_case3 = if opts.criticality_pruning { case3 } else { 0 };
+        for (name, delta) in [
+            ("generator.candidates_evaluated", candidates_total),
+            ("generator.pruned_qubit_cap", pruned_qubit_cap),
+            ("generator.pruned_case3", pruned_case3),
+        ] {
+            if delta > 0 {
+                counter(name, delta as u64);
+            }
+        }
         // Note: no early break on an empty `scored` — the loop falls
         // through to the per-iteration decision event below and exits
         // via `committed == 0`, so every counted iteration is journaled.
@@ -450,11 +460,9 @@ pub fn try_generate_customized_gates_batched(
             }
             let saved_latency = grouped.group(a).latency_ns + grouped.group(b).latency_ns;
             let est = est_cache[&(a, b)];
-            let mut trial = grouped.clone();
-            let m = trial.merge(a, b);
-            trial.group_mut(m).latency_ns = est;
-            trial.group_mut(m).fidelity = 0.0; // marker: estimate only
-            let new_span = trial.makespan_ns();
+            // The trial span is computed on the contracted DAG without
+            // building it; the merge happens only on commit.
+            let new_span = grouped.contracted_makespan(a, b, est);
             // Commit on strict span decrease, or on span non-increase
             // with a strict total-pulse-time decrease (guarantees
             // monotonic span and loop termination).
@@ -462,12 +470,9 @@ pub fn try_generate_customized_gates_batched(
             let commit = new_span < span - opts.tolerance_ns
                 || (new_span <= span + opts.tolerance_ns && total_gain > opts.tolerance_ns);
             if paqoc_telemetry::enabled() {
-                let m = trial
-                    .group_ids()
-                    .last()
-                    .copied()
-                    .expect("merge minted a group");
-                let g = trial.group(m);
+                let (ga, gb) = (grouped.group(a), grouped.group(b));
+                let gates = ga.instructions.len() + gb.instructions.len();
+                let qubits = ga.qubits.union(&gb.qubits).count();
                 event(
                     if commit {
                         "search.merge_commit"
@@ -478,8 +483,8 @@ pub fn try_generate_customized_gates_batched(
                         ("iter", FieldValue::U64(report.iterations as u64)),
                         ("a", FieldValue::U64(a as u64)),
                         ("b", FieldValue::U64(b as u64)),
-                        ("gates", FieldValue::U64(g.instructions.len() as u64)),
-                        ("qubits", FieldValue::U64(g.qubits.len() as u64)),
+                        ("gates", FieldValue::U64(gates as u64)),
+                        ("qubits", FieldValue::U64(qubits as u64)),
                         ("predicted_latency_ns", FieldValue::F64(est)),
                         ("predicted_span_gain_ns", FieldValue::F64(span - new_span)),
                         ("local_gain_ns", FieldValue::F64(total_gain)),
@@ -487,7 +492,9 @@ pub fn try_generate_customized_gates_batched(
                 );
             }
             if commit {
-                *grouped = trial;
+                let m = grouped.contract(a, b);
+                grouped.group_mut(m).latency_ns = est;
+                grouped.group_mut(m).fidelity = 0.0; // marker: estimate only
                 touched.insert(a);
                 touched.insert(b);
                 committed += 1;
@@ -509,7 +516,7 @@ pub fn try_generate_customized_gates_batched(
             case1 = case1 as u64,
             case2 = case2 as u64,
             case3 = case3 as u64,
-            pruned_case3 = (if opts.criticality_pruning { case3 } else { 0 }) as u64,
+            pruned_case3 = pruned_case3 as u64,
             pruned_qubit_cap = pruned_qubit_cap as u64,
             scored = scored.len() as u64,
             committed = committed as u64,
@@ -811,6 +818,11 @@ fn preprocess_same_qubit_runs(
     let cap = opts.max_qubits.min(2);
     let mut est_cache: std::collections::HashMap<(usize, usize), f64> =
         std::collections::HashMap::new();
+    // Pairs proved non-contractible stay so while both ids live:
+    // contracting other pairs only adds paths (an intermediate node
+    // merged away leaves its merged node on the path), and ids are never
+    // reused. So each pair's graph search runs at most once per call.
+    let mut blocked: HashSet<(usize, usize)> = HashSet::new();
     loop {
         let mut merged_this_round = false;
         let before = grouped.cp_before();
@@ -821,7 +833,11 @@ fn preprocess_same_qubit_runs(
                 let qa = &grouped.group(a).qubits;
                 let qb = &grouped.group(b).qubits;
                 let union = qa.union(qb).count();
-                if union > cap || !grouped.contractible(a, b) {
+                if union > cap || blocked.contains(&(a, b)) {
+                    continue;
+                }
+                if !grouped.contractible(a, b) {
+                    blocked.insert((a, b));
                     continue;
                 }
                 let est = *est_cache.entry((a, b)).or_insert_with(|| {

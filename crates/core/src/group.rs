@@ -265,11 +265,19 @@ impl GroupedCircuit {
     ///
     /// Panics if the pair is not contractible.
     pub fn merge(&mut self, a: usize, b: usize) -> usize {
-        assert!(self.contractible(a, b), "({a},{b}) is not contractible");
-        // Counts every contraction including trial merges on cloned
-        // DAGs — the search's total structural work, which the
-        // committed-merge counters alone understate.
+        // Counts every contraction including the search's trial spans
+        // ([`contracted_makespan`](Self::contracted_makespan)) — its
+        // total structural work, which the committed-merge counters
+        // alone understate.
         paqoc_telemetry::counter("group.contractions", 1);
+        self.contract(a, b)
+    }
+
+    /// [`merge`](Self::merge) without counting a contraction: the commit
+    /// of a trial that [`contracted_makespan`](Self::contracted_makespan)
+    /// already counted.
+    pub(crate) fn contract(&mut self, a: usize, b: usize) -> usize {
+        assert!(self.contractible(a, b), "({a},{b}) is not contractible");
         // Order: if b ⇝ a, b's instructions come first.
         let (first, second) = if self.has_path(b, a) { (b, a) } else { (a, b) };
         let ga = self.groups[first].take().expect("live");
@@ -386,6 +394,67 @@ impl GroupedCircuit {
             .fold(0.0, f64::max)
     }
 
+    /// The makespan after contracting the contractible pair `a`, `b`
+    /// into one group of latency `lat` — bit for bit what a clone, a
+    /// [`merge`](Self::merge) and [`makespan_ns`](Self::makespan_ns)
+    /// give — without cloning or contracting anything.
+    ///
+    /// `b` is read as `a`, so `a` stands for the merged node (an edge
+    /// into both counts twice in Kahn's in-degrees and is released
+    /// twice). One Kahn pass orders the contracted DAG, and one backward
+    /// pass runs the `cp_after` recurrence over that order: `cp[v] = max
+    /// over succs (lat[s] + cp[s])`, `span = max (lat[v] + cp[v])`. A
+    /// max of the same values is the same float in any order, so the
+    /// result matches the rebuilt DAG's. Counts one `group.contractions`,
+    /// like the trial merge it replaces.
+    pub(crate) fn contracted_makespan(&self, a: usize, b: usize, lat: f64) -> f64 {
+        debug_assert!(self.contractible(a, b), "({a},{b}) is not contractible");
+        paqoc_telemetry::counter("group.contractions", 1);
+        let weight = |x: usize| {
+            if x == a {
+                lat
+            } else {
+                self.group(x).latency_ns
+            }
+        };
+        let edges = |v: usize, adj| contracted_adj(adj, v, a, b);
+        let mut indeg = vec![0usize; self.groups.len()];
+        let mut order: Vec<usize> = Vec::with_capacity(self.groups.len());
+        for v in (0..self.groups.len()).filter(|&v| self.groups[v].is_some() && v != b) {
+            indeg[v] = edges(v, &self.preds).count();
+            if indeg[v] == 0 {
+                order.push(v);
+            }
+        }
+        let mut head = 0;
+        while head < order.len() {
+            let v = order[head];
+            head += 1;
+            for s in edges(v, &self.succs) {
+                indeg[s] -= 1;
+                if indeg[s] == 0 {
+                    order.push(s);
+                }
+            }
+        }
+        debug_assert_eq!(
+            order.len() + 1,
+            self.len(),
+            "contraction kept the DAG acyclic"
+        );
+        let mut cp = vec![0.0f64; self.groups.len()];
+        let mut span = 0.0f64;
+        for &v in order.iter().rev() {
+            let mut best = 0.0f64;
+            for s in edges(v, &self.succs) {
+                best = best.max(weight(s) + cp[s]);
+            }
+            cp[v] = best;
+            span = span.max(weight(v) + best);
+        }
+        span
+    }
+
     /// Group ids on at least one critical path (within `tol` ns).
     pub fn critical_groups(&self, tol: f64) -> Vec<usize> {
         let before = self.cp_before();
@@ -420,10 +489,27 @@ impl GroupedCircuit {
     }
 }
 
+/// Neighbours of `v` in `adj` with `b` read as `a`: the merged node `a`
+/// has the union of both members' neighbours, and the edge between them
+/// is dropped.
+fn contracted_adj(
+    adj: &[BTreeSet<usize>],
+    v: usize,
+    a: usize,
+    b: usize,
+) -> impl Iterator<Item = usize> + '_ {
+    adj[v]
+        .iter()
+        .chain((v == a).then(|| &adj[b]).into_iter().flatten())
+        .map(move |&y| if y == b { a } else { y })
+        .filter(move |&y| y != v)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use paqoc_circuit::Circuit;
+    use paqoc_math::Rng;
 
     /// h(0); cx(0,1); x(2); cx(1,2)
     fn sample() -> GroupedCircuit {
@@ -535,5 +621,137 @@ mod tests {
     fn merging_blocked_pair_panics() {
         let mut g = sample();
         g.merge(0, 3);
+    }
+
+    /// A random circuit's grouped DAG after a few random contractions,
+    /// with random latencies: direct edges, siblings and diamonds
+    /// (shared predecessor and shared successor) all occur.
+    fn random_grouped(rng: &mut Rng, max_gates: usize) -> GroupedCircuit {
+        let nq: usize = rng.random_range(2..=6usize);
+        let mut c = Circuit::new(nq);
+        for _ in 0..rng.random_range(4..=max_gates) {
+            let a: usize = rng.random_range(0..nq);
+            if rng.random::<f64>() < 0.5 {
+                c.cx(a, (a + rng.random_range(1..nq)) % nq);
+            } else {
+                c.h(a);
+            }
+        }
+        let mut g = GroupedCircuit::new(c.instructions(), nq, &[]);
+        for _ in 0..rng.random_range(0..=4usize) {
+            let ids = g.group_ids();
+            let a = ids[rng.random_range(0..ids.len())];
+            let b = ids[rng.random_range(0..ids.len())];
+            if g.contractible(a, b) {
+                g.merge(a, b);
+            }
+        }
+        for id in g.group_ids() {
+            g.group_mut(id).latency_ns = rng.random::<f64>() * 97.0;
+        }
+        g
+    }
+
+    #[test]
+    fn contracted_makespan_matches_clone_merge_makespan() {
+        let mut rng = Rng::seed_from_u64(0xc0de);
+        let (mut direct, mut siblings, mut diamonds) = (0, 0, 0);
+        for _ in 0..150 {
+            let g = random_grouped(&mut rng, 30);
+            let ids = g.group_ids();
+            for (i, &a) in ids.iter().enumerate() {
+                for &b in &ids[i + 1..] {
+                    if !g.contractible(a, b) {
+                        continue;
+                    }
+                    let lat = rng.random::<f64>() * 97.0;
+                    let mut trial = g.clone();
+                    let m = trial.merge(a, b);
+                    trial.group_mut(m).latency_ns = lat;
+                    assert_eq!(
+                        g.contracted_makespan(a, b, lat).to_bits(),
+                        trial.makespan_ns().to_bits(),
+                        "pair ({a},{b})"
+                    );
+                    let shared_pred = g.preds(a).intersection(g.preds(b)).next().is_some();
+                    let shared_succ = g.succs(a).intersection(g.succs(b)).next().is_some();
+                    if g.succs(a).contains(&b) || g.succs(b).contains(&a) {
+                        direct += 1;
+                    } else if shared_pred && shared_succ {
+                        diamonds += 1;
+                    } else if shared_pred || shared_succ {
+                        siblings += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            direct > 100 && siblings > 100 && diamonds > 30,
+            "direct {direct}, siblings {siblings}, diamonds {diamonds}"
+        );
+    }
+
+    /// `reach[x][y]`: a path `x ⇝ y` of at least one edge, by closing
+    /// the successor relation under transitivity (Warshall).
+    fn reachability(g: &GroupedCircuit) -> Vec<Vec<bool>> {
+        let n = g.groups.len();
+        let mut reach: Vec<Vec<bool>> = (0..n)
+            .map(|x| (0..n).map(|y| g.succs(x).contains(&y)).collect())
+            .collect();
+        for k in 0..n {
+            let via_k = reach[k].clone();
+            for row in reach.iter_mut().filter(|row| row[k]) {
+                for (r, &v) in row.iter_mut().zip(&via_k) {
+                    *r |= v;
+                }
+            }
+        }
+        reach
+    }
+
+    #[test]
+    fn non_contractible_pairs_stay_so_under_other_contractions() {
+        let mut rng = Rng::seed_from_u64(0xb10c);
+        let mut rechecked = 0;
+        for _ in 0..60 {
+            let mut g = random_grouped(&mut rng, 18);
+            let mut blocked: BTreeSet<(usize, usize)> = BTreeSet::new();
+            loop {
+                let ids = g.group_ids();
+                let reach = reachability(&g);
+                // Brute force: some third live group lies on a path
+                // between the two, in either direction.
+                let blocked_now = |a: usize, b: usize| {
+                    ids.iter().any(|&x| {
+                        x != a
+                            && x != b
+                            && ((reach[a][x] && reach[x][b]) || (reach[b][x] && reach[x][a]))
+                    })
+                };
+                for &(a, b) in &blocked {
+                    if g.try_group(a).is_some() && g.try_group(b).is_some() {
+                        assert!(blocked_now(a, b), "({a},{b}) became contractible");
+                        rechecked += 1;
+                    }
+                }
+                let mut open: Vec<(usize, usize)> = Vec::new();
+                for (i, &a) in ids.iter().enumerate() {
+                    for &b in &ids[i + 1..] {
+                        assert_eq!(g.contractible(a, b), !blocked_now(a, b), "({a},{b})");
+                        if blocked_now(a, b) {
+                            blocked.insert((a, b));
+                        } else {
+                            open.push((a, b));
+                        }
+                    }
+                }
+                if open.is_empty() {
+                    break;
+                }
+                let (a, b) = open[rng.random_range(0..open.len())];
+                g.merge(a, b);
+            }
+        }
+        assert!(rechecked > 1000, "only {rechecked} rechecks");
     }
 }

@@ -20,8 +20,8 @@
 
 use crate::hamiltonian::Device;
 use paqoc_circuit::{combined_unitary, decompose, Basis, Circuit, Instruction};
-use paqoc_math::{stable_jitter, weyl_coordinates, Matrix};
-use std::collections::BTreeSet;
+use paqoc_math::{stable_jitter, weyl_coordinates, Matrix, WeylCoordinates};
+use std::collections::{BTreeSet, HashMap};
 
 /// The outcome of generating (or predicting) a pulse for a gate group.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -198,9 +198,15 @@ pub trait PulseSource {
 }
 
 /// Time-optimal-control surrogate latency model (see module docs).
+///
+/// An instance memoizes the Weyl coordinates it computes, keyed by the
+/// exact bits of each 4×4 input, so it answers every query bit for bit
+/// as a fresh model would; the memo lives and dies with the instance.
 #[derive(Clone, Debug, Default)]
 pub struct AnalyticModel {
-    _private: (),
+    /// Weyl coordinates by the 32 `f64` bit patterns of the 4×4 input
+    /// (row-major, real part then imaginary part).
+    weyl_memo: HashMap<[u64; 32], WeylCoordinates>,
 }
 
 /// Fraction of serialized single-qubit work that cannot be hidden under
@@ -251,9 +257,25 @@ impl AnalyticModel {
     /// `t = 2·max(c₁, c₂+|c₃|)/rate` reproduces the GRAPE-measured
     /// durations of iSWAP (12.5 ns) and CX (≈14 ns) on the paper's
     /// hardware limits.
-    fn content_time(u4: &Matrix, device: &Device, a: usize, b: usize) -> f64 {
-        let w = weyl_coordinates(u4);
+    fn content_time(&mut self, u4: &Matrix, device: &Device, a: usize, b: usize) -> f64 {
+        let w = self.weyl(u4);
         2.0 * w.c1.max(w.c2 + w.c3.abs()) / device.coupler_rate_between(a, b)
+    }
+
+    /// [`weyl_coordinates`] memoized by the exact input bits. The pair
+    /// frame is local, so the same gate run on any pair of qubits shares
+    /// one entry.
+    fn weyl(&mut self, u4: &Matrix) -> WeylCoordinates {
+        assert_eq!((u4.rows(), u4.cols()), (4, 4), "Weyl key needs a 4×4");
+        let mut key = [0u64; 32];
+        for (bits, z) in key.chunks_exact_mut(2).zip(u4.as_slice()) {
+            bits[0] = z.re.to_bits();
+            bits[1] = z.im.to_bits();
+        }
+        *self
+            .weyl_memo
+            .entry(key)
+            .or_insert_with(|| weyl_coordinates(u4))
     }
 
     /// A stable textual signature of a group (gate labels + relative
@@ -275,7 +297,7 @@ impl AnalyticModel {
     }
 
     /// Core of the model: raw (jitter-free) latency in ns.
-    fn raw_latency_ns(&self, group: &[Instruction], device: &Device) -> f64 {
+    fn raw_latency_ns(&mut self, group: &[Instruction], device: &Device) -> f64 {
         // Lower any >2-qubit or exotic gates so the content analysis only
         // sees one- and two-qubit basis gates.
         let lowered = lower_group(group);
@@ -292,7 +314,7 @@ impl AnalyticModel {
             }
             2 => {
                 let u = combined_unitary(&lowered, &qubits);
-                let t2 = AnalyticModel::content_time(&u, device, qubits[0], qubits[1])
+                let t2 = self.content_time(&u, device, qubits[0], qubits[1])
                     * coupling_penalty(device, qubits[0], qubits[1]);
                 let t1 = max_local_load(&lowered, &qubits, device);
                 base + t2 + LOCAL_OVERLAP_RHO * t1
@@ -300,7 +322,7 @@ impl AnalyticModel {
             _ => {
                 // Per-pair combined unitaries; pairs sharing a qubit
                 // serialize; a γ discount models joint-synthesis savings.
-                let pairs = pair_contents(&lowered, device);
+                let pairs = pair_contents(self, &lowered, device);
                 let mut floor = 0.0f64;
                 let mut busy = vec![0.0f64; n];
                 for (&(a, b), &t) in &pairs {
@@ -457,6 +479,7 @@ fn coupling_penalty(device: &Device, a: usize, b: usize) -> f64 {
 /// uninterrupted run contributes its combined unitary's content; runs on
 /// the same pair serialize.
 fn pair_contents(
+    model: &mut AnalyticModel,
     group: &[Instruction],
     device: &Device,
 ) -> std::collections::BTreeMap<(usize, usize), f64> {
@@ -464,14 +487,14 @@ fn pair_contents(
     let mut totals: BTreeMap<(usize, usize), f64> = BTreeMap::new();
     let mut open_runs: BTreeMap<(usize, usize), Vec<Instruction>> = BTreeMap::new();
 
-    let flush = |pair: (usize, usize),
-                 run: Vec<Instruction>,
-                 totals: &mut BTreeMap<(usize, usize), f64>| {
+    let mut flush = |pair: (usize, usize),
+                     run: Vec<Instruction>,
+                     totals: &mut BTreeMap<(usize, usize), f64>| {
         if run.is_empty() {
             return;
         }
         let u = combined_unitary(&run, &[pair.0, pair.1]);
-        let t = AnalyticModel::content_time(&u, device, pair.0, pair.1)
+        let t = model.content_time(&u, device, pair.0, pair.1)
             * coupling_penalty(device, pair.0, pair.1);
         *totals.entry(pair).or_insert(0.0) += t;
     };
@@ -632,6 +655,102 @@ mod tests {
         let t2 = m.typical_latency_ns(2, &dev);
         let t3 = m.typical_latency_ns(3, &dev);
         assert!(t1 < t2 && t2 < t3);
+    }
+
+    /// A random group on 1–3 of a few grid qubits (adjacent and not):
+    /// single-qubit rotations with concrete or symbolic angles, two-qubit
+    /// gates, CX-built SWAP chains and Toffolis.
+    fn random_group(rng: &mut paqoc_math::Rng) -> Vec<Instruction> {
+        use paqoc_circuit::Angle;
+        const POOL: [usize; 5] = [0, 1, 2, 5, 6];
+        let arity: usize = rng.random_range(1..=3usize);
+        let mut qs: Vec<usize> = Vec::new();
+        while qs.len() < arity {
+            let q = POOL[rng.random_range(0..POOL.len())];
+            if !qs.contains(&q) {
+                qs.push(q);
+            }
+        }
+        let pick = |rng: &mut paqoc_math::Rng| qs[rng.random_range(0..qs.len())];
+        let mut group = Vec::new();
+        for _ in 0..rng.random_range(1..=5usize) {
+            let a = pick(rng);
+            let b = qs.iter().copied().find(|&q| q != a);
+            let angle = if rng.random::<f64>() < 0.5 {
+                Angle::sym(["gamma", "beta"][rng.random_range(0..2usize)], 0.7)
+            } else {
+                Angle::new([0.3, 0.7, 1.9][rng.random_range(0..3usize)])
+            };
+            match (rng.random_range(0..6u32), b) {
+                (0, _) | (_, None) => group.push(inst(GateKind::H, &[a])),
+                (1, _) => group.push(Instruction::new(GateKind::Rz, vec![a], vec![angle])),
+                (2, Some(b)) => group.push(inst(GateKind::Cx, &[a, b])),
+                (3, Some(b)) => {
+                    group.push(Instruction::new(GateKind::CPhase, vec![a, b], vec![angle]))
+                }
+                (4, Some(b)) => {
+                    for (x, y) in [(a, b), (b, a), (a, b)] {
+                        group.push(inst(GateKind::Cx, &[x, y]));
+                    }
+                }
+                (_, Some(_)) if qs.len() == 3 => group.push(inst(GateKind::Ccx, &qs)),
+                (_, Some(b)) => group.push(inst(GateKind::Swap, &[a, b])),
+            }
+        }
+        group
+    }
+
+    #[test]
+    fn weyl_memo_is_transparent() {
+        let dev = Device::grid5x5();
+        let mut rng = paqoc_math::Rng::seed_from_u64(0x3e3e);
+        let groups: Vec<Vec<Instruction>> = (0..80).map(|_| random_group(&mut rng)).collect();
+        // Every group three times, shuffled (Fisher–Yates).
+        let mut queries: Vec<usize> = (0..3 * groups.len()).map(|i| i % groups.len()).collect();
+        for i in (1..queries.len()).rev() {
+            queries.swap(i, rng.random_range(0..=i));
+        }
+        let bits = |e: PulseEstimate| {
+            (
+                e.latency_ns.to_bits(),
+                e.latency_dt,
+                e.fidelity.to_bits(),
+                e.cost_units.to_bits(),
+            )
+        };
+        // Decompositions are counted by this thread's `mathkit.eig` probe
+        // (one eigensolve per Weyl decomposition).
+        let eig_calls = || {
+            paqoc_telemetry::kernel_thread_totals()
+                .get("mathkit.eig")
+                .map_or(0, |&(calls, _)| calls)
+        };
+        paqoc_telemetry::set_kernel_probes(Some(true));
+        let warm = |i: usize| (i % 2 == 1).then_some(0.1);
+        let mut long_lived = AnalyticModel::new();
+        let start = eig_calls();
+        let memoized: Vec<_> = queries
+            .iter()
+            .map(|&i| bits(long_lived.generate(&groups[i], &dev, 0.999, warm(i))))
+            .collect();
+        let decomposed = eig_calls() - start;
+        let start = eig_calls();
+        for (&i, &memo) in queries.iter().zip(&memoized) {
+            let fresh = AnalyticModel::new().generate(&groups[i], &dev, 0.999, warm(i));
+            assert_eq!(memo, bits(fresh), "group {i}: {:?}", groups[i]);
+        }
+        let lookups = eig_calls() - start;
+        paqoc_telemetry::set_kernel_probes(None);
+        // The long-lived model decomposed each distinct input once. Every
+        // group came three times, so it looked up at least three times as
+        // often, and the memo answered the rest.
+        let entries = long_lived.weyl_memo.len() as u64;
+        assert!(entries > 20, "too few two-qubit inputs");
+        assert_eq!(decomposed, entries);
+        assert!(
+            lookups >= 3 * entries,
+            "{lookups} lookups, {entries} entries"
+        );
     }
 
     #[test]

@@ -12,7 +12,8 @@ use std::thread;
 use std::time::Duration;
 
 /// RAII handle to a background maintenance thread. Dropping it (or
-/// calling [`MaintenanceHandle::stop`]) wakes the thread and joins it.
+/// calling [`MaintenanceHandle::stop`]) wakes the thread and joins it,
+/// even when the stop lands before the thread's first wait.
 pub struct MaintenanceHandle {
     stop: Arc<(Mutex<bool>, Condvar)>,
     join: Option<thread::JoinHandle<()>>,
@@ -44,9 +45,12 @@ where
             let (lock, cvar) = &*thread_stop;
             loop {
                 {
+                    // The predicate is checked before the first wait, so a
+                    // stop that lands before this thread parks is not lost,
+                    // and a spurious wakeup keeps waiting out the interval.
                     let stopped = lock.lock().unwrap_or_else(|p| p.into_inner());
                     let (guard, _timeout) = cvar
-                        .wait_timeout(stopped, interval)
+                        .wait_timeout_while(stopped, interval, |stopped| !*stopped)
                         .unwrap_or_else(|p| p.into_inner());
                     if *guard {
                         return;

@@ -7,8 +7,13 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release =="
 cargo build --release
 
-echo "== cargo test -q =="
-cargo test -q
+echo "== cargo test -q --workspace =="
+# Every crate's unit and integration tests, not only the root package's:
+# the crates hold the search's acceptance oracles, the latency-model
+# properties, and the store's corruption-injection and cross-process
+# contention (SIGKILL recovery) suites; the root package holds the
+# persistent-store cold -> warm tests.
+cargo test -q --workspace
 
 echo "== bench --quick --check =="
 cargo run --release -p paqoc-bench --bin bench -- --quick --check \
@@ -21,15 +26,6 @@ echo "== report compare: quick run vs committed baseline =="
 #   cargo run --release -p paqoc-bench --bin bench -- --check
 cargo run --release -p paqoc-bench --bin report -- compare \
     target/BENCH_pipeline_quick.json BENCH_pipeline.json --counts-only
-
-echo "== store corruption-injection suite =="
-cargo test -q -p paqoc-store --test corruption
-
-echo "== persistent store end-to-end (cold -> warm) =="
-cargo test -q --test pulse_store
-
-echo "== cross-process store contention (one writer, SIGKILL recovery) =="
-cargo test -q -p paqoc-store --test contention
 
 echo "== bench cold -> warm against a fresh pulse store =="
 PULSE_DB="target/verify_pulse_store.db"
