@@ -295,7 +295,7 @@ fn tokenize(s: &str) -> Option<Vec<Tok>> {
             }
             let text: String = chars[start..i].iter().collect();
             out.push(Tok::Num(text.parse().ok()?));
-        } else if s[i..].starts_with("pi") {
+        } else if chars[i..].starts_with(&['p', 'i']) {
             out.push(Tok::Num(std::f64::consts::PI));
             i += 2;
         } else if "+-*/()".contains(c) {
@@ -442,6 +442,25 @@ mod tests {
         assert!(err.to_string().contains("out of range"), "{err}");
         let err = parse_qasm("qreg q[3];\ncx q[1], q[1];").unwrap_err();
         assert!(err.to_string().contains("duplicate qubit"), "{err}");
+    }
+
+    #[test]
+    fn unicode_whitespace_in_an_angle_parses_like_a_space() {
+        // Unicode spaces are whitespace but not one byte long: the
+        // tokenizer's char index must not be used as a byte offset.
+        let angle = |expr: &str| {
+            let c = parse_qasm(&format!("OPENQASM 2.0;\nqreg q[1];\nrz({expr}) q[0];"))
+                .unwrap_or_else(|e| panic!("{expr:?}: {e}"));
+            c.instructions()[0].params()[0].value
+        };
+        for expr in ["1 + pi", "pi / 2", "2 * pi - 1", "-pi + 0.5", "3 *pi"] {
+            for ws in ["\u{3000}", "\u{a0}", "\u{3000}\u{a0}"] {
+                let wide = expr.replace(' ', ws);
+                assert_eq!(angle(&wide).to_bits(), angle(expr).to_bits(), "{wide:?}");
+            }
+        }
+        assert!(parse_qasm("qreg q[1];\nrz(\u{3c0}) q[0];").is_err());
+        assert!(parse_qasm("qreg q[1];\nrz(1\u{3000}\u{3c0}) q[0];").is_err());
     }
 
     #[test]

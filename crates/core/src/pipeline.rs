@@ -423,50 +423,51 @@ fn compile_inner(
             .map(std::path::PathBuf::from)
     });
     if let Some(path) = db_path {
-        // In batch mode the persistent store belongs to the shared
-        // executor table (its log is single-handle; workers read through
-        // it and the write-behind sync is the one writer). An already
-        // store-backed shared table — the bench suite pooling compiles —
-        // keeps its handle.
-        let store_owner_has_one = batch
-            .as_ref()
-            .map(|(_, shared)| shared.has_store())
-            .unwrap_or(false);
-        if !store_owner_has_one {
+        let open = || {
             let mut store_opts = opts.store_options.clone();
             if store_opts.max_bytes.is_none() {
                 store_opts.max_bytes = std::env::var("PAQOC_PULSE_DB_MAX_BYTES")
                     .ok()
                     .and_then(|v| v.parse().ok());
             }
-            match paqoc_store::PulseStore::open_with(&path, device.fingerprint(), store_opts) {
-                Ok(store) => {
-                    if store.role() == paqoc_store::StoreRole::ReadOnly {
-                        // Reads still come through; only durability of
-                        // this run's fresh pulses is lost.
-                        let reason = if opts.store_options.read_only {
-                            "requested"
-                        } else {
-                            "lock-held"
-                        };
-                        degradations.push(Degradation::StoreReadOnly {
-                            reason: reason.to_string(),
-                        });
-                    }
-                    match &batch {
-                        Some((_, shared)) => shared.attach_store(store),
-                        None => table.attach_store(store),
-                    }
-                }
-                Err(e) => {
-                    // Persistence is an accelerator, not a requirement:
-                    // compile in-memory and record the concession.
-                    counter("store.open_failures", 1);
-                    paqoc_telemetry::event!("store.open_failed", error = e.to_string());
-                    degradations.push(Degradation::StoreUnavailable {
-                        reason: e.to_string(),
-                    });
-                }
+            paqoc_store::PulseStore::open_with(&path, device.fingerprint(), store_opts)
+        };
+        // In batch mode the persistent store belongs to the shared
+        // executor table (its log is single-handle; workers read through
+        // it and the write-behind sync is the one writer). The table
+        // opens it once, for the first compile that gets here; compiles
+        // pooled on an already store-backed table (the bench suite)
+        // keep its handle.
+        let opened = match &batch {
+            Some((_, shared)) => shared.attach_store_with(open),
+            None => open().map(|store| {
+                let role = store.role();
+                table.attach_store(store);
+                Some(role)
+            }),
+        };
+        match opened {
+            Ok(Some(paqoc_store::StoreRole::ReadOnly)) => {
+                // Reads still come through; only durability of this
+                // run's fresh pulses is lost.
+                let reason = if opts.store_options.read_only {
+                    "requested"
+                } else {
+                    "lock-held"
+                };
+                degradations.push(Degradation::StoreReadOnly {
+                    reason: reason.to_string(),
+                });
+            }
+            Ok(_) => {}
+            Err(e) => {
+                // Persistence is an accelerator, not a requirement:
+                // compile in-memory and record the concession.
+                counter("store.open_failures", 1);
+                paqoc_telemetry::event!("store.open_failed", error = e.to_string());
+                degradations.push(Degradation::StoreUnavailable {
+                    reason: e.to_string(),
+                });
             }
         }
     }

@@ -546,6 +546,100 @@ mod tests {
         Instruction::new(gate, qubits.to_vec(), vec![])
     }
 
+    /// Groups whose keys are pinned below: numeric and symbolic angles,
+    /// control/target roles, tied parallel gates, a SWAP skeleton, a
+    /// lowered Toffoli, multi-parameter gates and high qubit indices.
+    fn golden_groups() -> Vec<Vec<Instruction>> {
+        use paqoc_circuit::{decompose, Angle, Basis};
+        let p = |gate, qubits: &[usize], params: Vec<Angle>| {
+            Instruction::new(gate, qubits.to_vec(), params)
+        };
+        let mut toffoli = Circuit::new(3);
+        toffoli.ccx(2, 0, 1);
+        vec![
+            vec![
+                inst(GateKind::Cx, &[0, 1]),
+                p(GateKind::Rz, &[1], vec![0.7.into()]),
+            ],
+            vec![
+                inst(GateKind::Cx, &[5, 3]),
+                p(GateKind::Rz, &[3], vec![Angle::sym("gamma", 0.3)]),
+                inst(GateKind::Cx, &[5, 3]),
+            ],
+            vec![
+                inst(GateKind::H, &[2]),
+                inst(GateKind::H, &[7]),
+                inst(GateKind::Cx, &[7, 2]),
+            ],
+            vec![
+                inst(GateKind::Cx, &[0, 1]),
+                inst(GateKind::Cx, &[1, 0]),
+                inst(GateKind::Cx, &[0, 1]),
+            ],
+            vec![
+                inst(GateKind::Ccx, &[4, 1, 9]),
+                inst(GateKind::H, &[9]),
+                inst(GateKind::T, &[1]),
+            ],
+            vec![
+                p(
+                    GateKind::U3,
+                    &[3],
+                    vec![0.1.into(), (-2.5).into(), 3.0.into()],
+                ),
+                p(
+                    GateKind::CPhase,
+                    &[3, 8],
+                    vec![std::f64::consts::FRAC_PI_8.into()],
+                ),
+            ],
+            vec![
+                p(GateKind::Rzz, &[6, 2], vec![0.25.into()]),
+                p(
+                    GateKind::Rx,
+                    &[6],
+                    vec![Angle::sym("beta", 1.0).scaled(0.5)],
+                ),
+                inst(GateKind::Sx, &[2]),
+            ],
+            vec![
+                inst(GateKind::Swap, &[1, 2]),
+                inst(GateKind::Cz, &[2, 0]),
+                inst(GateKind::X, &[0]),
+            ],
+            decompose(&toffoli, Basis::Extended).instructions().to_vec(),
+            vec![
+                p(GateKind::Rz, &[11], vec![Angle::sym("\u{3b3}", 0.2)]),
+                inst(GateKind::H, &[11]),
+            ],
+            vec![inst(GateKind::Tdg, &[24])],
+        ]
+    }
+
+    #[test]
+    fn group_keys_are_pinned() {
+        // The pulse table and the persistent store key by these strings:
+        // a changed byte would silently turn every warm store cold.
+        let golden = [
+            "cx(0,1);rz(0.7000)(1)",
+            "cx(0,1);rz(gamma)(1);cx(0,1)",
+            "h(0);h(1);cx(0,1)",
+            "cx(0,1);cx(1,0);cx(0,1)",
+            "ccx(0,1,2);h(2);t(1)",
+            "u3(0.1000,-2.5000,3.0000)(0);cp(0.3927)(0,1)",
+            "rzz(0.2500)(0,1);rx(beta*0.5)(0);sx(1)",
+            "swap(0,1);cz(1,2);x(2)",
+            "h(0);cx(1,0);tdg(0);cx(2,0);t(0);cx(1,0);t(1);tdg(0);cx(2,0);cx(2,1);t(0);h(0);t(2);tdg(1);cx(2,1)",
+            "rz(\u{3b3})(0);h(0)",
+            "tdg(0)",
+        ];
+        let groups = golden_groups();
+        assert_eq!(groups.len(), golden.len());
+        for (group, key) in groups.iter().zip(golden) {
+            assert_eq!(group_key(group), key);
+        }
+    }
+
     #[test]
     fn group_key_is_permutation_invariant() {
         // CX(0,1)+RZ(1) vs CX(5,3)+RZ(3): same canonical structure.

@@ -7,9 +7,12 @@
 //! lexicographically smallest emission), relabeling qubits by first
 //! appearance — so isomorphic instances, wherever they sit in the
 //! circuit and on whichever physical qubits, produce identical codes.
+//!
+//! The codes are persisted: the pulse table and the pulse store key by
+//! them, so the string a given instance produces is a format contract.
 
 use crate::graph::CircuitGraph;
-use std::collections::BTreeMap;
+use std::fmt::Write;
 
 /// Computes the canonical code of an instance (a set of node indices).
 ///
@@ -26,126 +29,158 @@ pub fn canonical_code(graph: &CircuitGraph, nodes: &[usize]) -> String {
     let mut nodes = nodes.to_vec();
     nodes.sort_unstable();
     nodes.dedup();
-
-    // Local adjacency restricted to the instance.
-    let index_of = |v: usize| nodes.iter().position(|&n| n == v);
-    let k = nodes.len();
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); k];
-    for (li, &v) in nodes.iter().enumerate() {
-        for e in graph.in_edges(v) {
-            if let Some(lp) = index_of(e.from) {
-                preds[li].push(lp);
-            }
-        }
-    }
-
-    let mut best: Option<String> = None;
-    let state = EmitState {
-        emitted: Vec::new(),
-        qubit_ids: BTreeMap::new(),
-        code: String::new(),
-    };
-    search(graph, &nodes, &preds, state, &mut best);
-    best.expect("at least one linearization exists")
+    Canonicalizer::default().code(graph, &nodes).to_owned()
 }
 
-#[derive(Clone)]
-struct EmitState {
-    emitted: Vec<usize>,               // local indices in emission order
-    qubit_ids: BTreeMap<usize, usize>, // physical qubit -> canonical id
+/// The search behind [`canonical_code`], kept between calls so that a
+/// caller computing many codes reuses its buffers.
+///
+/// The search backtracks over one mutable emission state: emitting a
+/// node pushes its token onto `code` and its fresh qubits onto
+/// `qubits`; returning truncates both back.
+#[derive(Debug, Default)]
+pub(crate) struct Canonicalizer {
+    /// Instance-internal successors of each local node, one per edge.
+    succs: Vec<Vec<usize>>,
+    /// Instance-internal predecessor edges of each node not yet emitted.
+    waiting: Vec<usize>,
+    emitted: Vec<bool>,
+    num_emitted: usize,
+    /// Physical qubits in canonical-id order (`qubits[id]`).
+    qubits: Vec<usize>,
+    /// The code of the emitted prefix.
     code: String,
+    /// The tokens of every open search level's ready nodes, back to back.
+    tokens: String,
+    /// `(local node, token start, token end)` for the entries of `tokens`.
+    ready: Vec<(usize, usize, usize)>,
+    /// The smallest complete code so far (empty before the first).
+    best: String,
 }
 
-/// The emission token of a node under the current state: gate label plus
-/// canonical qubit ids (fresh qubits numbered in operand order).
-fn token(
-    graph: &CircuitGraph,
-    nodes: &[usize],
-    local: usize,
-    state: &EmitState,
-) -> (String, Vec<(usize, usize)>) {
-    let v = nodes[local];
-    let mut fresh: Vec<(usize, usize)> = Vec::new();
-    let mut next_id = state.qubit_ids.len();
-    let ids: Vec<String> = graph
-        .qubits(v)
-        .iter()
-        .map(|&q| {
-            if let Some(&id) = state.qubit_ids.get(&q) {
-                id.to_string()
-            } else if let Some(&(_, id)) = fresh.iter().find(|&&(fq, _)| fq == q) {
-                id.to_string()
-            } else {
-                let id = next_id;
-                fresh.push((q, id));
-                next_id += 1;
-                id.to_string()
+impl Canonicalizer {
+    /// The canonical code of `nodes`, which must be sorted, deduplicated
+    /// and non-empty.
+    pub(crate) fn code(&mut self, graph: &CircuitGraph, nodes: &[usize]) -> &str {
+        debug_assert!(!nodes.is_empty() && nodes.windows(2).all(|w| w[0] < w[1]));
+        let k = nodes.len();
+        if self.succs.len() < k {
+            self.succs.resize_with(k, Vec::new);
+        }
+        self.succs[..k].iter_mut().for_each(Vec::clear);
+        self.waiting.clear();
+        self.waiting.resize(k, 0);
+        for (li, &v) in nodes.iter().enumerate() {
+            for e in graph.in_edges(v) {
+                if let Ok(lp) = nodes.binary_search(&e.from) {
+                    self.succs[lp].push(li);
+                    self.waiting[li] += 1;
+                }
             }
-        })
-        .collect();
-    (format!("{}({})", graph.label(v), ids.join(",")), fresh)
+        }
+        self.emitted.clear();
+        self.emitted.resize(k, false);
+        self.num_emitted = 0;
+        self.qubits.clear();
+        self.code.clear();
+        self.best.clear();
+        self.search(graph, nodes);
+        &self.best
+    }
+
+    fn search(&mut self, graph: &CircuitGraph, nodes: &[usize]) {
+        if self.num_emitted == nodes.len() {
+            if self.best.is_empty() || self.code < self.best {
+                self.best.clone_from(&self.code);
+            }
+            return;
+        }
+        // Prune: a prefix already worse than the best completed code can
+        // never win (every code has the same number of ';'-separated
+        // tokens). Comparing bytes orders UTF-8 strings as `str` does.
+        let (code, best) = (self.code.as_bytes(), self.best.as_bytes());
+        if !best.is_empty()
+            && !code.is_empty()
+            && code.len() <= best.len()
+            && code > &best[..code.len()]
+        {
+            return;
+        }
+
+        // Ready nodes (all instance-internal predecessors emitted) and
+        // their tokens under the current qubit relabelling.
+        let (level, level_tokens) = (self.ready.len(), self.tokens.len());
+        for (li, &v) in nodes.iter().enumerate() {
+            if !self.emitted[li] && self.waiting[li] == 0 {
+                let start = self.tokens.len();
+                write_token(&mut self.tokens, graph, v, &self.qubits);
+                self.ready.push((li, start, self.tokens.len()));
+            }
+        }
+
+        // Greedy-minimal: emit only the nodes whose token is minimal.
+        let tokens = self.tokens.as_bytes();
+        let (_, min_start, min_end) = self.ready[level..]
+            .iter()
+            .copied()
+            .min_by(|a, b| tokens[a.1..a.2].cmp(&tokens[b.1..b.2]))
+            .expect("DAG always has a ready node");
+        for i in level..self.ready.len() {
+            let (li, start, end) = self.ready[i];
+            if self.tokens.as_bytes()[start..end] != self.tokens.as_bytes()[min_start..min_end] {
+                continue;
+            }
+            let (code_len, num_qubits) = (self.code.len(), self.qubits.len());
+            if code_len > 0 {
+                self.code.push(';');
+            }
+            self.code.push_str(&self.tokens[start..end]);
+            for &q in graph.qubits(nodes[li]) {
+                if !self.qubits.contains(&q) {
+                    self.qubits.push(q);
+                }
+            }
+            self.emitted[li] = true;
+            self.num_emitted += 1;
+            for &s in &self.succs[li] {
+                self.waiting[s] -= 1;
+            }
+            self.search(graph, nodes);
+            for &s in &self.succs[li] {
+                self.waiting[s] += 1;
+            }
+            self.num_emitted -= 1;
+            self.emitted[li] = false;
+            self.qubits.truncate(num_qubits);
+            self.code.truncate(code_len);
+        }
+        self.ready.truncate(level);
+        self.tokens.truncate(level_tokens);
+    }
 }
 
-fn search(
-    graph: &CircuitGraph,
-    nodes: &[usize],
-    preds: &[Vec<usize>],
-    state: EmitState,
-    best: &mut Option<String>,
-) {
-    let k = nodes.len();
-    if state.emitted.len() == k {
-        match best {
-            Some(b) if *b <= state.code => {}
-            _ => *best = Some(state.code),
+/// Appends the emission token of node `v`: gate label plus canonical
+/// qubit ids, with qubits not yet in `qubits` numbered on in operand
+/// order (a gate never repeats a qubit).
+fn write_token(out: &mut String, graph: &CircuitGraph, v: usize, qubits: &[usize]) {
+    out.push_str(graph.label(v));
+    out.push('(');
+    let mut next_id = qubits.len();
+    for (i, q) in graph.qubits(v).iter().enumerate() {
+        if i > 0 {
+            out.push(',');
         }
-        return;
-    }
-    // Prune: a prefix already worse than the best completed code can
-    // never win (string comparison is prefix-monotone for our format
-    // because every code has the same number of ';'-separated tokens).
-    if let Some(b) = best {
-        if !b.is_empty() && state.code.len() <= b.len() && !state.code.is_empty() {
-            let prefix = &b[..state.code.len().min(b.len())];
-            if state.code.as_str() > prefix {
-                return;
-            }
+        let id = qubits.iter().position(|x| x == q).unwrap_or_else(|| {
+            next_id += 1;
+            next_id - 1
+        });
+        if id < 10 {
+            out.push(char::from(b'0' + id as u8));
+        } else {
+            write!(out, "{id}").expect("writing to a String cannot fail");
         }
     }
-
-    // Ready nodes: all instance-internal predecessors emitted.
-    let ready: Vec<usize> = (0..k)
-        .filter(|&li| !state.emitted.contains(&li))
-        .filter(|&li| preds[li].iter().all(|p| state.emitted.contains(p)))
-        .collect();
-
-    // Greedy-minimal: emit only the nodes whose token is minimal.
-    #[allow(clippy::type_complexity)]
-    let tokens: Vec<(usize, (String, Vec<(usize, usize)>))> = ready
-        .iter()
-        .map(|&li| (li, token(graph, nodes, li, &state)))
-        .collect();
-    let min_tok = tokens
-        .iter()
-        .map(|(_, (t, _))| t.clone())
-        .min()
-        .expect("DAG always has a ready node");
-
-    for (li, (tok, fresh)) in tokens {
-        if tok != min_tok {
-            continue;
-        }
-        let mut next = state.clone();
-        next.emitted.push(li);
-        for (q, id) in fresh {
-            next.qubit_ids.insert(q, id);
-        }
-        if !next.code.is_empty() {
-            next.code.push(';');
-        }
-        next.code.push_str(&tok);
-        search(graph, nodes, preds, next, best);
-    }
+    out.push(')');
 }
 
 #[cfg(test)]
@@ -227,5 +262,64 @@ mod tests {
         let mut backward = Circuit::new(2);
         backward.rz(1, 0.7).cx(0, 1);
         assert_ne!(code_of(&forward, &[0, 1]), code_of(&backward, &[0, 1]));
+    }
+
+    #[test]
+    fn non_ascii_symbols_never_panic_and_ignore_qubit_labels() {
+        // The prefix prune compares at byte offsets that can fall inside
+        // a multi-byte symbol, e.g. on rz(γ) q2; rz(γ) q0; h q2; cx q2,q0.
+        use paqoc_circuit::{Angle, GateKind};
+        use paqoc_math::Rng;
+        let mut rng = Rng::seed_from_u64(0x7A3A);
+        for _ in 0..20_000 {
+            let n = rng.random_range(2..=3usize);
+            let mut gates = Vec::new();
+            for _ in 0..rng.random_range(2..=6usize) {
+                let a = rng.random_range(0..n);
+                let b = (a + rng.random_range(1..n)) % n;
+                gates.push(match rng.random_range(0..3u32) {
+                    0 => (GateKind::Rz, vec![a], vec![Angle::sym("γ", rng.random())]),
+                    1 => (GateKind::H, vec![a], vec![]),
+                    _ => (GateKind::Cx, vec![a, b], vec![]),
+                });
+            }
+            let mut relabel: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                relabel.swap(i, rng.random_range(0..=i));
+            }
+            let (mut c, mut moved) = (Circuit::new(n), Circuit::new(n));
+            for (kind, qs, ps) in gates {
+                moved.apply(
+                    kind,
+                    qs.iter().map(|&q| relabel[q]).collect::<Vec<_>>(),
+                    ps.clone(),
+                );
+                c.apply(kind, qs, ps);
+            }
+            let nodes: Vec<usize> = (0..c.len()).collect();
+            assert_eq!(code_of(&c, &nodes), code_of(&moved, &nodes), "{c:?}");
+        }
+    }
+
+    #[test]
+    fn a_reused_canonicalizer_matches_fresh_calls() {
+        // Large instance first, so later calls run in oversized buffers.
+        let mut c = Circuit::new(3);
+        c.h(0).h(1).cx(0, 1).ccx(0, 1, 2).rz(2, 0.3).cx(2, 0).h(1);
+        let g = CircuitGraph::from_circuit(&c);
+        let mut canon = Canonicalizer::default();
+        for nodes in [
+            &[0, 1, 2, 3, 4, 5, 6][..],
+            &[0, 2],
+            &[1],
+            &[3, 4, 5],
+            &[2, 3, 6],
+        ] {
+            assert_eq!(
+                canon.code(&g, nodes),
+                canonical_code(&g, nodes),
+                "{nodes:?}"
+            );
+        }
     }
 }

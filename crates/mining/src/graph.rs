@@ -189,17 +189,20 @@ impl Reachability {
     /// passes through a non-member. Convex sets are exactly the sets that
     /// can be collapsed into one gate without breaking the schedule.
     pub fn is_convex(&self, nodes: &[usize]) -> bool {
-        // bad = (∪ desc) ∩ (∪ anc) \ nodes must be empty.
-        let mut in_set = vec![0u64; self.words];
-        for &v in nodes {
-            in_set[v / 64] |= 1u64 << (v % 64);
-        }
-        for (w, &set) in in_set.iter().enumerate() {
-            let mut d = 0u64;
-            let mut a = 0u64;
+        // bad = (∪ desc) ∩ (∪ anc) \ nodes must be empty. Node order is
+        // topological, so a bad node lies strictly between the smallest
+        // and the largest member: only the words spanning them are read.
+        let (Some(&lo), Some(&hi)) = (nodes.iter().min(), nodes.iter().max()) else {
+            return true;
+        };
+        for w in lo / 64..=hi / 64 {
+            let (mut d, mut a, mut set) = (0u64, 0u64, 0u64);
             for &v in nodes {
                 d |= self.desc[v * self.words + w];
                 a |= self.anc[v * self.words + w];
+                if v / 64 == w {
+                    set |= 1u64 << (v % 64);
+                }
             }
             if d & a & !set != 0 {
                 return false;
@@ -285,6 +288,44 @@ mod tests {
         // {cx, cx} without the rz in between is NOT convex: the path
         // cx → rz → cx passes through a non-member.
         assert!(!r.is_convex(&[0, 2]));
+    }
+
+    #[test]
+    fn convexity_matches_brute_force_across_word_boundaries() {
+        // Circuits past 64 and 128 gates, so member sets span several
+        // bitset words; checked against the definition over `reaches`.
+        use paqoc_math::Rng;
+        let mut rng = Rng::seed_from_u64(0xC0FE);
+        let mut convex = [0usize; 2];
+        for _ in 0..40 {
+            let n = rng.random_range(2..=6usize);
+            let mut c = Circuit::new(n);
+            for _ in 0..rng.random_range(60..200usize) {
+                let a = rng.random_range(0..n);
+                if rng.random::<bool>() {
+                    c.h(a);
+                } else {
+                    c.cx(a, (a + rng.random_range(1..n)) % n);
+                }
+            }
+            let g = CircuitGraph::from_circuit(&c);
+            let r = Reachability::new(&g);
+            for _ in 0..50 {
+                let lo = rng.random_range(0..g.len());
+                let hi = (lo + rng.random_range(1..80usize)).min(g.len());
+                let nodes: Vec<usize> = (lo..hi)
+                    .filter(|_| rng.random_range(0..4u32) == 0)
+                    .collect();
+                let bad = (0..g.len()).any(|x| {
+                    !nodes.contains(&x)
+                        && nodes.iter().any(|&u| r.reaches(u, x))
+                        && nodes.iter().any(|&w| r.reaches(x, w))
+                });
+                assert_eq!(r.is_convex(&nodes), !bad, "{nodes:?}");
+                convex[usize::from(bad)] += 1;
+            }
+        }
+        assert!(convex.iter().all(|&k| k > 200), "{convex:?}");
     }
 
     #[test]

@@ -27,6 +27,8 @@
 mod canon;
 mod graph;
 mod miner;
+#[cfg(test)]
+mod reference_tests;
 mod select;
 
 pub use canon::canonical_code;

@@ -7,11 +7,11 @@
 //! anti-monotone under this instance semantics, so infrequent patterns
 //! prune their whole extension subtree.
 
-use crate::canon::canonical_code;
+use crate::canon::Canonicalizer;
 use crate::graph::{CircuitGraph, Reachability};
 use paqoc_circuit::Circuit;
 use paqoc_telemetry::counter;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 /// Mining configuration.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -65,23 +65,31 @@ impl Pattern {
     /// Greedy maximum set of pairwise-disjoint instances, in circuit
     /// order. This is what substitution uses.
     pub fn disjoint_instances(&self) -> Vec<Vec<usize>> {
-        let mut used: HashSet<usize> = HashSet::new();
-        let mut picked = Vec::new();
-        let mut ordered = self.instances.clone();
-        ordered.sort_by_key(|inst| inst[0]);
-        for inst in ordered {
-            if inst.iter().all(|i| !used.contains(i)) {
-                used.extend(inst.iter().copied());
-                picked.push(inst);
-            }
-        }
-        picked
+        self.disjoint_picks().into_iter().cloned().collect()
     }
 
     /// Coverage = gates covered by the disjoint instances; the selection
     /// criterion the paper uses to choose among overlapping patterns.
     pub fn coverage(&self) -> usize {
-        self.disjoint_instances().len() * self.num_gates
+        self.disjoint_picks().len() * self.num_gates
+    }
+
+    /// The instances [`Pattern::disjoint_instances`] keeps: scanned by
+    /// first gate (ties in discovery order), each kept unless it
+    /// overlaps one kept before it.
+    pub(crate) fn disjoint_picks(&self) -> Vec<&Vec<usize>> {
+        let mut picks: Vec<&Vec<usize>> = self.instances.iter().collect();
+        picks.sort_by_key(|inst| inst[0]);
+        let end = self.instances.iter().filter_map(|inst| inst.last()).max();
+        let mut used = vec![false; end.map_or(0, |&v| v + 1)];
+        picks.retain(|inst| {
+            let free = inst.iter().all(|&i| !used[i]);
+            if free {
+                inst.iter().for_each(|&i| used[i] = true);
+            }
+            free
+        });
+        picks
     }
 }
 
@@ -104,6 +112,16 @@ impl Pattern {
 /// assert!(patterns.iter().any(|p| p.num_gates == 3 && p.support() == 2));
 /// ```
 pub fn mine_frequent_subcircuits(circuit: &Circuit, opts: &MinerOptions) -> Vec<Pattern> {
+    mine(circuit, opts, counter)
+}
+
+/// [`mine_frequent_subcircuits`], reporting its `miner.*` counts to
+/// `count` instead of the telemetry registry.
+pub(crate) fn mine(
+    circuit: &Circuit,
+    opts: &MinerOptions,
+    mut count: impl FnMut(&'static str, u64),
+) -> Vec<Pattern> {
     let graph = CircuitGraph::from_circuit(circuit);
     let reach = Reachability::new(&graph);
     if graph.is_empty() {
@@ -111,103 +129,148 @@ pub fn mine_frequent_subcircuits(circuit: &Circuit, opts: &MinerOptions) -> Vec<
     }
 
     // Level 1: single gates grouped by label.
-    let mut by_code: HashMap<String, Vec<Vec<usize>>> = HashMap::new();
+    let mut by_label: HashMap<String, Vec<Vec<usize>>> = HashMap::new();
     for v in 0..graph.len() {
-        by_code
+        by_label
             .entry(graph.label(v).to_string())
             .or_default()
             .push(vec![v]);
     }
-    let mut frontier: Vec<(String, Vec<Vec<usize>>)> = by_code
-        .into_iter()
-        .filter(|(_, inst)| inst.len() >= opts.min_support)
-        .collect();
-    frontier.sort_by(|a, b| b.1.len().cmp(&a.1.len()).then(a.0.cmp(&b.0)));
-    frontier.truncate(opts.beam_width);
+    let singles = frequent_level(&graph, by_label, opts);
 
+    // Each level's patterns move into `results`; `parents` is the range
+    // the next level grows from (level 2 grows from `singles`).
     let mut results: Vec<Pattern> = Vec::new();
-
-    for _level in 2..=opts.max_gates {
+    let mut parents = 0..0;
+    let mut canon = Canonicalizer::default();
+    let mut seen: HashSet<Vec<usize>> = HashSet::new();
+    let (mut qubits, mut cands, mut grown) = (Vec::new(), Vec::new(), Vec::new());
+    for level in 2..=opts.max_gates {
+        let frontier = if level == 2 {
+            &singles[..]
+        } else {
+            &results[parents.clone()]
+        };
         let mut next: HashMap<String, Vec<Vec<usize>>> = HashMap::new();
-        let mut seen_sets: HashSet<Vec<usize>> = HashSet::new();
-        for (_, instances) in &frontier {
-            for inst in instances {
-                let members: HashSet<usize> = inst.iter().copied().collect();
-                let qubits: BTreeSet<usize> = inst
+        seen.clear();
+        let (mut tried, mut over_cap, mut nonconvex) = (0u64, 0u64, 0u64);
+        for inst in frontier.iter().flat_map(|p| &p.instances) {
+            // `inst` is sorted; so are its qubits and its candidate
+            // extensions (neighbours of any member).
+            qubits.clear();
+            qubits.extend(inst.iter().flat_map(|&v| graph.qubits(v)));
+            qubits.sort_unstable();
+            qubits.dedup();
+            cands.clear();
+            cands.extend(
+                inst.iter()
+                    .flat_map(|&v| graph.neighbors(v))
+                    .filter(|nb| !inst.contains(nb)),
+            );
+            cands.sort_unstable();
+            cands.dedup();
+            for &cand in &cands {
+                tried += 1;
+                let fresh = graph
+                    .qubits(cand)
                     .iter()
-                    .flat_map(|&v| graph.qubits(v).iter().copied())
-                    .collect();
-                // Candidate extensions: neighbours of any member.
-                let mut cands: BTreeSet<usize> = BTreeSet::new();
-                for &v in inst {
-                    for nb in graph.neighbors(v) {
-                        if !members.contains(&nb) {
-                            cands.insert(nb);
-                        }
-                    }
+                    .filter(|q| qubits.binary_search(q).is_err())
+                    .count();
+                if qubits.len() + fresh > opts.max_qubits {
+                    over_cap += 1;
+                    continue;
                 }
-                for cand in cands {
-                    counter("miner.extensions_tried", 1);
-                    let mut new_qubits = qubits.clone();
-                    new_qubits.extend(graph.qubits(cand).iter().copied());
-                    if new_qubits.len() > opts.max_qubits {
-                        counter("miner.rejected_qubit_cap", 1);
-                        continue;
-                    }
-                    let mut grown: Vec<usize> = inst.clone();
-                    grown.push(cand);
-                    grown.sort_unstable();
-                    if seen_sets.contains(&grown) {
-                        continue;
-                    }
-                    if !reach.is_convex(&grown) {
-                        counter("miner.rejected_nonconvex", 1);
-                        continue;
-                    }
-                    seen_sets.insert(grown.clone());
-                    let code = canonical_code(&graph, &grown);
-                    let bucket = next.entry(code).or_default();
-                    if bucket.len() < opts.max_instances_per_pattern {
-                        bucket.push(grown);
-                    }
+                let at = inst.partition_point(|&v| v < cand);
+                grown.clear();
+                grown.extend_from_slice(&inst[..at]);
+                grown.push(cand);
+                grown.extend_from_slice(&inst[at..]);
+                if seen.contains(&grown) {
+                    continue;
+                }
+                if !reach.is_convex(&grown) {
+                    nonconvex += 1;
+                    continue;
+                }
+                seen.insert(grown.clone());
+                let code = canon.code(&graph, &grown);
+                let bucket = match next.get_mut(code) {
+                    Some(bucket) => bucket,
+                    None => next.entry(code.to_owned()).or_default(),
+                };
+                if bucket.len() < opts.max_instances_per_pattern {
+                    bucket.push(grown.clone());
                 }
             }
         }
-        let mut level_patterns: Vec<(String, Vec<Vec<usize>>)> = next
-            .into_iter()
-            .filter(|(_, inst)| inst.len() >= opts.min_support)
-            .collect();
+        // One counter call per level, from the local sums; a zero delta
+        // is skipped so the snapshot's counter set is the one the
+        // per-candidate calls produced.
+        for (name, delta) in [
+            ("miner.extensions_tried", tried),
+            ("miner.rejected_qubit_cap", over_cap),
+            ("miner.rejected_nonconvex", nonconvex),
+        ] {
+            if delta > 0 {
+                count(name, delta);
+            }
+        }
+        let level_patterns = frequent_level(&graph, next, opts);
         if level_patterns.is_empty() {
             break;
         }
-        level_patterns.sort_by(|a, b| b.1.len().cmp(&a.1.len()).then(a.0.cmp(&b.0)));
-        level_patterns.truncate(opts.beam_width);
-
-        for (code, instances) in &level_patterns {
-            let sample = &instances[0];
-            let num_qubits = sample
-                .iter()
-                .flat_map(|&v| graph.qubits(v).iter().copied())
-                .collect::<BTreeSet<usize>>()
-                .len();
-            results.push(Pattern {
-                code: code.clone(),
-                num_gates: sample.len(),
-                num_qubits,
-                instances: instances.clone(),
-            });
-        }
-        frontier = level_patterns;
+        let start = results.len();
+        results.extend(level_patterns);
+        parents = start..results.len();
     }
 
-    results.sort_by(|a, b| {
-        b.coverage()
-            .cmp(&a.coverage())
+    // Rank by coverage (descending), then size, then code. Codes are
+    // unique within a level and a level fixes the size, so the key is a
+    // total order; each coverage is computed once.
+    let mut ranked: Vec<(usize, Pattern)> =
+        results.into_iter().map(|p| (p.coverage(), p)).collect();
+    ranked.sort_unstable_by(|(cov_a, a), (cov_b, b)| {
+        cov_b
+            .cmp(cov_a)
             .then(b.num_gates.cmp(&a.num_gates))
-            .then(a.code.cmp(&b.code))
+            .then_with(|| a.code.cmp(&b.code))
     });
-    counter("miner.patterns_found", results.len() as u64);
-    results
+    count("miner.patterns_found", ranked.len() as u64);
+    ranked.into_iter().map(|(_, p)| p).collect()
+}
+
+/// The frequent patterns of one level: buckets with at least
+/// `min_support` (capped) instances, ranked by that count (descending)
+/// then code, cut to `beam_width`.
+fn frequent_level(
+    graph: &CircuitGraph,
+    buckets: HashMap<String, Vec<Vec<usize>>>,
+    opts: &MinerOptions,
+) -> Vec<Pattern> {
+    let mut level: Vec<(String, Vec<Vec<usize>>)> = buckets
+        .into_iter()
+        .filter(|(_, inst)| inst.len() >= opts.min_support)
+        .collect();
+    level.sort_unstable_by(|a, b| b.1.len().cmp(&a.1.len()).then_with(|| a.0.cmp(&b.0)));
+    level.truncate(opts.beam_width);
+    level
+        .into_iter()
+        .map(|(code, instances)| {
+            let sample = &instances[0];
+            let mut qubits: Vec<usize> = sample
+                .iter()
+                .flat_map(|&v| graph.qubits(v).iter().copied())
+                .collect();
+            qubits.sort_unstable();
+            qubits.dedup();
+            Pattern {
+                code,
+                num_gates: sample.len(),
+                num_qubits: qubits.len(),
+                instances,
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -9,7 +9,6 @@
 //! is free to merge further.
 
 use crate::miner::Pattern;
-use std::collections::HashSet;
 
 /// The APA budget: how many distinct APA-basis gates may be introduced.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -108,7 +107,13 @@ fn greedy_cover(
     _circuit_len: usize,
     stop_at_coverage: Option<usize>,
 ) -> ApaCover {
-    let mut used: HashSet<usize> = HashSet::new();
+    // `used[i]`: instruction `i` belongs to a selected occurrence.
+    let end = patterns
+        .iter()
+        .flat_map(|p| &p.instances)
+        .filter_map(|inst| inst.last())
+        .max();
+    let mut used = vec![false; end.map_or(0, |&i| i + 1)];
     let mut cover = ApaCover::default();
     for pattern in patterns {
         if pattern.num_gates < 2 {
@@ -125,10 +130,10 @@ fn greedy_cover(
             }
         }
         let mut occurrences = Vec::new();
-        for inst in pattern.disjoint_instances() {
-            if inst.iter().all(|i| !used.contains(i)) {
-                used.extend(inst.iter().copied());
-                occurrences.push(inst);
+        for inst in pattern.disjoint_picks() {
+            if inst.iter().all(|&i| !used[i]) {
+                inst.iter().for_each(|&i| used[i] = true);
+                occurrences.push(inst.clone());
             }
         }
         if occurrences.len() >= 2 {
@@ -140,10 +145,8 @@ fn greedy_cover(
                 occurrences,
             });
         } else {
-            for inst in occurrences {
-                for i in inst {
-                    used.remove(&i);
-                }
+            for &i in occurrences.iter().flatten() {
+                used[i] = false;
             }
         }
     }
@@ -155,6 +158,7 @@ mod tests {
     use super::*;
     use crate::miner::{mine_frequent_subcircuits, MinerOptions};
     use paqoc_circuit::Circuit;
+    use std::collections::HashSet;
 
     /// Two SWAP skeletons plus two CPHASE skeletons.
     fn sample() -> Circuit {

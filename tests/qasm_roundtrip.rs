@@ -27,10 +27,11 @@ fn small_benchmark_roundtrip_preserves_unitary() {
 
 /// Seeded property test: the parser must be total. Random byte-prefixes
 /// of every benchmark's QASM — most of which cut a statement in half —
-/// and random in-place garbage mutations must come back as
-/// `Err(ParseQasmError)` or (when the damage happens to be benign) a
-/// parsed circuit, but **never** a panic. Regression cover for the
-/// reversed-bracket slice panics (`h ]q[0;`).
+/// random in-place garbage mutations and random multi-byte insertions
+/// must come back as `Err(ParseQasmError)` or (when the damage happens
+/// to be benign) a parsed circuit, but **never** a panic. Regression
+/// cover for the reversed-bracket slice panics (`h ]q[0;`) and for the
+/// angle tokenizer slicing bytes at a char index (`rz(1\u{3000}+pi)`).
 #[test]
 fn truncated_and_garbled_qasm_never_panics() {
     use paqoc::math::Rng;
@@ -40,10 +41,25 @@ fn truncated_and_garbled_qasm_never_panics() {
     // Bytes biased toward structural QASM characters so mutations hit
     // the bracket/operand machinery, not just identifiers.
     const NASTY: &[u8] = b"[]();,. qcx0123456789-";
+    // Multi-byte characters (Unicode spaces among them, which pass for
+    // whitespace), alone or ahead of an angle operator.
+    const WIDE: &[&str] = &[
+        "\u{3000}",
+        "\u{a0}",
+        "\u{3c0}",
+        "\u{3b3}",
+        "\u{20ac}",
+        "\u{1d70b}",
+        "\u{3000}+",
+        "\u{a0}-pi",
+        "\u{3000}*2",
+        "\u{3b3}/",
+    ];
 
     for b in all_benchmarks() {
         let text = to_qasm(&(b.build)());
         let qreg_end = text.find(';').expect("qasm has statements");
+        let opens: Vec<usize> = text.match_indices('(').map(|(i, _)| i + 1).collect();
 
         for _ in 0..64 {
             // Random prefix (never empty, can be the whole file).
@@ -70,6 +86,29 @@ fn truncated_and_garbled_qasm_never_panics() {
             let garbled = String::from_utf8(bytes).expect("ascii substitutions");
             let _ = catch_unwind(AssertUnwindSafe(|| parse_qasm(&garbled))).unwrap_or_else(|_| {
                 panic!("{}: parser panicked on garbled input:\n{garbled}", b.name)
+            });
+
+            // Insert 1–4 multi-byte fragments, half of them just inside a
+            // parameter list. Offsets come from the ASCII original, so each
+            // steps back to a char boundary of the widened text.
+            let mut widened = text.clone();
+            for _ in 0..1 + rng.next_u64() % 4 {
+                let at = if opens.is_empty() || rng.random::<bool>() {
+                    (rng.next_u64() as usize) % (text.len() + 1)
+                } else {
+                    opens[(rng.next_u64() as usize) % opens.len()]
+                };
+                let at = (0..=at)
+                    .rev()
+                    .find(|&i| widened.is_char_boundary(i))
+                    .unwrap_or(0);
+                widened.insert_str(at, WIDE[(rng.next_u64() as usize) % WIDE.len()]);
+            }
+            let _ = catch_unwind(AssertUnwindSafe(|| parse_qasm(&widened))).unwrap_or_else(|_| {
+                panic!(
+                    "{}: parser panicked on multi-byte input:\n{widened}",
+                    b.name
+                )
             });
         }
     }
