@@ -23,18 +23,16 @@ use std::time::Instant;
 
 /// Parallel-prefetch context for the attach phase: with one of these,
 /// the generator batch-generates every pending pulse of an attach sweep
-/// across the executor's worker pool before the sequential commit logic
-/// runs. Requires the table to carry a shared layer
-/// ([`PulseTable::attach_shared`]); without one the prefetch is a
-/// no-op and the generator stays fully sequential.
+/// across the executor's worker pool, against the table's cache
+/// ([`PulseTable::cache`]), before the sequential commit logic runs.
+/// Without one the generator stays fully sequential.
 #[derive(Clone)]
 pub struct BatchContext {
-    /// Builds one seeded source per job (see [`paqoc_exec::job_seed`]).
+    /// Builds one source per job, seeded by [`paqoc_exec::job_seed`] of
+    /// its key.
     pub factory: Arc<dyn PulseSourceFactory>,
     /// Worker count for each prefetch batch.
     pub threads: usize,
-    /// Seed folded into every per-key job seed.
-    pub base_seed: u64,
 }
 
 impl std::fmt::Debug for BatchContext {
@@ -42,7 +40,6 @@ impl std::fmt::Debug for BatchContext {
         f.debug_struct("BatchContext")
             .field("factory", &self.factory.name())
             .field("threads", &self.threads)
-            .field("base_seed", &self.base_seed)
             .finish()
     }
 }
@@ -152,42 +149,12 @@ pub struct GenerationOutcome {
     pub kernel_calls: BTreeMap<String, u64>,
 }
 
-/// Runs Algorithm 1 over a grouped circuit.
-///
-/// On return every live group has a generated pulse (latency and
-/// fidelity set), and the circuit latency is monotonically no worse
-/// than the input grouping's.
-///
-/// Infallible wrapper over [`try_generate_customized_gates`] with
-/// default limits — estimator fallback enabled, no budgets — under
-/// which the ladder always bottoms out in a valid result.
-///
-/// # Panics
-///
-/// Panics only if the degradation ladder is unexpectedly bypassed;
-/// unreachable with [`GenerationLimits::default`].
-pub fn generate_customized_gates(
-    grouped: &mut GroupedCircuit,
-    device: &Device,
-    source: &mut dyn PulseSource,
-    table: &mut PulseTable,
-    opts: &PaqocOptions,
-) -> GeneratorReport {
-    match try_generate_customized_gates(
-        grouped,
-        device,
-        source,
-        table,
-        opts,
-        &GenerationLimits::default(),
-    ) {
-        Ok(outcome) => outcome.report,
-        Err(e) => panic!("generator failed with fallbacks enabled: {e}"),
-    }
-}
-
-/// Fallible [`generate_customized_gates`] with budgets and the
+/// Runs Algorithm 1 over a grouped circuit, with budgets and the
 /// degradation ladder (paper Algorithm 1 hardened for production).
+///
+/// On return every live group has a pulse (latency and fidelity set),
+/// and the circuit latency is monotonically no worse than the input
+/// grouping's.
 ///
 /// The ladder, from cheapest to most drastic:
 /// 1. retry the pulse source per group (`limits.pulse_retries`, plus
@@ -201,26 +168,14 @@ pub fn generate_customized_gates(
 /// pulse generation; exhaustion finishes the run with the current valid
 /// grouping marked `partial` instead of erroring. Every concession is
 /// recorded in [`GenerationOutcome::degradations`].
+///
+/// With a parallel-prefetch context `exec`, every pending pulse of each
+/// attach sweep is first generated as a [`PulseJob`] batch on the
+/// executor (deduped, panic-isolated, budget-shared), and the sweep then
+/// commits sequentially — hits are free, failures fall through to the
+/// unchanged degradation ladder. The per-key seeding keeps results
+/// bit-identical to the sequential path for deterministic sources.
 pub fn try_generate_customized_gates(
-    grouped: &mut GroupedCircuit,
-    device: &Device,
-    source: &mut dyn PulseSource,
-    table: &mut PulseTable,
-    opts: &PaqocOptions,
-    limits: &GenerationLimits,
-) -> Result<GenerationOutcome, CompileError> {
-    try_generate_customized_gates_batched(grouped, device, source, table, opts, limits, None)
-}
-
-/// [`try_generate_customized_gates`] with an optional parallel-prefetch
-/// context: before each attach sweep, every pending pulse is generated
-/// as a [`PulseJob`] batch on the executor (deduped, panic-isolated,
-/// budget-shared), and the sweep then commits sequentially — hits are
-/// free, failures fall through to the unchanged degradation ladder. The
-/// per-key seeding keeps results bit-identical to the sequential path
-/// for deterministic sources.
-#[allow(clippy::too_many_arguments)]
-pub fn try_generate_customized_gates_batched(
     grouped: &mut GroupedCircuit,
     device: &Device,
     source: &mut dyn PulseSource,
@@ -719,7 +674,7 @@ pub fn try_generate_customized_gates_batched(
 /// biggest pulses start first. Outcomes are folded into the table with
 /// exact sequential stats parity ([`PulseTable::absorb_batch`]);
 /// failures and budget skips are left for the sequential ladder, whose
-/// semantics are unchanged. A no-op when the table has no shared layer.
+/// semantics are unchanged.
 ///
 /// The batch's worker-side kernel-probe attribution is folded into the
 /// `kernel_ns`/`kernel_calls` accumulators so the compile result can
@@ -735,9 +690,6 @@ fn prefetch_pending_pulses(
     kernel_ns: &mut BTreeMap<String, u64>,
     kernel_calls: &mut BTreeMap<String, u64>,
 ) {
-    let Some(shared) = table.shared().cloned() else {
-        return;
-    };
     let mut seen: HashSet<String> = HashSet::new();
     let mut jobs: Vec<PulseJob> = Vec::new();
     for id in grouped.group_ids() {
@@ -764,11 +716,16 @@ fn prefetch_pending_pulses(
         deadline: limits.deadline,
         cost_budget_units: limits.cost_budget_units,
         cost_spent_units: table.stats().cost_units,
-        base_seed: ctx.base_seed,
         stall_budget: None,
     };
     paqoc_telemetry::gauge!("core.sweep_pending_pulses", jobs.len() as f64);
-    let report = run_batch(&jobs, device, ctx.factory.as_ref(), &shared, &exec_opts);
+    let report = run_batch(
+        &jobs,
+        device,
+        ctx.factory.as_ref(),
+        table.cache(),
+        &exec_opts,
+    );
     paqoc_telemetry::gauge!("core.sweep_pending_pulses", 0.0);
     for (name, ns) in &report.kernel_ns {
         *kernel_ns.entry(name.clone()).or_insert(0) += ns;
@@ -898,7 +855,9 @@ fn refresh_latencies(
     for id in grouped.group_ids() {
         if grouped.group(id).latency_ns == 0.0 {
             let insts = grouped.group(id).instructions.clone();
-            let pulse = table.pulse_for(&insts, device, source, opts.target_fidelity);
+            let pulse = table
+                .try_pulse_for(&insts, device, source, opts.target_fidelity, 0)
+                .expect("test sources converge");
             let g = grouped.group_mut(id);
             g.latency_ns = pulse.latency_ns;
             g.fidelity = pulse.fidelity;
@@ -918,9 +877,17 @@ mod tests {
         let mut grouped = GroupedCircuit::new(c.instructions(), c.num_qubits(), &[]);
         let mut source = AnalyticModel::new();
         let mut table = PulseTable::new();
-        let report =
-            generate_customized_gates(&mut grouped, &device, &mut source, &mut table, opts);
-        (grouped, report, table)
+        let outcome = try_generate_customized_gates(
+            &mut grouped,
+            &device,
+            &mut source,
+            &mut table,
+            opts,
+            &GenerationLimits::default(),
+            None,
+        )
+        .expect("estimator fallback keeps the ladder infallible");
+        (grouped, outcome.report, table)
     }
 
     #[test]

@@ -3,16 +3,21 @@
 //! PAQOC itself: the grouped-circuit DAG with criticality analysis
 //! ([`GroupedCircuit`]), the canonical-keyed [`PulseTable`], the
 //! criticality-aware customized-gates generator implementing the paper's
-//! Algorithm 1 ([`generate_customized_gates`]), and the end-to-end
+//! Algorithm 1 ([`try_generate_customized_gates`]), and the end-to-end
 //! [`compile`] pipeline (lower → SABRE map → mine APA basis → merge →
 //! pulses) with the paper's `M ∈ {0, tuned, inf}` presets.
 //!
-//! The pulse table is fingerprint-keyed ([`composite_key`]), panic-
+//! Every compile, sequential or batch, resolves its pulses through one
+//! cache, the executor's [`paqoc_exec::SharedPulseTable`]: the
+//! `PipelineOptions::shared_table` a caller pools compiles on, or a
+//! private one. A [`PulseTable`] is one compile's view of it. Keys are
+//! fingerprint-prefixed ([`composite_key`]), generation is panic-
 //! isolated (a crashing [`paqoc_device::PulseSource`] degrades instead
-//! of aborting — [`Degradation::SourcePanic`]), and optionally backed by
-//! the crash-safe persistent store in `paqoc-store` (set
-//! `PipelineOptions::pulse_db` or the `PAQOC_PULSE_DB` environment
-//! variable).
+//! of aborting — [`Degradation::SourcePanic`]) with cache-wide
+//! quarantine, and the cache is optionally backed by the crash-safe
+//! persistent store in `paqoc-store` (set `PipelineOptions::pulse_db`
+//! or the `PAQOC_PULSE_DB` environment variable; see
+//! [`attach_pulse_store`]).
 //!
 //! ## Example
 //!
@@ -44,13 +49,12 @@ mod table;
 
 pub use error::{CompileError, Degradation};
 pub use generator::{
-    generate_customized_gates, try_generate_customized_gates,
-    try_generate_customized_gates_batched, BatchContext, GenerationLimits, GenerationOutcome,
+    try_generate_customized_gates, BatchContext, GenerationLimits, GenerationOutcome,
     GeneratorReport, PaqocOptions,
 };
 pub use group::{Group, GroupKind, GroupedCircuit};
 pub use pipeline::{
-    compile, partition_is_acyclic, try_compile, try_compile_batch, CompilationResult,
-    PipelineOptions,
+    attach_pulse_store, compile, partition_is_acyclic, try_compile, try_compile_batch,
+    CompilationResult, PipelineOptions,
 };
 pub use table::{composite_key, group_key, CompileStats, KeyPrefix, PulseTable};

@@ -6,8 +6,7 @@
 
 use crate::error::{CompileError, Degradation};
 use crate::generator::{
-    try_generate_customized_gates_batched, BatchContext, GenerationLimits, GeneratorReport,
-    PaqocOptions,
+    try_generate_customized_gates, BatchContext, GenerationLimits, GeneratorReport, PaqocOptions,
 };
 use crate::group::{GroupKind, GroupedCircuit};
 use crate::table::{CompileStats, PulseTable};
@@ -18,7 +17,9 @@ use paqoc_mapping::{try_sabre_map, SabreOptions};
 use paqoc_mining::{
     mine_frequent_subcircuits, select_apa_basis, ApaBudget, ApaCover, MinerOptions,
 };
+use paqoc_store::{PulseStore, StoreOptions, StoreRole};
 use paqoc_telemetry::{counter, span};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -82,10 +83,10 @@ pub struct PipelineOptions {
     /// (see [`effective_threads`]). Ignored by the sequential
     /// [`try_compile`].
     pub threads: Option<usize>,
-    /// A shared executor pulse table for [`try_compile_batch`],
-    /// letting concurrent compiles (the bench suite) pool pulses and a
-    /// single persistent-store handle. `None` gives each compile its
-    /// own fresh table. Ignored by the sequential [`try_compile`].
+    /// The pulse cache this compile resolves through, letting compiles
+    /// — sequential and batch alike, concurrent or one after another —
+    /// pool pulses, quarantines and a single persistent-store handle.
+    /// `None` gives the compile a private cache of its own.
     pub shared_table: Option<Arc<SharedPulseTable>>,
     /// Expected backend of the target device (a `paqoc-backend`
     /// registry name). When set, compilation fails fast with
@@ -272,36 +273,63 @@ pub fn try_compile(
 /// Deadline/cost-budget runs are exempt (which jobs a budget cuts off
 /// depends on the schedule, exactly as wall-clock deadlines already
 /// behave sequentially).
-///
-/// The persistent store, when configured, is owned by the shared table
-/// (one handle behind a mutex — the append-only log is not multi-handle
-/// safe) and flushed once per compile via its single-writer sync.
 pub fn try_compile_batch(
     logical: &Circuit,
     device: &Device,
     factory: Arc<dyn PulseSourceFactory>,
     opts: &PipelineOptions,
 ) -> Result<CompilationResult, CompileError> {
-    let threads = effective_threads(opts.threads);
-    let shared = opts
-        .shared_table
-        .clone()
-        .unwrap_or_else(|| Arc::new(SharedPulseTable::new()));
     let ctx = BatchContext {
         factory: factory.clone(),
-        threads,
-        base_seed: 0,
+        threads: effective_threads(opts.threads),
     };
     // The ladder's fallback source: deterministic given the factory,
     // shared across the sequential residue of all sweeps.
     let mut fallback = factory.make(paqoc_exec::job_seed("sequential-fallback"));
-    compile_inner(
-        logical,
-        device,
-        fallback.as_mut(),
-        opts,
-        Some((ctx, shared)),
-    )
+    compile_inner(logical, device, fallback.as_mut(), opts, Some(ctx))
+}
+
+/// Attaches the persistent pulse store at `path` to `cache`, unless the
+/// cache holds one already, and returns what the compile concedes: a
+/// [`Degradation::StoreReadOnly`] when the handle comes up read-only
+/// (`"requested"` by `options`, or `"lock-held"` by another writer), a
+/// [`Degradation::StoreUnavailable`] when the store cannot be opened —
+/// the compile then runs in memory — and `None` otherwise.
+///
+/// The store belongs to the cache: the append-only log is not
+/// multi-handle safe, so every compile on the cache reads through the
+/// one handle and [`SharedPulseTable::sync`] is its single writer.
+pub fn attach_pulse_store(
+    cache: &SharedPulseTable,
+    path: &Path,
+    device: &Device,
+    options: StoreOptions,
+) -> Option<Degradation> {
+    let read_only_requested = options.read_only;
+    match cache.attach_store_with(|| PulseStore::open_with(path, device.fingerprint(), options)) {
+        Ok(Some(StoreRole::ReadOnly)) => {
+            // Reads still come through; only durability of this run's
+            // fresh pulses is lost.
+            let reason = if read_only_requested {
+                "requested"
+            } else {
+                "lock-held"
+            };
+            Some(Degradation::StoreReadOnly {
+                reason: reason.to_string(),
+            })
+        }
+        Ok(_) => None,
+        Err(e) => {
+            // Persistence is an accelerator, not a requirement: compile
+            // in-memory and record the concession.
+            counter("store.open_failures", 1);
+            paqoc_telemetry::event!("store.open_failed", error = e.to_string());
+            Some(Degradation::StoreUnavailable {
+                reason: e.to_string(),
+            })
+        }
+    }
 }
 
 fn compile_inner(
@@ -309,7 +337,7 @@ fn compile_inner(
     device: &Device,
     source: &mut dyn PulseSource,
     opts: &PipelineOptions,
-    batch: Option<(BatchContext, Arc<SharedPulseTable>)>,
+    batch: Option<BatchContext>,
 ) -> Result<CompilationResult, CompileError> {
     let start = Instant::now();
     if let Some(requested) = &opts.backend {
@@ -413,9 +441,11 @@ fn compile_inner(
         )
     };
 
-    // 4. Criticality-aware customized gate generation + pulses, over a
-    //    pulse table optionally backed by the persistent store.
-    let mut table = PulseTable::new();
+    // 4. Criticality-aware customized gate generation + pulses, through
+    //    the one pulse cache, optionally backed by the persistent store.
+    //    A cache pooled with other compiles (the bench suite, a serve
+    //    slot) keeps the store handle the first of them attached.
+    let mut table = PulseTable::with_cache(opts.shared_table.clone().unwrap_or_default());
     let mut degradations: Vec<Degradation> = Vec::new();
     let db_path = opts.pulse_db.clone().or_else(|| {
         std::env::var_os("PAQOC_PULSE_DB")
@@ -423,56 +453,13 @@ fn compile_inner(
             .map(std::path::PathBuf::from)
     });
     if let Some(path) = db_path {
-        let open = || {
-            let mut store_opts = opts.store_options.clone();
-            if store_opts.max_bytes.is_none() {
-                store_opts.max_bytes = std::env::var("PAQOC_PULSE_DB_MAX_BYTES")
-                    .ok()
-                    .and_then(|v| v.parse().ok());
-            }
-            paqoc_store::PulseStore::open_with(&path, device.fingerprint(), store_opts)
-        };
-        // In batch mode the persistent store belongs to the shared
-        // executor table (its log is single-handle; workers read through
-        // it and the write-behind sync is the one writer). The table
-        // opens it once, for the first compile that gets here; compiles
-        // pooled on an already store-backed table (the bench suite)
-        // keep its handle.
-        let opened = match &batch {
-            Some((_, shared)) => shared.attach_store_with(open),
-            None => open().map(|store| {
-                let role = store.role();
-                table.attach_store(store);
-                Some(role)
-            }),
-        };
-        match opened {
-            Ok(Some(paqoc_store::StoreRole::ReadOnly)) => {
-                // Reads still come through; only durability of this
-                // run's fresh pulses is lost.
-                let reason = if opts.store_options.read_only {
-                    "requested"
-                } else {
-                    "lock-held"
-                };
-                degradations.push(Degradation::StoreReadOnly {
-                    reason: reason.to_string(),
-                });
-            }
-            Ok(_) => {}
-            Err(e) => {
-                // Persistence is an accelerator, not a requirement:
-                // compile in-memory and record the concession.
-                counter("store.open_failures", 1);
-                paqoc_telemetry::event!("store.open_failed", error = e.to_string());
-                degradations.push(Degradation::StoreUnavailable {
-                    reason: e.to_string(),
-                });
-            }
+        let mut store_opts = opts.store_options.clone();
+        if store_opts.max_bytes.is_none() {
+            store_opts.max_bytes = std::env::var("PAQOC_PULSE_DB_MAX_BYTES")
+                .ok()
+                .and_then(|v| v.parse().ok());
         }
-    }
-    if let Some((_, shared)) = &batch {
-        table.attach_shared(shared.clone());
+        degradations.extend(attach_pulse_store(table.cache(), &path, device, store_opts));
     }
     let gen_opts = if opts.enable_generator {
         opts.generator
@@ -491,25 +478,21 @@ fn compile_inner(
     };
     let outcome = {
         let _s = span("generate");
-        try_generate_customized_gates_batched(
+        try_generate_customized_gates(
             &mut grouped,
             device,
             source,
             &mut table,
             &gen_opts,
             &limits,
-            batch.as_ref().map(|(ctx, _)| ctx),
+            batch.as_ref(),
         )?
     };
     degradations.extend(outcome.degradations);
     // Write-behind flush: everything generated this run becomes durable
-    // before the result is returned. In batch mode the shared table owns
-    // the store handle and its single-writer sync drains all shards.
-    let flush = match &batch {
-        Some((_, shared)) => shared.sync().map(|_| ()),
-        None => table.sync_store(),
-    };
-    if let Err(e) = flush {
+    // before the result is returned; the cache's single-writer sync
+    // drains all shards.
+    if let Err(e) = table.cache().sync() {
         counter("store.sync_failures", 1);
         degradations.push(Degradation::StoreUnavailable {
             reason: format!("sync failed: {e}"),

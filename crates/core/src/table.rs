@@ -6,19 +6,27 @@
 //! once. Misses are delegated to the [`PulseSource`] with warm starting
 //! enabled once the table has seen similar work.
 //!
-//! Two robustness layers sit around the source:
+//! There is one pulse cache: the executor's [`SharedPulseTable`]. It
+//! owns the cached pulses, the in-flight claims, the quarantine and the
+//! persistent [`PulseStore`](paqoc_store::PulseStore) handle, for batch
+//! and sequential compiles alike. A [`PulseTable`] is one compile's view
+//! of it, holding only per-compile state: the pulses this compile
+//! resolved, its [`CompileStats`], and the unitaries it warm-starts
+//! from. Around the source call the cache gives:
 //!
-//! * **Persistence** — an optional [`PulseStore`] behind the in-memory
-//!   map (read-through on miss, write-behind on success) makes pulse
-//!   reuse survive process restarts: a warm process performs zero
-//!   generations for groups any earlier run already solved.
+//! * **Persistence** — read-through on miss and write-behind on success
+//!   make pulse reuse survive process restarts: a warm process performs
+//!   zero generations for groups any earlier run already solved. The
+//!   write-behind reaches the store at the end-of-compile
+//!   [`SharedPulseTable::sync`].
 //! * **Panic isolation** — every source invocation runs under a
 //!   `catch_unwind` supervisor. A panicking optimization surfaces as
 //!   the typed [`PulseGenError::SourcePanic`] instead of killing the
 //!   batch; the panic aborts the retry ladder immediately (a
 //!   deterministic crash must not fire once per retry) and the
-//!   offending key is *quarantined*: anything later generated for it is
-//!   returned but never cached, in memory or on disk, so a poisoned
+//!   offending key is *quarantined* in the cache: anything later
+//!   generated for it, by this compile or any other on the same cache,
+//!   is returned but never cached, in memory or on disk, so a poisoned
 //!   entry cannot outlive the incident.
 //!
 //! Every cache key — in-memory and persistent alike — is prefixed with
@@ -28,10 +36,9 @@
 
 use paqoc_circuit::{combined_unitary, Circuit, Instruction};
 use paqoc_device::{Device, PulseEstimate, PulseGenError, PulseSource};
-use paqoc_exec::{BatchReport, JobStatus, Provenance, PulseJob, SharedPulseTable};
+use paqoc_exec::{BatchReport, Claim, JobStatus, Provenance, PulseJob, SharedPulseTable};
 use paqoc_math::{phase_aligned_distance, Matrix};
 use paqoc_mining::{canonical_code, CircuitGraph};
-use paqoc_store::PulseStore;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
@@ -65,24 +72,18 @@ impl CompileStats {
     }
 }
 
-/// The canonical-keyed pulse table.
+/// One compile's canonical-keyed view of the pulse cache.
 #[derive(Debug, Default)]
 pub struct PulseTable {
+    /// The cache every lookup resolves through.
+    cache: Arc<SharedPulseTable>,
+    /// Pulses this compile resolved: the fast path ahead of the cache,
+    /// and the source of [`PulseTable::dump_entries`].
     entries: HashMap<String, PulseEstimate>,
-    /// Target unitaries of stored pulses (≤3-qubit groups), for
-    /// similarity-based warm starting of new generations.
+    /// Target unitaries of pulses this compile generated (≤3-qubit
+    /// groups), for similarity-based warm starting of new generations.
     unitaries: Vec<Matrix>,
     stats: CompileStats,
-    /// Optional persistent layer (read-through / write-behind).
-    store: Option<PulseStore>,
-    /// Optional cross-compile shared layer (the executor's sharded
-    /// cache). Consulted after a local miss, published to after a
-    /// successful generation; in batch mode it also owns the store
-    /// handle, since the append-only store is not multi-handle safe.
-    shared: Option<Arc<SharedPulseTable>>,
-    /// Composite keys whose generation has panicked: excluded from all
-    /// caching and from further source invocations.
-    quarantined: HashSet<String>,
     /// Cached `"<fingerprint>/"` prefix of the last device seen, so
     /// hot-path key builds don't re-format the fingerprint each time.
     prefix: Option<KeyPrefix>,
@@ -90,7 +91,10 @@ pub struct PulseTable {
     /// prefetch already accounted the generation/hit in
     /// [`PulseTable::absorb_batch`], and the sequential path would
     /// otherwise add a spurious cache hit — breaking stats parity
-    /// between `threads=1` and `threads=N`.
+    /// between `threads=1` and `threads=N`. The prefetch counts a key's
+    /// first touch by its provenance (generated, store or shard); the
+    /// sweep's later lookup finds the key resolved and cannot tell
+    /// those apart, so the mark carries that accounting across.
     fresh: HashSet<String>,
 }
 
@@ -175,50 +179,44 @@ fn group_arity(group: &[Instruction]) -> usize {
 }
 
 impl PulseTable {
-    /// Creates an empty table.
+    /// Creates a table over a private cache of its own.
     pub fn new() -> Self {
         PulseTable::default()
     }
 
-    /// Looks up or generates the pulse for a group.
-    ///
-    /// Infallible wrapper around [`PulseTable::try_pulse_for`] (single
-    /// attempt): on generation failure it reports a zero-fidelity
-    /// estimate at the source's typical latency so the failure stays
-    /// visible, but — unlike the historical behaviour — the sentinel is
-    /// **never cached**, so a later retry can still succeed.
-    pub fn pulse_for(
-        &mut self,
-        group: &[Instruction],
-        device: &Device,
-        source: &mut dyn PulseSource,
-        target_fidelity: f64,
-    ) -> PulseEstimate {
-        match self.try_pulse_for(group, device, source, target_fidelity, 0) {
-            Ok(estimate) => estimate,
-            Err(_) => {
-                let latency_ns = source.typical_latency_ns(group_arity(group), device);
-                PulseEstimate {
-                    latency_ns,
-                    latency_dt: device.spec().ns_to_dt(latency_ns),
-                    fidelity: 0.0,
-                    cost_units: 0.0,
-                }
-            }
+    /// Creates a table over `cache`, pooling pulses, quarantines and
+    /// the store handle with every other compile on it.
+    pub fn with_cache(cache: Arc<SharedPulseTable>) -> Self {
+        PulseTable {
+            cache,
+            ..PulseTable::default()
         }
+    }
+
+    /// The cache this table resolves through.
+    pub fn cache(&self) -> &Arc<SharedPulseTable> {
+        &self.cache
     }
 
     /// Looks up or generates the pulse for a group, retrying failures.
     ///
     /// On a hit the stored estimate is returned at zero marginal cost;
-    /// on a miss the most similar stored pulse (by unitary distance)
-    /// warm-starts the generation, so near-duplicates — the common case
-    /// after customized-gate merging — converge almost for free, exactly
-    /// the paper's pulse-database behaviour (Section V-B).
+    /// on a miss the most similar pulse this compile generated (by
+    /// unitary distance) warm-starts the generation, so near-duplicates
+    /// — the common case after customized-gate merging — converge
+    /// almost for free, exactly the paper's pulse-database behaviour
+    /// (Section V-B).
+    ///
+    /// A key this compile has not resolved yet is claimed in the cache
+    /// (see [`Claim`]): a hit from a shard or the store is returned; a
+    /// claim makes this compile the key's generator; a key another
+    /// compile is generating right now is generated here too and
+    /// published; a quarantined key is generated and returned but
+    /// cached nowhere.
     ///
     /// A failed generation is retried up to `max_retries` times (each
     /// retry re-invokes the source, which re-rolls its own randomness
-    /// and escalation); only *successful* estimates enter the table, so
+    /// and escalation); only *successful* estimates enter the cache, so
     /// the historical `fidelity: 0.0` convergence-failure sentinel can
     /// never be cached and replayed as a hit.
     pub fn try_pulse_for(
@@ -249,47 +247,35 @@ impl PulseTable {
             }
             return Ok(hit);
         }
-        // Shared layer: a concurrent compile (or an earlier batch over
-        // the same executor table) may already hold this pulse.
-        if let Some(shared) = &self.shared {
-            if let Some(hit) = shared.get(&key) {
-                self.stats.cache_hits += 1;
-                self.entries.insert(key, hit);
-                if paqoc_telemetry::enabled() {
-                    paqoc_telemetry::counter("table.shared_hit", 1);
-                    paqoc_telemetry::event!(
-                        "table.lookup",
-                        hit = true,
-                        shared = true,
-                        arity = group_arity(group) as u64,
-                        gates = group.len() as u64,
-                        latency_ns = hit.latency_ns,
-                    );
-                }
-                return Ok(hit);
-            }
-        }
-        // Read-through: a miss in this process may be a hit in the
-        // persistent store from an earlier run. `hit` (not `get`) bumps
-        // the record's LFU metadata so eviction keeps reused keys.
-        if let Some(store) = &mut self.store {
-            if let Some(hit) = store.hit(&key) {
-                self.stats.cache_hits += 1;
+        let claim = self.cache.claim(&key);
+        if let Claim::Hit(hit, provenance) = claim {
+            // Another compile on this cache, or an earlier run through
+            // the persistent store, already solved this group.
+            self.stats.cache_hits += 1;
+            let persistent = provenance == Provenance::Store;
+            if persistent {
                 self.stats.store_hits += 1;
-                self.entries.insert(key, hit);
-                if paqoc_telemetry::enabled() {
-                    paqoc_telemetry::counter("table.store_hit", 1);
-                    paqoc_telemetry::event!(
-                        "table.lookup",
-                        hit = true,
-                        persistent = true,
-                        arity = group_arity(group) as u64,
-                        gates = group.len() as u64,
-                        latency_ns = hit.latency_ns,
-                    );
-                }
-                return Ok(hit);
             }
+            self.entries.insert(key, hit);
+            if paqoc_telemetry::enabled() {
+                let (counter, layer) = if persistent {
+                    ("table.store_hit", "persistent")
+                } else {
+                    ("table.shared_hit", "shared")
+                };
+                paqoc_telemetry::counter(counter, 1);
+                paqoc_telemetry::event(
+                    "table.lookup",
+                    &[
+                        ("hit", true.into()),
+                        (layer, true.into()),
+                        ("arity", group_arity(group).into()),
+                        ("gates", group.len().into()),
+                        ("latency_ns", hit.latency_ns.into()),
+                    ],
+                );
+            }
+            return Ok(hit);
         }
         if paqoc_telemetry::enabled() {
             paqoc_telemetry::counter(&format!("table.cache_miss.q{}", group_arity(group)), 1);
@@ -332,12 +318,9 @@ impl PulseTable {
             match outcome {
                 Err(payload) => {
                     let message = panic_message(payload.as_ref());
-                    self.quarantined.insert(key.clone());
-                    if let Some(shared) = &self.shared {
-                        // Propagate the quarantine so no concurrent
-                        // compile re-runs the deterministic crash.
-                        shared.quarantine(&key);
-                    }
+                    // Releases a claim too, and keeps every compile on
+                    // the cache from re-running the deterministic crash.
+                    self.cache.quarantine(&key);
                     self.stats.source_panics += 1;
                     paqoc_telemetry::counter("table.source_panics", 1);
                     paqoc_telemetry::event!(
@@ -367,33 +350,22 @@ impl PulseTable {
                         attempts = (attempt + 1) as u64,
                         warm_distance = warm.unwrap_or(-1.0),
                     );
-                    // A key that has ever panicked is poisoned: serve
-                    // the estimate but never cache it.
-                    if !self.quarantined.contains(&key) {
-                        if let Some(shared) = &self.shared {
-                            // Write-behind persistence runs through the
-                            // shared table in batch mode (it owns the
-                            // single store handle).
-                            shared.publish(&key, estimate);
-                        }
-                        if let Some(store) = &mut self.store {
-                            if let Err(e) = store.put(&key, estimate) {
-                                // Persistence is best-effort at this
-                                // layer: losing the write-behind must
-                                // not fail the compilation.
-                                paqoc_telemetry::counter("store.append_failures", 1);
-                                paqoc_telemetry::event!(
-                                    "store.append_failed",
-                                    error = e.to_string(),
-                                );
-                            }
-                        }
-                        self.entries.insert(key, estimate);
+                    match claim {
+                        Claim::Claimed => self.cache.complete(&key, estimate),
+                        Claim::InFlight => self.cache.publish(&key, estimate),
+                        // Quarantined (hits returned above): a key that
+                        // has ever panicked is poisoned, so serve the
+                        // estimate but never cache it.
+                        _ => return Ok(estimate),
                     }
+                    self.entries.insert(key, estimate);
                     return Ok(estimate);
                 }
                 Ok(Err(e)) => last_err = Some(e),
             }
+        }
+        if claim == Claim::Claimed {
+            self.cache.abandon(&key);
         }
         Err(last_err.unwrap_or(PulseGenError::Convergence {
             achieved: 0.0,
@@ -401,12 +373,12 @@ impl PulseTable {
         }))
     }
 
-    /// Number of distinct pulses stored.
+    /// Number of distinct pulses this compile resolved.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// `true` when no pulses are stored.
+    /// `true` when this compile resolved no pulse yet.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
@@ -414,44 +386,6 @@ impl PulseTable {
     /// The accumulated cost accounting.
     pub fn stats(&self) -> CompileStats {
         self.stats
-    }
-
-    /// Attaches a persistent store as the read-through/write-behind
-    /// layer. The store's fingerprint binding happened at
-    /// [`PulseStore::open`]; keys here additionally carry the
-    /// fingerprint prefix, so even a mis-opened store cannot serve
-    /// foreign pulses.
-    pub fn attach_store(&mut self, store: PulseStore) {
-        self.store = Some(store);
-    }
-
-    /// The attached persistent store, if any.
-    pub fn store(&self) -> Option<&PulseStore> {
-        self.store.as_ref()
-    }
-
-    /// Durably syncs the attached store (no-op without one).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the store's fsync failure.
-    pub fn sync_store(&mut self) -> Result<(), paqoc_store::StoreError> {
-        match &mut self.store {
-            Some(store) => {
-                store.sync()?;
-                // Post-sync maintenance: byte-budget eviction and
-                // dead-byte compaction for a writer, refresh for a
-                // reader.
-                store.maintain()?;
-                Ok(())
-            }
-            None => Ok(()),
-        }
-    }
-
-    /// Keys currently quarantined after a source panic.
-    pub fn quarantined(&self) -> usize {
-        self.quarantined.len()
     }
 
     /// The composite key for `group` on `device`, served from the
@@ -468,22 +402,7 @@ impl PulseTable {
         }
     }
 
-    /// Attaches the executor's shared pulse table as a cross-compile
-    /// layer: consulted after a local miss, published to on success,
-    /// quarantine-propagated on panic. In batch mode the shared table
-    /// also owns the persistent store handle (see
-    /// [`SharedPulseTable::sync`]), so don't *also* attach a local
-    /// store for the same file.
-    pub fn attach_shared(&mut self, shared: Arc<SharedPulseTable>) {
-        self.shared = Some(shared);
-    }
-
-    /// The attached shared layer, if any.
-    pub fn shared(&self) -> Option<&Arc<SharedPulseTable>> {
-        self.shared.as_ref()
-    }
-
-    /// `true` when the local (in-process) layer holds `key`.
+    /// `true` when this compile already resolved `key`.
     pub fn has_entry(&self, key: &str) -> bool {
         self.entries.contains_key(key)
     }
@@ -492,7 +411,8 @@ impl PulseTable {
     /// stats parity with the sequential path: each outcome is counted
     /// once, exactly as the sequential first touch of that key would
     /// have counted it, and the key is marked *fresh* so the following
-    /// sequential lookup counts nothing.
+    /// sequential lookup counts nothing. A panicked job's key is
+    /// already quarantined in the cache by the worker that caught it.
     pub fn absorb_batch(&mut self, jobs: &[PulseJob], report: &BatchReport) {
         for (job, status) in jobs.iter().zip(&report.statuses) {
             match status {
@@ -513,10 +433,7 @@ impl PulseTable {
                     self.entries.insert(job.key.clone(), *est);
                     self.fresh.insert(job.key.clone());
                 }
-                JobStatus::Panicked(_) => {
-                    self.stats.source_panics += 1;
-                    self.quarantined.insert(job.key.clone());
-                }
+                JobStatus::Panicked(_) => self.stats.source_panics += 1,
                 JobStatus::Failed(_) | JobStatus::Skipped(_) => {
                     // Falls through to the sequential ladder, which
                     // does its own accounting (retries, degradations).
@@ -525,8 +442,8 @@ impl PulseTable {
         }
     }
 
-    /// Deterministic dump of every cached pulse, sorted by composite
-    /// key — the byte-comparable artifact the determinism tests diff
+    /// Deterministic dump of every pulse this compile resolved, sorted
+    /// by composite key — the byte-comparable artifact the determinism tests diff
     /// across thread counts.
     pub fn dump_entries(&self) -> Vec<(String, PulseEstimate)> {
         let mut all: Vec<(String, PulseEstimate)> =
@@ -544,6 +461,18 @@ mod tests {
 
     fn inst(gate: GateKind, qubits: &[usize]) -> Instruction {
         Instruction::new(gate, qubits.to_vec(), vec![])
+    }
+
+    /// One lookup with a source that never fails.
+    fn pulse(
+        table: &mut PulseTable,
+        group: &[Instruction],
+        device: &Device,
+        model: &mut AnalyticModel,
+    ) -> PulseEstimate {
+        table
+            .try_pulse_for(group, device, model, 0.999, 0)
+            .expect("the analytic model always converges")
     }
 
     /// Groups whose keys are pinned below: numeric and symbolic angles,
@@ -673,8 +602,8 @@ mod tests {
         let mut table = PulseTable::new();
         let mut model = AnalyticModel::new();
         let g = [inst(GateKind::Cx, &[0, 1])];
-        let first = table.pulse_for(&g, &dev, &mut model, 0.999);
-        let second = table.pulse_for(&g, &dev, &mut model, 0.999);
+        let first = pulse(&mut table, &g, &dev, &mut model);
+        let second = pulse(&mut table, &g, &dev, &mut model);
         assert_eq!(first, second);
         let stats = table.stats();
         assert_eq!(stats.pulses_generated, 1);
@@ -688,8 +617,8 @@ mod tests {
         let dev = Device::grid5x5();
         let mut table = PulseTable::new();
         let mut model = AnalyticModel::new();
-        table.pulse_for(&[inst(GateKind::Cx, &[0, 1])], &dev, &mut model, 0.999);
-        table.pulse_for(&[inst(GateKind::Cx, &[5, 6])], &dev, &mut model, 0.999);
+        pulse(&mut table, &[inst(GateKind::Cx, &[0, 1])], &dev, &mut model);
+        pulse(&mut table, &[inst(GateKind::Cx, &[5, 6])], &dev, &mut model);
         assert_eq!(table.stats().pulses_generated, 1);
         assert_eq!(table.stats().cache_hits, 1);
     }
@@ -731,8 +660,8 @@ mod tests {
         let mut table = PulseTable::new();
         let mut model = AnalyticModel::new();
         let g = [inst(GateKind::Cx, &[0, 1])];
-        let on_slow = table.pulse_for(&g, &slow, &mut model, 0.999);
-        let on_fast = table.pulse_for(&g, &fast, &mut model, 0.999);
+        let on_slow = pulse(&mut table, &g, &slow, &mut model);
+        let on_fast = pulse(&mut table, &g, &fast, &mut model);
         assert_eq!(table.stats().pulses_generated, 2, "no cross-device hit");
         assert_eq!(table.stats().cache_hits, 0);
         assert!(
@@ -740,8 +669,8 @@ mod tests {
             "doubled coupler limit must shorten the pulse"
         );
         // And each device still hits its own entry.
-        table.pulse_for(&g, &slow, &mut model, 0.999);
-        table.pulse_for(&g, &fast, &mut model, 0.999);
+        pulse(&mut table, &g, &slow, &mut model);
+        pulse(&mut table, &g, &fast, &mut model);
         assert_eq!(table.stats().cache_hits, 2);
     }
 
@@ -798,7 +727,7 @@ mod tests {
         }
         assert_eq!(table.stats().retries, 0, "no retry after a panic");
         assert_eq!(table.stats().source_panics, 1);
-        assert_eq!(table.quarantined(), 1);
+        assert!(table.cache().is_quarantined(&composite_key(&dev, &g)));
     }
 
     #[test]
@@ -820,12 +749,27 @@ mod tests {
         assert!(est.fidelity > 0.0);
         // …but the poisoned key never enters the cache.
         assert_eq!(table.len(), 0);
+        assert!(table.cache().is_empty());
         let again = table
             .try_pulse_for(&g, &dev, &mut source, 0.999, 0)
             .expect("regenerates");
         assert_eq!(est, again);
         assert_eq!(table.stats().cache_hits, 0);
         assert_eq!(table.stats().pulses_generated, 2);
+    }
+
+    #[test]
+    fn key_in_flight_elsewhere_is_generated_here_and_published() {
+        let dev = Device::grid5x5();
+        let g = [inst(GateKind::Cx, &[0, 1])];
+        let key = composite_key(&dev, &g);
+        let cache = Arc::new(SharedPulseTable::new());
+        // Another compile on the cache holds the claim.
+        assert_eq!(cache.claim(&key), Claim::Claimed);
+        let mut table = PulseTable::with_cache(cache.clone());
+        let est = pulse(&mut table, &g, &dev, &mut AnalyticModel::new());
+        assert_eq!(table.stats().pulses_generated, 1);
+        assert_eq!(cache.get(&key), Some(est));
     }
 
     #[test]
@@ -838,21 +782,23 @@ mod tests {
         let g = [inst(GateKind::Cx, &[0, 1])];
         let cold = {
             let mut table = PulseTable::new();
-            table.attach_store(
+            table.cache().attach_store(
                 paqoc_store::PulseStore::open(&path, dev.fingerprint()).expect("open"),
             );
             let mut model = AnalyticModel::new();
-            let est = table.pulse_for(&g, &dev, &mut model, 0.999);
+            let est = pulse(&mut table, &g, &dev, &mut model);
             assert_eq!(table.stats().pulses_generated, 1);
-            table.sync_store().expect("sync");
+            assert_eq!(table.cache().sync().expect("sync"), 1);
             est
         };
         // A brand-new table (new process, conceptually) backed by the
         // same file serves the pulse without generating.
         let mut table = PulseTable::new();
-        table.attach_store(paqoc_store::PulseStore::open(&path, dev.fingerprint()).expect("open"));
+        table
+            .cache()
+            .attach_store(paqoc_store::PulseStore::open(&path, dev.fingerprint()).expect("open"));
         let mut model = AnalyticModel::new();
-        let warm = table.pulse_for(&g, &dev, &mut model, 0.999);
+        let warm = pulse(&mut table, &g, &dev, &mut model);
         assert_eq!(cold, warm);
         assert_eq!(table.stats().pulses_generated, 0);
         assert_eq!(table.stats().cache_hits, 1);

@@ -10,12 +10,11 @@
 //! and stragglers are balanced without a global queue lock.
 //!
 //! Determinism: each generation uses a fresh source from the
-//! [`PulseSourceFactory`](crate::PulseSourceFactory), seeded by
-//! [`job_seed`](crate::job_seed) of the key, with no warm start — the
-//! pulse is a pure function of the job, so `threads=1` and `threads=N`
-//! produce bit-identical tables. Deadline/cost-budget runs are the
-//! documented exception: which jobs get skipped depends on the
-//! schedule, exactly as wall-clock deadlines already behave in the
+//! [`PulseSourceFactory`], seeded by [`job_seed`] of the key, with no
+//! warm start — the pulse is a pure function of the job, so `threads=1`
+//! and `threads=N` produce bit-identical tables. Deadline/cost-budget
+//! runs are the documented exception: which jobs get skipped depends on
+//! the schedule, exactly as wall-clock deadlines already behave in the
 //! sequential pipeline.
 //!
 //! Isolation: every generation runs under `catch_unwind`; a panic
@@ -113,8 +112,6 @@ pub struct ExecOptions {
     /// Cost already spent before this batch (the pipeline's running
     /// total), charged against the same ceiling.
     pub cost_spent_units: f64,
-    /// Seed folded (XOR) into every per-key job seed.
-    pub base_seed: u64,
     /// Fixed per-job stall-watchdog budget. `None` derives the budget
     /// from the job's predicted latency (see [`stall_budget`]); `Some`
     /// overrides it uniformly — tests and latency-sensitive callers.
@@ -128,7 +125,6 @@ impl Default for ExecOptions {
             deadline: None,
             cost_budget_units: None,
             cost_spent_units: 0.0,
-            base_seed: 0,
             stall_budget: None,
         }
     }
@@ -723,9 +719,8 @@ fn run_one(
                     flagged: false,
                 });
             }
-            let seed = opts.base_seed ^ job_seed(&job.key);
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                let mut source = factory.make(seed);
+                let mut source = factory.make(job_seed(&job.key));
                 source.try_generate(&job.group, device, job.target_fidelity, None)
             }));
             if let Ok(mut slot) = active.lock() {

@@ -11,8 +11,9 @@
 //!
 //! The pieces:
 //!
-//! * [`SharedPulseTable`] — sharded, lock-striped pulse cache with
-//!   per-key in-flight dedup, persistent-store read-through and
+//! * [`SharedPulseTable`] — the one pulse cache every compile resolves
+//!   through: sharded and lock-striped, with per-key in-flight dedup,
+//!   cache-wide quarantine, persistent-store read-through and
 //!   single-writer write-behind ([`shared_table`]).
 //! * [`PulseSourceFactory`] — `Send`-able per-job source construction,
 //!   seeded by [`job_seed`] of the key so results are bit-identical

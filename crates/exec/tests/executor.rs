@@ -407,7 +407,6 @@ fn watchdog_flags_each_stalled_job_exactly_once() {
         &ExecOptions {
             threads: 3,
             stall_budget: Some(Duration::from_secs(3600)),
-            base_seed: 1,
             ..ExecOptions::default()
         },
     );

@@ -27,14 +27,14 @@ struct CacheEntry {
 ///
 /// # Unwind safety
 ///
-/// `PulseTable` runs every source call under a `catch_unwind`
+/// The pulse table runs every source call under a `catch_unwind`
 /// supervisor, so this type must stay consistent if an optimization
 /// panics mid-call (the `optimize` dimension/steps asserts, or any
 /// numerical bug below them). The audit invariants:
 ///
 /// * the pulse cache is only inserted into *after* a fully successful
 ///   duration search — an unwind can never leave a partial or invalid
-///   [`CacheEntry`] behind;
+///   cache entry behind;
 /// * `prior` ([`AnalyticModel`]) and `opts` are never mutated by
 ///   `generate`/`try_generate`, so there is no torn intermediate state;
 /// * telemetry counters incremented before an unwind (`grape.retries`,

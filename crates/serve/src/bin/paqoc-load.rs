@@ -14,8 +14,9 @@
 //! ```
 //!
 //! `<endpoint>` is `host:port` or `unix:/path.sock`. `replay` prints a
-//! one-line JSON [`LoadReport`]; the `--expect-*` / `--max-p99-ms`
-//! assertion flags turn it into a CI gate (non-zero exit on violation).
+//! one-line JSON [`LoadReport`](paqoc_serve::LoadReport); the
+//! `--expect-*` / `--max-p99-ms` assertion flags turn it into a CI gate
+//! (non-zero exit on violation).
 
 #![deny(unsafe_code)]
 

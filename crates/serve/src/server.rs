@@ -40,13 +40,13 @@ use crate::protocol::{
     FrameError, Op, Request, Response, ServerStats, DEFAULT_MAX_FRAME_BYTES,
 };
 use paqoc_circuit::{parse_qasm, Circuit};
-use paqoc_core::{try_compile_batch, Degradation, PipelineOptions};
+use paqoc_core::{attach_pulse_store, try_compile_batch, Degradation, PipelineOptions};
 use paqoc_device::{Device, FaultConfig};
 use paqoc_exec::{
     AnalyticFactory, FairQueue, FaultyAnalyticFactory, Pop, PulseSourceFactory, PushError,
     QueueConfig, SharedPulseTable,
 };
-use paqoc_store::{PulseStore, StoreOptions, StoreRole};
+use paqoc_store::StoreOptions;
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -244,30 +244,13 @@ fn open_slot(name: &str, opts: &ServeOptions) -> Result<Arc<BackendSlot>, String
     let mut base_degradations = Vec::new();
     let mut store_state = "none";
     if let Some(path) = &opts.pulse_db {
-        match PulseStore::open_with(path, device.fingerprint(), opts.store_options.clone()) {
-            Ok(store) => {
-                if store.role() == StoreRole::ReadOnly {
-                    let reason = if opts.store_options.read_only {
-                        "requested"
-                    } else {
-                        "lock-held"
-                    };
-                    base_degradations.push(Degradation::StoreReadOnly {
-                        reason: reason.to_string(),
-                    });
-                    store_state = "read-only";
-                } else {
-                    store_state = "writer";
-                }
-                table.attach_store(store);
-            }
-            Err(e) => {
-                base_degradations.push(Degradation::StoreUnavailable {
-                    reason: e.to_string(),
-                });
-                store_state = "unavailable";
-            }
-        }
+        let conceded = attach_pulse_store(&table, path, &device, opts.store_options.clone());
+        store_state = match &conceded {
+            None => "writer",
+            Some(Degradation::StoreReadOnly { .. }) => "read-only",
+            Some(_) => "unavailable",
+        };
+        base_degradations.extend(conceded);
     }
     Ok(Arc::new(BackendSlot {
         name: name.to_string(),

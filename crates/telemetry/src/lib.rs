@@ -4,9 +4,9 @@
 //! compilation stack. The paper's evaluation is a compilation-cost /
 //! latency trade-off (Figs. 10–14); this crate makes that cost visible:
 //!
-//! * **Spans** — RAII scoped timers ([`span`]) that nest (`compile` >
+//! * **Spans** — RAII scoped timers ([`span()`]) that nest (`compile` >
 //!   `mine` > …) and record wall time into a global thread-safe registry;
-//! * **Counters and histograms** — [`counter`] / [`observe`] for the
+//! * **Counters and histograms** — [`counter()`] / [`observe`] for the
 //!   quantities the paper reasons about (merge candidates pruned, pulse
 //!   table hits, GRAPE iterations, SABRE swaps, …); histograms carry a
 //!   fixed-size log-bucket sketch, so [`Histogram::quantile`] answers
@@ -18,7 +18,7 @@
 //! * **Process resources** — a zero-dependency `/proc` reader
 //!   ([`resources::sample`]) exposing CPU time and RSS on Linux,
 //!   gracefully `None` elsewhere;
-//! * **Events** — a structured decision journal ([`event`]): named
+//! * **Events** — a structured decision journal ([`event()`]): named
 //!   records with typed fields ([`FieldValue`]), stamped with time,
 //!   thread and enclosing span, ring-buffered so unbounded workloads
 //!   keep the newest [`EVENT_CAPACITY`] records;
@@ -417,7 +417,7 @@ impl Default for Histogram {
     }
 }
 
-/// A typed value attached to an [`event`] field.
+/// A typed value attached to an [`event()`] field.
 #[derive(Clone, Debug, PartialEq)]
 pub enum FieldValue {
     /// Unsigned integer.
@@ -546,7 +546,7 @@ pub fn snapshot() -> Snapshot {
     }
 }
 
-/// RAII guard returned by [`span`]; records the span when dropped.
+/// RAII guard returned by [`span()`]; records the span when dropped.
 #[must_use = "a span measures the scope it lives in — bind it to a variable"]
 #[derive(Debug)]
 pub struct SpanGuard {
@@ -575,7 +575,7 @@ pub fn span(name: impl Into<String>) -> SpanGuard {
 /// submitting thread's batch span ([`SpanGuard::id`]), so the merged
 /// journal keeps one connected span tree across the whole worker pool.
 /// Spans opened on the worker thread while this guard is live nest under
-/// it normally. With `parent = None` this is exactly [`span`].
+/// it normally. With `parent = None` this is exactly [`span()`].
 pub fn span_with_parent(name: impl Into<String>, parent: Option<u64>) -> SpanGuard {
     open_span(name, parent)
 }
@@ -678,7 +678,7 @@ pub fn observe(name: &str, value: f64) {
 
 /// Sets the named gauge to `value`. Gauges are *last-write-wins*
 /// instantaneous levels (queue depth, live workers, RSS) — the
-/// complement to monotone [`counter`]s — sampled periodically by the
+/// complement to monotone [`counter()`]s — sampled periodically by the
 /// flight recorder and exported as Chrome-trace counter timelines.
 /// No-op when collection is disabled.
 pub fn set_gauge(name: &str, value: f64) {
@@ -787,7 +787,7 @@ pub fn write_env_trace() -> std::io::Result<Option<std::path::PathBuf>> {
     Ok(Some(path))
 }
 
-/// Opens a span; sugar for [`span`]. `span!("mine")` must be bound
+/// Opens a span; sugar for [`span()`]. `span!("mine")` must be bound
 /// (`let _s = span!("mine");`) to measure the enclosing scope.
 #[macro_export]
 macro_rules! span {
@@ -796,7 +796,7 @@ macro_rules! span {
     };
 }
 
-/// Records a journal event; sugar for [`event`].
+/// Records a journal event; sugar for [`event()`].
 /// `event!("name", key = value, …)` converts each value with
 /// [`FieldValue::from`] — and only builds the field slice when
 /// collection is enabled, so string/format values cost nothing on the
@@ -821,7 +821,7 @@ macro_rules! gauge {
     };
 }
 
-/// Adds to a counter; sugar for [`counter`]. Defaults to a delta of 1.
+/// Adds to a counter; sugar for [`counter()`]. Defaults to a delta of 1.
 #[macro_export]
 macro_rules! counter {
     ($name:expr) => {

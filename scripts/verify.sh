@@ -144,6 +144,11 @@ echo "== cargo clippy -D warnings (workspace and benchmark package) =="
 cargo clippy --workspace --all-targets -- -D warnings
 cargo clippy --offline --manifest-path perf/Cargo.toml --all-targets -- -D warnings
 
+echo "== cargo doc -D warnings (workspace doc links) =="
+# A dangling or ambiguous intra-doc link fails here instead of rotting
+# silently in the rendered docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== cargo fmt --check (workspace and benchmark package) =="
 cargo fmt --check
 cargo fmt --check --manifest-path perf/Cargo.toml
