@@ -181,10 +181,17 @@ fn parse_gate_statement(
             let plist = &head[p + 1..close];
             let params: Result<Vec<Angle>, ParseQasmError> = plist
                 .split(',')
-                .map(|e| {
-                    parse_angle_expr(e.trim()).map(Angle::new).ok_or_else(|| {
-                        ParseQasmError::new(lineno, format!("bad angle expression: {e}"))
-                    })
+                .map(|e| match parse_angle_expr(e.trim()) {
+                    // `1/0`, `0/0` and `1e400` evaluate, but to no angle.
+                    Some(v) if !v.is_finite() => Err(ParseQasmError::new(
+                        lineno,
+                        format!("angle {} is not finite", e.trim()),
+                    )),
+                    Some(v) => Ok(Angle::new(v)),
+                    None => Err(ParseQasmError::new(
+                        lineno,
+                        format!("bad angle expression: {e}"),
+                    )),
                 })
                 .collect();
             (&head[..p], params?)
@@ -427,6 +434,53 @@ mod tests {
         assert!(parse_qasm("qreg ]q[;").is_err());
         assert!(parse_qasm("qreg q[2];\nh ]q[0;").is_err());
         assert!(parse_qasm("qreg q[2];\ncx q]0[, q[1];").is_err());
+    }
+
+    /// Runs `f` on a worker thread and fails the test if it has not
+    /// returned within 10 s, so a hang regression fails instead of
+    /// stalling the suite. A hung worker cannot be joined; it ends with
+    /// the test process.
+    fn within_watchdog<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        use std::sync::mpsc::RecvTimeoutError;
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(10)) {
+            Ok(value) => {
+                worker.join().expect("the worker exits after sending");
+                value
+            }
+            Err(RecvTimeoutError::Disconnected) => std::panic::resume_unwind(
+                worker
+                    .join()
+                    .expect_err("a worker that sent nothing panicked"),
+            ),
+            Err(RecvTimeoutError::Timeout) => panic!("did not return within 10 s"),
+        }
+    }
+
+    #[test]
+    fn non_finite_angles_are_errors_with_their_line() {
+        for (gate, angle) in [
+            ("rz", "1/0"),
+            ("rz", "1e400"),
+            ("rz", "0/0"),
+            ("rz", "-1/0"),
+            ("rxx", "1/0"),
+        ] {
+            let qubits = if gate == "rxx" { "q[0],q[1]" } else { "q[0]" };
+            let src = format!("OPENQASM 2.0;\nqreg q[2];\nh q[0];\n{gate}({angle}) {qubits};\n");
+            let err = within_watchdog(move || parse_qasm(&src)).unwrap_err();
+            assert_eq!(err.line(), 4, "{gate}({angle})");
+            assert!(
+                err.to_string().contains("not finite"),
+                "{gate}({angle}): {err}"
+            );
+        }
+        // Large but finite angles still parse.
+        let c = parse_qasm("qreg q[1];\nrz(1e300) q[0];").expect("finite");
+        assert_eq!(c.instructions()[0].params()[0].value, 1e300);
     }
 
     #[test]

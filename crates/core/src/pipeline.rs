@@ -385,6 +385,15 @@ fn compile_inner(
                 logical.num_qubits()
             )));
         }
+        // A NaN or infinite angle has no unitary: every latency computed
+        // from it would be meaningless.
+        if let Some(a) = inst.params().iter().find(|a| !a.value.is_finite()) {
+            return Err(CompileError::MalformedCircuit(format!(
+                "gate {} has the non-finite angle {}",
+                inst.gate(),
+                a.value
+            )));
+        }
     }
     if logical.num_qubits() > device.topology().num_qubits() {
         // Checked up front so even `skip_mapping` compilations reject

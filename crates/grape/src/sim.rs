@@ -6,34 +6,35 @@
 //! the realized small unitaries are embedded into the full register, and
 //! the product is compared against the ideal circuit unitary.
 
-use crate::optimizer::Pulse;
+use crate::optimizer::{Pulse, Stepper};
 use paqoc_circuit::embed_unitary;
 use paqoc_device::ControlSet;
-use paqoc_math::{expm, trace_fidelity, Matrix, C64};
+use paqoc_math::{trace_fidelity, Matrix};
 
 /// Propagates a pulse through its control system, returning the realized
 /// unitary `U = Π_j exp(-i·2π·dt·H_j)`.
+///
+/// Each step's propagator comes from the optimizer's own step routine,
+/// in buffers reused across steps.
 ///
 /// # Panics
 ///
 /// Panics if the pulse channel count disagrees with the control set.
 pub fn propagate(pulse: &Pulse, controls: &ControlSet) -> Matrix {
-    let two_pi_dt = 2.0 * std::f64::consts::PI * pulse.step_ns;
-    let mut u = Matrix::identity(controls.dim());
+    let dim = controls.dim();
+    let mut stepper = Stepper::new(controls, pulse.step_ns);
+    let mut u = Matrix::identity(dim);
+    let mut step = Matrix::zeros(dim, dim);
+    let mut next = Matrix::zeros(dim, dim);
     for row in &pulse.amplitudes {
         assert_eq!(
             row.len(),
             controls.channels.len(),
             "pulse channels must match the control system"
         );
-        let mut h = controls.drift.clone();
-        for (k, ch) in controls.channels.iter().enumerate() {
-            if row[k] != 0.0 {
-                h.axpy(C64::real(row[k]), &ch.operator);
-            }
-        }
-        let step = expm(&h.scaled(C64::new(0.0, -two_pi_dt)));
-        u = step.matmul(&u);
+        stepper.propagator_into(row, &mut step);
+        step.matmul_into(&u, &mut next);
+        std::mem::swap(&mut u, &mut next);
     }
     u
 }

@@ -156,7 +156,9 @@ fn refine_multiple_roots(monic: &[C64], roots: &mut [C64]) {
     let mut i = 0;
     while i < n {
         // Clustered roots were snapped to an identical centroid above.
-        let m = roots[i..].iter().filter(|r| **r == roots[i]).count();
+        // A NaN root equals nothing, itself included: count it as one
+        // root, so the scan still advances.
+        let m = roots[i..].iter().filter(|r| **r == roots[i]).count().max(1);
         if m > 1 {
             // Differentiate m-1 times.
             let mut p: Vec<C64> = monic.to_vec();
@@ -283,5 +285,53 @@ mod tests {
         assert!((evs[0] - C64::real(2.0)).abs() < 1e-7);
         assert!((evs[1] - C64::real(2.0)).abs() < 1e-7);
         assert!((evs[2] - C64::real(5.0)).abs() < 1e-7);
+    }
+
+    /// Runs `f` on a worker thread and fails the test if it has not
+    /// returned within 10 s, so a hang regression fails instead of
+    /// stalling the suite. A hung worker cannot be joined; it ends with
+    /// the test process.
+    fn within_watchdog<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        use std::sync::mpsc::RecvTimeoutError;
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(10)) {
+            Ok(value) => {
+                worker.join().expect("the worker exits after sending");
+                value
+            }
+            Err(RecvTimeoutError::Disconnected) => std::panic::resume_unwind(
+                worker
+                    .join()
+                    .expect_err("a worker that sent nothing panicked"),
+            ),
+            Err(RecvTimeoutError::Timeout) => panic!("did not return within 10 s"),
+        }
+    }
+
+    fn with_nan_entry() -> Matrix {
+        let mut m = Matrix::identity(4);
+        m[(1, 2)] = C64::new(f64::NAN, 0.0);
+        m
+    }
+
+    #[test]
+    fn eigenvalues_of_a_matrix_with_a_nan_entry_terminate() {
+        let evs = within_watchdog(|| eigenvalues(&with_nan_entry()));
+        assert_eq!(evs.len(), 4);
+    }
+
+    #[test]
+    fn weyl_coordinates_of_a_matrix_with_a_nan_entry_terminate() {
+        within_watchdog(|| crate::weyl_coordinates(&with_nan_entry()));
+    }
+
+    #[test]
+    fn poly_roots_with_nan_coefficients_terminate() {
+        let coeffs = [C64::ONE, C64::new(f64::NAN, 0.0), C64::ONE, C64::ZERO];
+        let roots = within_watchdog(move || poly_roots(&coeffs));
+        assert_eq!(roots.len(), 3);
     }
 }

@@ -20,10 +20,61 @@ const PADE6: [f64; 7] = [
     1.0 / 665280.0,
 ];
 
+/// Scratch buffers of [`expm_into`] for one dimension: the scaled input,
+/// the Padé powers and terms, the elimination copy of the denominator and
+/// the squaring buffer.
+///
+/// Build one per dimension and reuse it across calls; `expm_into` then
+/// allocates nothing.
+#[derive(Clone, Debug)]
+pub struct ExpmScratch {
+    a_scaled: Matrix,
+    a2: Matrix,
+    a4: Matrix,
+    a6: Matrix,
+    v: Matrix,
+    u_inner: Matrix,
+    u: Matrix,
+    lu: Matrix,
+    square: Matrix,
+}
+
+/// Number of `n×n` matrices an [`ExpmScratch`] holds.
+const SCRATCH_MATRICES: usize = 9;
+
+impl ExpmScratch {
+    /// Allocates scratch for `n×n` exponentials.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`.
+    pub fn new(n: usize) -> Self {
+        let z = || Matrix::zeros(n, n);
+        ExpmScratch {
+            a_scaled: z(),
+            a2: z(),
+            a4: z(),
+            a6: z(),
+            v: z(),
+            u_inner: z(),
+            u: z(),
+            lu: z(),
+            square: z(),
+        }
+    }
+
+    /// The dimension this scratch serves.
+    fn dim(&self) -> usize {
+        self.a2.rows()
+    }
+}
+
 /// Computes the matrix exponential `e^A` of a square complex matrix.
 ///
 /// Uses a [6/6] Padé approximant with scaling and squaring; the number of
-/// squarings is chosen so the scaled norm is below `0.5`.
+/// squarings is chosen so the scaled norm is below `0.5`. Allocates its
+/// scratch and the result; [`expm_into`] is the same kernel over caller
+/// buffers.
 ///
 /// # Panics
 ///
@@ -44,16 +95,51 @@ const PADE6: [f64; 7] = [
 /// ```
 pub fn expm(a: &Matrix) -> Matrix {
     assert!(a.is_square(), "expm requires a square matrix");
-    paqoc_telemetry::kernel_probe!("mathkit.expm", a.rows());
-    // The Padé path allocates 9 fresh n×n scratch matrices per call
-    // (A_scaled, A², A⁴, A⁶, V, U_inner, U, V−U, V+U; matmul/solve
-    // count their own) — making that churn visible is what lets
-    // scratch reuse be measured instead of guessed.
+    let n = a.rows();
+    // The scratch matrices plus the result: counted so a caller that
+    // could hold an `ExpmScratch` instead sees what this call costs.
     paqoc_telemetry::kernel_alloc(
         "mathkit.expm",
-        9,
-        (9 * a.rows() * a.rows() * std::mem::size_of::<C64>()) as u64,
+        SCRATCH_MATRICES as u64 + 1,
+        ((SCRATCH_MATRICES + 1) * n * n * std::mem::size_of::<C64>()) as u64,
     );
+    let mut scratch = ExpmScratch::new(n);
+    let mut out = Matrix::zeros(n, n);
+    expm_into(a, &mut out, &mut scratch);
+    out
+}
+
+/// Computes `e^A` into `out`, using `scratch` for every intermediate.
+///
+/// Bit-for-bit the result of [`expm`]: the same Padé terms, products and
+/// elimination in the same scalar order, through
+/// [`Matrix::matmul_into`] and [`Matrix::solve_into`].
+///
+/// # Panics
+///
+/// Panics if `a` is not square, if `out` or `scratch` has another
+/// dimension, or if the Padé solve fails (see [`expm`]).
+///
+/// # Examples
+///
+/// ```
+/// use paqoc_math::{expm, expm_into, C64, ExpmScratch, Matrix};
+/// let x = Matrix::from_rows(&[&[C64::ZERO, C64::ONE], &[C64::ONE, C64::ZERO]]);
+/// let a = x.scaled(C64::new(0.0, -0.4));
+/// let mut scratch = ExpmScratch::new(2);
+/// let mut u = Matrix::zeros(2, 2);
+/// expm_into(&a, &mut u, &mut scratch);
+/// assert_eq!(u, expm(&a));
+/// ```
+pub fn expm_into(a: &Matrix, out: &mut Matrix, scratch: &mut ExpmScratch) {
+    assert!(a.is_square(), "expm requires a square matrix");
+    let n = a.rows();
+    assert_eq!(scratch.dim(), n, "expm scratch dimension must match");
+    assert!(
+        out.rows() == n && out.cols() == n,
+        "expm output must be {n}×{n}"
+    );
+    paqoc_telemetry::kernel_probe!("mathkit.expm", n);
     let norm = a.one_norm();
     let squarings = if norm <= 0.5 {
         0
@@ -61,38 +147,54 @@ pub fn expm(a: &Matrix) -> Matrix {
         (norm / 0.5).log2().ceil() as u32
     };
     let scale = 1.0 / f64::powi(2.0, squarings as i32);
-    let a_scaled = a.scaled(C64::real(scale));
+    let s = scratch;
+    a.scaled_into(C64::real(scale), &mut s.a_scaled);
 
     // Horner-style evaluation of even/odd power series:
     //   N = Σ c_k A^k split into U (odd) and V (even) so that
     //   exp(A) ≈ (V - U)^{-1} (V + U).
-    let n = a.rows();
-    let a2 = a_scaled.matmul(&a_scaled);
-    let a4 = a2.matmul(&a2);
-    let a6 = a2.matmul(&a4);
+    s.a_scaled.matmul_into(&s.a_scaled, &mut s.a2);
+    s.a2.matmul_into(&s.a2, &mut s.a4);
+    s.a2.matmul_into(&s.a4, &mut s.a6);
 
     // V = c0 I + c2 A² + c4 A⁴ + c6 A⁶ (even part)
-    let mut v = Matrix::identity(n).scaled(C64::real(PADE6[0]));
-    v.axpy(C64::real(PADE6[2]), &a2);
-    v.axpy(C64::real(PADE6[4]), &a4);
-    v.axpy(C64::real(PADE6[6]), &a6);
+    scaled_identity_into(PADE6[0], &mut s.v);
+    s.v.axpy(C64::real(PADE6[2]), &s.a2);
+    s.v.axpy(C64::real(PADE6[4]), &s.a4);
+    s.v.axpy(C64::real(PADE6[6]), &s.a6);
 
     // U = A (c1 I + c3 A² + c5 A⁴) (odd part)
-    let mut u_inner = Matrix::identity(n).scaled(C64::real(PADE6[1]));
-    u_inner.axpy(C64::real(PADE6[3]), &a2);
-    u_inner.axpy(C64::real(PADE6[5]), &a4);
-    let u = a_scaled.matmul(&u_inner);
+    scaled_identity_into(PADE6[1], &mut s.u_inner);
+    s.u_inner.axpy(C64::real(PADE6[3]), &s.a2);
+    s.u_inner.axpy(C64::real(PADE6[5]), &s.a4);
+    s.a_scaled.matmul_into(&s.u_inner, &mut s.u);
 
-    let denom = &v - &u;
-    let numer = &v + &u;
-    let mut result = denom
-        .solve(&numer)
-        .expect("Padé denominator is nonsingular after scaling");
+    // V becomes the denominator V − U and U the numerator V + U.
+    for (v, u) in s.v.as_mut_slice().iter_mut().zip(s.u.as_mut_slice()) {
+        let (vv, uu) = (*v, *u);
+        *v = vv - uu;
+        *u = vv + uu;
+    }
+    let solved = s.v.solve_into(&s.u, out, &mut s.lu);
+    assert!(solved, "Padé denominator is nonsingular after scaling");
 
     for _ in 0..squarings {
-        result = result.matmul(&result);
+        let result: &Matrix = out;
+        result.matmul_into(result, &mut s.square);
+        std::mem::swap(out, &mut s.square);
     }
-    result
+}
+
+/// Writes `I·c` into `m`, entry by entry as `Matrix::identity(n).scaled(c)`
+/// computes it.
+fn scaled_identity_into(c: f64, m: &mut Matrix) {
+    let n = m.rows();
+    for (i, row) in m.as_mut_slice().chunks_exact_mut(n).enumerate() {
+        for (j, z) in row.iter_mut().enumerate() {
+            let e = if i == j { C64::ONE } else { C64::ZERO };
+            *z = e * C64::real(c);
+        }
+    }
 }
 
 /// Computes `exp(-i·t·H)` — the unitary propagator of a Hamiltonian `H`
@@ -108,6 +210,74 @@ pub fn propagator(h: &Matrix, t: f64) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::reference;
+
+    /// `expm` as it was before `expm_into`, over the reference `matmul`
+    /// and `solve` bodies: the oracle of the bit-identity tests.
+    fn reference_expm(a: &Matrix) -> Matrix {
+        let norm = a.one_norm();
+        let squarings = if norm <= 0.5 {
+            0
+        } else {
+            (norm / 0.5).log2().ceil() as u32
+        };
+        let scale = 1.0 / f64::powi(2.0, squarings as i32);
+        let a_scaled = a.scaled(C64::real(scale));
+        let n = a.rows();
+        let a2 = reference::matmul(&a_scaled, &a_scaled);
+        let a4 = reference::matmul(&a2, &a2);
+        let a6 = reference::matmul(&a2, &a4);
+        let mut v = Matrix::identity(n).scaled(C64::real(PADE6[0]));
+        v.axpy(C64::real(PADE6[2]), &a2);
+        v.axpy(C64::real(PADE6[4]), &a4);
+        v.axpy(C64::real(PADE6[6]), &a6);
+        let mut u_inner = Matrix::identity(n).scaled(C64::real(PADE6[1]));
+        u_inner.axpy(C64::real(PADE6[3]), &a2);
+        u_inner.axpy(C64::real(PADE6[5]), &a4);
+        let u = reference::matmul(&a_scaled, &u_inner);
+        let denom = &v - &u;
+        let numer = &v + &u;
+        let mut result = reference::solve(&denom, &numer).expect("nonsingular");
+        for _ in 0..squarings {
+            result = reference::matmul(&result, &result);
+        }
+        result
+    }
+
+    #[test]
+    fn expm_into_matches_the_reference_bit_for_bit() {
+        let mut rng = crate::Rng::seed_from_u64(0xe4_0001);
+        for n in [1, 2, 3, 4, 8, 16] {
+            // One scratch per dimension, reused across calls whose norms
+            // take 0 to several squarings.
+            let mut scratch = ExpmScratch::new(n);
+            let mut out = reference::sample(n, n, &mut rng);
+            for scale in [0.01, 0.1, 0.5, 2.0, 9.0] {
+                let a = reference::sample(n, n, &mut rng).scaled(C64::real(scale));
+                let want = reference::bits(&reference_expm(&a));
+                expm_into(&a, &mut out, &mut scratch);
+                assert_eq!(reference::bits(&out), want, "n = {n}, scale {scale}");
+                assert_eq!(reference::bits(&expm(&a)), want, "n = {n}, scale {scale}");
+            }
+        }
+    }
+
+    #[test]
+    fn expm_into_matches_the_reference_on_step_propagators() {
+        // The inputs GRAPE feeds it: −i·2π·dt·H for a Hermitian H.
+        let mut rng = crate::Rng::seed_from_u64(0xe4_0002);
+        for n in [2, 4, 8, 16] {
+            let mut scratch = ExpmScratch::new(n);
+            let mut out = Matrix::zeros(n, n);
+            for _ in 0..6 {
+                let g = reference::sample(n, n, &mut rng);
+                let h = (&g + &g.dagger()).scaled(C64::real(0.05));
+                let a = h.scaled(C64::new(0.0, -std::f64::consts::PI));
+                expm_into(&a, &mut out, &mut scratch);
+                assert_eq!(reference::bits(&out), reference::bits(&reference_expm(&a)));
+            }
+        }
+    }
 
     fn pauli_z() -> Matrix {
         Matrix::diag(&[C64::ONE, C64::real(-1.0)])

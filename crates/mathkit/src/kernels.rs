@@ -1,0 +1,189 @@
+//! Slice-level loops behind [`Matrix::matmul_into`] and
+//! [`Matrix::solve_into`].
+//!
+//! Each operation has exactly one scalar operation order. It runs either
+//! over a runtime dimension or, for the dimensions GRAPE works at
+//! (d = 2, 4, 8), over `[[C64; N]; N]` views whose size lives in the type,
+//! so the compiler can drop the bounds checks and unroll the inner loops.
+//! Both forms perform the same `C64` operations in the same order, so they
+//! return the same bits; the choice is made from the matrix dimension
+//! alone.
+//!
+//! [`Matrix::matmul_into`]: crate::Matrix::matmul_into
+//! [`Matrix::solve_into`]: crate::Matrix::solve_into
+
+use crate::complex::C64;
+
+/// Views a row-major `N×N` buffer as `N` fixed-size rows.
+fn square<const N: usize>(s: &[C64]) -> &[[C64; N]; N] {
+    let (rows, _) = s.as_chunks::<N>();
+    rows.try_into().expect("buffer holds exactly N×N entries")
+}
+
+/// Mutable form of [`square`].
+fn square_mut<const N: usize>(s: &mut [C64]) -> &mut [[C64; N]; N] {
+    let (rows, _) = s.as_chunks_mut::<N>();
+    rows.try_into().expect("buffer holds exactly N×N entries")
+}
+
+/// `true` when `z` is exactly zero (either sign): the products the
+/// kernels skip.
+#[inline]
+fn is_zero(z: C64) -> bool {
+    z.re == 0.0 && z.im == 0.0
+}
+
+/// `out += a · b` for row-major `a` (`n×m`) and `b` (`m×p`); `out`
+/// comes in as `+0` everywhere, so it leaves as the product.
+///
+/// i-k-j loop order: streams over the output row and the rhs row, which
+/// is the cache-friendly order for row-major data. Zero entries of `a` are
+/// skipped; each output entry accumulates from `+0` in increasing `k`.
+pub(crate) fn matmul(n: usize, m: usize, p: usize, a: &[C64], b: &[C64], out: &mut [C64]) {
+    if n == m && m == p {
+        match n {
+            2 => return matmul_square::<2>(a, b, out),
+            4 => return matmul_square::<4>(a, b, out),
+            8 => return matmul_square::<8>(a, b, out),
+            _ => {}
+        }
+    }
+    for (out_row, a_row) in out.chunks_exact_mut(p).zip(a.chunks_exact(m)) {
+        for (&x, rhs_row) in a_row.iter().zip(b.chunks_exact(p)) {
+            if is_zero(x) {
+                continue;
+            }
+            for (o, &r) in out_row.iter_mut().zip(rhs_row) {
+                *o = o.mul_add(x, r);
+            }
+        }
+    }
+}
+
+fn matmul_square<const N: usize>(a: &[C64], b: &[C64], out: &mut [C64]) {
+    let (a, b, out) = (square::<N>(a), square::<N>(b), square_mut::<N>(out));
+    for (out_row, a_row) in out.iter_mut().zip(a) {
+        for (&x, rhs_row) in a_row.iter().zip(b) {
+            if is_zero(x) {
+                continue;
+            }
+            for (o, &r) in out_row.iter_mut().zip(rhs_row) {
+                *o = o.mul_add(x, r);
+            }
+        }
+    }
+}
+
+/// Solves `A·X = B` in place by Gaussian elimination with partial
+/// pivoting: `a` (`n×n`) is destroyed and `x` (`n×m`) goes in as `B` and
+/// comes out as `X`. Returns `false` when a pivot falls below `1e-300`
+/// (singular to working precision); `a` and `x` then hold partial work.
+pub(crate) fn solve(n: usize, m: usize, a: &mut [C64], x: &mut [C64]) -> bool {
+    if n == m {
+        match n {
+            2 => return solve_square::<2>(a, x),
+            4 => return solve_square::<4>(a, x),
+            8 => return solve_square::<8>(a, x),
+            _ => {}
+        }
+    }
+    for col in 0..n {
+        // Partial pivot.
+        let mut piv = col;
+        let mut piv_mag = a[col * n + col].abs();
+        for r in (col + 1)..n {
+            let mag = a[r * n + col].abs();
+            if mag > piv_mag {
+                piv = r;
+                piv_mag = mag;
+            }
+        }
+        if piv_mag < 1e-300 {
+            return false;
+        }
+        if piv != col {
+            for j in 0..n {
+                a.swap(col * n + j, piv * n + j);
+            }
+            for j in 0..m {
+                x.swap(col * m + j, piv * m + j);
+            }
+        }
+        let inv = a[col * n + col].recip();
+        for r in (col + 1)..n {
+            let f = a[r * n + col] * inv;
+            if is_zero(f) {
+                continue;
+            }
+            for j in col..n {
+                let v = a[col * n + j];
+                a[r * n + j] = a[r * n + j].mul_add(-f, v);
+            }
+            for j in 0..m {
+                let v = x[col * m + j];
+                x[r * m + j] = x[r * m + j].mul_add(-f, v);
+            }
+        }
+    }
+    // Back substitution.
+    for col in (0..n).rev() {
+        let inv = a[col * n + col].recip();
+        for j in 0..m {
+            let mut acc = x[col * m + j];
+            for k in (col + 1)..n {
+                acc = acc.mul_add(-a[col * n + k], x[k * m + j]);
+            }
+            x[col * m + j] = acc * inv;
+        }
+    }
+    true
+}
+
+fn solve_square<const N: usize>(a: &mut [C64], x: &mut [C64]) -> bool {
+    let (a, x) = (square_mut::<N>(a), square_mut::<N>(x));
+    for col in 0..N {
+        let mut piv = col;
+        let mut piv_mag = a[col][col].abs();
+        for (r, row) in a.iter().enumerate().skip(col + 1) {
+            let mag = row[col].abs();
+            if mag > piv_mag {
+                piv = r;
+                piv_mag = mag;
+            }
+        }
+        if piv_mag < 1e-300 {
+            return false;
+        }
+        if piv != col {
+            a.swap(col, piv);
+            x.swap(col, piv);
+        }
+        let inv = a[col][col].recip();
+        let (a_piv, x_piv) = (a[col], x[col]);
+        for r in (col + 1)..N {
+            let f = a[r][col] * inv;
+            if is_zero(f) {
+                continue;
+            }
+            for j in col..N {
+                a[r][j] = a[r][j].mul_add(-f, a_piv[j]);
+            }
+            for (v, &p) in x[r].iter_mut().zip(&x_piv) {
+                *v = v.mul_add(-f, p);
+            }
+        }
+    }
+    // Back substitution: row `col` of X from the finished rows below it.
+    for col in (0..N).rev() {
+        let inv = a[col][col].recip();
+        let (head, below) = x.split_at_mut(col + 1);
+        for (j, v) in head[col].iter_mut().enumerate() {
+            let mut acc = *v;
+            for (&a_ck, x_k) in a[col][col + 1..].iter().zip(below.iter()) {
+                acc = acc.mul_add(-a_ck, x_k[j]);
+            }
+            *v = acc * inv;
+        }
+    }
+    true
+}

@@ -3,6 +3,9 @@
 //! From-scratch complex linear algebra sized for few-qubit quantum optimal
 //! control: a [`C64`] scalar type, dense [`Matrix`] kernels (product,
 //! Kronecker, adjoint, linear solve), the matrix exponential [`expm`],
+//! allocation-free forms of the hot kernels that write into caller
+//! buffers ([`Matrix::matmul_into`], [`Matrix::solve_into`],
+//! [`expm_into`]),
 //! small-matrix [`eigenvalues`], Weyl-chamber canonical coordinates of
 //! two-qubit gates ([`weyl_coordinates`]), fidelity metrics and Haar-random
 //! unitaries.
@@ -31,6 +34,7 @@ mod complex;
 mod eig;
 mod expm;
 mod fidelity;
+mod kernels;
 mod matrix;
 mod random;
 mod rng;
@@ -38,7 +42,7 @@ mod weyl;
 
 pub use complex::C64;
 pub use eig::{char_poly, eigenvalues, poly_roots};
-pub use expm::{expm, propagator};
+pub use expm::{expm, expm_into, propagator, ExpmScratch};
 pub use fidelity::{
     average_gate_fidelity, gate_success_rate, phase_aligned_distance, trace_fidelity,
 };

@@ -6,6 +6,7 @@
 //! entirely adequate and cache-friendly.
 
 use crate::complex::C64;
+use crate::kernels;
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
 
@@ -42,6 +43,26 @@ impl Matrix {
             cols,
             data: vec![C64::ZERO; rows * cols],
         }
+    }
+
+    /// A `rows × cols` matrix whose storage is reserved but holds no
+    /// entries yet: only for an allocating wrapper that hands it straight
+    /// to an `_into` kernel, which writes every entry.
+    fn unfilled(rows: usize, cols: usize) -> Self {
+        assert!(rows > 0 && cols > 0, "matrix dimensions must be nonzero");
+        Matrix {
+            rows,
+            cols,
+            data: Vec::with_capacity(rows * cols),
+        }
+    }
+
+    /// Replaces the entries with `entries`, which must number
+    /// `rows × cols`. Reuses the storage when it is large enough.
+    fn overwrite(&mut self, entries: impl Iterator<Item = C64>) {
+        self.data.clear();
+        self.data.extend(entries);
+        debug_assert_eq!(self.data.len(), self.rows * self.cols);
     }
 
     /// Creates the `n × n` identity matrix.
@@ -172,12 +193,22 @@ impl Matrix {
 
     /// Scales every entry by a complex factor.
     pub fn scaled(&self, s: C64) -> Matrix {
-        let data = self.data.iter().map(|&z| z * s).collect();
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
+        let mut out = Matrix::unfilled(self.rows, self.cols);
+        self.scaled_into(s, &mut out);
+        out
+    }
+
+    /// Writes `self · s` into `out`, which must have the same shape.
+    ///
+    /// # Panics
+    ///
+    /// Panics on shape mismatch.
+    pub fn scaled_into(&self, s: C64, out: &mut Matrix) {
+        assert!(
+            out.rows == self.rows && out.cols == self.cols,
+            "scaled_into shape mismatch"
+        );
+        out.overwrite(self.data.iter().map(|&z| z * s));
     }
 
     /// In-place `self += other * s`.
@@ -195,39 +226,58 @@ impl Matrix {
 
     /// Matrix product `self · rhs`.
     ///
+    /// Allocates the result; [`Matrix::matmul_into`] is the same kernel
+    /// writing into a caller buffer.
+    ///
     /// # Panics
     ///
     /// Panics if inner dimensions disagree.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, rhs.rows,
-            "matmul inner dimensions must agree ({}×{} · {}×{})",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        paqoc_telemetry::kernel_probe!("mathkit.matmul", self.rows);
         paqoc_telemetry::kernel_alloc(
             "mathkit.matmul",
             1,
             (self.rows * rhs.cols * std::mem::size_of::<C64>()) as u64,
         );
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        let n = rhs.cols;
-        // i-k-j loop order: streams over the output row and the rhs row,
-        // which is the cache-friendly order for row-major data.
-        for i in 0..self.rows {
-            let out_row = &mut out.data[i * n..(i + 1) * n];
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                if a.re == 0.0 && a.im == 0.0 {
-                    continue;
-                }
-                let rhs_row = &rhs.data[k * n..(k + 1) * n];
-                for j in 0..n {
-                    out_row[j] = out_row[j].mul_add(a, rhs_row[j]);
-                }
-            }
-        }
+        let mut out = Matrix::unfilled(self.rows, rhs.cols);
+        self.matmul_into(rhs, &mut out);
         out
+    }
+
+    /// Matrix product `self · rhs`, written into `out` (overwritten).
+    ///
+    /// Zero entries of `self` are skipped, and every output entry
+    /// accumulates from `+0` in increasing inner index, so the result is
+    /// bit-for-bit that of [`Matrix::matmul`]. Square products at
+    /// dimension 2, 4 or 8 run a loop specialised to that size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if inner dimensions disagree or `out` is not
+    /// `self.rows() × rhs.cols()`.
+    pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
+        assert_eq!(
+            self.cols, rhs.rows,
+            "matmul inner dimensions must agree ({}×{} · {}×{})",
+            self.rows, self.cols, rhs.rows, rhs.cols
+        );
+        assert!(
+            out.rows == self.rows && out.cols == rhs.cols,
+            "matmul output must be {}×{}, got {}×{}",
+            self.rows,
+            rhs.cols,
+            out.rows,
+            out.cols
+        );
+        paqoc_telemetry::kernel_probe!("mathkit.matmul", self.rows);
+        out.overwrite(std::iter::repeat_n(C64::ZERO, self.rows * rhs.cols));
+        kernels::matmul(
+            self.rows,
+            self.cols,
+            rhs.cols,
+            &self.data,
+            &rhs.data,
+            &mut out.data,
+        );
     }
 
     /// Kronecker (tensor) product `self ⊗ rhs`.
@@ -337,7 +387,9 @@ impl Matrix {
     /// Solves `A·X = B` by Gaussian elimination with partial pivoting.
     ///
     /// Used by the Padé step of [`crate::expm`]. Returns `None` when the
-    /// system is singular to working precision.
+    /// system is singular to working precision. Allocates the result and
+    /// the elimination copy of `A`; [`Matrix::solve_into`] is the same
+    /// kernel over caller buffers.
     ///
     /// # Panics
     ///
@@ -345,68 +397,40 @@ impl Matrix {
     pub fn solve(&self, b: &Matrix) -> Option<Matrix> {
         assert!(self.is_square(), "solve requires a square matrix");
         assert_eq!(self.rows, b.rows, "solve shape mismatch");
-        paqoc_telemetry::kernel_probe!("mathkit.solve", self.rows);
-        let n = self.rows;
-        let m = b.cols;
-        // The elimination clones both operands — scratch that a reuse
-        // pass would eliminate, so it is counted.
         paqoc_telemetry::kernel_alloc(
             "mathkit.solve",
             2,
             ((self.data.len() + b.data.len()) * std::mem::size_of::<C64>()) as u64,
         );
-        let mut a = self.clone();
-        let mut x = b.clone();
-        for col in 0..n {
-            // Partial pivot.
-            let mut piv = col;
-            let mut piv_mag = a[(col, col)].abs();
-            for r in (col + 1)..n {
-                let mag = a[(r, col)].abs();
-                if mag > piv_mag {
-                    piv = r;
-                    piv_mag = mag;
-                }
-            }
-            if piv_mag < 1e-300 {
-                return None;
-            }
-            if piv != col {
-                for j in 0..n {
-                    a.data.swap(col * n + j, piv * n + j);
-                }
-                for j in 0..m {
-                    x.data.swap(col * m + j, piv * m + j);
-                }
-            }
-            let inv = a[(col, col)].recip();
-            for r in (col + 1)..n {
-                let f = a[(r, col)] * inv;
-                if f.re == 0.0 && f.im == 0.0 {
-                    continue;
-                }
-                for j in col..n {
-                    let v = a[(col, j)];
-                    a[(r, j)] = a[(r, j)].mul_add(-f, v);
-                }
-                for j in 0..m {
-                    let v = x[(col, j)];
-                    x[(r, j)] = x[(r, j)].mul_add(-f, v);
-                }
-            }
-        }
-        // Back substitution.
-        for col in (0..n).rev() {
-            let inv = a[(col, col)].recip();
-            for j in 0..m {
-                let mut acc = x[(col, j)];
-                for k in (col + 1)..n {
-                    acc = acc.mul_add(-a[(col, k)], x[(k, j)]);
-                }
-                x[(col, j)] = acc * inv;
-            }
-        }
-        Some(x)
+        let mut x = Matrix::unfilled(b.rows, b.cols);
+        let mut lu = Matrix::unfilled(self.rows, self.cols);
+        self.solve_into(b, &mut x, &mut lu).then_some(x)
+    }
+
+    /// Solves `A·X = B` into caller buffers: `x` receives `X` and `lu`
+    /// is overwritten with the eliminated copy of `A`.
+    ///
+    /// Returns `false` when the system is singular to working precision;
+    /// `x` then holds partial work. The scalar operation order is that of
+    /// [`Matrix::solve`], and square right-hand sides at dimension 2, 4 or
+    /// 8 run a loop specialised to that size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if shapes disagree: `self` must be square, `b` and `x` must
+    /// be `self.rows() × b.cols()`, and `lu` must have the shape of `self`.
+    #[must_use = "a singular system leaves `x` holding partial work"]
+    pub fn solve_into(&self, b: &Matrix, x: &mut Matrix, lu: &mut Matrix) -> bool {
+        assert!(self.is_square(), "solve requires a square matrix");
+        assert_eq!(self.rows, b.rows, "solve shape mismatch");
+        assert!(
+            x.rows == b.rows && x.cols == b.cols && lu.rows == self.rows && lu.cols == self.cols,
+            "solve buffer shape mismatch"
+        );
+        paqoc_telemetry::kernel_probe!("mathkit.solve", self.rows);
+        lu.overwrite(self.data.iter().copied());
+        x.overwrite(b.data.iter().copied());
+        kernels::solve(self.rows, b.cols, &mut lu.data, &mut x.data)
     }
 }
 
@@ -488,6 +512,111 @@ impl Neg for &Matrix {
     type Output = Matrix;
     fn neg(self) -> Matrix {
         self.scaled(C64::real(-1.0))
+    }
+}
+
+/// The allocating `matmul` and `solve` bodies as they were before the
+/// `_into` kernels, kept as oracles for the bit-identity tests.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    pub(crate) fn matmul(lhs: &Matrix, rhs: &Matrix) -> Matrix {
+        assert_eq!(lhs.cols, rhs.rows);
+        let mut out = Matrix::zeros(lhs.rows, rhs.cols);
+        let n = rhs.cols;
+        for i in 0..lhs.rows {
+            let out_row = &mut out.data[i * n..(i + 1) * n];
+            for k in 0..lhs.cols {
+                let a = lhs.data[i * lhs.cols + k];
+                if a.re == 0.0 && a.im == 0.0 {
+                    continue;
+                }
+                let rhs_row = &rhs.data[k * n..(k + 1) * n];
+                for j in 0..n {
+                    out_row[j] = out_row[j].mul_add(a, rhs_row[j]);
+                }
+            }
+        }
+        out
+    }
+
+    pub(crate) fn solve(lhs: &Matrix, b: &Matrix) -> Option<Matrix> {
+        let n = lhs.rows;
+        let m = b.cols;
+        let mut a = lhs.clone();
+        let mut x = b.clone();
+        for col in 0..n {
+            let mut piv = col;
+            let mut piv_mag = a[(col, col)].abs();
+            for r in (col + 1)..n {
+                let mag = a[(r, col)].abs();
+                if mag > piv_mag {
+                    piv = r;
+                    piv_mag = mag;
+                }
+            }
+            if piv_mag < 1e-300 {
+                return None;
+            }
+            if piv != col {
+                for j in 0..n {
+                    a.data.swap(col * n + j, piv * n + j);
+                }
+                for j in 0..m {
+                    x.data.swap(col * m + j, piv * m + j);
+                }
+            }
+            let inv = a[(col, col)].recip();
+            for r in (col + 1)..n {
+                let f = a[(r, col)] * inv;
+                if f.re == 0.0 && f.im == 0.0 {
+                    continue;
+                }
+                for j in col..n {
+                    let v = a[(col, j)];
+                    a[(r, j)] = a[(r, j)].mul_add(-f, v);
+                }
+                for j in 0..m {
+                    let v = x[(col, j)];
+                    x[(r, j)] = x[(r, j)].mul_add(-f, v);
+                }
+            }
+        }
+        for col in (0..n).rev() {
+            let inv = a[(col, col)].recip();
+            for j in 0..m {
+                let mut acc = x[(col, j)];
+                for k in (col + 1)..n {
+                    acc = acc.mul_add(-a[(col, k)], x[(k, j)]);
+                }
+                x[(col, j)] = acc * inv;
+            }
+        }
+        Some(x)
+    }
+
+    /// Every entry's bit pattern, for exact comparisons.
+    pub(crate) fn bits(m: &Matrix) -> Vec<(u64, u64)> {
+        m.data
+            .iter()
+            .map(|z| (z.re.to_bits(), z.im.to_bits()))
+            .collect()
+    }
+
+    /// A seeded `rows×cols` matrix whose entries mix exact zeros of both
+    /// signs (the products the kernels skip) with values of both signs.
+    pub(crate) fn sample(rows: usize, cols: usize, rng: &mut crate::Rng) -> Matrix {
+        let mut m = Matrix::zeros(rows, cols);
+        for z in &mut m.data {
+            let mut part = || match rng.random_range(0..6u32) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => rng.random::<f64>() * 4.0 - 2.0,
+            };
+            *z = C64::new(part(), part());
+        }
+        m
     }
 }
 
@@ -603,5 +732,102 @@ mod tests {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 3);
         let _ = a.matmul(&b);
+    }
+
+    #[test]
+    fn matmul_into_matches_the_reference_bit_for_bit() {
+        let mut rng = crate::Rng::seed_from_u64(0x5eed_0001);
+        let square = [1, 2, 3, 4, 5, 8, 16].map(|n| (n, n, n));
+        let rect = [
+            (2, 3, 5),
+            (1, 4, 1),
+            (4, 1, 4),
+            (8, 4, 8),
+            (3, 8, 2),
+            (16, 2, 3),
+        ];
+        for (n, m, p) in square.into_iter().chain(rect) {
+            for _ in 0..8 {
+                let a = reference::sample(n, m, &mut rng);
+                let b = reference::sample(m, p, &mut rng);
+                let want = reference::bits(&reference::matmul(&a, &b));
+                // A dirty output buffer must not leak into the result.
+                let mut out = reference::sample(n, p, &mut rng);
+                a.matmul_into(&b, &mut out);
+                assert_eq!(reference::bits(&out), want, "{n}×{m} · {m}×{p}");
+                assert_eq!(reference::bits(&a.matmul(&b)), want, "{n}×{m} · {m}×{p}");
+            }
+        }
+    }
+
+    #[test]
+    fn matmul_into_propagates_non_finite_entries_like_the_reference() {
+        let mut rng = crate::Rng::seed_from_u64(0x5eed_0002);
+        for n in [2, 3, 4, 8] {
+            let mut a = reference::sample(n, n, &mut rng);
+            let mut b = reference::sample(n, n, &mut rng);
+            a[(0, n - 1)] = C64::new(f64::NAN, 0.0);
+            b[(n - 1, 0)] = C64::new(f64::INFINITY, -0.0);
+            let want = reference::bits(&reference::matmul(&a, &b));
+            assert_eq!(reference::bits(&a.matmul(&b)), want, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn solve_into_matches_the_reference_bit_for_bit() {
+        let mut rng = crate::Rng::seed_from_u64(0x5eed_0003);
+        let shapes = [1, 2, 3, 4, 5, 8, 16].map(|n| (n, n)).into_iter().chain([
+            (2, 3),
+            (3, 1),
+            (4, 2),
+            (8, 1),
+            (8, 16),
+            (16, 4),
+        ]);
+        for (n, m) in shapes {
+            for _ in 0..8 {
+                let a = reference::sample(n, n, &mut rng);
+                let b = reference::sample(n, m, &mut rng);
+                let want = reference::solve(&a, &b).map(|x| reference::bits(&x));
+                let mut x = reference::sample(n, m, &mut rng);
+                let mut lu = reference::sample(n, n, &mut rng);
+                let ok = a.solve_into(&b, &mut x, &mut lu);
+                assert_eq!(ok.then(|| reference::bits(&x)), want, "{n}×{n} \\ {n}×{m}");
+                assert_eq!(a.solve(&b).map(|x| reference::bits(&x)), want);
+            }
+        }
+    }
+
+    #[test]
+    fn solve_into_reports_singular_systems_like_the_reference() {
+        for n in [2, 3, 4, 8, 16] {
+            let mut a = Matrix::identity(n);
+            a[(n - 1, n - 1)] = C64::ZERO;
+            let b = Matrix::identity(n);
+            assert!(reference::solve(&a, &b).is_none());
+            let (mut x, mut lu) = (Matrix::zeros(n, n), Matrix::zeros(n, n));
+            assert!(!a.solve_into(&b, &mut x, &mut lu), "n = {n}");
+            assert!(a.solve(&b).is_none());
+        }
+    }
+
+    #[test]
+    fn scaled_into_matches_scaled() {
+        let mut rng = crate::Rng::seed_from_u64(0x5eed_0004);
+        let a = reference::sample(3, 5, &mut rng);
+        let s = C64::new(0.0, -3.1);
+        let mut out = reference::sample(3, 5, &mut rng);
+        a.scaled_into(s, &mut out);
+        let want: Vec<C64> = a.as_slice().iter().map(|&z| z * s).collect();
+        assert_eq!(out.as_slice(), &want[..]);
+        assert_eq!(a.scaled(s), out);
+    }
+
+    #[test]
+    #[should_panic(expected = "matmul output must be")]
+    fn matmul_into_rejects_a_wrong_output_shape() {
+        let a = Matrix::zeros(2, 3);
+        let b = Matrix::zeros(3, 4);
+        a.matmul_into(&b, &mut Matrix::zeros(2, 3));
     }
 }

@@ -127,15 +127,19 @@ grep -q '"event":"drained"' "$SERVE_LOG"
 cargo run --release -p paqoc-store --bin paqoc-store -- verify "$SERVE_DB"
 echo "serve smoke OK"
 
-echo "== paqoc-perf: unit tests + short table1-minf and serve-m0 oracle runs =="
+echo "== paqoc-perf: unit tests + short table1-minf, grape-small and serve-m0 oracle runs =="
 # The benchmark package is its own workspace, so the root `cargo test`
 # never builds it. A table1-minf run compiles all 17 Table-I programs
 # and exits non-zero unless every output is bit-exact against
-# perf/expected/. A serve-m0 run does the same for replies served from
-# a warm store, whose pulses are found by canonical-code keys.
+# perf/expected/. A grape-small run does the same for compiles whose
+# pulses come from real GRAPE, so it checks the optimizer's outputs bit
+# for bit. A serve-m0 run does the same for replies served from a warm
+# store, whose pulses are found by canonical-code keys.
 cargo test -q --offline --manifest-path perf/Cargo.toml
 cargo run --release --quiet --offline --manifest-path perf/Cargo.toml -- \
     --workload table1-minf --seconds 5 > target/verify_perf_table1.txt
+cargo run --release --quiet --offline --manifest-path perf/Cargo.toml -- \
+    --workload grape-small --seconds 5 > target/verify_perf_grape.txt
 cargo run --release --quiet --offline --manifest-path perf/Cargo.toml -- \
     --workload serve-m0 --seconds 5 > target/verify_perf_serve.txt
 echo "paqoc-perf oracle OK"

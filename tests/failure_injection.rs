@@ -320,6 +320,50 @@ fn malformed_circuits_return_typed_errors_not_panics() {
     assert!(matches!(err, CompileError::Mapping(_)), "{err}");
 }
 
+/// Runs `f` on a worker thread and fails the test if it has not returned
+/// within 10 s, so a hang regression fails instead of stalling the suite.
+/// A hung worker cannot be joined; it ends with the test process.
+fn within_watchdog<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    use std::sync::mpsc::RecvTimeoutError;
+    let (tx, rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(Duration::from_secs(10)) {
+        Ok(value) => {
+            worker.join().expect("the worker exits after sending");
+            value
+        }
+        Err(RecvTimeoutError::Disconnected) => std::panic::resume_unwind(
+            worker
+                .join()
+                .expect_err("a worker that sent nothing panicked"),
+        ),
+        Err(RecvTimeoutError::Timeout) => panic!("did not return within 10 s"),
+    }
+}
+
+#[test]
+fn non_finite_angles_are_malformed_circuits_not_a_hang() {
+    for value in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+        // Such an angle once sent the eigensolver into an endless loop.
+        let result = within_watchdog(move || {
+            let mut c = Circuit::new(2);
+            c.h(0).rz(0, value).cx(0, 1);
+            try_compile(
+                &c,
+                &Device::grid5x5(),
+                &mut AnalyticModel::new(),
+                &PipelineOptions::m0(),
+            )
+            .map(|_| ())
+        });
+        let err = result.expect_err("a non-finite angle must be rejected");
+        assert!(matches!(err, CompileError::MalformedCircuit(_)), "{err}");
+        assert!(err.to_string().contains("non-finite"), "{err}");
+    }
+}
+
 #[test]
 fn disabled_fallback_surfaces_the_pulse_source_error() {
     let c = (benchmark("rd32_270").expect("exists").build)();
