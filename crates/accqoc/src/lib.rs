@@ -21,7 +21,7 @@ pub use partition::{partition_fixed, FixedPartition};
 use paqoc_circuit::{combined_unitary, decompose, Basis, Circuit};
 use paqoc_core::{group_key, CompileStats};
 use paqoc_device::{Device, PulseSource};
-use paqoc_mapping::{sabre_map, SabreOptions};
+use paqoc_mapping::{try_sabre_map, SabreOptions};
 use std::collections::{BTreeSet, HashMap};
 use std::time::Instant;
 
@@ -98,7 +98,8 @@ pub fn compile_accqoc(
         lowered
     } else {
         let _s = paqoc_telemetry::span("map");
-        let mapped = sabre_map(&lowered, device.topology(), &opts.sabre);
+        let mapped = try_sabre_map(&lowered, device.topology(), &opts.sabre)
+            .expect("the circuit fits the device");
         decompose(&mapped.circuit, Basis::Extended)
     };
 

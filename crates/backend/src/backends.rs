@@ -11,7 +11,7 @@ pub const HEAVY_HEX_DEFAULT_CAL: &str = include_str!("../data/heavy_hex_cal.json
 ///
 /// Deliberately the *legacy* device: no calibration, no namespace tag.
 /// Its [`Backend::device`] is bit-identical to `Device::grid5x5()` —
-/// same fingerprint, same store files, same bench dumps — so adopting
+/// same fingerprint, same store files, same compile outputs — so adopting
 /// the backend registry is not a migration for existing users.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct TransmonGridBackend;
@@ -206,6 +206,29 @@ mod tests {
         for (ca, cb) in a.channels.iter().zip(&b.channels) {
             assert_eq!(ca.max_amp.to_bits(), cb.max_amp.to_bits());
         }
+    }
+
+    /// Every pulse store and shared-table key starts with the device
+    /// fingerprint, so a drift here orphans every existing store for
+    /// that backend. A change that means to move one updates the value
+    /// here and says so.
+    #[test]
+    fn backend_fingerprints_are_pinned() {
+        for (name, want) in [
+            ("transmon-grid", 0x9182_8249_684c_0a3e_u64),
+            ("heavy-hex", 0xb513_8980_ebdf_b558),
+            ("tunable-coupler", 0xb52c_5c14_fd87_ae46),
+        ] {
+            let got = crate::resolve(name)
+                .expect("registered")
+                .device()
+                .fingerprint();
+            assert_eq!(
+                got, want,
+                "{name}: fingerprint {got:#018x}, pinned {want:#018x}"
+            );
+        }
+        assert_eq!(Device::grid5x5().fingerprint(), 0x9182_8249_684c_0a3e);
     }
 
     #[test]

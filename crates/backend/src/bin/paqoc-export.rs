@@ -13,7 +13,7 @@
 //! gate for exporter/importer drift.
 
 use paqoc_backend::{export, import, lower_to_program, resolve_with_cal, sample_exact_eq};
-use paqoc_core::{compile, PipelineOptions};
+use paqoc_core::{try_compile, PipelineOptions};
 use paqoc_device::AnalyticModel;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -95,7 +95,8 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
     let mut source = AnalyticModel::new();
-    let result = compile(&circuit, &device, &mut source, &PipelineOptions::m0());
+    let result =
+        try_compile(&circuit, &device, &mut source, &PipelineOptions::m0()).expect("compile");
     let program = lower_to_program(bench.name, &result, &device, backend.as_ref());
     let text = export(&program);
 

@@ -27,7 +27,7 @@
 //! ```
 //! use paqoc_backend::{resolve, export, import, lower_to_program, sample_exact_eq};
 //! use paqoc_circuit::Circuit;
-//! use paqoc_core::{compile, PipelineOptions};
+//! use paqoc_core::{try_compile, PipelineOptions};
 //! use paqoc_device::AnalyticModel;
 //!
 //! let backend = resolve("heavy-hex").expect("registered");
@@ -35,7 +35,8 @@
 //! let mut circuit = Circuit::new(2);
 //! circuit.h(0).cx(0, 1);
 //! let mut source = AnalyticModel::new();
-//! let result = compile(&circuit, &device, &mut source, &PipelineOptions::m0());
+//! let result = try_compile(&circuit, &device, &mut source, &PipelineOptions::m0())
+//!     .expect("a Bell pair fits heavy-hex");
 //! let program = lower_to_program("bell", &result, &device, backend.as_ref());
 //! let wire = export(&program);
 //! assert!(sample_exact_eq(&program, &import(&wire).expect("strict")));

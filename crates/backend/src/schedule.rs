@@ -212,7 +212,7 @@ mod tests {
     use crate::backends::TransmonGridBackend;
     use crate::traits::Backend;
     use paqoc_circuit::Circuit;
-    use paqoc_core::{compile, PipelineOptions};
+    use paqoc_core::{try_compile, PipelineOptions};
     use paqoc_device::AnalyticModel;
 
     fn tiny_program() -> PulseProgram {
@@ -221,7 +221,8 @@ mod tests {
         let backend = TransmonGridBackend;
         let device = backend.device();
         let mut source = AnalyticModel::new();
-        let result = compile(&c, &device, &mut source, &PipelineOptions::m0());
+        let result =
+            try_compile(&c, &device, &mut source, &PipelineOptions::m0()).expect("compile");
         lower_to_program("tiny", &result, &device, &backend)
     }
 

@@ -76,7 +76,7 @@ pub trait Backend: HasTopology + HasSpec + HasCalibration + HasChannels {
     /// Fingerprint namespace id (see `paqoc_device::fingerprint`), or
     /// `None` for a legacy untagged device. The paper grid returns
     /// `None` so its fingerprint — and with it every store file, cache
-    /// key, bench dump and baseline — stays byte-identical.
+    /// key and pinned output — stays byte-identical.
     fn ns_id(&self) -> Option<u8>;
 
     /// One-line human description for CLI listings.

@@ -8,10 +8,10 @@
 
 use paqoc_accqoc::{compile_accqoc, AccqocOptions};
 use paqoc_circuit::{decompose, Basis, Circuit, GateKind};
-use paqoc_core::{compile, PipelineOptions};
+use paqoc_core::{try_compile, PipelineOptions};
 use paqoc_device::{transmon_xy_controls, AnalyticModel, Device, HardwareSpec, PulseSource};
 use paqoc_grape::{optimize, GrapeOptions};
-use paqoc_mapping::{sabre_map, SabreOptions};
+use paqoc_mapping::{try_sabre_map, SabreOptions};
 use paqoc_math::{expm, weyl_coordinates, C64};
 use paqoc_mining::{mine_frequent_subcircuits, MinerOptions};
 use paqoc_workloads::benchmark;
@@ -106,11 +106,14 @@ fn bench_sabre() {
     let lowered = decompose(&qaoa, Basis::Extended);
     let device = Device::grid5x5();
     bench("sabre_qaoa_10q", || {
-        black_box(sabre_map(
-            black_box(&lowered),
-            device.topology(),
-            &SabreOptions::default(),
-        ));
+        black_box(
+            try_sabre_map(
+                black_box(&lowered),
+                device.topology(),
+                &SabreOptions::default(),
+            )
+            .expect("routable"),
+        );
     });
 }
 
@@ -130,21 +133,22 @@ fn bench_compile_configs() {
     let circ = (benchmark("rd32_270").expect("exists").build)();
     bench("compile_rd32/paqoc_m0", || {
         let mut src = AnalyticModel::new();
-        black_box(compile(
-            black_box(&circ),
-            &device,
-            &mut src,
-            &PipelineOptions::m0(),
-        ));
+        black_box(
+            try_compile(black_box(&circ), &device, &mut src, &PipelineOptions::m0())
+                .expect("compile"),
+        );
     });
     bench("compile_rd32/paqoc_minf", || {
         let mut src = AnalyticModel::new();
-        black_box(compile(
-            black_box(&circ),
-            &device,
-            &mut src,
-            &PipelineOptions::m_inf(),
-        ));
+        black_box(
+            try_compile(
+                black_box(&circ),
+                &device,
+                &mut src,
+                &PipelineOptions::m_inf(),
+            )
+            .expect("compile"),
+        );
     });
     bench("compile_rd32/accqoc_n3d3", || {
         let mut src = AnalyticModel::new();

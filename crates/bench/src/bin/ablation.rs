@@ -2,7 +2,7 @@
 //! top-k merges per iteration, the customized-gate qubit cap maxN,
 //! criticality pruning on/off, and preprocessing on/off.
 
-use paqoc_core::{compile, PaqocOptions, PipelineOptions};
+use paqoc_core::{try_compile, PaqocOptions, PipelineOptions};
 use paqoc_device::{AnalyticModel, Device};
 use paqoc_workloads::benchmark;
 
@@ -14,7 +14,7 @@ fn run(name: &str, gen: PaqocOptions) -> (u64, f64, usize) {
         generator: gen,
         ..PipelineOptions::m0()
     };
-    let r = compile(&c, &device, &mut src, &opts);
+    let r = try_compile(&c, &device, &mut src, &opts).expect("compile");
     (r.latency_dt, r.stats.cost_units, r.stats.pulses_generated)
 }
 

@@ -10,7 +10,7 @@
 
 use paqoc_circuit::{decompose, Basis, DependencyDag};
 use paqoc_device::{AnalyticModel, Device, PulseSource};
-use paqoc_mapping::{sabre_map, SabreOptions};
+use paqoc_mapping::{try_sabre_map, SabreOptions};
 use paqoc_workloads::all_benchmarks;
 
 fn main() {
@@ -26,7 +26,8 @@ fn main() {
     for b in all_benchmarks() {
         let c = (b.build)();
         let lowered = decompose(&c, Basis::Extended);
-        let mapped = sabre_map(&lowered, device.topology(), &SabreOptions::default());
+        let mapped =
+            try_sabre_map(&lowered, device.topology(), &SabreOptions::default()).expect("routable");
         let physical = decompose(&mapped.circuit, Basis::Extended);
         let weights: Vec<f64> = physical
             .iter()

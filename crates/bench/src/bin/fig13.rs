@@ -6,7 +6,7 @@
 
 use paqoc_accqoc::partition_fixed;
 use paqoc_circuit::{decompose, Basis};
-use paqoc_core::{compile, PipelineOptions};
+use paqoc_core::{try_compile, PipelineOptions};
 use paqoc_device::{AnalyticModel, Device};
 use paqoc_workloads::benchmark;
 
@@ -40,7 +40,7 @@ fn main() {
     }
 
     let mut src = AnalyticModel::new();
-    let r = compile(
+    let r = try_compile(
         &qaoa,
         &device,
         &mut src,
@@ -48,7 +48,8 @@ fn main() {
             skip_mapping: true,
             ..PipelineOptions::m_inf()
         },
-    );
+    )
+    .expect("compile");
     println!(
         "paqoc miner   : {} APA-basis gates selected, covering {} gates",
         r.apa.num_apa_gates(),

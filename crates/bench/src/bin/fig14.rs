@@ -2,7 +2,7 @@
 //! size across the seventeen benchmarks, with the least-squares linear
 //! fit the paper draws. The paper's claim: near-linear scaling.
 
-use paqoc_core::{compile, PipelineOptions};
+use paqoc_core::{try_compile, PipelineOptions};
 use paqoc_device::{AnalyticModel, Device};
 use paqoc_workloads::all_benchmarks;
 
@@ -17,7 +17,7 @@ fn main() {
     for b in all_benchmarks() {
         let c = (b.build)();
         let mut src = AnalyticModel::new();
-        let r = compile(&c, &device, &mut src, &PipelineOptions::m_inf());
+        let r = try_compile(&c, &device, &mut src, &PipelineOptions::m_inf()).expect("compile");
         println!(
             "{:<15} {:>8} {:>14.1} {:>10.2}",
             b.name,

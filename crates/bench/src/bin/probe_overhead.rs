@@ -1,23 +1,23 @@
 //! The kernel-probe overhead gate.
 //!
-//! Compiles the bench `--quick` subset in-process twice — once with
+//! Compiles three small Table-I programs in-process twice — once with
 //! kernel probes forced OFF, once forced ON (telemetry collection
 //! stays off in both, the realistic production configuration) — and
 //! fails when the probes-on run is more than `--max-overhead` slower
 //! (default 3%). Each side takes the minimum wall time over `--rounds`
 //! interleaved repetitions, which suppresses one-off scheduler noise;
 //! a small absolute grace floor keeps the gate meaningful on runs too
-//! short for a relative bound. `scripts/verify.sh` runs this as part
-//! of the perf-regression gate.
+//! short for a relative bound. `scripts/verify.sh` runs this gate after
+//! the test suite.
 //!
 //! Exit code: 0 when the overhead is within budget, 1 when it is not.
 
-use paqoc_core::{compile, PipelineOptions};
+use paqoc_core::{try_compile, PipelineOptions};
 use paqoc_device::{AnalyticModel, Device};
 use paqoc_workloads::benchmark;
 use std::time::Instant;
 
-/// Same subset as `bench --quick`: the three fastest Table-I entries.
+/// The three fastest Table-I entries.
 const QUICK_SUBSET: [&str; 3] = ["mod5d2_64", "rd32_270", "bv"];
 
 /// Absolute grace floor: below this delta the run is dominated by
@@ -32,7 +32,7 @@ fn suite_wall(device: &Device, opts: &PipelineOptions) -> f64 {
         let b = benchmark(name).expect("quick-subset benchmark exists");
         let circuit = (b.build)();
         let mut source = AnalyticModel::new();
-        let result = compile(&circuit, device, &mut source, opts);
+        let result = try_compile(&circuit, device, &mut source, opts).expect("compile");
         std::hint::black_box(result.latency_dt);
     }
     start.elapsed().as_secs_f64()

@@ -19,10 +19,10 @@
 //! `PAQOC_METRICS_MS=<interval>` the flight recorder samples gauges and
 //! process CPU/RSS into the journal at that cadence — Perfetto renders
 //! them as counter timelines, and `report jobs|phases|workers` digests
-//! the same dump offline. For the machine-readable cross-benchmark
-//! schema, use the `bench` binary (writes `BENCH_pipeline.json`).
+//! the same dump offline. For end-to-end and per-layer numbers over
+//! whole workloads, run the `paqoc-perf` benchmark (`perf/README.md`).
 
-use paqoc_core::{compile, try_compile_batch, PipelineOptions};
+use paqoc_core::{try_compile, try_compile_batch, PipelineOptions};
 use paqoc_device::{AnalyticModel, Device};
 use paqoc_exec::{AnalyticFactory, PulseSourceFactory};
 use paqoc_grape::{GrapeFactory, GrapeSource};
@@ -90,10 +90,10 @@ fn main() {
         }
     } else if grape {
         let mut source = GrapeSource::fast();
-        compile(&circuit, &device, &mut source, &opts)
+        try_compile(&circuit, &device, &mut source, &opts).expect("compile")
     } else {
         let mut source = AnalyticModel::new();
-        compile(&circuit, &device, &mut source, &opts)
+        try_compile(&circuit, &device, &mut source, &opts).expect("compile")
     };
 
     let snap = paqoc_telemetry::snapshot();

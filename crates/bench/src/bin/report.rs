@@ -1,9 +1,7 @@
-//! Offline flight-recorder analysis and the perf-regression gate.
+//! Offline flight-recorder analysis.
 //!
-//! `report` post-processes the artifacts the rest of the harness
-//! already writes — `PAQOC_TRACE` journal dumps (JSON Lines or Chrome
-//! trace format) and `BENCH_pipeline.json` — without re-running
-//! anything:
+//! `report` post-processes `PAQOC_TRACE` journal dumps (JSON Lines or
+//! Chrome trace format) without re-running anything:
 //!
 //! * `report jobs TRACE [--top N]` — the N slowest executor jobs, from
 //!   `exec.job` journal events (their `wall_us` field).
@@ -13,21 +11,6 @@
 //! * `report workers TRACE` — per-worker utilization table from
 //!   `exec.worker` events (busy/idle/steal split, steal counts) and a
 //!   stall summary from `exec.stall` events.
-//! * `report compare CURRENT BASELINE [--counts-only]
-//!   [--wall-tolerance X]` — diffs two `BENCH_pipeline.json` files,
-//!   matching benchmarks by name (a `--quick` run gates against the
-//!   full-suite baseline via the intersection). Deterministic count
-//!   columns (`latency_dt`, `pulses_generated`, `store_hits`, …) must
-//!   match exactly and float columns (`esp`, `latency_ns`, …) within
-//!   1e-6 relative; any drift is a hard failure (exit 1). Wall-clock
-//!   columns are soft: reported always, fatal only when the relative
-//!   slowdown exceeds `--wall-tolerance` (default 0.5) and
-//!   `--counts-only` was not given. The top-level store-health columns
-//!   (`store_bytes`, `store_evictions`, `store_compactions`) are soft:
-//!   drift is printed but never fatal. The per-benchmark `kernel_ns`
-//!   map (schema v5) is soft too: totals are reported, never gated.
-//!   `scripts/verify.sh` runs the `--counts-only` form against the
-//!   committed repo-root baseline.
 //! * `report hotspots TRACE [--top N] [--baseline TRACE]` — ranks the
 //!   numeric kernels (`mathkit.expm`, `grape.gradient`, …) by
 //!   self-time from the trace's kernel-probe records, with per-matrix-
@@ -39,46 +22,14 @@
 //!   Kernel sites ride only in JSONL traces; Chrome exports fold spans
 //!   alone.
 //!
-//! Schema gating: traces and bench files written by a *newer* revision
-//! (JSONL `trace_meta.trace_schema`, Chrome `paqocTraceSchema`, bench
-//! `schema_version`) are rejected with a clear message and a non-zero
-//! exit instead of being silently misread.
+//! Schema gating: traces written by a *newer* revision (JSONL
+//! `trace_meta.trace_schema`, Chrome `paqocTraceSchema`) are rejected
+//! with a clear message and a non-zero exit instead of being silently
+//! misread.
 
 use paqoc_telemetry::json::{self, Value};
 use paqoc_telemetry::{KernelSite, Snapshot, SpanRecord, TRACE_SCHEMA};
 use std::collections::BTreeMap;
-
-/// Newest `BENCH_pipeline.json` schema this tool understands (matches
-/// `SCHEMA_VERSION` in the bench binary).
-const MAX_BENCH_SCHEMA: u64 = 6;
-
-/// Relative tolerance for deterministic float columns: analytic pulses
-/// are a pure function of the input, so anything past rounding noise is
-/// a real behaviour change.
-const FLOAT_RTOL: f64 = 1e-6;
-
-/// Per-benchmark columns that must match exactly between runs.
-const HARD_COUNT_KEYS: [&str; 11] = [
-    "latency_dt",
-    "physical_gates",
-    "num_groups",
-    "pulses_generated",
-    "cache_hits",
-    "store_hits",
-    "search_iterations",
-    "preprocess_merges",
-    "criticality_merges",
-    "rejected_merges",
-    "degradations",
-];
-
-/// Per-benchmark float columns gated at [`FLOAT_RTOL`].
-const FLOAT_KEYS: [&str; 4] = ["esp", "latency_ns", "cost_units", "pulse_table_hit_rate"];
-
-/// Top-level store-health columns (schema v4). Soft: reported when they
-/// drift, never fatal — on-disk size and eviction/compaction counts
-/// depend on what ran against the store before the bench did.
-const SOFT_STORE_KEYS: [&str; 3] = ["store_bytes", "store_evictions", "store_compactions"];
 
 /// A span record, unified across the JSONL and Chrome-trace formats.
 struct SpanRec {
@@ -638,190 +589,13 @@ fn cmd_flame(trace: &Trace) {
     print!("{folded}");
 }
 
-fn load_bench(path: &str) -> Result<Value, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let doc = json::parse(text.trim()).map_err(|e| format!("{path} does not parse: {e}"))?;
-    if let Some(schema) = num_u64(doc.get("schema_version")) {
-        if schema > MAX_BENCH_SCHEMA {
-            return Err(format!(
-                "{path}: bench schema v{schema} is newer than this report understands \
-                 (max v{MAX_BENCH_SCHEMA}) — rebuild report from the matching revision"
-            ));
-        }
-    }
-    Ok(doc)
-}
-
-fn bench_map(doc: &Value) -> Result<BTreeMap<&str, &Value>, String> {
-    let Some(Value::Arr(benches)) = doc.get("benchmarks") else {
-        return Err("'benchmarks' is not an array".to_string());
-    };
-    let mut map = BTreeMap::new();
-    for b in benches {
-        let Some(name) = b.get("name").and_then(Value::as_str) else {
-            return Err("benchmark row without a 'name'".to_string());
-        };
-        map.insert(name, b);
-    }
-    Ok(map)
-}
-
-/// `report compare`: gates `current` against `baseline`. Returns the
-/// process exit code.
-fn cmd_compare(current_path: &str, baseline_path: &str, counts_only: bool, wall_tol: f64) -> i32 {
-    let (current, baseline) = match (load_bench(current_path), load_bench(baseline_path)) {
-        (Ok(c), Ok(b)) => (c, b),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("report: {e}");
-            return 1;
-        }
-    };
-    let schema = |d: &Value| d.get("schema_version").and_then(Value::as_num);
-    if schema(&current) != schema(&baseline) {
-        eprintln!(
-            "report: schema_version mismatch ({:?} vs {:?}) — regenerate the baseline",
-            schema(&current),
-            schema(&baseline)
-        );
-        return 1;
-    }
-    // A baseline from a different device backend is not a perf
-    // regression signal — every count and latency legitimately differs.
-    // Hard-fail so a stale baseline cannot masquerade as a regression.
-    // Pre-v6 files carry no `backend` key and are implicitly the
-    // transmon grid.
-    let backend = |d: &Value| {
-        d.get("backend")
-            .and_then(Value::as_str)
-            .unwrap_or("transmon-grid")
-            .to_string()
-    };
-    let (cur_backend, base_backend) = (backend(&current), backend(&baseline));
-    if cur_backend != base_backend {
-        eprintln!(
-            "report: cross-backend comparison refused: {current_path} is {cur_backend:?} but \
-             {baseline_path} is {base_backend:?} — regenerate the baseline on the same backend"
-        );
-        return 1;
-    }
-    let (cur_map, base_map) = match (bench_map(&current), bench_map(&baseline)) {
-        (Ok(c), Ok(b)) => (c, b),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("report: {e}");
-            return 1;
-        }
-    };
-
-    let mut failures = 0usize;
-    let mut compared = 0usize;
-    for (name, cur) in &cur_map {
-        let Some(base) = base_map.get(name) else {
-            eprintln!("report: FAIL {name}: not present in baseline {baseline_path}");
-            failures += 1;
-            continue;
-        };
-        compared += 1;
-        let mut drifts: Vec<String> = Vec::new();
-        for key in HARD_COUNT_KEYS {
-            let c = cur.get(key).and_then(Value::as_num);
-            let b = base.get(key).and_then(Value::as_num);
-            if c != b {
-                drifts.push(format!("{key} {b:?} -> {c:?}"));
-            }
-        }
-        for key in FLOAT_KEYS {
-            let c = cur.get(key).and_then(Value::as_num).unwrap_or(f64::NAN);
-            let b = base.get(key).and_then(Value::as_num).unwrap_or(f64::NAN);
-            let scale = b.abs().max(c.abs()).max(1e-12);
-            if !(c - b).abs().is_finite() || (c - b).abs() / scale > FLOAT_RTOL {
-                drifts.push(format!("{key} {b} -> {c}"));
-            }
-        }
-        // Wall time is machine- and load-dependent: always reported,
-        // fatal only past the tolerance (and never with --counts-only).
-        let wall_note = match (
-            base.get("wall_seconds").and_then(Value::as_num),
-            cur.get("wall_seconds").and_then(Value::as_num),
-        ) {
-            (Some(b), Some(c)) if b > 0.0 => {
-                let rel = (c - b) / b;
-                if rel > wall_tol && !counts_only {
-                    drifts.push(format!(
-                        "wall_seconds {b:.3} -> {c:.3} (+{:.0}% > {:.0}% tolerance)",
-                        rel * 100.0,
-                        wall_tol * 100.0
-                    ));
-                    String::new()
-                } else {
-                    format!("  wall {b:.3}s -> {c:.3}s ({:+.0}%)", rel * 100.0)
-                }
-            }
-            _ => String::new(),
-        };
-        // Kernel self-time is machine- and schedule-dependent: the
-        // totals are shown for orientation, never gated (soft column).
-        let kernel_total = |v: &Value| -> f64 {
-            match v.get("kernel_ns") {
-                Some(Value::Obj(map)) => map.values().filter_map(Value::as_num).sum(),
-                _ => 0.0,
-            }
-        };
-        let (kb, kc) = (kernel_total(base), kernel_total(cur));
-        let kernel_note = if kb > 0.0 && kc > 0.0 {
-            format!("  kernel {:.1}ms -> {:.1}ms (soft)", kb / 1e6, kc / 1e6)
-        } else {
-            String::new()
-        };
-        if drifts.is_empty() {
-            println!("report: ok   {name}{wall_note}{kernel_note}");
-        } else {
-            eprintln!("report: FAIL {name}: {}", drifts.join("; "));
-            failures += 1;
-        }
-    }
-    // Store health is informational: the store's on-disk state depends
-    // on run history, not on this change set, so drift is printed but
-    // never gates.
-    for key in SOFT_STORE_KEYS {
-        let c = current.get(key).and_then(Value::as_num);
-        let b = baseline.get(key).and_then(Value::as_num);
-        if let (Some(c), Some(b)) = (c, b) {
-            if c != b {
-                println!("report: note {key} {b} -> {c} (soft column, not gated)");
-            }
-        }
-    }
-    let skipped = base_map.len().saturating_sub(compared);
-    if skipped > 0 {
-        println!("report: {skipped} baseline benchmark(s) not in current run (skipped)");
-    }
-    if compared == 0 && failures == 0 {
-        eprintln!("report: FAIL: no benchmarks in common between the two files");
-        return 1;
-    }
-    if failures > 0 {
-        eprintln!(
-            "report: compare FAILED: {failures}/{} benchmark(s) drifted",
-            cur_map.len()
-        );
-        1
-    } else {
-        println!(
-            "report: compare OK ({compared} benchmark(s) match baseline{})",
-            if counts_only { ", counts only" } else { "" }
-        );
-        0
-    }
-}
-
 fn usage() -> ! {
     eprintln!(
         "usage: report jobs TRACE [--top N]\n\
          \x20      report phases TRACE\n\
          \x20      report workers TRACE\n\
          \x20      report hotspots TRACE [--top N] [--baseline TRACE]\n\
-         \x20      report flame TRACE\n\
-         \x20      report compare CURRENT BASELINE [--counts-only] [--wall-tolerance X]"
+         \x20      report flame TRACE"
     );
     std::process::exit(2);
 }
@@ -868,25 +642,6 @@ fn main() {
                 "flame" => cmd_flame(&trace),
                 _ => cmd_workers(&trace),
             }
-        }
-        "compare" => {
-            let (Some(current), Some(baseline)) = (args.get(1), args.get(2)) else {
-                usage();
-            };
-            let mut counts_only = false;
-            let mut wall_tol = 0.5f64;
-            let mut rest = args[3..].iter();
-            while let Some(flag) = rest.next() {
-                match flag.as_str() {
-                    "--counts-only" => counts_only = true,
-                    "--wall-tolerance" => match rest.next().and_then(|v| v.parse::<f64>().ok()) {
-                        Some(x) if x > 0.0 => wall_tol = x,
-                        _ => usage(),
-                    },
-                    _ => usage(),
-                }
-            }
-            std::process::exit(cmd_compare(current, baseline, counts_only, wall_tol));
         }
         _ => usage(),
     }

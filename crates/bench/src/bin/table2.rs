@@ -10,7 +10,7 @@
 
 use paqoc_bench::{evaluate_all_configs, CONFIG_NAMES};
 use paqoc_circuit::{combined_unitary, Circuit};
-use paqoc_core::{compile, PipelineOptions};
+use paqoc_core::{try_compile, PipelineOptions};
 use paqoc_device::{Device, PulseSource};
 use paqoc_grape::{circuit_pulse_fidelity, propagate, GrapeSource, ScheduledUnitary};
 use paqoc_workloads::benchmark;
@@ -27,7 +27,7 @@ fn pulse_simulated_fidelity(circuit: &Circuit, _device: &Device) -> f64 {
     let device = Device::line(circuit.num_qubits());
     let mut grape = GrapeSource::fast();
     let opts = PipelineOptions::m0();
-    let r = compile(circuit, &device, &mut grape, &opts);
+    let r = try_compile(circuit, &device, &mut grape, &opts).expect("compile");
 
     let ideal = r.physical.unitary();
     let mut schedule = Vec::new();

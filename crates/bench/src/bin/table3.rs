@@ -5,7 +5,7 @@
 
 use paqoc_circuit::{decompose, Basis};
 use paqoc_device::Device;
-use paqoc_mapping::{sabre_map, SabreOptions};
+use paqoc_mapping::{try_sabre_map, SabreOptions};
 use paqoc_mining::{mine_frequent_subcircuits, MinerOptions};
 use paqoc_workloads::benchmark;
 
@@ -15,7 +15,8 @@ fn main() {
     for name in ["bv", "adder", "qft", "qaoa", "supre"] {
         let c = (benchmark(name).expect(name).build)();
         let lowered = decompose(&c, Basis::Extended);
-        let mapped = sabre_map(&lowered, device.topology(), &SabreOptions::default());
+        let mapped =
+            try_sabre_map(&lowered, device.topology(), &SabreOptions::default()).expect("routable");
         let physical = decompose(&mapped.circuit, Basis::Extended);
         let patterns = mine_frequent_subcircuits(&physical, &MinerOptions::default());
         println!(

@@ -12,7 +12,7 @@
 
 use paqoc_accqoc::{compile_accqoc, AccqocOptions};
 use paqoc_circuit::Circuit;
-use paqoc_core::{compile, PipelineOptions};
+use paqoc_core::{try_compile, PipelineOptions};
 use paqoc_device::{AnalyticModel, Device};
 
 /// The five evaluation configurations, in the paper's legend order.
@@ -58,7 +58,7 @@ pub fn evaluate_all_configs(circuit: &Circuit, device: &Device) -> [ConfigOutcom
     };
     let paqoc = |opts: PipelineOptions| {
         let mut src = AnalyticModel::new();
-        let r = compile(circuit, device, &mut src, &opts);
+        let r = try_compile(circuit, device, &mut src, &opts).expect("compile");
         ConfigOutcome {
             latency_dt: r.latency_dt,
             esp: r.esp,

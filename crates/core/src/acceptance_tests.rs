@@ -4,7 +4,7 @@
 use crate::generator::PaqocOptions;
 use crate::group::{GroupKind, GroupedCircuit};
 use crate::pipeline::{
-    accept_apa_occurrences, compile, partition_is_acyclic, PipelineOptions, QuotientDag,
+    accept_apa_occurrences, partition_is_acyclic, try_compile, PipelineOptions, QuotientDag,
 };
 use crate::table::group_key;
 use paqoc_circuit::{Circuit, Instruction};
@@ -217,7 +217,7 @@ fn physical_and_cover(
         enable_generator: false,
         ..PipelineOptions::m_inf()
     };
-    let r = compile(logical, device, &mut AnalyticModel::new(), &opts);
+    let r = try_compile(logical, device, &mut AnalyticModel::new(), &opts).expect("compile");
     (r.physical, r.apa)
 }
 

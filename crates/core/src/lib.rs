@@ -4,7 +4,7 @@
 //! ([`GroupedCircuit`]), the canonical-keyed [`PulseTable`], the
 //! criticality-aware customized-gates generator implementing the paper's
 //! Algorithm 1 ([`try_generate_customized_gates`]), and the end-to-end
-//! [`compile`] pipeline (lower → SABRE map → mine APA basis → merge →
+//! [`try_compile`] pipeline (lower → SABRE map → mine APA basis → merge →
 //! pulses) with the paper's `M ∈ {0, tuned, inf}` presets.
 //!
 //! Every compile, sequential or batch, resolves its pulses through one
@@ -23,14 +23,15 @@
 //!
 //! ```
 //! use paqoc_circuit::Circuit;
-//! use paqoc_core::{compile, PipelineOptions};
+//! use paqoc_core::{try_compile, PipelineOptions};
 //! use paqoc_device::{AnalyticModel, Device};
 //!
 //! let mut qaoa = Circuit::new(3);
 //! qaoa.cp(0, 1, 0.7).cp(1, 2, 0.7).rx(0, 0.4).rx(1, 0.4).rx(2, 0.4);
 //! let device = Device::grid5x5();
 //! let mut source = AnalyticModel::new();
-//! let result = compile(&qaoa, &device, &mut source, &PipelineOptions::m0());
+//! let result = try_compile(&qaoa, &device, &mut source, &PipelineOptions::m0())
+//!     .expect("3 qubits fit the grid");
 //! assert!(result.latency_dt > 0);
 //! assert!(result.esp > 0.9);
 //! ```
@@ -54,7 +55,7 @@ pub use generator::{
 };
 pub use group::{Group, GroupKind, GroupedCircuit};
 pub use pipeline::{
-    attach_pulse_store, compile, partition_is_acyclic, try_compile, try_compile_batch,
-    CompilationResult, PipelineOptions,
+    attach_pulse_store, partition_is_acyclic, try_compile, try_compile_batch, CompilationResult,
+    PipelineOptions,
 };
 pub use table::{composite_key, group_key, CompileStats, KeyPrefix, PulseTable};

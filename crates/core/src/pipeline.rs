@@ -92,7 +92,7 @@ pub struct PipelineOptions {
     /// registry name). When set, compilation fails fast with
     /// [`CompileError::BackendMismatch`] unless it equals
     /// `device.backend_name()` — the guard that keeps a multi-backend
-    /// caller (serve, bench) from filing pulses under the wrong store
+    /// caller (the serve daemon) from filing pulses under the wrong store
     /// namespace. `None` skips the check.
     pub backend: Option<String>,
 }
@@ -211,27 +211,6 @@ impl CompilationResult {
             * device
                 .spec()
                 .survival_probability(active.len(), self.latency_ns)
-    }
-}
-
-/// Compiles a logical circuit to pulses with PAQOC.
-///
-/// Thin wrapper over [`try_compile`], kept for callers that treat
-/// compilation failure as a programming error.
-///
-/// # Panics
-///
-/// Panics on any [`CompileError`] — most commonly a circuit needing
-/// more qubits than the device offers, or a malformed input circuit.
-pub fn compile(
-    logical: &Circuit,
-    device: &Device,
-    source: &mut dyn PulseSource,
-    opts: &PipelineOptions,
-) -> CompilationResult {
-    match try_compile(logical, device, source, opts) {
-        Ok(result) => result,
-        Err(e) => panic!("{e}"),
     }
 }
 
@@ -452,8 +431,8 @@ fn compile_inner(
 
     // 4. Criticality-aware customized gate generation + pulses, through
     //    the one pulse cache, optionally backed by the persistent store.
-    //    A cache pooled with other compiles (the bench suite, a serve
-    //    slot) keeps the store handle the first of them attached.
+    //    A cache pooled with other compiles (concurrent batch compiles,
+    //    a serve slot) keeps the store handle the first of them attached.
     let mut table = PulseTable::with_cache(opts.shared_table.clone().unwrap_or_default());
     let mut degradations: Vec<Degradation> = Vec::new();
     let db_path = opts.pulse_db.clone().or_else(|| {
@@ -830,9 +809,10 @@ mod tests {
     fn m0_pipeline_compiles_and_improves_over_no_merging() {
         let device = Device::grid5x5();
         let mut source = AnalyticModel::new();
-        let merged = compile(&qaoa_like(), &device, &mut source, &PipelineOptions::m0());
+        let merged = try_compile(&qaoa_like(), &device, &mut source, &PipelineOptions::m0())
+            .expect("compile");
         let mut source2 = AnalyticModel::new();
-        let unmerged = compile(
+        let unmerged = try_compile(
             &qaoa_like(),
             &device,
             &mut source2,
@@ -840,7 +820,8 @@ mod tests {
                 enable_generator: false,
                 ..PipelineOptions::m0()
             },
-        );
+        )
+        .expect("compile");
         assert!(
             merged.latency_ns < unmerged.latency_ns,
             "{} vs {}",
@@ -855,9 +836,11 @@ mod tests {
     fn m_inf_reduces_compilation_cost() {
         let device = Device::grid5x5();
         let mut s0 = AnalyticModel::new();
-        let m0 = compile(&qaoa_like(), &device, &mut s0, &PipelineOptions::m0());
+        let m0 =
+            try_compile(&qaoa_like(), &device, &mut s0, &PipelineOptions::m0()).expect("compile");
         let mut si = AnalyticModel::new();
-        let mi = compile(&qaoa_like(), &device, &mut si, &PipelineOptions::m_inf());
+        let mi = try_compile(&qaoa_like(), &device, &mut si, &PipelineOptions::m_inf())
+            .expect("compile");
         assert!(
             mi.stats.cost_units <= m0.stats.cost_units,
             "inf {} vs m0 {}",
@@ -871,11 +854,14 @@ mod tests {
     fn tuned_sits_between_m0_and_inf_in_cost() {
         let device = Device::grid5x5();
         let mut s = AnalyticModel::new();
-        let m0 = compile(&qaoa_like(), &device, &mut s, &PipelineOptions::m0());
+        let m0 =
+            try_compile(&qaoa_like(), &device, &mut s, &PipelineOptions::m0()).expect("compile");
         let mut s = AnalyticModel::new();
-        let mt = compile(&qaoa_like(), &device, &mut s, &PipelineOptions::m_tuned());
+        let mt = try_compile(&qaoa_like(), &device, &mut s, &PipelineOptions::m_tuned())
+            .expect("compile");
         let mut s = AnalyticModel::new();
-        let mi = compile(&qaoa_like(), &device, &mut s, &PipelineOptions::m_inf());
+        let mi =
+            try_compile(&qaoa_like(), &device, &mut s, &PipelineOptions::m_inf()).expect("compile");
         // On a tiny synthetic circuit the exact ordering is noisy; the
         // full-benchmark harness (fig11) asserts the paper's ordering.
         assert!(
@@ -893,7 +879,7 @@ mod tests {
         let mut source = AnalyticModel::new();
         let mut c = Circuit::new(2);
         c.h(0).cx(0, 1);
-        let r = compile(
+        let r = try_compile(
             &c,
             &device,
             &mut source,
@@ -901,7 +887,8 @@ mod tests {
                 skip_mapping: true,
                 ..PipelineOptions::m0()
             },
-        );
+        )
+        .expect("compile");
         // h lowers to rz·sx·rz; all merged with cx into one group.
         assert_eq!(r.num_groups(), 1);
     }
@@ -947,7 +934,8 @@ mod tests {
     fn wall_time_is_recorded() {
         let device = Device::grid5x5();
         let mut source = AnalyticModel::new();
-        let r = compile(&qaoa_like(), &device, &mut source, &PipelineOptions::m0());
+        let r = try_compile(&qaoa_like(), &device, &mut source, &PipelineOptions::m0())
+            .expect("compile");
         assert!(r.wall_seconds > 0.0);
     }
 
@@ -970,7 +958,7 @@ mod tests {
             pulse_db: Some(path.clone()),
             ..PipelineOptions::m0()
         };
-        let warm = compile(&qaoa_like(), &device, &mut source, &opts);
+        let warm = try_compile(&qaoa_like(), &device, &mut source, &opts).expect("compile");
         assert!(
             !warm
                 .degradations
@@ -989,7 +977,7 @@ mod tests {
             ..PipelineOptions::m0()
         };
         let mut source = AnalyticModel::new();
-        let r = compile(&qaoa_like(), &device, &mut source, &ro);
+        let r = try_compile(&qaoa_like(), &device, &mut source, &ro).expect("compile");
         assert!(
             r.degradations.iter().any(
                 |d| matches!(d, Degradation::StoreReadOnly { reason } if reason == "requested")
@@ -1037,7 +1025,7 @@ mod tests {
             ..PipelineOptions::m0()
         };
         let mut source = AnalyticModel::new();
-        let r = compile(&qaoa_like(), &device, &mut source, &opts);
+        let r = try_compile(&qaoa_like(), &device, &mut source, &opts).expect("compile");
         assert!(
             r.degradations.iter().any(
                 |d| matches!(d, Degradation::StoreReadOnly { reason } if reason == "lock-held")

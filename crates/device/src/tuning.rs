@@ -113,7 +113,7 @@ impl DeviceTuning {
 }
 
 /// Identity of the backend a device was built by, carried on the device
-/// so every layer (store namespacing, serve routing, bench schema) can
+/// so every layer (store namespacing, serve routing, pulse export) can
 /// ask `device.backend_name()` instead of assuming the paper grid.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BackendTag {

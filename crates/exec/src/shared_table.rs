@@ -29,10 +29,9 @@
 
 use crate::factory::job_seed;
 use paqoc_device::PulseEstimate;
-use paqoc_store::{MaintenanceHandle, PulseStore, StoreError, StoreRole};
+use paqoc_store::{PulseStore, StoreError, StoreRole};
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex, MutexGuard, Weak};
-use std::time::Duration;
+use std::sync::{Mutex, MutexGuard};
 
 /// Default shard count — enough stripes that 64 workers rarely collide,
 /// small enough that iterating all shards for a snapshot stays trivial.
@@ -41,8 +40,6 @@ pub const DEFAULT_SHARDS: usize = 16;
 /// Where a cached pulse came from, for stats and journal provenance.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Provenance {
-    /// Generated by a worker in the current process.
-    Fresh,
     /// Already present in a shard (an earlier batch or compile).
     Shard,
     /// Read through from the persistent store.
@@ -50,7 +47,7 @@ pub enum Provenance {
 }
 
 /// Point-in-time health of the attached store, surfaced by
-/// [`SharedPulseTable::store_health`] for bench/report columns.
+/// [`SharedPulseTable::store_health`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreHealth {
     /// `true` when this handle holds the single-writer lock.
@@ -356,40 +353,6 @@ impl SharedPulseTable {
         })
     }
 
-    /// One background maintenance pass over the attached store:
-    /// budget-driven eviction + compaction for a writer, an incremental
-    /// refresh for a reader. Returns `false` when no store is attached
-    /// (nothing to maintain). Errors are swallowed — maintenance is
-    /// advisory and the next [`SharedPulseTable::sync`] surfaces
-    /// anything persistent.
-    pub fn maintenance_tick(&self) -> bool {
-        let mut guard = relock(&self.store);
-        let Some(store) = guard.as_mut() else {
-            return false;
-        };
-        let _ = store.maintain();
-        true
-    }
-
-    /// Spawns a background thread that calls
-    /// [`SharedPulseTable::maintenance_tick`] every `interval`. The
-    /// thread holds only a [`Weak`] reference: it ends on its own when
-    /// the table is dropped, and the returned RAII handle stops it
-    /// eagerly. Safe with respect to workers — each tick takes the
-    /// store mutex exactly like a claim read-through does.
-    pub fn start_maintenance(self: &Arc<Self>, interval: Duration) -> MaintenanceHandle {
-        let weak: Weak<Self> = Arc::downgrade(self);
-        paqoc_store::spawn_maintenance("paqoc-store-maint", interval, move || {
-            match weak.upgrade() {
-                Some(table) => {
-                    table.maintenance_tick();
-                    true
-                }
-                None => false,
-            }
-        })
-    }
-
     /// Deterministic snapshot of every cached pulse, sorted by key —
     /// the byte-comparable dump the determinism tests diff across
     /// thread counts.
@@ -413,6 +376,7 @@ impl SharedPulseTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn est(latency: f64) -> PulseEstimate {
         PulseEstimate {
@@ -567,7 +531,6 @@ mod tests {
 
         let t = SharedPulseTable::new();
         assert!(t.store_health().is_none(), "no store, no health");
-        assert!(!t.maintenance_tick(), "tick without a store is a no-op");
 
         t.attach_store(PulseStore::open(&path, 0xabcd).expect("open store"));
         assert_eq!(t.claim("k"), Claim::Claimed);
@@ -581,17 +544,5 @@ mod tests {
         assert_eq!(health.evictions, 0);
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(paqoc_store::lock_path(&path));
-    }
-
-    #[test]
-    fn background_maintenance_stops_when_table_drops() {
-        let table = Arc::new(SharedPulseTable::new());
-        let handle = table.start_maintenance(Duration::from_millis(1));
-        std::thread::sleep(Duration::from_millis(5));
-        // Dropping the table invalidates the Weak; the thread winds
-        // down on its own and the handle's drop-join cannot hang.
-        drop(table);
-        std::thread::sleep(Duration::from_millis(5));
-        handle.stop();
     }
 }

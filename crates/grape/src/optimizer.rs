@@ -412,20 +412,22 @@ impl<'a> Workspace<'a> {
             self.target_dagger
                 .matmul_into(&self.fwd[steps - 1], &mut self.left);
             let overlap = self.left.trace();
-            let fid = (overlap.norm_sqr() / (d * d)).min(1.0);
-            if !fid.is_finite() {
+            let raw_fid = overlap.norm_sqr() / (d * d);
+            if !raw_fid.is_finite() {
                 // A numerically diverged step (overflowed propagator, NaN in
                 // the gradient) would silently poison every remaining
                 // iteration — and the table's supervisor can only catch
                 // *panics*, not quiet NaN fixpoints. Abort the loop and
-                // return the best finite state instead. (As written this
-                // never fires: `min(1.0)` already maps a NaN overlap to 1.0.)
+                // return the best finite state instead. The check reads the
+                // unclamped value: `f64::min` returns its non-NaN operand,
+                // so a clamped NaN would read as a perfect pulse.
                 paqoc_telemetry::counter("grape.nan_aborts", 1);
                 if has_best {
                     theta.copy_from_slice(&self.best);
                 }
                 return (best_fid, iter);
             }
+            let fid = raw_fid.min(1.0);
             if fid > best_fid {
                 best_fid = fid;
                 self.best.copy_from_slice(theta);
@@ -493,7 +495,8 @@ impl<'a> Workspace<'a> {
 /// The optimizer as it was before the reused workspace: one allocation
 /// per matrix per step, `target†` rebuilt twice per iteration, `theta`
 /// cloned on each improvement. Kept as the oracle of the bit-identity
-/// tests.
+/// tests. It still clamps the fidelity before its finiteness check, so
+/// it reads a NaN overlap as 1.0; only finite runs are compared with it.
 #[cfg(test)]
 mod reference {
     use super::{squash, GrapeOptions, GrapeResult, Pulse};
@@ -885,13 +888,16 @@ mod tests {
     }
 
     #[test]
-    fn workspace_matches_the_reference_on_a_nan_warm_start() {
+    fn a_nan_warm_start_is_never_reported_as_converged() {
+        let opts = GrapeOptions::default();
         for (controls, target) in [
             (controls1(), GateKind::H.unitary(&[])),
             (controls2(), GateKind::Cx.unitary(&[])),
         ] {
             let channels = controls.channels.len();
-            // A NaN on each channel in turn, the coupler included.
+            // A NaN on each channel in turn, the coupler included. The
+            // sparse Hamiltonian build puts it only where the channel is
+            // nonzero; the overlap is NaN either way.
             for k in 0..channels {
                 let mut amplitudes = vec![vec![0.01; channels]; 6];
                 amplitudes[2][k] = f64::NAN;
@@ -901,20 +907,13 @@ mod tests {
                     amplitudes,
                 };
                 let what = format!("NaN on channel {k} of {channels}");
-                // The sparse Hamiltonian build puts the NaN only where the
-                // channel is nonzero, the dense one everywhere; both must
-                // still give the same result. (That result is the NaN
-                // pulse at a reported fidelity of 1.0: `min(1.0)` maps the
-                // NaN overlap to 1.0 before the abort check sees it.)
-                let r = assert_same_bits(
-                    &target,
-                    &controls,
-                    6,
-                    &GrapeOptions::default(),
-                    Some(&warm),
-                    &what,
+                let r = optimize(&target, &controls, 6, &opts, Some(&warm));
+                let non_finite = r.pulse.amplitudes.iter().flatten().any(|a| !a.is_finite());
+                assert!(
+                    !non_finite || r.fidelity < opts.target_fidelity,
+                    "{what}: a pulse with a non-finite amplitude reports fidelity {}",
+                    r.fidelity
                 );
-                assert!(r.pulse.amplitudes[2][k].is_nan(), "{what}");
             }
         }
     }

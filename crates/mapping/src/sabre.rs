@@ -94,22 +94,22 @@ impl std::error::Error for MapError {}
 ///
 /// Multi-qubit (>2) gates must be decomposed before mapping.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the circuit needs more qubits than the topology offers, or
-/// contains gates with three or more qubits. Use [`try_sabre_map`] to
-/// get those conditions as a typed [`MapError`] instead.
+/// Returns a typed [`MapError`] when the circuit needs more qubits than
+/// the topology offers, or contains gates with three or more qubits.
 ///
 /// # Examples
 ///
 /// ```
 /// use paqoc_circuit::Circuit;
 /// use paqoc_device::Topology;
-/// use paqoc_mapping::{sabre_map, SabreOptions};
+/// use paqoc_mapping::{try_sabre_map, SabreOptions};
 ///
 /// let mut c = Circuit::new(3);
 /// c.cx(0, 2).cx(1, 2);
-/// let mapped = sabre_map(&c, &Topology::line(3), &SabreOptions::default());
+/// let mapped = try_sabre_map(&c, &Topology::line(3), &SabreOptions::default())
+///     .expect("3 qubits fit a 3-qubit line");
 /// // every 2-qubit gate now touches a coupler
 /// for inst in mapped.circuit.iter() {
 ///     if inst.qubits().len() == 2 {
@@ -117,16 +117,6 @@ impl std::error::Error for MapError {}
 ///     }
 /// }
 /// ```
-pub fn sabre_map(circuit: &Circuit, topology: &Topology, opts: &SabreOptions) -> MappedCircuit {
-    match try_sabre_map(circuit, topology, opts) {
-        Ok(mapped) => mapped,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`sabre_map`]: rejects circuits wider than the topology and
-/// unlowered (≥3-qubit) gates with a typed [`MapError`] instead of
-/// panicking.
 pub fn try_sabre_map(
     circuit: &Circuit,
     topology: &Topology,
@@ -403,7 +393,7 @@ mod tests {
     use paqoc_math::trace_fidelity;
 
     fn assert_routed(circuit: &Circuit, topo: &Topology) -> MappedCircuit {
-        let mapped = sabre_map(circuit, topo, &SabreOptions::default());
+        let mapped = try_sabre_map(circuit, topo, &SabreOptions::default()).expect("routable");
         for inst in mapped.circuit.iter() {
             if inst.qubits().len() == 2 {
                 assert!(
@@ -500,24 +490,34 @@ mod tests {
             c.cx(q, 4);
         }
         let topo = Topology::grid(5, 5);
-        let a = sabre_map(&c, &topo, &SabreOptions::default());
-        let b = sabre_map(&c, &topo, &SabreOptions::default());
+        let a = try_sabre_map(&c, &topo, &SabreOptions::default()).expect("routable");
+        let b = try_sabre_map(&c, &topo, &SabreOptions::default()).expect("routable");
         assert_eq!(a.circuit, b.circuit);
         assert_eq!(a.initial_layout, b.initial_layout);
     }
 
     #[test]
-    #[should_panic(expected = "decompose")]
     fn three_qubit_gates_are_rejected() {
         let mut c = Circuit::new(3);
         c.ccx(0, 1, 2);
-        sabre_map(&c, &Topology::line(3), &SabreOptions::default());
+        let err = try_sabre_map(&c, &Topology::line(3), &SabreOptions::default())
+            .expect_err("a 3-qubit gate must be decomposed first");
+        assert!(matches!(err, MapError::UnloweredGate { arity: 3, .. }));
+        assert!(err.to_string().contains("decompose"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "circuit needs")]
     fn too_many_qubits_rejected() {
         let c = Circuit::new(10);
-        sabre_map(&c, &Topology::line(3), &SabreOptions::default());
+        let err = try_sabre_map(&c, &Topology::line(3), &SabreOptions::default())
+            .expect_err("10 qubits do not fit a 3-qubit line");
+        assert!(matches!(
+            err,
+            MapError::CircuitTooWide {
+                needed: 10,
+                available: 3
+            }
+        ));
+        assert!(err.to_string().contains("circuit needs"), "{err}");
     }
 }

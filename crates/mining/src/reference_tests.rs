@@ -16,7 +16,7 @@ use crate::miner::{mine, MinerOptions, Pattern};
 use crate::select::{select_apa_basis, ApaBudget, ApaCover, ApaSelection};
 use paqoc_circuit::{decompose, Angle, Basis, Circuit, GateKind};
 use paqoc_device::Device;
-use paqoc_mapping::{sabre_map, SabreOptions};
+use paqoc_mapping::{try_sabre_map, SabreOptions};
 use paqoc_math::Rng;
 use paqoc_workloads::all_benchmarks;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -368,7 +368,8 @@ fn physical_programs() -> Vec<(&'static str, Circuit)> {
         .into_iter()
         .map(|b| {
             let lowered = decompose(&(b.build)(), Basis::Extended);
-            let mapped = sabre_map(&lowered, device.topology(), &SabreOptions::default());
+            let mapped = try_sabre_map(&lowered, device.topology(), &SabreOptions::default())
+                .expect("routable");
             (b.name, decompose(&mapped.circuit, Basis::Extended))
         })
         .collect()

@@ -303,9 +303,9 @@ impl Default for ReplayOptions {
     }
 }
 
-/// The corpus `--quick` replays: the bench harness's 3-benchmark CI
-/// subset (its `QUICK_SUBSET`) plus the next-smallest Table-I entries,
-/// so a smoke replay exercises several distinct pulse-key families.
+/// The corpus `--quick` replays: the three fastest Table-I entries plus
+/// the next-smallest ones, so a smoke replay exercises several distinct
+/// pulse-key families.
 pub const QUICK_CORPUS: [&str; 5] = ["mod5d2_64", "rd32_270", "bv", "decod24-v1_41", "qft"];
 
 /// What a [`replay`] run observed.

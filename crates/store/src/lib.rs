@@ -75,9 +75,9 @@
 //!
 //! The writer tracks **live** bytes (one clean record per entry) and
 //! **dead** bytes (overwritten, evicted or quarantined records still
-//! occupying the file). [`PulseStore::maintain`] — typically driven by
-//! a [`spawn_maintenance`] background thread — evicts lowest-hit-count
-//! records first (ties: oldest access, then key order) while a
+//! occupying the file). [`PulseStore::maintain`] — run after every
+//! sync by the shared pulse table that owns the handle — evicts
+//! lowest-hit-count records first (ties: oldest access, then key order) while a
 //! compacted file would exceed [`StoreOptions::max_bytes`] (journaled
 //! `store.evict` events), then compacts when dead bytes dominate
 //! ([`PulseStore::should_compact`]); every compaction journals a
@@ -94,11 +94,9 @@
 
 mod crc32;
 mod lock;
-mod maintenance;
 
 pub use crc32::crc32;
 pub use lock::lock_path;
-pub use maintenance::{spawn_maintenance, MaintenanceHandle};
 
 use paqoc_device::{IoFaultInjector, PulseEstimate};
 use std::collections::BTreeMap;
@@ -1035,8 +1033,7 @@ impl PulseStore {
         evicted
     }
 
-    /// One housekeeping pass — the tick body for a
-    /// [`spawn_maintenance`] thread, also safe to call inline:
+    /// One housekeeping pass, run after every sync:
     ///
     /// * **writer**: evict to fit [`StoreOptions::max_bytes`] (then
     ///   compact with reason `"evict"`), else compact when

@@ -6,7 +6,7 @@
 
 use paqoc::circuit::{decompose, Basis};
 use paqoc::device::Device;
-use paqoc::mapping::{sabre_map, SabreOptions};
+use paqoc::mapping::{try_sabre_map, SabreOptions};
 use paqoc::mining::{mine_frequent_subcircuits, select_apa_basis, ApaBudget, MinerOptions};
 use paqoc::workloads::benchmark;
 
@@ -15,7 +15,8 @@ fn main() {
     let device = Device::grid5x5();
 
     let lowered = decompose(&adder, Basis::Extended);
-    let mapped = sabre_map(&lowered, device.topology(), &SabreOptions::default());
+    let mapped =
+        try_sabre_map(&lowered, device.topology(), &SabreOptions::default()).expect("routable");
     let physical = decompose(&mapped.circuit, Basis::Extended);
     println!(
         "logical {} gates -> physical {} gates ({} SWAPs inserted by SABRE)",

@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example qaoa_pipeline`
 
 use paqoc::accqoc::{compile_accqoc, AccqocOptions};
-use paqoc::core::{compile, PipelineOptions};
+use paqoc::core::{try_compile, PipelineOptions};
 use paqoc::device::{AnalyticModel, Device};
 use paqoc::workloads::benchmark;
 
@@ -36,7 +36,7 @@ fn main() {
         ("paqoc(M=inf)", PipelineOptions::m_inf()),
     ] {
         let mut src = AnalyticModel::new();
-        let r = compile(&qaoa, &device, &mut src, &opts);
+        let r = try_compile(&qaoa, &device, &mut src, &opts).expect("compile");
         println!(
             "{:<16} {:>12} {:>9.2}% {:>12.1} {:>8}",
             name,

@@ -4,7 +4,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use paqoc::circuit::Circuit;
-use paqoc::core::{compile, PipelineOptions};
+use paqoc::core::{try_compile, PipelineOptions};
 use paqoc::device::{AnalyticModel, Device};
 
 fn main() {
@@ -16,7 +16,8 @@ fn main() {
     let device = Device::grid5x5();
     let mut source = AnalyticModel::new();
 
-    let result = compile(&circuit, &device, &mut source, &PipelineOptions::m0());
+    let result =
+        try_compile(&circuit, &device, &mut source, &PipelineOptions::m0()).expect("compile");
 
     println!("physical gates      : {}", result.physical.len());
     println!("customized gates    : {}", result.num_groups());

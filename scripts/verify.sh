@@ -12,52 +12,10 @@ echo "== cargo test -q --workspace =="
 # the crates hold the search's acceptance oracles, the latency-model
 # properties, and the store's corruption-injection and cross-process
 # contention (SIGKILL recovery) suites; the root package holds the
-# persistent-store cold -> warm tests.
+# persistent-store cold -> warm tests (pooled, on transmon-grid and
+# heavy-hex), the pinned Table-I outputs, the concurrent-compile
+# determinism check and the 4-core compile-overlap gate.
 cargo test -q --workspace
-
-echo "== bench --quick --check =="
-cargo run --release -p paqoc-bench --bin bench -- --quick --check \
-    --out target/BENCH_pipeline_quick.json
-
-echo "== report compare: quick run vs committed baseline =="
-# Hard-gates the deterministic columns (counts, ESP, latency) of the
-# quick subset against the repo-root baseline; wall times are
-# informational only (--counts-only). Regenerate the baseline with:
-#   cargo run --release -p paqoc-bench --bin bench -- --check
-cargo run --release -p paqoc-bench --bin report -- compare \
-    target/BENCH_pipeline_quick.json BENCH_pipeline.json --counts-only
-
-echo "== bench cold -> warm against a fresh pulse store =="
-PULSE_DB="target/verify_pulse_store.db"
-rm -f "$PULSE_DB" "$PULSE_DB.lock"
-cargo run --release -p paqoc-bench --bin bench -- --quick \
-    --out target/BENCH_pipeline_cold.json --pulse-db "$PULSE_DB"
-cargo run --release -p paqoc-bench --bin bench -- --quick --check \
-    --out target/BENCH_pipeline_warm.json --pulse-db "$PULSE_DB" --expect-warm
-
-echo "== paqoc-store verify on the cold->warm store =="
-cargo run --release -p paqoc-store --bin paqoc-store -- verify "$PULSE_DB"
-
-echo "== executor determinism: 1-thread vs 4-thread stable dumps must be byte-identical =="
-# No --pulse-db here: a pooled store lets concurrent compiles trade
-# permutation-equivalent entries, which is legal cache reuse but
-# schedule-dependent; the determinism contract is per-table.
-PAQOC_THREADS=1 cargo run --release -p paqoc-bench --bin bench -- --quick \
-    --out target/BENCH_pipeline_t1.json --stable-dump target/BENCH_stable_t1.json
-PAQOC_THREADS=4 cargo run --release -p paqoc-bench --bin bench -- --quick --check \
-    --out target/BENCH_pipeline_t4.json --stable-dump target/BENCH_stable_t4.json
-cmp target/BENCH_stable_t1.json target/BENCH_stable_t4.json
-echo "stable dumps identical"
-
-# The wall-clock speedup gate only means something with real cores
-# under it; CI containers with 1-2 CPUs run the determinism half only.
-if [ "$(nproc)" -ge 4 ]; then
-    echo "== executor speedup gate (>= 2x overlap on $(nproc) cores) =="
-    cargo run --release -p paqoc-bench --bin bench -- \
-        --out target/BENCH_pipeline_speedup.json --threads 4 --min-speedup 2.0
-else
-    echo "== executor speedup gate skipped ($(nproc) core(s) < 4) =="
-fi
 
 echo "== kernel-probe overhead gate (quick suite, probes on vs off) =="
 cargo run --release -p paqoc-bench --bin probe_overhead
@@ -86,18 +44,6 @@ for BK in transmon-grid heavy-hex tunable-coupler; do
         --reimport-check --out "target/verify_export_$BK.json"
 done
 echo "export smoke OK"
-
-echo "== heavy-hex bench cold -> warm against a fresh namespaced store =="
-# Same cold->warm contract as transmon-grid above, but through the
-# namespaced (0xB5-tagged) fingerprint path of a snapshot backend.
-HH_DB="target/verify_hh_store.db"
-rm -f "$HH_DB" "$HH_DB.lock"
-cargo run --release -p paqoc-bench --bin bench -- --quick \
-    --backend heavy-hex --out target/BENCH_hh_cold.json --pulse-db "$HH_DB"
-cargo run --release -p paqoc-bench --bin bench -- --quick \
-    --backend heavy-hex --out target/BENCH_hh_warm.json --pulse-db "$HH_DB" \
-    --expect-warm
-cargo run --release -p paqoc-store --bin paqoc-store -- verify "$HH_DB"
 
 echo "== paqoc-serve smoke: UDS daemon, replay load, shed + drain gates =="
 # A resident daemon on a unix socket with a deliberately tiny queue and

@@ -15,7 +15,7 @@
 //! * [`mapping`] — SABRE qubit mapping/routing;
 //! * [`mining`] — frequent-subcircuit mining and APA-basis selection;
 //! * [`core`] — PAQOC itself: criticality-aware customized gates,
-//!   the pulse table and the end-to-end [`core::compile`] pipeline;
+//!   the pulse table and the end-to-end [`core::try_compile`] pipeline;
 //! * [`accqoc`] — the AccQOC baseline;
 //! * [`workloads`] — the seventeen Table-I benchmarks and the
 //!   150-circuit observation corpus;
@@ -44,14 +44,15 @@
 //!
 //! ```
 //! use paqoc::circuit::Circuit;
-//! use paqoc::core::{compile, PipelineOptions};
+//! use paqoc::core::{try_compile, PipelineOptions};
 //! use paqoc::device::{AnalyticModel, Device};
 //!
 //! let mut bell = Circuit::new(2);
 //! bell.h(0).cx(0, 1);
 //! let device = Device::grid5x5();
 //! let mut source = AnalyticModel::new();
-//! let result = compile(&bell, &device, &mut source, &PipelineOptions::m0());
+//! let result = try_compile(&bell, &device, &mut source, &PipelineOptions::m0())
+//!     .expect("a Bell pair fits the grid");
 //! println!("latency: {} dt, ESP: {:.4}", result.latency_dt, result.esp);
 //! # assert!(result.latency_dt > 0);
 //! ```

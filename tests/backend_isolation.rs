@@ -3,15 +3,17 @@
 //! store *namespace* (not the file), two backends sharing one store
 //! path must never serve each other's pulses, and an abandoned
 //! namespace must be LFU-evictable under a byte budget while the live
-//! one stays warm.
+//! one stays warm. On the legacy grid and on a namespaced backend alike,
+//! concurrent compiles pooled on a store-backed table must leave a
+//! clean store that a second table serves without generating a pulse.
 
 use paqoc::backend::{Backend, HeavyHexBackend, TunableCouplerBackend, HEAVY_HEX_DEFAULT_CAL};
-use paqoc::core::{try_compile, try_compile_batch, PipelineOptions};
-use paqoc::device::{decode_fingerprint, AnalyticModel, FingerprintKind};
+use paqoc::core::{try_compile, try_compile_batch, CompilationResult, PipelineOptions};
+use paqoc::device::{decode_fingerprint, is_namespaced, AnalyticModel, Device, FingerprintKind};
 use paqoc::exec::{AnalyticFactory, PulseSourceFactory, SharedPulseTable};
 use paqoc::store::{PulseStore, StoreOptions};
-use std::path::PathBuf;
-use std::sync::Arc;
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Barrier};
 
 fn tmp_db(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("paqoc-backend-iso-{}", std::process::id()));
@@ -236,4 +238,83 @@ fn shared_table_isolates_backends_in_batch_mode() {
     assert_eq!(warm_hh.stats.pulses_generated, 0);
     let warm_tc = try_compile_batch(&circuit, &dev_tc, factory, &opts).expect("warm tc");
     assert_eq!(warm_tc.stats.pulses_generated, 0);
+}
+
+/// Compiles three Table-I programs concurrently on scoped threads
+/// started together, pooled on one fresh store-backed
+/// `SharedPulseTable` over `db`, and drops the table (releasing the
+/// store) before returning.
+fn compile_pooled_on_store(device: &Device, db: &Path) -> Vec<(&'static str, CompilationResult)> {
+    let opts = PipelineOptions {
+        pulse_db: Some(db.to_path_buf()),
+        shared_table: Some(Arc::new(SharedPulseTable::new())),
+        threads: Some(1),
+        ..PipelineOptions::m_inf()
+    };
+    let programs = ["mod5d2_64", "rd32_270", "bv"];
+    let start = Barrier::new(programs.len());
+    std::thread::scope(|s| {
+        let workers: Vec<_> = programs
+            .into_iter()
+            .map(|name| {
+                let (opts, start) = (&opts, &start);
+                s.spawn(move || {
+                    start.wait();
+                    let circuit = (paqoc::workloads::benchmark(name).expect(name).build)();
+                    let factory: Arc<dyn PulseSourceFactory> = Arc::new(AnalyticFactory);
+                    let result = try_compile_batch(&circuit, device, factory, opts)
+                        .unwrap_or_else(|e| panic!("{name}: {e}"));
+                    (name, result)
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("compile thread"))
+            .collect()
+    })
+}
+
+/// Cold then warm against one store file, each pass on a new table: the
+/// warm pass generates nothing and reads the store, and the file stays
+/// clean. Heavy-hex runs the same contract through its namespaced
+/// fingerprint.
+#[test]
+fn pooled_store_goes_cold_to_warm_on_grid_and_heavy_hex() {
+    for backend in ["transmon-grid", "heavy-hex"] {
+        let device = paqoc::backend::resolve(backend)
+            .expect("registered")
+            .device();
+        assert_eq!(
+            is_namespaced(device.fingerprint()),
+            backend == "heavy-hex",
+            "{backend}: only snapshot backends carry a namespaced fingerprint"
+        );
+        let db = tmp_db(&format!("cold-warm-{backend}.pqps"));
+
+        let cold = compile_pooled_on_store(&device, &db);
+        assert!(
+            cold.iter().any(|(_, r)| r.stats.pulses_generated > 0),
+            "{backend}: the cold pass generated nothing"
+        );
+        let ins = paqoc::store::inspect(&db).expect("readable store");
+        assert!(ins.clean(), "{backend}: store after the cold pass: {ins:?}");
+
+        let warm = compile_pooled_on_store(&device, &db);
+        for (program, r) in &warm {
+            assert_eq!(
+                r.stats.pulses_generated, 0,
+                "{backend}/{program}: the warm pass generated pulses"
+            );
+        }
+        // Per-program store hits depend on the schedule: a program may be
+        // served from a shard a sibling compile already filled.
+        let store_hits: usize = warm.iter().map(|(_, r)| r.stats.store_hits).sum();
+        assert!(
+            store_hits >= 1,
+            "{backend}: the warm pass never read the store"
+        );
+        let ins = paqoc::store::inspect(&db).expect("readable store");
+        assert!(ins.clean(), "{backend}: store after the warm pass: {ins:?}");
+    }
 }

@@ -1,6 +1,9 @@
 //! The executor's determinism contract, end to end: compiling with
 //! `threads = 1` and `threads = 8` must produce byte-identical pulse
-//! tables and identical results for every Table-I benchmark.
+//! tables and identical results for every Table-I benchmark, the
+//! `threads = 1` results must match the outputs pinned in
+//! `tests/data/table1_minf.txt`, and compiles running at once on
+//! separate threads must match compiles run one at a time.
 //!
 //! This is the property that makes the parallel executor safe to turn
 //! on by default — parallelism is an implementation detail, never
@@ -13,7 +16,11 @@ use paqoc::core::{try_compile_batch, CompilationResult, PipelineOptions};
 use paqoc::device::Device;
 use paqoc::exec::{AnalyticFactory, PulseSourceFactory};
 use paqoc::workloads::all_benchmarks;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
+
+/// Pinned outputs of every Table-I program at M=inf: a header row of
+/// column names, then one row per program.
+const TABLE1_MINF: &str = include_str!("data/table1_minf.txt");
 
 fn compile_with_threads(name: &str, threads: usize) -> CompilationResult {
     let device = Device::grid5x5();
@@ -41,6 +48,8 @@ fn assert_identical(name: &str, a: &CompilationResult, b: &CompilationResult) {
     assert_eq!(a.stats, b.stats, "{name}: compile stats");
     assert_eq!(a.report, b.report, "{name}: generator report");
     assert_eq!(a.num_groups(), b.num_groups(), "{name}: group count");
+    assert_eq!(a.physical.len(), b.physical.len(), "{name}: physical gates");
+    assert_eq!(a.partial, b.partial, "{name}: partial");
     assert_eq!(
         a.degradations.len(),
         b.degradations.len(),
@@ -57,9 +66,86 @@ fn assert_identical(name: &str, a: &CompilationResult, b: &CompilationResult) {
     }
 }
 
+/// The pinned count columns of a result, by their names in
+/// `tests/data/table1_minf.txt`.
+fn count_columns(r: &CompilationResult) -> [(&'static str, usize); 11] {
+    [
+        ("latency_dt", r.latency_dt as usize),
+        ("physical_gates", r.physical.len()),
+        ("num_groups", r.num_groups()),
+        ("pulses_generated", r.stats.pulses_generated),
+        ("cache_hits", r.stats.cache_hits),
+        ("store_hits", r.stats.store_hits),
+        ("search_iterations", r.report.iterations),
+        ("preprocess_merges", r.report.preprocess_merges),
+        ("criticality_merges", r.report.criticality_merges),
+        ("rejected_merges", r.report.rejected_merges),
+        ("degradations", r.degradations.len()),
+    ]
+}
+
+/// The pinned float columns of a result, by their names in
+/// `tests/data/table1_minf.txt`.
+fn float_columns(r: &CompilationResult) -> [(&'static str, f64); 4] {
+    let lookups = r.stats.cache_hits + r.stats.pulses_generated;
+    let hit_rate = if lookups == 0 {
+        0.0
+    } else {
+        r.stats.cache_hits as f64 / lookups as f64
+    };
+    [
+        ("esp", r.esp),
+        ("latency_ns", r.latency_ns),
+        ("cost_units", r.stats.cost_units),
+        ("pulse_table_hit_rate", hit_rate),
+    ]
+}
+
+/// The pinned rows, each as `(column name, cell)` pairs.
+fn pinned_rows() -> Vec<Vec<(&'static str, &'static str)>> {
+    let mut lines = TABLE1_MINF
+        .lines()
+        .filter(|l| !l.starts_with('#') && !l.trim().is_empty());
+    let header: Vec<&str> = lines
+        .next()
+        .expect("header row")
+        .split_whitespace()
+        .collect();
+    lines
+        .map(|l| header.iter().copied().zip(l.split_whitespace()).collect())
+        .collect()
+}
+
+/// Counts must equal the pinned row exactly and floats bit for bit
+/// (the file holds shortest round-trip decimals).
+fn assert_matches_pinned(row: &[(&str, &str)], r: &CompilationResult) {
+    let cell = |column: &str| {
+        row.iter()
+            .find(|(c, _)| *c == column)
+            .unwrap_or_else(|| panic!("no pinned column {column}"))
+            .1
+    };
+    let name = cell("name");
+    for (column, got) in count_columns(r) {
+        let want: usize = cell(column).parse().expect(column);
+        assert_eq!(got, want, "{name}: {column}");
+    }
+    for (column, got) in float_columns(r) {
+        let want: f64 = cell(column).parse().expect(column);
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "{name}: {column} {got} vs pinned {want}"
+        );
+    }
+}
+
 #[test]
 fn all_benchmarks_are_bit_identical_across_thread_counts() {
-    for b in all_benchmarks() {
+    let pinned = pinned_rows();
+    let benchmarks = all_benchmarks();
+    assert_eq!(pinned.len(), benchmarks.len(), "one pinned row per program");
+    for b in benchmarks {
         let sequential = compile_with_threads(b.name, 1);
         let parallel = compile_with_threads(b.name, 8);
         assert!(
@@ -68,6 +154,45 @@ fn all_benchmarks_are_bit_identical_across_thread_counts() {
             b.name
         );
         assert_identical(b.name, &sequential, &parallel);
+        let row = pinned
+            .iter()
+            .find(|row| row.contains(&("name", b.name)))
+            .unwrap_or_else(|| panic!("{}: no pinned row", b.name));
+        assert_matches_pinned(row, &sequential);
+    }
+}
+
+/// Four compiles at once, each on a private cache with a one-thread
+/// executor, must match the same compiles run one at a time: sharing
+/// the process (telemetry, allocator, scheduler) never reaches a pulse.
+#[test]
+fn concurrent_compiles_match_one_at_a_time_compiles() {
+    const PROGRAMS: [&str; 3] = ["mod5d2_64", "rd32_270", "bv"];
+    let alone: Vec<CompilationResult> = PROGRAMS
+        .iter()
+        .map(|name| compile_with_threads(name, 1))
+        .collect();
+    // Thread 3 compiles the first program again, so two compiles of one
+    // program also overlap. The barrier starts all four together.
+    let start = Barrier::new(4);
+    let together: Vec<CompilationResult> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..4)
+            .map(|i| {
+                let start = &start;
+                s.spawn(move || {
+                    start.wait();
+                    compile_with_threads(PROGRAMS[i % PROGRAMS.len()], 1)
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("compile thread"))
+            .collect()
+    });
+    for (i, concurrent) in together.iter().enumerate() {
+        let k = i % PROGRAMS.len();
+        assert_identical(PROGRAMS[k], &alone[k], concurrent);
     }
 }
 

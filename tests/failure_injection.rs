@@ -5,7 +5,7 @@
 use std::time::Duration;
 
 use paqoc::circuit::{Circuit, Instruction};
-use paqoc::core::{compile, try_compile, CompileError, Degradation, PipelineOptions};
+use paqoc::core::{try_compile, CompileError, Degradation, PipelineOptions};
 use paqoc::device::{AnalyticModel, Device, FaultConfig, FaultySource, PulseEstimate, PulseSource};
 use paqoc::workloads::{all_benchmarks, benchmark};
 
@@ -95,7 +95,7 @@ fn pipeline_survives_an_observation1_violation() {
     let mut source = AntiMergeSource {
         inner: AnalyticModel::new(),
     };
-    let r = compile(&c, &device, &mut source, &PipelineOptions::m0());
+    let r = try_compile(&c, &device, &mut source, &PipelineOptions::m0()).expect("compile");
     assert_eq!(covered_gates(&r), r.physical.len());
     assert!(r.latency_dt > 0);
     for id in r.grouped.group_ids() {
@@ -110,9 +110,9 @@ fn fidelity_collapse_shows_up_in_esp_not_in_a_crash() {
     let mut bad = LowFidelity3q {
         inner: AnalyticModel::new(),
     };
-    let r_bad = compile(&c, &device, &mut bad, &PipelineOptions::m0());
+    let r_bad = try_compile(&c, &device, &mut bad, &PipelineOptions::m0()).expect("compile");
     let mut good = AnalyticModel::new();
-    let r_good = compile(&c, &device, &mut good, &PipelineOptions::m0());
+    let r_good = try_compile(&c, &device, &mut good, &PipelineOptions::m0()).expect("compile");
     assert_eq!(covered_gates(&r_bad), r_bad.physical.len());
     // If any 3-qubit customized gate exists, the bad source's ESP must
     // be visibly lower; either way it can never exceed the good ESP.
@@ -137,14 +137,14 @@ fn empty_and_single_gate_circuits_compile() {
     let device = Device::grid5x5();
     let mut source = AnalyticModel::new();
     let empty = Circuit::new(3);
-    let r = compile(&empty, &device, &mut source, &PipelineOptions::m_inf());
+    let r = try_compile(&empty, &device, &mut source, &PipelineOptions::m_inf()).expect("compile");
     assert_eq!(r.num_groups(), 0);
     assert_eq!(r.latency_dt, 0);
     assert!((r.esp - 1.0).abs() < 1e-12);
 
     let mut one = Circuit::new(2);
     one.cx(0, 1);
-    let r1 = compile(&one, &device, &mut source, &PipelineOptions::m0());
+    let r1 = try_compile(&one, &device, &mut source, &PipelineOptions::m0()).expect("compile");
     assert_eq!(r1.num_groups(), 1);
     assert!(r1.latency_dt > 0);
 }
@@ -155,7 +155,7 @@ fn single_qubit_only_circuit_compiles() {
     let c = (benchmark("bb84").expect("exists").build)();
     let device = Device::grid5x5();
     let mut source = AnalyticModel::new();
-    let r = compile(&c, &device, &mut source, &PipelineOptions::m_tuned());
+    let r = try_compile(&c, &device, &mut source, &PipelineOptions::m_tuned()).expect("compile");
     assert_eq!(covered_gates(&r), r.physical.len());
     assert!(r.esp > 0.99);
 }
@@ -200,7 +200,9 @@ fn decomposed_baseline_latency(c: &Circuit, device: &Device) -> u64 {
         enable_generator: false,
         ..PipelineOptions::m0()
     };
-    compile(c, device, &mut clean, &opts).latency_dt
+    try_compile(c, device, &mut clean, &opts)
+        .expect("compile")
+        .latency_dt
 }
 
 #[test]
@@ -427,6 +429,6 @@ fn wide_circuit_on_exact_capacity_compiles() {
     }
     let device = Device::grid5x5();
     let mut source = AnalyticModel::new();
-    let r = compile(&c, &device, &mut source, &PipelineOptions::m0());
+    let r = try_compile(&c, &device, &mut source, &PipelineOptions::m0()).expect("compile");
     assert_eq!(covered_gates(&r), r.physical.len());
 }

@@ -3,7 +3,7 @@
 //! pulse simulation.
 
 use paqoc::circuit::{combined_unitary, Circuit, GateKind, Instruction};
-use paqoc::core::{compile, PipelineOptions};
+use paqoc::core::{try_compile, PipelineOptions};
 use paqoc::device::{AnalyticModel, Device, PulseSource};
 use paqoc::grape::{propagate, GrapeSource};
 use paqoc::math::trace_fidelity;
@@ -15,7 +15,7 @@ fn grape_compiles_a_small_circuit_end_to_end() {
     let mut grape = GrapeSource::fast();
     let mut c = Circuit::new(2);
     c.h(0).cx(0, 1).rz(1, 0.4);
-    let r = compile(
+    let r = try_compile(
         &c,
         &device,
         &mut grape,
@@ -23,7 +23,8 @@ fn grape_compiles_a_small_circuit_end_to_end() {
             skip_mapping: true,
             ..PipelineOptions::m0()
         },
-    );
+    )
+    .expect("compile");
     assert!(r.latency_dt > 0);
     assert!(r.esp > 0.95, "esp {}", r.esp);
 

@@ -4,7 +4,7 @@
 
 use paqoc::accqoc::{compile_accqoc, AccqocOptions};
 use paqoc::circuit::Circuit;
-use paqoc::core::{compile, PipelineOptions};
+use paqoc::core::{try_compile, PipelineOptions};
 use paqoc::device::{AnalyticModel, Device};
 use paqoc::workloads::benchmark;
 
@@ -20,7 +20,7 @@ fn paqoc_beats_accqoc_on_every_tested_benchmark() {
         let mut s1 = AnalyticModel::new();
         let acc = compile_accqoc(&c, &device, &mut s1, &AccqocOptions::n3d3());
         let mut s2 = AnalyticModel::new();
-        let pq = compile(&c, &device, &mut s2, &PipelineOptions::m0());
+        let pq = try_compile(&c, &device, &mut s2, &PipelineOptions::m0()).expect("compile");
         assert!(
             pq.latency_dt <= acc.latency_dt,
             "{name}: paqoc {} dt vs accqoc {} dt",
@@ -42,7 +42,7 @@ fn compilation_is_deterministic_end_to_end() {
     let c = build("simon");
     let run = || {
         let mut s = AnalyticModel::new();
-        let r = compile(&c, &device, &mut s, &PipelineOptions::m_tuned());
+        let r = try_compile(&c, &device, &mut s, &PipelineOptions::m_tuned()).expect("compile");
         (r.latency_dt, r.num_groups(), r.stats.pulses_generated)
     };
     assert_eq!(run(), run());
@@ -53,7 +53,7 @@ fn final_grouping_partitions_the_physical_circuit() {
     let device = Device::grid5x5();
     let c = build("rd32_270");
     let mut s = AnalyticModel::new();
-    let r = compile(&c, &device, &mut s, &PipelineOptions::m_inf());
+    let r = try_compile(&c, &device, &mut s, &PipelineOptions::m_inf()).expect("compile");
     let total: usize = r
         .grouped
         .group_ids()
@@ -68,7 +68,7 @@ fn every_group_respects_the_qubit_cap() {
     let device = Device::grid5x5();
     let c = build("qaoa");
     let mut s = AnalyticModel::new();
-    let r = compile(&c, &device, &mut s, &PipelineOptions::m0());
+    let r = try_compile(&c, &device, &mut s, &PipelineOptions::m0()).expect("compile");
     for id in r.grouped.group_ids() {
         assert!(r.grouped.group(id).qubits.len() <= 3);
     }
@@ -79,7 +79,7 @@ fn every_group_has_a_pulse_attached() {
     let device = Device::grid5x5();
     let c = build("simon");
     let mut s = AnalyticModel::new();
-    let r = compile(&c, &device, &mut s, &PipelineOptions::m0());
+    let r = try_compile(&c, &device, &mut s, &PipelineOptions::m0()).expect("compile");
     for id in r.grouped.group_ids() {
         let g = r.grouped.group(id);
         assert!(g.latency_ns > 0.0);
@@ -94,9 +94,9 @@ fn apa_budgets_trade_compile_cost_for_latency() {
     let device = Device::grid5x5();
     let c = build("qaoa");
     let mut s = AnalyticModel::new();
-    let m0 = compile(&c, &device, &mut s, &PipelineOptions::m0());
+    let m0 = try_compile(&c, &device, &mut s, &PipelineOptions::m0()).expect("compile");
     let mut s = AnalyticModel::new();
-    let mi = compile(&c, &device, &mut s, &PipelineOptions::m_inf());
+    let mi = try_compile(&c, &device, &mut s, &PipelineOptions::m_inf()).expect("compile");
     assert!(mi.stats.cost_units < m0.stats.cost_units);
     assert!((mi.latency_dt as f64) < m0.latency_dt as f64 * 1.1);
     assert!(mi.apa.num_apa_gates() > 0);
@@ -107,7 +107,7 @@ fn disabled_generator_still_produces_a_valid_schedule() {
     let device = Device::grid5x5();
     let c = build("bb84");
     let mut s = AnalyticModel::new();
-    let r = compile(
+    let r = try_compile(
         &c,
         &device,
         &mut s,
@@ -115,7 +115,8 @@ fn disabled_generator_still_produces_a_valid_schedule() {
             enable_generator: false,
             ..PipelineOptions::m_inf()
         },
-    );
+    )
+    .expect("compile");
     assert!(r.latency_dt > 0);
     assert_eq!(
         r.grouped

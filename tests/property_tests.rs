@@ -9,7 +9,7 @@ use paqoc::circuit::{
     apply_gate_to_state, decompose, embed_unitary, Basis, Circuit, DependencyDag, GateKind,
 };
 use paqoc::device::{AnalyticModel, Device, PulseSource, Topology};
-use paqoc::mapping::{sabre_map, SabreOptions};
+use paqoc::mapping::{try_sabre_map, SabreOptions};
 use paqoc::math::{expm, random_unitary_seeded, trace_fidelity, weyl_coordinates, Rng, C64};
 use paqoc::mining::{mine_frequent_subcircuits, CircuitGraph, MinerOptions, Reachability};
 
@@ -143,7 +143,7 @@ fn sabre_routes_every_two_qubit_gate_onto_a_coupler() {
         let c = random_circuit(seed.wrapping_add(400), 5, 14);
         let topo = Topology::grid(3, 3);
         let lowered = decompose(&c, Basis::Ibm);
-        let mapped = sabre_map(&lowered, &topo, &SabreOptions::default());
+        let mapped = try_sabre_map(&lowered, &topo, &SabreOptions::default()).expect("routable");
         for inst in mapped.circuit.iter() {
             if inst.qubits().len() == 2 {
                 assert!(

@@ -7,7 +7,7 @@
 //! pipeline exactly once up front.
 
 use paqoc::circuit::Circuit;
-use paqoc::core::{compile, PipelineOptions};
+use paqoc::core::{try_compile, PipelineOptions};
 use paqoc::device::{AnalyticModel, Device};
 use paqoc::telemetry;
 
@@ -30,12 +30,13 @@ fn compile_emits_phase_spans_and_matching_counters() {
     telemetry::reset();
     let device = Device::grid5x5();
     let mut source = AnalyticModel::new();
-    let result = compile(
+    let result = try_compile(
         &qaoa_like(),
         &device,
         &mut source,
         &PipelineOptions::m_inf(),
-    );
+    )
+    .expect("compile");
     let snap = telemetry::snapshot();
     telemetry::set_enabled(false);
 
