@@ -80,19 +80,21 @@ echo "== paqoc-perf: unit tests + short table1-minf, grape-small and serve-m0 or
 # perf/expected/. A grape-small run does the same for compiles whose
 # pulses come from real GRAPE, so it checks the optimizer's outputs bit
 # for bit. A serve-m0 run does the same for replies served from a warm
-# store, whose pulses are found by canonical-code keys.
-cargo test -q --offline --manifest-path perf/Cargo.toml
-cargo run --release --quiet --offline --manifest-path perf/Cargo.toml -- \
+# store, whose pulses are found by canonical-code keys. Every step over
+# the package is `--locked`: a dependency added to a workspace crate
+# must fail here, not rewrite perf/Cargo.lock on the next benchmark run.
+cargo test -q --offline --locked --manifest-path perf/Cargo.toml
+cargo run --release --quiet --offline --locked --manifest-path perf/Cargo.toml -- \
     --workload table1-minf --seconds 5 > target/verify_perf_table1.txt
-cargo run --release --quiet --offline --manifest-path perf/Cargo.toml -- \
+cargo run --release --quiet --offline --locked --manifest-path perf/Cargo.toml -- \
     --workload grape-small --seconds 5 > target/verify_perf_grape.txt
-cargo run --release --quiet --offline --manifest-path perf/Cargo.toml -- \
+cargo run --release --quiet --offline --locked --manifest-path perf/Cargo.toml -- \
     --workload serve-m0 --seconds 5 > target/verify_perf_serve.txt
 echo "paqoc-perf oracle OK"
 
 echo "== cargo clippy -D warnings (workspace and benchmark package) =="
 cargo clippy --workspace --all-targets -- -D warnings
-cargo clippy --offline --manifest-path perf/Cargo.toml --all-targets -- -D warnings
+cargo clippy --offline --locked --manifest-path perf/Cargo.toml --all-targets -- -D warnings
 
 echo "== cargo doc -D warnings (workspace doc links) =="
 # A dangling or ambiguous intra-doc link fails here instead of rotting

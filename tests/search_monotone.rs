@@ -3,18 +3,65 @@
 //! `search.iteration` decision events of every Table-I program at M=inf
 //! and M=0.
 //!
+//! The same compiles also pin the search's outputs and counters: one
+//! line per (config, program) is compared with
+//! `tests/data/search_pinned.txt`. Each line holds the schedule latency,
+//! the ESP bits, the group count, the generator report and this
+//! compile's totals of the `generator.*` counters, `group.contractions`
+//! and `apa.accepted` — what perf's `core.candidate_yield` and
+//! `core.search_iterations` are read from. A refactor of the search must
+//! leave every line unchanged; when a change is meant to move one, the
+//! failure message prints the complete new dump.
+//!
 //! Telemetry state is process-global, so this lives in its own test
 //! binary.
 
-use paqoc::core::{try_compile, PipelineOptions};
+use paqoc::core::{try_compile, CompilationResult, PipelineOptions};
 use paqoc::device::{AnalyticModel, Device};
-use paqoc::telemetry::{self, FieldValue};
+use paqoc::telemetry::{self, FieldValue, Snapshot};
 use paqoc::workloads::all_benchmarks;
+
+const PINNED: &str = include_str!("data/search_pinned.txt");
+
+/// The counters each pinned line carries, in line order.
+const COUNTERS: [&str; 9] = [
+    "generator.iterations",
+    "generator.candidates_evaluated",
+    "generator.pruned_qubit_cap",
+    "generator.pruned_case3",
+    "generator.merges_committed",
+    "generator.merges_rejected",
+    "generator.preprocess_merges",
+    "group.contractions",
+    "apa.accepted",
+];
+
+fn line(config: &str, program: &str, r: &CompilationResult, snap: &Snapshot) -> String {
+    let g = r.report;
+    let counters: Vec<String> = COUNTERS
+        .iter()
+        .map(|name| format!("{name}={}", snap.counters.get(*name).copied().unwrap_or(0)))
+        .collect();
+    format!(
+        "{config} {program} dt={} esp={:016x} groups={} report={}/{}/{}/{}/{}/{} {}",
+        r.latency_dt,
+        r.esp.to_bits(),
+        r.num_groups(),
+        g.preprocess_merges,
+        g.criticality_merges,
+        g.rejected_merges,
+        g.iterations,
+        g.fallbacks,
+        g.estimator_fallbacks,
+        counters.join(" "),
+    )
+}
 
 #[test]
 fn search_span_never_rises_between_iterations() {
     let device = Device::grid5x5();
     let mut steps = 0;
+    let mut dump: Vec<String> = Vec::new();
     telemetry::set_enabled(true);
     for (config, opts) in [
         ("M=inf", PipelineOptions::m_inf()),
@@ -27,6 +74,7 @@ fn search_span_never_rises_between_iterations() {
                 .unwrap_or_else(|e| panic!("{} {config}: {e}", b.name));
             let snap = telemetry::snapshot();
             assert_eq!(snap.events_dropped, 0, "{} {config}", b.name);
+            dump.push(line(config, b.name, &result, &snap));
             let spans: Vec<f64> = snap
                 .events
                 .iter()
@@ -57,4 +105,21 @@ fn search_span_never_rises_between_iterations() {
     }
     telemetry::set_enabled(false);
     assert!(steps > 1000, "only {steps} iteration steps checked");
+
+    let pinned: Vec<&str> = PINNED.lines().collect();
+    let mismatches: Vec<String> = dump
+        .iter()
+        .zip(&pinned)
+        .filter(|(a, p)| a.as_str() != **p)
+        .map(|(a, p)| format!("  pinned: {p}\n  actual: {a}"))
+        .collect();
+    assert!(
+        mismatches.is_empty() && dump.len() == pinned.len(),
+        "{} of {} lines differ ({} pinned):\n{}\n\ncomplete dump:\n{}",
+        mismatches.len(),
+        dump.len(),
+        pinned.len(),
+        mismatches.join("\n"),
+        dump.join("\n"),
+    );
 }
