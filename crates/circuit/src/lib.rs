@@ -29,7 +29,10 @@ mod decompose;
 mod gate;
 mod qasm;
 
-pub use circuit::{apply_gate_to_state, combined_unitary, embed_unitary, Circuit, Instruction};
+pub use circuit::{
+    apply_fixed, apply_gate_to_state, combined_unitary, combined_unitary_fixed, embed_unitary,
+    Circuit, Instruction,
+};
 pub use dag::{instructions_commute, DependencyDag};
 pub use decompose::{decompose, Basis};
 pub use gate::{Angle, GateKind};

@@ -19,6 +19,10 @@ pub struct Topology {
     num_qubits: usize,
     edges: Vec<(usize, usize)>,
     adjacency: Vec<Vec<usize>>,
+    /// All-pairs BFS hop distances, row-major (`usize::MAX` when
+    /// disconnected): a function of `edges`, computed once so the latency
+    /// model's per-pair queries cost a lookup.
+    hops: Vec<usize>,
 }
 
 impl Topology {
@@ -48,10 +52,14 @@ impl Topology {
             adjacency[a].push(b);
             adjacency[b].push(a);
         }
+        let hops = (0..num_qubits)
+            .flat_map(|q| bfs_distances(&adjacency, q))
+            .collect();
         Topology {
             num_qubits,
             edges: normalized,
             adjacency,
+            hops,
         }
     }
 
@@ -158,23 +166,13 @@ impl Topology {
 
     /// BFS hop distance between two qubits (`usize::MAX` if disconnected).
     pub fn distance(&self, from: usize, to: usize) -> usize {
-        self.distances_from(from)[to]
+        assert!(to < self.num_qubits, "qubit {to} out of range");
+        self.hops[from * self.num_qubits + to]
     }
 
     /// BFS hop distances from one qubit to every qubit.
     pub fn distances_from(&self, from: usize) -> Vec<usize> {
-        let mut dist = vec![usize::MAX; self.num_qubits];
-        dist[from] = 0;
-        let mut queue = VecDeque::from([from]);
-        while let Some(q) = queue.pop_front() {
-            for &n in &self.adjacency[q] {
-                if dist[n] == usize::MAX {
-                    dist[n] = dist[q] + 1;
-                    queue.push_back(n);
-                }
-            }
-        }
-        dist
+        self.hops[from * self.num_qubits..][..self.num_qubits].to_vec()
     }
 
     /// The full all-pairs distance matrix (row `i` = distances from `i`).
@@ -213,6 +211,22 @@ impl Topology {
         }
         count == qubits.len()
     }
+}
+
+/// BFS hop distances from `from` to every qubit of `adjacency`.
+fn bfs_distances(adjacency: &[Vec<usize>], from: usize) -> Vec<usize> {
+    let mut dist = vec![usize::MAX; adjacency.len()];
+    dist[from] = 0;
+    let mut queue = VecDeque::from([from]);
+    while let Some(q) = queue.pop_front() {
+        for &n in &adjacency[q] {
+            if dist[n] == usize::MAX {
+                dist[n] = dist[q] + 1;
+                queue.push_back(n);
+            }
+        }
+    }
+    dist
 }
 
 #[cfg(test)]

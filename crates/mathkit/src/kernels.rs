@@ -61,7 +61,26 @@ pub(crate) fn matmul(n: usize, m: usize, p: usize, a: &[C64], b: &[C64], out: &m
 }
 
 fn matmul_square<const N: usize>(a: &[C64], b: &[C64], out: &mut [C64]) {
-    let (a, b, out) = (square::<N>(a), square::<N>(b), square_mut::<N>(out));
+    matmul_arrays(square::<N>(a), square::<N>(b), square_mut::<N>(out));
+}
+
+/// The product `a · b` of two `N×N` matrices held in fixed-size arrays,
+/// with the loop and scalar order of [`Matrix::matmul`]: zero entries of
+/// `a` are skipped and every output entry accumulates from `+0` in
+/// increasing inner index. So it returns the bits `Matrix::matmul`
+/// returns for the same entries, without a heap buffer or a kernel
+/// probe.
+///
+/// [`Matrix::matmul`]: crate::Matrix::matmul
+pub fn matmul_fixed<const N: usize>(a: &[[C64; N]; N], b: &[[C64; N]; N]) -> [[C64; N]; N] {
+    let mut out = [[C64::ZERO; N]; N];
+    matmul_arrays(a, b, &mut out);
+    out
+}
+
+/// `out += a · b` over fixed-size rows: the one loop behind
+/// [`matmul_square`] and [`matmul_fixed`].
+fn matmul_arrays<const N: usize>(a: &[[C64; N]; N], b: &[[C64; N]; N], out: &mut [[C64; N]; N]) {
     for (out_row, a_row) in out.iter_mut().zip(a) {
         for (&x, rhs_row) in a_row.iter().zip(b) {
             if is_zero(x) {

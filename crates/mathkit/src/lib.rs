@@ -34,6 +34,7 @@ mod complex;
 mod eig;
 mod expm;
 mod fidelity;
+mod hash;
 mod kernels;
 mod matrix;
 mod random;
@@ -46,7 +47,9 @@ pub use expm::{expm, expm_into, propagator, ExpmScratch};
 pub use fidelity::{
     average_gate_fidelity, gate_success_rate, phase_aligned_distance, trace_fidelity,
 };
+pub use hash::{FastHash, FastHasher};
+pub use kernels::matmul_fixed;
 pub use matrix::Matrix;
-pub use random::{ginibre, random_unitary, random_unitary_seeded, stable_jitter};
+pub use random::{ginibre, random_unitary, random_unitary_seeded, stable_jitter, StableHasher};
 pub use rng::{Rng, Sample, SampleRange};
 pub use weyl::{det, weyl_coordinates, WeylCoordinates};

@@ -761,6 +761,31 @@ mod tests {
     }
 
     #[test]
+    fn matmul_fixed_matches_the_reference_bit_for_bit() {
+        fn check<const N: usize>(rng: &mut crate::Rng) {
+            let a = reference::sample(N, N, rng);
+            let b = reference::sample(N, N, rng);
+            let rows = |m: &Matrix| -> [[C64; N]; N] {
+                std::array::from_fn(|i| std::array::from_fn(|j| m[(i, j)]))
+            };
+            let out = crate::matmul_fixed(&rows(&a), &rows(&b));
+            let flat = Matrix::from_flat(out.iter().flatten().copied().collect());
+            assert_eq!(
+                reference::bits(&flat),
+                reference::bits(&reference::matmul(&a, &b)),
+                "N = {N}"
+            );
+        }
+        let mut rng = crate::Rng::seed_from_u64(0x5eed_0005);
+        for _ in 0..16 {
+            check::<1>(&mut rng);
+            check::<2>(&mut rng);
+            check::<4>(&mut rng);
+            check::<8>(&mut rng);
+        }
+    }
+
+    #[test]
     fn matmul_into_propagates_non_finite_entries_like_the_reference() {
         let mut rng = crate::Rng::seed_from_u64(0x5eed_0002);
         for n in [2, 3, 4, 8] {
