@@ -141,7 +141,7 @@ fn flat_acceptance(
     device: &Device,
     opts: &PaqocOptions,
 ) -> Decisions {
-    let out = accept_apa_occurrences(physical, apa, device, opts);
+    let out = accept_apa_occurrences(physical, apa, device, &mut AnalyticModel::new(), opts);
     (
         out.partition,
         [

@@ -12,12 +12,13 @@
 
 use crate::error::{CompileError, Degradation};
 use crate::group::{GroupKind, GroupedCircuit};
+use crate::search::{run_search, SearchEnd};
 use crate::table::PulseTable;
 use paqoc_circuit::Instruction;
-use paqoc_device::{AnalyticModel, Device, PulseGenError, PulseSource};
+use paqoc_device::{AnalyticModel, Device, PulseEstimate, PulseGenError, PulseSource};
 use paqoc_exec::{run_batch, ExecOptions, PulseJob, PulseSourceFactory};
-use paqoc_telemetry::{counter, event, observe, FieldValue};
-use std::collections::{BTreeMap, HashSet};
+use paqoc_telemetry::{counter, event, observe};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -184,302 +185,74 @@ pub fn try_generate_customized_gates(
     limits: &GenerationLimits,
     exec: Option<&BatchContext>,
 ) -> Result<GenerationOutcome, CompileError> {
+    generate_with(
+        grouped,
+        device,
+        &mut AnalyticModel::new(),
+        source,
+        table,
+        opts,
+        limits,
+        exec,
+    )
+}
+
+/// [`try_generate_customized_gates`] with the compile's free estimator:
+/// every estimate of the search and of the ladder's fallbacks comes from
+/// `estimator`, so its Weyl memo is shared with whatever else the compile
+/// estimated with it.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn generate_with(
+    grouped: &mut GroupedCircuit,
+    device: &Device,
+    estimator: &mut AnalyticModel,
+    source: &mut dyn PulseSource,
+    table: &mut PulseTable,
+    opts: &PaqocOptions,
+    limits: &GenerationLimits,
+    exec: Option<&BatchContext>,
+) -> Result<GenerationOutcome, CompileError> {
     let mut report = GeneratorReport::default();
     let mut degradations: Vec<Degradation> = Vec::new();
-    let mut partial = false;
     let mut kernel_ns: BTreeMap<String, u64> = BTreeMap::new();
     let mut kernel_calls: BTreeMap<String, u64> = BTreeMap::new();
-    let mut estimator = AnalyticModel::new();
 
     // Seed every starting group (basis gates and APA gates) with a free
     // estimator latency; the fidelity-0 marker means "no real pulse
     // yet". Real pulses are generated once, for the final grouping.
     for id in grouped.group_ids() {
-        let insts = grouped.group(id).instructions.clone();
         let est = estimator
-            .generate(&insts, device, opts.target_fidelity, None)
+            .generate(
+                &grouped.group(id).instructions,
+                device,
+                opts.target_fidelity,
+                None,
+            )
             .latency_ns;
         let g = grouped.group_mut(id);
         g.latency_ns = est;
         g.fidelity = 0.0;
     }
 
-    if opts.preprocess {
-        // Preprocessed groups keep free estimator latencies (fidelity-0
-        // marker); real pulses are only generated for the *final*
-        // grouping at the end of this function — the paper's central
-        // compile-time saving.
-        report.preprocess_merges =
-            preprocess_same_qubit_runs(grouped, device, &mut estimator, opts);
-        counter(
-            "generator.preprocess_merges",
-            report.preprocess_merges as u64,
-        );
-    }
-
-    // Merged-latency estimates are cached by group-id pair: ids are
-    // never mutated in place (merges mint fresh ids), so entries stay
-    // valid for the whole loop.
-    let mut est_cache: std::collections::HashMap<(usize, usize), f64> =
-        std::collections::HashMap::new();
-
     // One compilation gets at most one DeadlineHit degradation and one
     // `pipeline.deadline_hits` increment (same for the cost budget),
     // whether the limit trips in the merge loop, the attach loop, or
     // both — the flags are shared across the phases.
-    let mut budget_noted = false;
-    let mut deadline_noted = false;
-
-    for _ in 0..opts.max_iterations {
-        if let Some(deadline) = limits.deadline {
-            if Instant::now() >= deadline {
-                deadline_noted = true;
-                counter("pipeline.deadline_hits", 1);
-                degradations.push(Degradation::DeadlineHit {
-                    phase: "merge".to_string(),
-                });
-                partial = true;
-                break;
-            }
-        }
-        if let Some(budget) = limits.cost_budget_units {
-            let spent = table.stats().cost_units;
-            if spent >= budget {
-                budget_noted = true;
-                degradations.push(Degradation::CostBudgetExhausted { spent, budget });
-                partial = true;
-                break;
-            }
-        }
-        report.iterations += 1;
-        counter("generator.iterations", 1);
-        let before = grouped.cp_before();
-        let after = grouped.cp_after();
-        let span = grouped.makespan_from(&after);
-        // Top-3 whole-path weights, for O(1) "heaviest path elsewhere".
-        let mut top_paths: Vec<(f64, usize)> = grouped
-            .group_ids()
-            .into_iter()
-            .map(|g| (before[g] + grouped.group(g).latency_ns + after[g], g))
-            .collect();
-        top_paths.sort_by(|x, y| y.0.total_cmp(&x.0));
-        top_paths.truncate(3);
-        let critical: Vec<bool> = (0..before.len())
-            .map(|id| {
-                grouped.try_group(id).is_some()
-                    && grouped.is_critical(id, &before, &after, span, opts.tolerance_ns)
-            })
-            .collect();
-
-        // Candidate pairs: direct edges plus sibling pairs sharing a
-        // parent or child, filtered to contractible, ≤ maxN qubits, and
-        // (when pruning) at least one critical member (Cases I and II).
-        let mut candidates: Vec<(usize, usize)> = Vec::new();
-        for a in grouped.group_ids() {
-            for &b in grouped.succs(a) {
-                candidates.push((a, b));
-            }
-            let around: Vec<usize> = grouped
-                .preds(a)
-                .iter()
-                .chain(grouped.succs(a).iter())
-                .copied()
-                .collect();
-            for (i, &x) in around.iter().enumerate() {
-                for &y in &around[i + 1..] {
-                    if x != y {
-                        candidates.push((x.min(y), x.max(y)));
-                    }
-                }
-            }
-        }
-        candidates.sort_unstable();
-        candidates.dedup();
-
-        // Per-iteration decision accounting for the event journal:
-        // candidate volume, Case I/II/III split (paper §IV-B), and the
-        // Obs.1/Obs.2 prune counts.
-        let candidates_total = candidates.len();
-        let (mut case1, mut case2, mut case3) = (0usize, 0usize, 0usize);
-        let mut pruned_qubit_cap = 0usize;
-        let mut scored: Vec<(f64, f64, usize, usize)> = Vec::new();
-        for (a, b) in candidates {
-            let ga = grouped.group(a);
-            let gb = grouped.group(b);
-            if ga.qubits.union(&gb.qubits).count() > opts.max_qubits {
-                pruned_qubit_cap += 1;
-                continue;
-            }
-            match (critical[a], critical[b]) {
-                (true, true) => case1 += 1,
-                (true, false) | (false, true) => case2 += 1,
-                (false, false) => case3 += 1,
-            }
-            if opts.criticality_pruning && !critical[a] && !critical[b] {
-                continue; // Case III: cannot shorten the critical path
-            }
-            // Contractibility (a graph search) is deferred to commit
-            // time; scoring stays cheap.
-            // Free latency estimate of the merged gate (Obs. 1 & 2 via
-            // the analytic model; no pulse-generation cost incurred),
-            // cached per id pair.
-            let est = *est_cache.entry((a, b)).or_insert_with(|| {
-                let merged_insts: Vec<_> = ga
-                    .instructions
-                    .iter()
-                    .chain(gb.instructions.iter())
-                    .cloned()
-                    .collect();
-                estimator
-                    .generate(&merged_insts, device, opts.target_fidelity, None)
-                    .latency_ns
-            });
-            // Paper's three-term critical path update: the merged node's
-            // heaviest path vs the heaviest path elsewhere (approximated
-            // by the unmerged span of the untouched groups). The merged
-            // node's window comes from its *external* neighbours —
-            // using before[b]/after[a] directly would double-count the
-            // partner's latency on dependent pairs.
-            let new_before = grouped
-                .preds(a)
-                .iter()
-                .chain(grouped.preds(b).iter())
-                .filter(|&&p| p != a && p != b)
-                .map(|&p| before[p] + grouped.group(p).latency_ns)
-                .fold(0.0f64, f64::max);
-            let new_after = grouped
-                .succs(a)
-                .iter()
-                .chain(grouped.succs(b).iter())
-                .filter(|&&s| s != a && s != b)
-                .map(|&s| grouped.group(s).latency_ns + after[s])
-                .fold(0.0f64, f64::max);
-            let through_merged = new_before + est + new_after;
-            let elsewhere = top_paths
-                .iter()
-                .find(|&&(_, g)| g != a && g != b)
-                .map(|&(w, _)| w)
-                .unwrap_or(0.0);
-            let new_span_est = through_merged.max(elsewhere.min(span));
-            let span_gain = span - new_span_est;
-            // Secondary criterion: local latency saved (Obs. 1). With
-            // parallel identical chains every single merge has zero span
-            // gain, yet merging all of them is what eventually shortens
-            // the circuit — so zero-span-gain merges are accepted when
-            // they strictly reduce total pulse time.
-            let local_gain = grouped.group(a).latency_ns + grouped.group(b).latency_ns - est;
-            if span_gain > opts.tolerance_ns
-                || (span_gain >= -opts.tolerance_ns && local_gain > opts.tolerance_ns)
-            {
-                scored.push((span_gain, local_gain, a, b));
-            }
-        }
-        // One counter call per iteration, from the local sums; a zero
-        // delta is skipped so the snapshot's counter set is the one the
-        // per-candidate calls produced.
-        let pruned_case3 = if opts.criticality_pruning { case3 } else { 0 };
-        for (name, delta) in [
-            ("generator.candidates_evaluated", candidates_total),
-            ("generator.pruned_qubit_cap", pruned_qubit_cap),
-            ("generator.pruned_case3", pruned_case3),
-        ] {
-            if delta > 0 {
-                counter(name, delta as u64);
-            }
-        }
-        // Note: no early break on an empty `scored` — the loop falls
-        // through to the per-iteration decision event below and exits
-        // via `committed == 0`, so every counted iteration is journaled.
-        scored.sort_by(|x, y| {
-            y.0.total_cmp(&x.0)
-                .then(y.1.total_cmp(&x.1))
-                .then((x.2, x.3).cmp(&(y.2, y.3)))
-        });
-
-        // Commit up to top-k disjoint candidates, each validated with
-        // the (free) estimator latency and rolled back if it fails to
-        // help — the paper's core compile-time saving: Observations 1
-        // and 2 replace trial pulse generation; real pulses are only
-        // generated once the grouping is final.
-        let mut committed = 0usize;
-        let mut touched: std::collections::HashSet<usize> = std::collections::HashSet::new();
-        for &(_, _, a, b) in &scored {
-            if committed >= opts.top_k {
-                break;
-            }
-            if touched.contains(&a) || touched.contains(&b) {
-                continue; // candidate invalidated by an earlier merge
-            }
-            if !grouped.contractible(a, b) {
-                continue;
-            }
-            let saved_latency = grouped.group(a).latency_ns + grouped.group(b).latency_ns;
-            let est = est_cache[&(a, b)];
-            // The trial span is computed on the contracted DAG without
-            // building it; the merge happens only on commit.
-            let new_span = grouped.contracted_makespan(a, b, est);
-            // Commit on strict span decrease, or on span non-increase
-            // with a strict total-pulse-time decrease (guarantees
-            // monotonic span and loop termination).
-            let total_gain = saved_latency - est;
-            let commit = new_span < span - opts.tolerance_ns
-                || (new_span <= span + opts.tolerance_ns && total_gain > opts.tolerance_ns);
-            if paqoc_telemetry::enabled() {
-                let (ga, gb) = (grouped.group(a), grouped.group(b));
-                let gates = ga.instructions.len() + gb.instructions.len();
-                let qubits = ga.qubits.union(&gb.qubits).count();
-                event(
-                    if commit {
-                        "search.merge_commit"
-                    } else {
-                        "search.merge_reject"
-                    },
-                    &[
-                        ("iter", FieldValue::U64(report.iterations as u64)),
-                        ("a", FieldValue::U64(a as u64)),
-                        ("b", FieldValue::U64(b as u64)),
-                        ("gates", FieldValue::U64(gates as u64)),
-                        ("qubits", FieldValue::U64(qubits as u64)),
-                        ("predicted_latency_ns", FieldValue::F64(est)),
-                        ("predicted_span_gain_ns", FieldValue::F64(span - new_span)),
-                        ("local_gain_ns", FieldValue::F64(total_gain)),
-                    ],
-                );
-            }
-            if commit {
-                let m = grouped.contract(a, b);
-                grouped.group_mut(m).latency_ns = est;
-                grouped.group_mut(m).fidelity = 0.0; // marker: estimate only
-                touched.insert(a);
-                touched.insert(b);
-                committed += 1;
-                report.criticality_merges += 1;
-                counter("generator.merges_committed", 1);
-            } else {
-                report.rejected_merges += 1;
-                counter("generator.merges_rejected", 1);
-            }
-        }
-        // One decision event per merge iteration, whatever happened:
-        // the journal's view of the whole criticality search.
-        event!(
-            "search.iteration",
-            iter = report.iterations as u64,
-            groups = grouped.len() as u64,
-            span_ns = span,
-            candidates = candidates_total as u64,
-            case1 = case1 as u64,
-            case2 = case2 as u64,
-            case3 = case3 as u64,
-            pruned_case3 = pruned_case3 as u64,
-            pruned_qubit_cap = pruned_qubit_cap as u64,
-            scored = scored.len() as u64,
-            committed = committed as u64,
-        );
-        if committed == 0 {
-            break;
-        }
-    }
+    let SearchEnd {
+        mut partial,
+        mut deadline_noted,
+        mut budget_noted,
+    } = run_search(
+        grouped,
+        device,
+        estimator,
+        table,
+        opts,
+        limits,
+        &mut report,
+        &mut degradations,
+        &mut (),
+    );
 
     // Attach real generated pulses to every group still carrying an
     // estimate (fidelity-0 marker). Recurring shapes hit the table.
@@ -490,6 +263,9 @@ pub fn try_generate_customized_gates(
     // singletons, already-attached shapes re-attach through the table
     // cache for free, and the loop restarts. The multi-gate group count
     // strictly decreases per rollback, so the loop terminates.
+    // Estimates kept for groups the deadline or budget left without a
+    // pulse, by table key.
+    let mut unattached: HashMap<String, PulseEstimate> = HashMap::new();
     'attach: loop {
         // Parallel prefetch: batch-generate every pending pulse of this
         // sweep before the sequential commit pass touches it. After a
@@ -537,9 +313,19 @@ pub fn try_generate_customized_gates(
                 }
                 // Keep the (already validated) analytic estimate: the
                 // latency stays monotone, only the fidelity is a model
-                // value rather than a generated one.
-                let insts = grouped.group(id).instructions.clone();
-                let est = estimator.generate(&insts, device, opts.target_fidelity, None);
+                // value rather than a generated one. Groups of one shape
+                // share the first one's estimate, as they would share its
+                // pulse through the table: the estimate's jitter depends
+                // on the placement, the table's key does not.
+                let key = table.key_for(device, &grouped.group(id).instructions);
+                let est = *unattached.entry(key).or_insert_with(|| {
+                    estimator.generate(
+                        &grouped.group(id).instructions,
+                        device,
+                        opts.target_fidelity,
+                        None,
+                    )
+                });
                 let g = grouped.group_mut(id);
                 g.latency_ns = est.latency_ns;
                 g.fidelity = est.fidelity;
@@ -755,91 +541,6 @@ fn rebuild_with_group_split(grouped: &GroupedCircuit, split_id: usize) -> Groupe
     indexed.sort_by_key(|&(i, _)| i);
     let instructions: Vec<Instruction> = indexed.into_iter().map(|(_, inst)| inst).collect();
     GroupedCircuit::new(&instructions, grouped.num_qubits(), &partition)
-}
-
-/// Observation-1 preprocessing (the paper's Fig. 8 step): coalesce
-/// adjacent groups confined to a shared ≤2-qubit set — maximal
-/// same-qubit runs like `rz·cx·rz·cx·rz` become single customized gates
-/// before the criticality search starts. Merges use *free* estimator
-/// latencies (no pulse generation — the whole point of Obs. 1) and are
-/// only committed when the estimated circuit span does not grow. Merged
-/// groups are marked with `fidelity = 0` so the caller can attach real
-/// pulses afterwards. Runs to fixpoint.
-fn preprocess_same_qubit_runs(
-    grouped: &mut GroupedCircuit,
-    device: &Device,
-    estimator: &mut AnalyticModel,
-    opts: &PaqocOptions,
-) -> usize {
-    let mut merges = 0usize;
-    let cap = opts.max_qubits.min(2);
-    let mut est_cache: std::collections::HashMap<(usize, usize), f64> =
-        std::collections::HashMap::new();
-    // Pairs proved non-contractible stay so while both ids live:
-    // contracting other pairs only adds paths (an intermediate node
-    // merged away leaves its merged node on the path), and ids are never
-    // reused. So each pair's graph search runs at most once per call.
-    let mut blocked: HashSet<(usize, usize)> = HashSet::new();
-    loop {
-        let mut merged_this_round = false;
-        let before = grouped.cp_before();
-        let after = grouped.cp_after();
-        let span = grouped.makespan_from(&after);
-        'scan: for a in grouped.group_ids() {
-            for &b in &grouped.succs(a).clone() {
-                let qa = &grouped.group(a).qubits;
-                let qb = &grouped.group(b).qubits;
-                let union = qa.union(qb).count();
-                if union > cap || blocked.contains(&(a, b)) {
-                    continue;
-                }
-                if !grouped.contractible(a, b) {
-                    blocked.insert((a, b));
-                    continue;
-                }
-                let est = *est_cache.entry((a, b)).or_insert_with(|| {
-                    let insts: Vec<_> = grouped
-                        .group(a)
-                        .instructions
-                        .iter()
-                        .chain(grouped.group(b).instructions.iter())
-                        .cloned()
-                        .collect();
-                    estimator
-                        .generate(&insts, device, opts.target_fidelity, None)
-                        .latency_ns
-                });
-                // Cheap span check: the merged node's heaviest path must
-                // not exceed the current span (the rest of the DAG can
-                // only have gotten lighter).
-                let new_before = grouped
-                    .preds(a)
-                    .iter()
-                    .chain(grouped.preds(b).iter())
-                    .filter(|&&p| p != a && p != b)
-                    .map(|&p| before[p] + grouped.group(p).latency_ns)
-                    .fold(0.0f64, f64::max);
-                let new_after = grouped
-                    .succs(a)
-                    .iter()
-                    .chain(grouped.succs(b).iter())
-                    .filter(|&&s| s != a && s != b)
-                    .map(|&s| grouped.group(s).latency_ns + after[s])
-                    .fold(0.0f64, f64::max);
-                if new_before + est + new_after <= span + opts.tolerance_ns {
-                    let m = grouped.merge(a, b);
-                    grouped.group_mut(m).latency_ns = est;
-                    grouped.group_mut(m).fidelity = 0.0; // marker: estimate only
-                    merges += 1;
-                    merged_this_round = true;
-                    break 'scan; // ids changed; rescan
-                }
-            }
-        }
-        if !merged_this_round {
-            return merges;
-        }
-    }
 }
 
 /// Ensures every live group has its pulse latency and fidelity set.

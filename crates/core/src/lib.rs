@@ -46,6 +46,9 @@ mod error;
 mod generator;
 mod group;
 mod pipeline;
+mod search;
+#[cfg(test)]
+mod search_tests;
 mod table;
 
 pub use error::{CompileError, Degradation};

@@ -6,12 +6,12 @@
 
 use crate::error::{CompileError, Degradation};
 use crate::generator::{
-    try_generate_customized_gates, BatchContext, GenerationLimits, GeneratorReport, PaqocOptions,
+    generate_with, BatchContext, GenerationLimits, GeneratorReport, PaqocOptions,
 };
 use crate::group::{GroupKind, GroupedCircuit};
 use crate::table::{CompileStats, PulseTable};
 use paqoc_circuit::{decompose, Basis, Circuit, Instruction};
-use paqoc_device::{Device, PulseEstimate, PulseSource};
+use paqoc_device::{AnalyticModel, Device, PulseEstimate, PulseSource};
 use paqoc_exec::{effective_threads, PulseSourceFactory, SharedPulseTable};
 use paqoc_mapping::{try_sabre_map, SabreOptions};
 use paqoc_mining::{
@@ -419,9 +419,13 @@ fn compile_inner(
 
     // 3. Build the grouped circuit from the APA occurrences that pass the
     //    paper's §V-C guarantee (see `accept_apa_occurrences`).
+    // One free estimator for the whole compile: APA acceptance and the
+    // search share its Weyl memo.
+    let mut estimator = AnalyticModel::new();
     let mut grouped = {
         let _s = span("group");
-        let accepted = accept_apa_occurrences(&physical, &apa, device, &opts.generator);
+        let accepted =
+            accept_apa_occurrences(&physical, &apa, device, &mut estimator, &opts.generator);
         GroupedCircuit::new(
             physical.instructions(),
             physical.num_qubits(),
@@ -466,9 +470,10 @@ fn compile_inner(
     };
     let outcome = {
         let _s = span("generate");
-        try_generate_customized_gates(
+        generate_with(
             &mut grouped,
             device,
+            &mut estimator,
             source,
             &mut table,
             &gen_opts,
@@ -580,6 +585,7 @@ pub(crate) fn accept_apa_occurrences(
     physical: &Circuit,
     apa: &ApaCover,
     device: &Device,
+    estimator: &mut AnalyticModel,
     opts: &PaqocOptions,
 ) -> ApaAcceptance {
     let mut out = ApaAcceptance {
@@ -595,7 +601,6 @@ pub(crate) fn accept_apa_occurrences(
     let instructions = physical.instructions();
     let num_qubits = physical.num_qubits();
     let n = instructions.len();
-    let mut estimator = paqoc_device::AnalyticModel::new();
     let mut est_cache: std::collections::HashMap<String, f64> = std::collections::HashMap::new();
     let mut estimate = |group: &[Instruction]| -> f64 {
         *est_cache

@@ -277,10 +277,20 @@ fn expired_deadline_yields_a_valid_partial_result() {
     };
     let r = try_compile(&c, &device, &mut source, &opts).expect("partial, not an error");
     assert!(r.partial);
-    assert!(r
+    // The Observation-1 preprocessing reads the deadline too: it stops
+    // before its first merge, and the merge loop records the compile's
+    // one deadline hit.
+    assert_eq!(r.report.preprocess_merges, 0, "{:?}", r.report);
+    let hits: Vec<&Degradation> = r
         .degradations
         .iter()
-        .any(|d| matches!(d, Degradation::DeadlineHit { .. })));
+        .filter(|d| matches!(d, Degradation::DeadlineHit { .. }))
+        .collect();
+    assert_eq!(hits.len(), 1, "{:?}", r.degradations);
+    assert!(
+        matches!(hits[0], Degradation::DeadlineHit { phase } if phase == "merge"),
+        "{hits:?}"
+    );
     assert_eq!(covered_gates(&r), r.physical.len());
     assert!(r.latency_dt > 0);
     assert!(r.latency_dt <= baseline, "{} > {}", r.latency_dt, baseline);
