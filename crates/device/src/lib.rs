@@ -43,7 +43,9 @@ pub use fingerprint::{
 };
 pub use hamiltonian::{transmon_xy_controls, ControlChannel, ControlSet, Device};
 pub use io_faults::{IoFaultCounts, IoFaultInjector};
-pub use latency::{validate_estimate, AnalyticModel, PulseEstimate, PulseGenError, PulseSource};
+pub use latency::{
+    validate_estimate, AnalyticModel, LoweredGroup, PulseEstimate, PulseGenError, PulseSource,
+};
 pub use spec::HardwareSpec;
 pub use topology::Topology;
 pub use tuning::{BackendTag, DeviceTuning, QubitCal};
