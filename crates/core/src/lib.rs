@@ -10,7 +10,10 @@
 //! Every compile, sequential or batch, resolves its pulses through one
 //! cache, the executor's [`paqoc_exec::SharedPulseTable`]: the
 //! `PipelineOptions::shared_table` a caller pools compiles on, or a
-//! private one. A [`PulseTable`] is one compile's view of it. Keys are
+//! private one. The compile's free analytic estimator also reads and
+//! feeds that cache's Weyl memo, so pooled compiles pool their
+//! decompositions too. A [`PulseTable`] is one compile's view of the
+//! cache. Keys are
 //! fingerprint-prefixed ([`composite_key`]), generation is panic-
 //! isolated (a crashing [`paqoc_device::PulseSource`] degrades instead
 //! of aborting — [`Degradation::SourcePanic`]) with cache-wide

@@ -85,8 +85,9 @@ pub struct PipelineOptions {
     pub threads: Option<usize>,
     /// The pulse cache this compile resolves through, letting compiles
     /// — sequential and batch alike, concurrent or one after another —
-    /// pool pulses, quarantines and a single persistent-store handle.
-    /// `None` gives the compile a private cache of its own.
+    /// pool pulses, quarantines, a single persistent-store handle and the
+    /// free estimator's Weyl decompositions. `None` gives the compile a
+    /// private cache of its own.
     pub shared_table: Option<Arc<SharedPulseTable>>,
     /// Expected backend of the target device (a `paqoc-backend`
     /// registry name). When set, compilation fails fast with
@@ -419,9 +420,12 @@ fn compile_inner(
 
     // 3. Build the grouped circuit from the APA occurrences that pass the
     //    paper's §V-C guarantee (see `accept_apa_occurrences`).
+    // The compile's pulse cache: the pooled one, or a private one.
+    let cache = opts.shared_table.clone().unwrap_or_default();
     // One free estimator for the whole compile: APA acceptance and the
-    // search share its Weyl memo.
-    let mut estimator = AnalyticModel::new();
+    // search share its Weyl memo, which reads and feeds the cache's, so
+    // compiles pooled on one cache pool their decompositions too.
+    let mut estimator = AnalyticModel::with_memo(cache.weyl_memo().clone());
     let mut grouped = {
         let _s = span("group");
         let accepted =
@@ -437,7 +441,7 @@ fn compile_inner(
     //    the one pulse cache, optionally backed by the persistent store.
     //    A cache pooled with other compiles (concurrent batch compiles,
     //    a serve slot) keeps the store handle the first of them attached.
-    let mut table = PulseTable::with_cache(opts.shared_table.clone().unwrap_or_default());
+    let mut table = PulseTable::with_cache(cache);
     let mut degradations: Vec<Degradation> = Vec::new();
     let db_path = opts.pulse_db.clone().or_else(|| {
         std::env::var_os("PAQOC_PULSE_DB")

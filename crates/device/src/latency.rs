@@ -23,6 +23,7 @@ use paqoc_circuit::{apply_fixed, combined_unitary_fixed, decompose, Basis, Circu
 use paqoc_math::{weyl_coordinates, FastHash, Matrix, StableHasher, WeylCoordinates, C64};
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// The outcome of generating (or predicting) a pulse for a gate group.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -203,6 +204,9 @@ pub trait PulseSource {
 /// An instance memoizes the Weyl coordinates it computes, keyed by the
 /// exact bits of each 4×4 input, so it answers every query bit for bit
 /// as a fresh model would; the memo lives and dies with the instance.
+/// One built by [`AnalyticModel::with_memo`] also reads a [`WeylMemo`]
+/// pooled with other instances when its own memo misses, and publishes
+/// every decomposition it makes there.
 /// It also owns the scratch one estimate works in, so estimating a
 /// group that needs no lowering allocates nothing once the scratch has
 /// grown to the group's qubit count.
@@ -210,8 +214,89 @@ pub trait PulseSource {
 pub struct AnalyticModel {
     /// Weyl coordinates by the 32 `f64` bit patterns of the 4×4 input
     /// (row-major, real part then imaginary part).
-    weyl_memo: HashMap<[u64; 32], WeylCoordinates, FastHash>,
+    weyl_memo: HashMap<WeylKey, WeylCoordinates, FastHash>,
+    /// The memo pooled with other instances, read after `weyl_memo`.
+    pooled: Option<Arc<WeylMemo>>,
     scratch: Scratch,
+}
+
+/// The 32 `f64` bit patterns of a 4×4 input, row-major, real part then
+/// imaginary part.
+type WeylKey = [u64; 32];
+
+/// Weyl decompositions pooled by every [`AnalyticModel`] built over it
+/// with [`AnalyticModel::with_memo`], keyed like each model's own memo.
+///
+/// A decomposition is a pure function of its input bits, so an entry
+/// made by one model is what any other would compute: a model reading
+/// the pool answers bit for bit as a fresh model would. The pool owns
+/// nothing else, so whoever holds it decides how long decompositions are
+/// reused; the pipeline gives one to each pulse cache.
+///
+/// It holds at most [`WeylMemo::CAPACITY`] entries. A full memo keeps
+/// the entries it has and stops inserting: an entry never goes stale,
+/// and a model that misses the pool still keeps its decomposition in its
+/// own memo.
+#[derive(Debug, Default)]
+pub struct WeylMemo {
+    entries: Mutex<HashMap<WeylKey, WeylCoordinates, FastHash>>,
+}
+
+/// Recovers a poisoned lock: the map is only touched by single lookups
+/// and inserts, so a holder that panicked elsewhere left it consistent.
+fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|poison| poison.into_inner())
+}
+
+impl WeylMemo {
+    /// The most entries a memo holds, about 5 MB of keys and values.
+    pub const CAPACITY: usize = 16_384;
+
+    /// Creates an empty memo.
+    pub fn new() -> Self {
+        WeylMemo::default()
+    }
+
+    /// Number of pooled decompositions.
+    pub fn len(&self) -> usize {
+        relock(&self.entries).len()
+    }
+
+    /// `true` when nothing is pooled.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Every pooled decomposition with its 4×4 input, sorted by the
+    /// input's bits.
+    pub fn snapshot(&self) -> Vec<([[C64; 4]; 4], WeylCoordinates)> {
+        let mut all: Vec<(WeylKey, WeylCoordinates)> = relock(&self.entries)
+            .iter()
+            .map(|(key, w)| (*key, *w))
+            .collect();
+        all.sort_unstable_by_key(|&(key, _)| key);
+        all.into_iter()
+            .map(|(key, w)| {
+                let z =
+                    |k: usize| C64::new(f64::from_bits(key[2 * k]), f64::from_bits(key[2 * k + 1]));
+                (
+                    std::array::from_fn(|i| std::array::from_fn(|j| z(4 * i + j))),
+                    w,
+                )
+            })
+            .collect()
+    }
+
+    fn get(&self, key: &WeylKey) -> Option<WeylCoordinates> {
+        relock(&self.entries).get(key).copied()
+    }
+
+    fn insert(&self, key: WeylKey, w: WeylCoordinates) {
+        let mut entries = relock(&self.entries);
+        if entries.len() < WeylMemo::CAPACITY {
+            entries.insert(key, w);
+        }
+    }
 }
 
 /// Buffers reused from one estimate to the next.
@@ -292,6 +377,15 @@ impl AnalyticModel {
         AnalyticModel::default()
     }
 
+    /// Creates a model whose Weyl decompositions are pooled in `memo`
+    /// (see [`WeylMemo`]).
+    pub fn with_memo(memo: Arc<WeylMemo>) -> Self {
+        AnalyticModel {
+            pooled: Some(memo),
+            ..AnalyticModel::default()
+        }
+    }
+
     /// `group` lowered to the one- and two-qubit basis gates the model
     /// analyses, or `None` when it holds nothing else (the model then
     /// reads it as it is). Lowering rewrites each instruction on its own,
@@ -354,16 +448,27 @@ impl AnalyticModel {
 
     /// [`weyl_coordinates`] memoized by the exact input bits. The pair
     /// frame is local, so the same gate run on any pair of qubits shares
-    /// one entry.
+    /// one entry. A miss reads the pooled memo, if any, before it
+    /// decomposes, and publishes what it decomposes there.
     fn weyl(&mut self, u4: &Unitary4) -> WeylCoordinates {
         let mut key = [0u64; 32];
         for (bits, z) in key.chunks_exact_mut(2).zip(u4.iter().flatten()) {
             bits[0] = z.re.to_bits();
             bits[1] = z.im.to_bits();
         }
-        *self.weyl_memo.entry(key).or_insert_with(|| {
-            weyl_coordinates(&Matrix::from_flat(u4.iter().flatten().copied().collect()))
-        })
+        if let Some(&w) = self.weyl_memo.get(&key) {
+            return w;
+        }
+        let pooled = self.pooled.as_deref();
+        let w = pooled.and_then(|p| p.get(&key)).unwrap_or_else(|| {
+            let w = weyl_coordinates(&Matrix::from_flat(u4.iter().flatten().copied().collect()));
+            if let Some(p) = pooled {
+                p.insert(key, w);
+            }
+            w
+        });
+        self.weyl_memo.insert(key, w);
+        w
     }
 
     /// The estimate of `parts`' concatenation, given its lowering (the
@@ -1070,6 +1175,20 @@ mod tests {
             assert_eq!(memo, bits(fresh), "group {i}: {:?}", groups[i]);
         }
         let lookups = eig_calls() - start;
+        // Two models over one pooled memo: the first decomposes what the
+        // long-lived model did and publishes it, the second decomposes
+        // nothing; both answer as fresh models do.
+        let pooled = Arc::new(WeylMemo::new());
+        let mut pooled_decompositions = Vec::new();
+        for _ in 0..2 {
+            let mut model = AnalyticModel::with_memo(pooled.clone());
+            let start = eig_calls();
+            for (&i, &memo) in queries.iter().zip(&memoized) {
+                let est = model.generate(&groups[i], &dev, 0.999, warm(i));
+                assert_eq!(bits(est), memo, "pooled, group {i}: {:?}", groups[i]);
+            }
+            pooled_decompositions.push(eig_calls() - start);
+        }
         paqoc_telemetry::set_kernel_probes(None);
         // The long-lived model decomposed each distinct input once. Every
         // group came three times, so it looked up at least three times as
@@ -1081,6 +1200,63 @@ mod tests {
             lookups >= 3 * entries,
             "{lookups} lookups, {entries} entries"
         );
+        assert_eq!(pooled_decompositions, [entries, 0]);
+        let snapshot = pooled.snapshot();
+        assert_eq!(snapshot.len() as u64, entries);
+        for (u, w) in snapshot {
+            let fresh = weyl_coordinates(&Matrix::from_flat(u.into_iter().flatten().collect()));
+            assert_eq!(w, fresh);
+        }
+    }
+
+    #[test]
+    fn a_full_pooled_memo_keeps_its_entries_and_stops_inserting() {
+        let key = |i: usize| {
+            let mut key = [0u64; 32];
+            key[0] = i as u64;
+            key
+        };
+        let w = |i: usize| WeylCoordinates {
+            c1: i as f64,
+            c2: 0.0,
+            c3: 0.0,
+        };
+        let memo = WeylMemo::new();
+        for i in 0..=WeylMemo::CAPACITY {
+            memo.insert(key(i), w(i));
+        }
+        assert_eq!(memo.len(), WeylMemo::CAPACITY);
+        assert_eq!(memo.get(&key(0)), Some(w(0)));
+        assert_eq!(memo.get(&key(WeylMemo::CAPACITY)), None);
+        // A model over the full memo still answers as a fresh one, and
+        // keeps what it decomposes to itself.
+        let memo = Arc::new(memo);
+        let group = [inst(GateKind::H, &[0]), inst(GateKind::Cx, &[0, 1])];
+        let mut model = AnalyticModel::with_memo(memo.clone());
+        assert_eq!(
+            estimate_bits(model.generate(&group, &Device::grid5x5(), 0.999, None)),
+            estimate_bits(gen(&group))
+        );
+        assert_eq!(model.weyl_memo.len(), 1);
+        assert_eq!(memo.len(), WeylMemo::CAPACITY);
+    }
+
+    #[test]
+    fn a_poisoned_pooled_memo_recovers() {
+        let memo = WeylMemo::new();
+        let poisoned = std::panic::catch_unwind(|| {
+            let _held = memo.entries.lock().expect("first lock");
+            panic!("a holder dies");
+        });
+        assert!(poisoned.is_err() && memo.entries.is_poisoned());
+        let w = WeylCoordinates {
+            c1: 1.0,
+            c2: 0.5,
+            c3: 0.0,
+        };
+        memo.insert([7; 32], w);
+        assert_eq!(memo.get(&[7; 32]), Some(w));
+        assert_eq!(memo.len(), 1);
     }
 
     /// A random group of IBM-basis gates (`id`, `x`, `sx`, `rz`, `cx`)

@@ -45,6 +45,7 @@ pub use hamiltonian::{transmon_xy_controls, ControlChannel, ControlSet, Device};
 pub use io_faults::{IoFaultCounts, IoFaultInjector};
 pub use latency::{
     validate_estimate, AnalyticModel, LoweredGroup, PulseEstimate, PulseGenError, PulseSource,
+    WeylMemo,
 };
 pub use spec::HardwareSpec;
 pub use topology::Topology;

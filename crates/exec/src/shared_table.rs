@@ -7,7 +7,9 @@
 //! (`"<fingerprint-hex>/<group>"`, computed by the caller — this crate
 //! treats keys as opaque), plus an optional persistent [`PulseStore`]
 //! behind a single mutex. The per-compile `PulseTable` in `paqoc-core`
-//! is a view over it that keeps only per-compile state.
+//! is a view over it that keeps only per-compile state. It also owns a
+//! [`WeylMemo`], so compiles pooled on one table pool the analytic
+//! estimator's Weyl decompositions as well as its pulses.
 //!
 //! Three invariants make it safe and cheap:
 //!
@@ -28,10 +30,10 @@
 //!   per process, not once per worker.
 
 use crate::factory::job_seed;
-use paqoc_device::PulseEstimate;
+use paqoc_device::{PulseEstimate, WeylMemo};
 use paqoc_store::{PulseStore, StoreError, StoreRole};
 use std::collections::{HashMap, HashSet};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Default shard count — enough stripes that 64 workers rarely collide,
 /// small enough that iterating all shards for a snapshot stays trivial.
@@ -98,6 +100,7 @@ pub struct SharedPulseTable {
     /// Fast-path flag mirroring `store.is_some()`, so claim misses on
     /// store-less tables skip the store mutex entirely.
     store_attached: std::sync::atomic::AtomicBool,
+    weyl_memo: Arc<WeylMemo>,
 }
 
 impl std::fmt::Debug for SharedPulseTable {
@@ -135,7 +138,14 @@ impl SharedPulseTable {
             shards: (0..shards.max(1)).map(|_| Mutex::default()).collect(),
             store: Mutex::new(None),
             store_attached: std::sync::atomic::AtomicBool::new(false),
+            weyl_memo: Arc::default(),
         }
+    }
+
+    /// The Weyl decompositions of every compile pooled on this table,
+    /// empty when the table is created (see [`WeylMemo`]).
+    pub fn weyl_memo(&self) -> &Arc<WeylMemo> {
+        &self.weyl_memo
     }
 
     /// Attaches a persistent store for read-through and write-behind

@@ -48,6 +48,25 @@ pub fn char_poly(a: &Matrix) -> Vec<C64> {
 /// `coeffs` are `[c₀, …, c_n]` with `c₀ = 1` (the function normalizes
 /// otherwise). Returns `n` roots with multiplicity.
 ///
+/// Each iteration makes two kinds of comparison: `|denom| < 1e-300`
+/// (coincident iterates, nudged apart) and `max |step| < 1e-14`
+/// (converged). Both are decided on squared magnitudes, without
+/// `hypot`, and fall back to `hypot` where a square could decide
+/// otherwise:
+///
+/// * `|denom|² > 1e-280`, finite, means "not coincident"; any other
+///   square takes `denom.abs() < 1e-300`.
+/// * The largest `|step|²` of the iteration decides `< 1e-28` when it is
+///   finite, at least `1e-290` and outside a relative band of `±1e-6`
+///   around `1e-28`; otherwise the largest `step.abs()` of the
+///   iteration is compared with `1e-14`.
+///
+/// Where squares are normal, `re² + im²` rounds to within a few ulps of
+/// the square of `hypot(re, im)`, so a square outside the band decides
+/// as `hypot` does: every iteration, and every root, is bit for bit what
+/// comparing `hypot` values gives. An iteration that nudged a root never
+/// stops.
+///
 /// # Panics
 ///
 /// Panics if the polynomial has degree zero or the leading coefficient
@@ -79,8 +98,12 @@ pub fn poly_roots(coeffs: &[C64]) -> Vec<C64> {
         })
         .collect();
 
+    let mut steps = vec![C64::ZERO; n];
     for _ in 0..300 {
-        let mut max_step = 0.0f64;
+        // The largest `|step|²`; a NaN square sticks, so a non-finite
+        // step always reaches the exact test.
+        let mut max_sq = 0.0f64;
+        let mut nudged = false;
         for i in 0..n {
             let zi = roots[i];
             let mut denom = C64::ONE;
@@ -89,23 +112,48 @@ pub fn poly_roots(coeffs: &[C64]) -> Vec<C64> {
                     denom *= zi - zj;
                 }
             }
-            if denom.abs() < 1e-300 {
+            if is_below_1e_300(denom) {
                 // Coincident iterates: nudge and continue.
                 roots[i] = zi + C64::new(1e-8, 1e-8);
-                max_step = f64::MAX;
+                nudged = true;
                 continue;
             }
             let step = eval(zi) / denom;
             roots[i] = zi - step;
-            max_step = max_step.max(step.abs());
+            steps[i] = step;
+            let sq = step.norm_sqr();
+            if sq > max_sq || sq.is_nan() {
+                max_sq = sq;
+            }
         }
-        if max_step < 1e-14 {
+        if !nudged && is_converged(&steps, max_sq) {
             break;
         }
     }
     polish_clusters(&mut roots);
     refine_multiple_roots(&monic, &mut roots);
     roots
+}
+
+/// `z.abs() < 1e-300`, answered "no" without `hypot` when `|z|²` is
+/// finite and above `1e-280`, that is when `|z|` exceeds about `1e-140`.
+fn is_below_1e_300(z: C64) -> bool {
+    let q = z.norm_sqr();
+    if q.is_finite() && q > 1e-280 {
+        return false;
+    }
+    z.abs() < 1e-300
+}
+
+/// `max |step| < 1e-14` over one iteration's `steps`, decided on their
+/// largest square `max_sq` where that cannot differ from comparing
+/// `hypot` values (see [`poly_roots`]).
+fn is_converged(steps: &[C64], max_sq: f64) -> bool {
+    const TOL_SQ: f64 = 1e-28;
+    if max_sq.is_finite() && max_sq >= 1e-290 && (max_sq - TOL_SQ).abs() > 1e-6 * TOL_SQ {
+        return max_sq < TOL_SQ;
+    }
+    steps.iter().map(|s| s.abs()).fold(0.0f64, f64::max) < 1e-14
 }
 
 /// Replaces clusters of nearby iterates with their centroid.

@@ -17,6 +17,13 @@ echo "== cargo test -q --workspace =="
 # determinism check and the 4-core compile-overlap gate.
 cargo test -q --workspace
 
+echo "== cargo test --release -q --workspace =="
+# The same suite at the optimisation level every shipped binary and the
+# benchmark build with. The bit-identity oracles (paqoc-math's kernels,
+# the estimator, GRAPE, the search and Durand–Kerner) must hold on the
+# code that is measured, not only at the test profile's opt-level 2.
+cargo test --release -q --workspace
+
 echo "== kernel-probe overhead gate (quick suite, probes on vs off) =="
 cargo run --release -p paqoc-bench --bin probe_overhead
 
