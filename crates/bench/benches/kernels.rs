@@ -12,7 +12,7 @@ use paqoc_core::{try_compile, PipelineOptions};
 use paqoc_device::{transmon_xy_controls, AnalyticModel, Device, HardwareSpec, PulseSource};
 use paqoc_grape::{optimize, GrapeOptions};
 use paqoc_mapping::{try_sabre_map, SabreOptions};
-use paqoc_math::{expm, weyl_coordinates, C64};
+use paqoc_math::{expm, weyl_coordinates, Matrix, C64};
 use paqoc_mining::{mine_frequent_subcircuits, MinerOptions};
 use paqoc_workloads::benchmark;
 use std::hint::black_box;
@@ -58,14 +58,36 @@ fn bench(name: &str, mut f: impl FnMut()) {
     );
 }
 
-fn bench_expm() {
+/// A GRAPE step exponent `−i·2π·dt·H(α)` on the 3-qubit transmon line
+/// (8 channels, dt = 0.5 ns), every amplitude at 80% of its limit: its
+/// one-norm lies between 0.5 and 1, so `expm` squares once, as it does on
+/// a d = 8 step whose amplitudes near their limits.
+fn grape_exponent_8x8() -> Matrix {
     let controls = transmon_xy_controls(3, &[(0, 1), (1, 2)], &HardwareSpec::transmon_xy());
     let mut h = controls.drift.clone();
     for ch in &controls.channels {
-        h.axpy(C64::real(0.01), &ch.operator);
+        h.axpy(C64::real(0.8 * ch.max_amp), &ch.operator);
     }
+    let exponent = h.scaled(C64::new(0.0, -std::f64::consts::PI));
+    let norm = exponent.one_norm();
+    assert!(norm > 0.5 && norm <= 1.0, "one-norm {norm}");
+    exponent
+}
+
+fn bench_expm() {
+    let a = grape_exponent_8x8();
     bench("expm_8x8", || {
-        black_box(expm(black_box(&h.scaled(C64::new(0.0, -0.5)))));
+        black_box(expm(black_box(&a)));
+    });
+}
+
+fn bench_solve() {
+    // The system of a Padé step: (I − A/2)·X = I + A/2.
+    let half = grape_exponent_8x8().scaled(C64::real(0.5));
+    let identity = Matrix::identity(8);
+    let (lhs, rhs) = (&identity - &half, &identity + &half);
+    bench("solve_8x8", || {
+        black_box(black_box(&lhs).solve(black_box(&rhs)));
     });
 }
 
@@ -87,6 +109,12 @@ fn bench_grape_iteration() {
     };
     bench("grape_10_iterations_1q", || {
         black_box(optimize(black_box(&target), &controls, 12, &opts, None));
+    });
+    // What `grape-small` spends most of its time on: d = 8, 8 channels.
+    let controls = transmon_xy_controls(3, &[(0, 1), (1, 2)], &HardwareSpec::transmon_xy());
+    let target = paqoc_math::random_unitary_seeded(8, 42);
+    bench("grape_10_iterations_3q", || {
+        black_box(optimize(black_box(&target), &controls, 55, &opts, None));
     });
 }
 
@@ -164,6 +192,7 @@ fn bench_compile_configs() {
 fn main() {
     println!("kernel micro-benchmarks (Instant harness, 0.5 s window each)");
     bench_expm();
+    bench_solve();
     bench_weyl();
     bench_grape_iteration();
     bench_analytic_model();

@@ -226,16 +226,17 @@ impl SparseOp {
         SparseOp { dim, entries }
     }
 
-    /// `out = op · rhs`: the products of `op.matmul(rhs)` in its order,
-    /// each output entry accumulating from `+0` in increasing column of
-    /// `op`.
-    fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
+    /// Writes `(op · rhs)ᵀ` into the row-major `d×d` block `out`: the
+    /// products of `op.matmul(rhs)` in its order, each entry accumulating
+    /// from `+0` in increasing column of `op`, stored at the transposed
+    /// position.
+    fn transposed_product_into(&self, rhs: &Matrix, out: &mut [C64]) {
         let d = self.dim;
-        let (rhs, out) = (rhs.as_slice(), out.as_mut_slice());
+        let rhs = rhs.as_slice();
         out.fill(C64::ZERO);
         for &(r, c, x) in &self.entries {
-            let out_row = &mut out[r * d..(r + 1) * d];
-            for (o, &v) in out_row.iter_mut().zip(&rhs[c * d..(c + 1) * d]) {
+            // Row `r` of the product is column `r` of `out`.
+            for (o, &v) in out[r..].iter_mut().step_by(d).zip(&rhs[c * d..(c + 1) * d]) {
                 *o = o.mul_add(x, v);
             }
         }
@@ -317,6 +318,28 @@ impl<'a> Stepper<'a> {
     }
 }
 
+/// Channels whose gradient traces run side by side.
+const TRACE_CHAINS: usize = 4;
+
+/// The traces `Tr(M·P_w) = Σ_r Σ_c M[r][c]·P_w[c][r]` of the row-major
+/// `d×d` matrix `left` (`M`) with [`TRACE_CHAINS`] matrices `P_w`, given
+/// transposed as the consecutive `d×d` blocks of `transposed`.
+///
+/// Each trace is its own chain `dg.mul_add(M[r][c], P_w[c][r])` from `+0`
+/// over `(r, c)` in row-major order, as a trace computed alone runs; the
+/// chains do not depend on each other, so they overlap.
+fn traces(left: &[C64], transposed: &[C64]) -> [C64; TRACE_CHAINS] {
+    let dd = left.len();
+    let blocks: [&[C64]; TRACE_CHAINS] = std::array::from_fn(|w| &transposed[w * dd..][..dd]);
+    let mut dg = [C64::ZERO; TRACE_CHAINS];
+    for (i, &m) in left.iter().enumerate() {
+        for (acc, block) in dg.iter_mut().zip(&blocks) {
+            *acc = acc.mul_add(m, block[i]);
+        }
+    }
+    dg
+}
+
 /// Every buffer of one [`optimize`] call, allocated once and reused by
 /// each iteration and restart.
 struct Workspace<'a> {
@@ -333,8 +356,9 @@ struct Workspace<'a> {
     bwd: Vec<Matrix>,
     /// `U_target† · U_N⋯U_1`, then `M_j = U_target† · B_j` per step.
     left: Matrix,
-    /// `H_k · F_j`.
-    hk_fwd: Matrix,
+    /// `(H_k · F_j)ᵀ` of up to [`TRACE_CHAINS`] channels, as consecutive
+    /// `d×d` blocks.
+    hk_fwd_t: Vec<C64>,
     /// `tanh(theta)` of the current iteration, laid out like `theta`:
     /// the forward pass and the gradient share one `tanh` per parameter.
     tanh_theta: Vec<f64>,
@@ -359,7 +383,7 @@ impl<'a> Workspace<'a> {
             fwd: vec![Matrix::zeros(dim, dim); steps],
             bwd,
             left: Matrix::zeros(dim, dim),
-            hk_fwd: Matrix::zeros(dim, dim),
+            hk_fwd_t: vec![C64::ZERO; TRACE_CHAINS * dim * dim],
             tanh_theta: vec![0.0; params],
             m: vec![0.0; params],
             v: vec![0.0; params],
@@ -460,28 +484,29 @@ impl<'a> Workspace<'a> {
                 // M_j = U_t† · B_j ; row-product with (−i 2π dt H_k) F_j.
                 self.target_dagger.matmul_into(&self.bwd[j], &mut self.left);
                 let right = &self.fwd[j];
-                for (k, ch) in self.stepper.channels.iter().enumerate() {
-                    // dg = Tr(left · (−i 2π dt H_k) · right)
-                    ch.op.matmul_into(right, &mut self.hk_fwd);
-                    let (left, hk_right) = (self.left.as_slice(), self.hk_fwd.as_slice());
-                    let mut dg = C64::ZERO;
-                    for r in 0..dim {
-                        for c in 0..dim {
-                            dg = dg.mul_add(left[r * dim + c], hk_right[c * dim + r]);
-                        }
+                let chunks = self.stepper.channels.chunks(TRACE_CHAINS);
+                for (first, group) in (0..).step_by(TRACE_CHAINS).zip(chunks) {
+                    for (ch, block) in group.iter().zip(self.hk_fwd_t.chunks_exact_mut(dim * dim)) {
+                        ch.op.transposed_product_into(right, block);
                     }
-                    let dg = dg * self.stepper.rotation;
-                    // dF/dα = 2·Re(conj(g)·dg)/d²  (maximize → ascend)
-                    let dfda = 2.0 * (overlap.conj() * dg).re / (d * d);
-                    let p = j * num_channels + k;
-                    let grad = dfda * squash_grad(self.tanh_theta[p], ch.max_amp);
+                    // dg = Tr(left · (−i 2π dt H_k) · right). A last group
+                    // of fewer channels leaves stale blocks, whose traces
+                    // are dropped.
+                    let dgs = traces(self.left.as_slice(), &self.hk_fwd_t);
+                    for ((k, ch), dg) in (first..).zip(group).zip(dgs) {
+                        let dg = dg * self.stepper.rotation;
+                        // dF/dα = 2·Re(conj(g)·dg)/d²  (maximize → ascend)
+                        let dfda = 2.0 * (overlap.conj() * dg).re / (d * d);
+                        let p = j * num_channels + k;
+                        let grad = dfda * squash_grad(self.tanh_theta[p], ch.max_amp);
 
-                    // ADAM ascent step.
-                    self.m[p] = beta1 * self.m[p] + (1.0 - beta1) * grad;
-                    self.v[p] = beta2 * self.v[p] + (1.0 - beta2) * grad * grad;
-                    let mc = self.m[p] / bias1;
-                    let vc = self.v[p] / bias2;
-                    theta[p] += opts.learning_rate * mc / (vc.sqrt() + eps);
+                        // ADAM ascent step.
+                        self.m[p] = beta1 * self.m[p] + (1.0 - beta1) * grad;
+                        self.v[p] = beta2 * self.v[p] + (1.0 - beta2) * grad * grad;
+                        let mc = self.m[p] / bias1;
+                        let vc = self.v[p] / bias2;
+                        theta[p] += opts.learning_rate * mc / (vc.sqrt() + eps);
+                    }
                 }
             }
         }

@@ -270,6 +270,7 @@ pub fn eigenvalues(a: &Matrix) -> Vec<C64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::within_watchdog;
 
     fn sorted_re(mut v: Vec<C64>) -> Vec<C64> {
         v.sort_by(|a, b| a.re.total_cmp(&b.re).then(a.im.total_cmp(&b.im)));
@@ -333,30 +334,6 @@ mod tests {
         assert!((evs[0] - C64::real(2.0)).abs() < 1e-7);
         assert!((evs[1] - C64::real(2.0)).abs() < 1e-7);
         assert!((evs[2] - C64::real(5.0)).abs() < 1e-7);
-    }
-
-    /// Runs `f` on a worker thread and fails the test if it has not
-    /// returned within 10 s, so a hang regression fails instead of
-    /// stalling the suite. A hung worker cannot be joined; it ends with
-    /// the test process.
-    fn within_watchdog<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
-        use std::sync::mpsc::RecvTimeoutError;
-        let (tx, rx) = std::sync::mpsc::channel();
-        let worker = std::thread::spawn(move || {
-            let _ = tx.send(f());
-        });
-        match rx.recv_timeout(std::time::Duration::from_secs(10)) {
-            Ok(value) => {
-                worker.join().expect("the worker exits after sending");
-                value
-            }
-            Err(RecvTimeoutError::Disconnected) => std::panic::resume_unwind(
-                worker
-                    .join()
-                    .expect_err("a worker that sent nothing panicked"),
-            ),
-            Err(RecvTimeoutError::Timeout) => panic!("did not return within 10 s"),
-        }
     }
 
     fn with_nan_entry() -> Matrix {

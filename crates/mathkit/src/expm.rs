@@ -72,9 +72,10 @@ impl ExpmScratch {
 /// Computes the matrix exponential `e^A` of a square complex matrix.
 ///
 /// Uses a [6/6] Padé approximant with scaling and squaring; the number of
-/// squarings is chosen so the scaled norm is below `0.5`. Allocates its
-/// scratch and the result; [`expm_into`] is the same kernel over caller
-/// buffers.
+/// squarings `s` is the smallest with `‖A‖₁ ≤ 0.5·2^s`. When `2^s` is not
+/// a finite `f64` (a one-norm above about `2^1022`, or an infinite one)
+/// every entry of the result is NaN. Allocates its scratch and the result;
+/// [`expm_into`] is the same kernel over caller buffers.
 ///
 /// # Panics
 ///
@@ -115,6 +116,15 @@ pub fn expm(a: &Matrix) -> Matrix {
 /// elimination in the same scalar order, through
 /// [`Matrix::matmul_into`] and [`Matrix::solve_into`].
 ///
+/// The squaring count is `0` when `‖A‖₁ ≤ 0.5` and `⌈log₂(‖A‖₁ / 0.5)⌉`
+/// otherwise. It is decided on a one-norm estimate from squared moduli,
+/// and only an estimate within a relative `1e-9` of a threshold
+/// `0.5·2^k`, or one that is not finite, takes the exact
+/// [`Matrix::one_norm`]; the two give the same count. A column whose
+/// one-norm is NaN does not count. When `2^s` overflows (a one-norm above
+/// about `2^1022`, or an infinite one) nothing is squared and `out` is
+/// filled with NaN.
+///
 /// # Panics
 ///
 /// Panics if `a` is not square, if `out` or `scratch` has another
@@ -140,11 +150,9 @@ pub fn expm_into(a: &Matrix, out: &mut Matrix, scratch: &mut ExpmScratch) {
         "expm output must be {n}×{n}"
     );
     paqoc_telemetry::kernel_probe!("mathkit.expm", n);
-    let norm = a.one_norm();
-    let squarings = if norm <= 0.5 {
-        0
-    } else {
-        (norm / 0.5).log2().ceil() as u32
+    let Some(squarings) = squaring_count(a) else {
+        out.as_mut_slice().fill(C64::new(f64::NAN, f64::NAN));
+        return;
     };
     let scale = 1.0 / f64::powi(2.0, squarings as i32);
     let s = scratch;
@@ -185,6 +193,67 @@ pub fn expm_into(a: &Matrix, out: &mut Matrix, scratch: &mut ExpmScratch) {
     }
 }
 
+/// Relative distance from a squaring threshold within which the one-norm
+/// estimate of [`squaring_count`] does not decide the count.
+const NORM_BAND: f64 = 1e-9;
+
+/// The squaring count of [`expm_into`]: `0` when `‖A‖₁ ≤ 0.5`, otherwise
+/// `⌈log₂(‖A‖₁ / 0.5)⌉`, the smallest `s` with `‖A‖₁ ≤ 0.5·2^s`. `None`
+/// when `2^s` is not a finite `f64` (a one-norm above about `2^1022`, or
+/// an infinite one).
+///
+/// The count is decided on an estimate of the one-norm: each column sums
+/// `sqrt(re² + im²)` instead of `hypot(re, im)`. Where every square is a
+/// finite number each term lies within a few ulps of `hypot`, or within
+/// `1e-160` of it where a square underflows, so an estimate outside a
+/// relative [`NORM_BAND`] of every threshold `0.5·2^k` gives the count the
+/// exact norm gives. Otherwise, and when a column's estimate is not
+/// finite, the count comes from [`Matrix::one_norm`], whose maximum skips
+/// a NaN column.
+fn squaring_count(a: &Matrix) -> Option<u32> {
+    let norm = match one_norm_on_squares(a) {
+        Some(estimate) if !near_a_threshold(estimate) => estimate,
+        _ => a.one_norm(),
+    };
+    if norm <= 0.5 {
+        return Some(0);
+    }
+    let squarings = (norm / 0.5).log2().ceil();
+    (squarings < f64::MAX_EXP as f64).then_some(squarings as u32)
+}
+
+/// The largest column sum of `sqrt(re² + im²)`, each column summed in row
+/// order as [`Matrix::one_norm`] sums it; `None` when any column's sum
+/// is not finite.
+fn one_norm_on_squares(a: &Matrix) -> Option<f64> {
+    let (n, entries) = (a.cols(), a.as_slice());
+    let mut best = 0.0f64;
+    for j in 0..n {
+        let sum: f64 = entries[j..]
+            .iter()
+            .step_by(n)
+            .map(|z| z.norm_sqr().sqrt())
+            .sum();
+        if !sum.is_finite() {
+            return None;
+        }
+        best = best.max(sum);
+    }
+    Some(best)
+}
+
+/// `true` when a finite `norm` lies within a relative [`NORM_BAND`] of a
+/// squaring threshold `0.5·2^k`, `k ≥ 0`.
+fn near_a_threshold(norm: f64) -> bool {
+    if norm < 0.5 * (1.0 - NORM_BAND) {
+        return false;
+    }
+    // The powers of two around a positive normal `norm`: `below`, its
+    // mantissa cleared, and `2·below`.
+    let below = f64::from_bits(norm.to_bits() & !((1u64 << 52) - 1));
+    norm - below <= NORM_BAND * below || 2.0 * below - norm <= NORM_BAND * 2.0 * below
+}
+
 /// Writes `I·c` into `m`, entry by entry as `Matrix::identity(n).scaled(c)`
 /// computes it.
 fn scaled_identity_into(c: f64, m: &mut Matrix) {
@@ -211,6 +280,7 @@ pub fn propagator(h: &Matrix, t: f64) -> Matrix {
 mod tests {
     use super::*;
     use crate::matrix::reference;
+    use crate::testing::within_watchdog;
 
     /// `expm` as it was before `expm_into`, over the reference `matmul`
     /// and `solve` bodies: the oracle of the bit-identity tests.
@@ -276,6 +346,52 @@ mod tests {
                 expm_into(&a, &mut out, &mut scratch);
                 assert_eq!(reference::bits(&out), reference::bits(&reference_expm(&a)));
             }
+        }
+    }
+
+    #[test]
+    fn a_count_whose_power_of_two_overflows_fills_nan_and_returns() {
+        let inf = C64::real(f64::INFINITY);
+        let cases = [
+            // ⌈log₂ ∞⌉ saturated to u32::MAX squarings: it never returned.
+            Matrix::from_rows(&[&[C64::ZERO, inf], &[C64::ZERO, C64::ZERO]]),
+            // `norm / 0.5` overflows to ∞ the same way.
+            Matrix::diag(&[C64::real(1e308), C64::ZERO]),
+            // 1024 squarings: `2^1024` overflowed, the scale became 0 and
+            // the identity came back.
+            Matrix::diag(&[C64::real(8e307), C64::ZERO]),
+        ];
+        for a in cases {
+            assert_eq!(squaring_count(&a), None, "{a:?}");
+            let e = within_watchdog(move || expm(&a));
+            let all_nan = e.as_slice().iter().all(|z| z.re.is_nan() && z.im.is_nan());
+            assert!(all_nan, "{e:?}");
+        }
+    }
+
+    #[test]
+    fn the_largest_finite_count_keeps_its_bits() {
+        // ‖A‖₁ = 2^1022: 1023 squarings and a scale of 2^-1023. One ulp
+        // above, `log₂` still rounds to 1023.
+        for bits in [0x7fd0_0000_0000_0000, 0x7fd0_0000_0000_0001] {
+            let a = Matrix::diag(&[C64::real(f64::from_bits(bits)), C64::ZERO]);
+            assert_eq!(squaring_count(&a), Some(1023));
+            assert_eq!(
+                reference::bits(&expm(&a)),
+                reference::bits(&reference_expm(&a))
+            );
+        }
+    }
+
+    #[test]
+    fn a_nan_column_does_not_count_toward_the_squarings() {
+        // `f64::max` skips the NaN column's sum: the count is the other
+        // column's, 3 for a norm of 3.
+        for nan in [C64::new(f64::NAN, 0.0), C64::new(1.0, f64::NAN)] {
+            let a = Matrix::from_rows(&[&[nan, C64::ZERO], &[C64::real(0.1), C64::real(3.0)]]);
+            assert_eq!(squaring_count(&a), Some(3));
+            let e = within_watchdog(move || (expm(&a), reference_expm(&a)));
+            assert_eq!(reference::bits(&e.0), reference::bits(&e.1));
         }
     }
 

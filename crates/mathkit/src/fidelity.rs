@@ -9,7 +9,9 @@ use crate::matrix::Matrix;
 /// Phase-insensitive process (trace) fidelity `|Tr(U†V)|² / d²`.
 ///
 /// Equals 1 exactly when `V = e^{iφ}U`, and decreases smoothly with
-/// distance. This is the objective GRAPE maximizes.
+/// distance. This is the objective GRAPE maximizes. NaN when `Tr(U†V)` is
+/// not finite, so a unitary that propagated to NaN or ∞ never reads as
+/// perfect (`f64::min` would return its other operand, 1).
 ///
 /// # Panics
 ///
@@ -29,6 +31,9 @@ pub fn trace_fidelity(u: &Matrix, v: &Matrix) -> f64 {
     assert_eq!(u.cols(), v.cols(), "trace_fidelity shape mismatch");
     let d = u.rows() as f64;
     let overlap = u.dagger().matmul(v).trace();
+    if !overlap.is_finite() {
+        return f64::NAN;
+    }
     (overlap.norm_sqr() / (d * d)).min(1.0)
 }
 
@@ -43,7 +48,8 @@ pub fn average_gate_fidelity(u: &Matrix, v: &Matrix) -> f64 {
 ///
 /// This is the paper's `|U − H(t)|` error term, normalized so that it lies
 /// in `[0, 2]` independent of dimension. The optimal phase is
-/// `φ = arg Tr(U†V)`.
+/// `φ = arg Tr(U†V)`. NaN when `Tr(U†V)` is not finite (`f64::max`
+/// would read it as distance 0).
 ///
 /// # Panics
 ///
@@ -56,13 +62,17 @@ pub fn phase_aligned_distance(u: &Matrix, v: &Matrix) -> f64 {
     assert_eq!(u.rows(), v.rows(), "phase_aligned_distance shape mismatch");
     let d = u.rows() as f64;
     let overlap = u.dagger().matmul(v).trace();
+    if !overlap.is_finite() {
+        return f64::NAN;
+    }
     // ‖U − e^{iφ}V‖_F² = 2d − 2·Re(e^{-iφ}·Tr(U†V)); minimized at φ = arg overlap.
     let sq = (2.0 * d - 2.0 * overlap.abs()).max(0.0);
     (sq / d).sqrt()
 }
 
 /// Per-gate success rate `1 − ε` used by the ESP product (paper Eq. 2),
-/// with `ε` the [`phase_aligned_distance`] clamped to `[0, 1]`.
+/// with `ε` the [`phase_aligned_distance`] clamped to `[0, 1]`; NaN where
+/// that distance is.
 pub fn gate_success_rate(u: &Matrix, v: &Matrix) -> f64 {
     (1.0 - phase_aligned_distance(u, v)).clamp(0.0, 1.0)
 }
@@ -116,6 +126,40 @@ mod tests {
             assert!(d > last, "distance must grow with angle");
             last = d;
         }
+    }
+
+    #[test]
+    fn a_non_finite_overlap_is_never_a_perfect_gate() {
+        let h = h_gate();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for part in [C64::real(bad), C64::new(0.5, bad)] {
+                // On the diagonal against the identity, and off it
+                // against a dense gate: either way it reaches the trace.
+                let mut on_diagonal = Matrix::identity(2);
+                on_diagonal[(1, 1)] = part;
+                let mut off_diagonal = h.clone();
+                off_diagonal[(0, 1)] = part;
+                for (u, v) in [
+                    (Matrix::identity(2), on_diagonal),
+                    (h.clone(), off_diagonal),
+                ] {
+                    let what = format!("{part} in {v:?}");
+                    assert!(trace_fidelity(&u, &v).is_nan(), "{what}");
+                    assert!(average_gate_fidelity(&u, &v).is_nan(), "{what}");
+                    assert!(phase_aligned_distance(&u, &v).is_nan(), "{what}");
+                    assert!(gate_success_rate(&u, &v).is_nan(), "{what}");
+                }
+            }
+        }
+        // Positive, so `total_cmp` minima never pick it over a finite
+        // distance.
+        let mut v = Matrix::identity(2);
+        v[(0, 0)] = C64::real(f64::NAN);
+        let distance = phase_aligned_distance(&Matrix::identity(2), &v);
+        assert_eq!(
+            [distance, 0.5].into_iter().min_by(f64::total_cmp),
+            Some(0.5)
+        );
     }
 
     #[test]

@@ -93,10 +93,69 @@ fn matmul_arrays<const N: usize>(a: &[[C64; N]; N], b: &[[C64; N]; N], out: &mut
     }
 }
 
+/// Relative distance within which two pivot candidates' squared moduli
+/// do not decide between them.
+const PIVOT_BAND: f64 = 1e-9;
+
+/// The least a column's largest square must be for the pivot search to
+/// decide on squares: its root, above `1e-145`, clears the `1e-300`
+/// singularity test, and a square this large is a normal number.
+const PIVOT_MIN_SQ: f64 = 1e-290;
+
+/// The partial pivot of one column, given its entries from the diagonal
+/// down: the offset of the first entry of largest modulus, or `None`
+/// when that modulus is below `1e-300` (singular to working precision).
+///
+/// Decided on squared moduli, without `hypot`, when every square is
+/// finite, the largest is at least [`PIVOT_MIN_SQ`] and no candidate's
+/// square lies within a relative [`PIVOT_BAND`] of the running pivot's.
+/// Then every other square lies clearly below the chosen one, so the
+/// `hypot` values order the same way: `re² + im²` lies within a few ulps
+/// of `hypot(re, im)²`, or within `1e-323` of it where a square
+/// underflows. Any other column is decided by [`hypot_pivot`].
+fn pivot(column: impl Iterator<Item = C64> + Clone) -> Option<usize> {
+    let mut squares = column.clone().map(C64::norm_sqr).enumerate();
+    let (_, mut piv_sq) = squares.next().expect("a pivot column is never empty");
+    let mut piv = 0;
+    let mut decided = piv_sq.is_finite();
+    for (r, sq) in squares {
+        decided &= sq.is_finite() && (sq - piv_sq).abs() > PIVOT_BAND * sq.max(piv_sq);
+        if sq > piv_sq {
+            piv = r;
+            piv_sq = sq;
+        }
+    }
+    if decided && piv_sq >= PIVOT_MIN_SQ {
+        return Some(piv);
+    }
+    hypot_pivot(column)
+}
+
+/// [`pivot`] decided by comparing `hypot` values, as the elimination
+/// always did. A NaN modulus never replaces the running pivot, and a NaN
+/// pivot is not singular.
+fn hypot_pivot(column: impl Iterator<Item = C64>) -> Option<usize> {
+    let mut mags = column.map(C64::abs).enumerate();
+    let (_, mut piv_mag) = mags.next().expect("a pivot column is never empty");
+    let mut piv = 0;
+    for (r, mag) in mags {
+        if mag > piv_mag {
+            piv = r;
+            piv_mag = mag;
+        }
+    }
+    if piv_mag < 1e-300 {
+        None
+    } else {
+        Some(piv)
+    }
+}
+
 /// Solves `A·X = B` in place by Gaussian elimination with partial
 /// pivoting: `a` (`n×n`) is destroyed and `x` (`n×m`) goes in as `B` and
 /// comes out as `X`. Returns `false` when a pivot falls below `1e-300`
 /// (singular to working precision); `a` and `x` then hold partial work.
+/// Both loop forms pick their pivots through [`pivot`].
 pub(crate) fn solve(n: usize, m: usize, a: &mut [C64], x: &mut [C64]) -> bool {
     if n == m {
         match n {
@@ -107,19 +166,10 @@ pub(crate) fn solve(n: usize, m: usize, a: &mut [C64], x: &mut [C64]) -> bool {
         }
     }
     for col in 0..n {
-        // Partial pivot.
-        let mut piv = col;
-        let mut piv_mag = a[col * n + col].abs();
-        for r in (col + 1)..n {
-            let mag = a[r * n + col].abs();
-            if mag > piv_mag {
-                piv = r;
-                piv_mag = mag;
-            }
-        }
-        if piv_mag < 1e-300 {
+        let Some(offset) = pivot((col..n).map(|r| a[r * n + col])) else {
             return false;
-        }
+        };
+        let piv = col + offset;
         if piv != col {
             for j in 0..n {
                 a.swap(col * n + j, piv * n + j);
@@ -161,18 +211,10 @@ pub(crate) fn solve(n: usize, m: usize, a: &mut [C64], x: &mut [C64]) -> bool {
 fn solve_square<const N: usize>(a: &mut [C64], x: &mut [C64]) -> bool {
     let (a, x) = (square_mut::<N>(a), square_mut::<N>(x));
     for col in 0..N {
-        let mut piv = col;
-        let mut piv_mag = a[col][col].abs();
-        for (r, row) in a.iter().enumerate().skip(col + 1) {
-            let mag = row[col].abs();
-            if mag > piv_mag {
-                piv = r;
-                piv_mag = mag;
-            }
-        }
-        if piv_mag < 1e-300 {
+        let Some(offset) = pivot(a[col..].iter().map(|row| row[col])) else {
             return false;
-        }
+        };
+        let piv = col + offset;
         if piv != col {
             a.swap(col, piv);
             x.swap(col, piv);

@@ -53,3 +53,30 @@ pub use matrix::Matrix;
 pub use random::{ginibre, random_unitary, random_unitary_seeded, stable_jitter, StableHasher};
 pub use rng::{Rng, Sample, SampleRange};
 pub use weyl::{det, weyl_coordinates, WeylCoordinates};
+
+#[cfg(test)]
+mod testing {
+    /// Runs `f` on a worker thread and fails the test if it has not
+    /// returned within 10 s, so a hang regression fails instead of
+    /// stalling the suite. A hung worker cannot be joined; it ends with
+    /// the test process.
+    pub(crate) fn within_watchdog<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        use std::sync::mpsc::RecvTimeoutError;
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(10)) {
+            Ok(value) => {
+                worker.join().expect("the worker exits after sending");
+                value
+            }
+            Err(RecvTimeoutError::Disconnected) => std::panic::resume_unwind(
+                worker
+                    .join()
+                    .expect_err("a worker that sent nothing panicked"),
+            ),
+            Err(RecvTimeoutError::Timeout) => panic!("did not return within 10 s"),
+        }
+    }
+}

@@ -304,7 +304,10 @@ impl Matrix {
         self.data.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt()
     }
 
-    /// Induced 1-norm (maximum absolute column sum), used by `expm` scaling.
+    /// Induced 1-norm (maximum absolute column sum), each modulus by
+    /// `hypot`; a column whose sum is NaN is skipped. [`crate::expm`]
+    /// reads it only where its estimate on squared moduli lies near a
+    /// squaring threshold or is not finite.
     pub fn one_norm(&self) -> f64 {
         let mut best = 0.0f64;
         for j in 0..self.cols {
@@ -596,12 +599,11 @@ pub(crate) mod reference {
         Some(x)
     }
 
-    /// Every entry's bit pattern, for exact comparisons.
+    /// Every entry's bit pattern, for exact comparisons, with every NaN
+    /// one value: which NaN an operation yields is not specified.
     pub(crate) fn bits(m: &Matrix) -> Vec<(u64, u64)> {
-        m.data
-            .iter()
-            .map(|z| (z.re.to_bits(), z.im.to_bits()))
-            .collect()
+        let bits = |x: f64| if x.is_nan() { f64::NAN } else { x }.to_bits();
+        m.data.iter().map(|z| (bits(z.re), bits(z.im))).collect()
     }
 
     /// A seeded `rows×cols` matrix whose entries mix exact zeros of both
