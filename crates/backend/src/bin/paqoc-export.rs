@@ -97,7 +97,7 @@ fn main() -> ExitCode {
     let mut source = AnalyticModel::new();
     let result =
         try_compile(&circuit, &device, &mut source, &PipelineOptions::m0()).expect("compile");
-    let program = lower_to_program(bench.name, &result, &device, backend.as_ref());
+    let program = lower_to_program(bench.name, &result, &device);
     let text = export(&program);
 
     if args.reimport_check {

@@ -2,10 +2,12 @@
 //!
 //! Pluggable device targets for the PAQOC pipeline.
 //!
-//! A [`Backend`] bundles four concerns behind one registry name:
-//! coupling topology, Hamiltonian-level control limits, a per-qubit /
-//! per-coupler calibration snapshot, and control-channel naming. Three
-//! targets ship:
+//! A [`Backend`] is a registry description plus the
+//! `paqoc_device::Device` it names: coupling topology, Hamiltonian-level
+//! control limits and, on a calibrated target, a per-qubit /
+//! per-coupler calibration snapshot. The device's `BackendTag` is the
+//! one holder of the backend's name, namespace id and calibration
+//! digest. Three targets ship:
 //!
 //! * `transmon-grid` — the paper's idealized 5×5 lattice, bit-identical
 //!   to `Device::grid5x5()` (legacy fingerprint, untouched stores).
@@ -37,7 +39,7 @@
 //! let mut source = AnalyticModel::new();
 //! let result = try_compile(&circuit, &device, &mut source, &PipelineOptions::m0())
 //!     .expect("a Bell pair fits heavy-hex");
-//! let program = lower_to_program("bell", &result, &device, backend.as_ref());
+//! let program = lower_to_program("bell", &result, &device);
 //! let wire = export(&program);
 //! assert!(sample_exact_eq(&program, &import(&wire).expect("strict")));
 //! ```
@@ -50,15 +52,11 @@ mod openpulse;
 mod registry;
 mod schedule;
 mod snapshot;
-mod traits;
 
-pub use backends::{
-    HeavyHexBackend, TransmonGridBackend, TunableCouplerBackend, HEAVY_HEX_DEFAULT_CAL,
-};
+pub use backends::{Backend, HEAVY_HEX_DEFAULT_CAL};
 pub use openpulse::{export, import, sample_exact_eq, ImportError, SCHEMA_VERSION};
 pub use registry::{resolve, resolve_with_cal, BackendError, BACKEND_NAMES};
 pub use schedule::{
     lower_to_program, Experiment, PlayInst, PulseDef, PulseProgram, MAX_ENVELOPE_SAMPLES,
 };
 pub use snapshot::{parse_snapshot, CalError};
-pub use traits::{Backend, HasCalibration, HasChannels, HasSpec, HasTopology};

@@ -1,7 +1,6 @@
 //! Name → backend resolution.
 
-use crate::backends::{HeavyHexBackend, TransmonGridBackend, TunableCouplerBackend};
-use crate::traits::Backend;
+use crate::backends::Backend;
 
 /// Registry names of the shipped backends, in presentation order.
 pub const BACKEND_NAMES: [&str; 3] = ["transmon-grid", "heavy-hex", "tunable-coupler"];
@@ -41,7 +40,7 @@ impl std::error::Error for BackendError {}
 /// # Errors
 ///
 /// Returns [`BackendError::Unknown`] for an unregistered name.
-pub fn resolve(name: &str) -> Result<Box<dyn Backend>, BackendError> {
+pub fn resolve(name: &str) -> Result<Backend, BackendError> {
     resolve_with_cal(name, None)
 }
 
@@ -59,19 +58,16 @@ pub fn resolve(name: &str) -> Result<Box<dyn Backend>, BackendError> {
 pub fn resolve_with_cal(
     name: &str,
     cal: Option<&std::path::Path>,
-) -> Result<Box<dyn Backend>, BackendError> {
+) -> Result<Backend, BackendError> {
     match name {
-        "heavy-hex" => {
-            let backend = match cal {
-                Some(path) => HeavyHexBackend::from_snapshot_file(path).map_err(|e| {
-                    BackendError::Calibration {
-                        message: e.to_string(),
-                    }
-                })?,
-                None => HeavyHexBackend::shipped(),
-            };
-            Ok(Box::new(backend))
-        }
+        "heavy-hex" => match cal {
+            Some(path) => {
+                Backend::heavy_hex_from_snapshot_file(path).map_err(|e| BackendError::Calibration {
+                    message: e.to_string(),
+                })
+            }
+            None => Ok(Backend::heavy_hex()),
+        },
         "transmon-grid" | "tunable-coupler" => {
             if let Some(path) = cal {
                 return Err(BackendError::Calibration {
@@ -82,8 +78,8 @@ pub fn resolve_with_cal(
                 });
             }
             Ok(match name {
-                "transmon-grid" => Box::new(TransmonGridBackend),
-                _ => Box::new(TunableCouplerBackend::default()),
+                "transmon-grid" => Backend::transmon_grid(),
+                _ => Backend::tunable_coupler(0.5),
             })
         }
         _ => Err(BackendError::Unknown {

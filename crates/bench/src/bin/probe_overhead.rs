@@ -59,15 +59,6 @@ fn main() {
     let device = Device::grid5x5();
     let opts = PipelineOptions::m_inf();
 
-    paqoc_telemetry::set_kernel_probes(Some(true));
-    if !paqoc_telemetry::kernel_probes_enabled() {
-        println!(
-            "probe_overhead: kernel probes are compiled out (no `kernel-probes` feature) — \
-             nothing to gate"
-        );
-        return;
-    }
-
     // Warm-up pass: page everything in before timing either side.
     paqoc_telemetry::set_kernel_probes(Some(false));
     suite_wall(&device, &opts);

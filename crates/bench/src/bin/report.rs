@@ -467,10 +467,7 @@ fn cmd_workers(trace: &Trace) {
 fn cmd_hotspots(trace: &Trace, baseline: Option<&Trace>, top: usize) {
     if trace.kernel_totals.is_empty() {
         println!("report: no kernel-probe data in this trace");
-        println!(
-            "(build with the default `kernel-probes` feature and run with \
-             PAQOC_KERNEL_PROBES=1 or tracing enabled, e.g. PAQOC_TRACE=trace.jsonl)"
-        );
+        println!("(run with tracing enabled, e.g. PAQOC_TRACE=trace.jsonl, which arms the probes)");
         return;
     }
     let mut rows: Vec<(&String, &KernelRow)> = trace.kernel_totals.iter().collect();

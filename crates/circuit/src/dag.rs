@@ -1,10 +1,13 @@
-//! The gate-dependence DAG and criticality analysis primitives.
+//! The gate-dependence DAG of a circuit.
 //!
 //! Nodes are instruction indices of a [`Circuit`]; there is an edge
 //! `a → b` when `b` is the next instruction using one of `a`'s qubits.
-//! All of PAQOC's criticality machinery (critical path, `CP(X)`,
-//! slack) is defined over this graph with externally supplied node
-//! weights (gate latencies).
+//! SABRE and AccQOC's partitioner walk its edges, and [`makespan`]
+//! gives a circuit's latency under externally supplied node weights
+//! (gate latencies). Algorithm 1's criticality analysis runs on the
+//! grouped circuit (`paqoc_core::GroupedCircuit`), not on this graph.
+//!
+//! [`makespan`]: DependencyDag::makespan
 
 use crate::circuit::{combined_unitary, Circuit, Instruction};
 use std::collections::VecDeque;
@@ -193,26 +196,6 @@ impl DependencyDag {
         cp
     }
 
-    /// Longest weighted path *before* node `x` starts (its earliest start
-    /// time under list scheduling with unlimited parallelism).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights.len() != self.len()`.
-    pub fn cp_before(&self, weights: &[f64]) -> Vec<f64> {
-        assert_eq!(weights.len(), self.len(), "one weight per node");
-        let order = self.topological_order();
-        let mut cp = vec![0.0f64; self.len()];
-        for &i in &order {
-            let mut best = 0.0f64;
-            for &p in &self.preds[i] {
-                best = best.max(weights[p] + cp[p]);
-            }
-            cp[i] = best;
-        }
-        cp
-    }
-
     /// Total circuit latency: the weight of the heaviest path.
     ///
     /// # Panics
@@ -231,81 +214,6 @@ impl DependencyDag {
                 v.is_finite()
             })
             .fold(0.0, f64::max)
-    }
-
-    /// Marks the nodes lying on at least one critical (maximum-weight)
-    /// path, within tolerance `tol` of the makespan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights.len() != self.len()`.
-    pub fn critical_nodes(&self, weights: &[f64], tol: f64) -> Vec<bool> {
-        let before = self.cp_before(weights);
-        let after = self.cp_after(weights);
-        let span = self.makespan(weights);
-        (0..self.len())
-            .map(|i| before[i] + weights[i] + after[i] >= span - tol)
-            .collect()
-    }
-
-    /// `true` when a directed path `from ⇝ to` exists (including the
-    /// trivial `from == to`).
-    pub fn has_path(&self, from: usize, to: usize) -> bool {
-        if from == to {
-            return true;
-        }
-        let mut seen = vec![false; self.len()];
-        let mut stack = vec![from];
-        seen[from] = true;
-        while let Some(i) = stack.pop() {
-            for &s in &self.succs[i] {
-                if s == to {
-                    return true;
-                }
-                if !seen[s] {
-                    seen[s] = true;
-                    stack.push(s);
-                }
-            }
-        }
-        false
-    }
-
-    /// `true` when nodes `a` and `b` can be contracted into one node
-    /// without creating a cycle: every directed path between them must be
-    /// the direct edge. Used to validate merge candidates.
-    pub fn contractible(&self, a: usize, b: usize) -> bool {
-        if a == b {
-            return false;
-        }
-        // A path of length ≥ 2 in either direction makes contraction cyclic.
-        !self.has_intermediate_path(a, b) && !self.has_intermediate_path(b, a)
-    }
-
-    /// `true` when a path `from ⇝ to` exists that passes through at least
-    /// one intermediate node.
-    fn has_intermediate_path(&self, from: usize, to: usize) -> bool {
-        let mut seen = vec![false; self.len()];
-        let mut stack: Vec<usize> = self.succs[from]
-            .iter()
-            .copied()
-            .filter(|&s| s != to)
-            .collect();
-        for &s in &stack {
-            seen[s] = true;
-        }
-        while let Some(i) = stack.pop() {
-            for &s in &self.succs[i] {
-                if s == to {
-                    return true;
-                }
-                if !seen[s] {
-                    seen[s] = true;
-                    stack.push(s);
-                }
-            }
-        }
-        false
     }
 }
 
@@ -376,48 +284,6 @@ mod tests {
         let w = [1.0, 2.0, 3.0, 4.0];
         // paths: h->cx01->cx12 = 7; x2->cx12 = 7 → 7
         assert!((dag.makespan(&w) - 7.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn critical_nodes_cover_the_heaviest_path() {
-        let (_, dag) = sample();
-        let w = [1.0, 2.0, 3.0, 4.0];
-        let crit = dag.critical_nodes(&w, 1e-9);
-        // Both 7-weight paths are critical: all nodes.
-        assert_eq!(crit, vec![true, true, true, true]);
-        // Shrink x(2): only the h-chain stays critical.
-        let w2 = [1.0, 2.0, 0.5, 4.0];
-        let crit2 = dag.critical_nodes(&w2, 1e-9);
-        assert_eq!(crit2, vec![true, true, false, true]);
-    }
-
-    #[test]
-    fn has_path_and_contractibility() {
-        let (_, dag) = sample();
-        assert!(dag.has_path(0, 3));
-        assert!(!dag.has_path(3, 0));
-        assert!(!dag.has_path(0, 2));
-        // 0 -> 1 is a direct edge with no detour: contractible.
-        assert!(dag.contractible(0, 1));
-        // 0 and 3: path 0->1->3 has an intermediate node: not contractible.
-        assert!(!dag.contractible(0, 3));
-        // 2 and 3 direct edge: contractible.
-        assert!(dag.contractible(2, 3));
-        // independent nodes 0 and 2: contractible (no path at all).
-        assert!(dag.contractible(0, 2));
-        // a node is never contractible with itself.
-        assert!(!dag.contractible(1, 1));
-    }
-
-    #[test]
-    fn diamond_is_not_contractible_at_its_tips() {
-        // a(0)->b(0,1), a->c(0,2)? build: h(0); cx(0,1); cx(0,2); ccx(0,1,2)
-        let mut c = Circuit::new(3);
-        c.h(0).cx(0, 1).cx(0, 2).ccx(0, 1, 2);
-        let dag = DependencyDag::from_circuit(&c);
-        // h -> cx01 -> cx02 (via qubit 0) -> ccx; h and ccx have paths
-        // with intermediates.
-        assert!(!dag.contractible(0, 3));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The quantum-circuit intermediate representation of the PAQOC
 //! reproduction: a gate vocabulary with optional symbolic rotation
 //! parameters ([`GateKind`], [`Angle`]), the [`Circuit`] container, the
-//! gate-dependence [`DependencyDag`] with the criticality primitives the
-//! paper's search builds on, lowering to a hardware universal basis
+//! gate-dependence [`DependencyDag`] that routing and partitioning walk,
+//! lowering to a hardware universal basis
 //! ([`decompose`]), and an OpenQASM 2 subset ([`parse_qasm`],
 //! [`to_qasm`]).
 //!

@@ -53,28 +53,6 @@ pub struct FaultConfig {
     /// executor tests get a *predictable* slow worker to race against
     /// deadlines and fast peers.
     pub stall: Duration,
-    /// Probability that a pulse-store `sync` (fsync) fails — consumed by
-    /// [`crate::IoFaultInjector`], not by [`FaultySource`].
-    pub io_sync_fail_rate: f64,
-    /// Probability that a pulse-store compaction `rename` fails —
-    /// consumed by [`crate::IoFaultInjector`].
-    pub io_rename_fail_rate: f64,
-    /// Probability that a pulse-store record append is torn (only a
-    /// prefix of the record reaches disk) — consumed by
-    /// [`crate::IoFaultInjector`].
-    pub io_short_write_rate: f64,
-    /// Probability that a network client disconnects **mid-frame**
-    /// (sends a truncated prefix of a framed request, then closes) —
-    /// consumed by [`ConnChaos`], not by [`FaultySource`].
-    pub conn_disconnect_rate: f64,
-    /// Probability that a network client turns slow-loris: the frame is
-    /// dribbled out a few bytes at a time with pauses between chunks —
-    /// consumed by [`ConnChaos`].
-    pub conn_dribble_rate: f64,
-    /// Probability that a network client sends a garbage frame (random
-    /// bytes where a length-prefixed JSON request should be) — consumed
-    /// by [`ConnChaos`].
-    pub conn_garbage_rate: f64,
 }
 
 /// Hard ceiling on [`FaultConfig::stall`]: a misconfigured fault
@@ -93,12 +71,6 @@ impl Default for FaultConfig {
             slow_call: Duration::from_millis(5),
             panic_rate: 0.0,
             stall: Duration::ZERO,
-            io_sync_fail_rate: 0.0,
-            io_rename_fail_rate: 0.0,
-            io_short_write_rate: 0.0,
-            conn_disconnect_rate: 0.0,
-            conn_dribble_rate: 0.0,
-            conn_garbage_rate: 0.0,
         }
     }
 }
@@ -127,32 +99,6 @@ impl FaultConfig {
         FaultConfig {
             seed,
             panic_rate: rate,
-            ..FaultConfig::default()
-        }
-    }
-
-    /// An IO fault storm for the pulse-store path: failed syncs, failed
-    /// renames and torn appends all at the given rate. Feed to
-    /// [`crate::IoFaultInjector::from_config`].
-    pub fn io_storm(seed: u64, rate: f64) -> Self {
-        FaultConfig {
-            seed,
-            io_sync_fail_rate: rate,
-            io_rename_fail_rate: rate,
-            io_short_write_rate: rate,
-            ..FaultConfig::default()
-        }
-    }
-
-    /// A connection-chaos storm for network clients: mid-frame
-    /// disconnects, slow-loris dribble and garbage frames all at the
-    /// given rate. Feed to [`ConnChaos::new`].
-    pub fn conn_chaos(seed: u64, rate: f64) -> Self {
-        FaultConfig {
-            seed,
-            conn_disconnect_rate: rate,
-            conn_dribble_rate: rate,
-            conn_garbage_rate: rate,
             ..FaultConfig::default()
         }
     }
@@ -317,144 +263,6 @@ impl<S: PulseSource> PulseSource for FaultySource<S> {
     }
 }
 
-/// How [`ConnChaos`] says one framed network send should be mangled.
-///
-/// The planner only *decides*; the caller (a chaos test's client loop)
-/// owns the socket and applies the action, so the planner stays free of
-/// any network dependency and the decision stream replays exactly from
-/// the seed.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ChaosAction {
-    /// Send the frame intact.
-    Deliver,
-    /// Send only the first `n` bytes of the frame, then close the
-    /// connection mid-frame. `n` is strictly less than the frame
-    /// length (and can be zero: connect-then-slam).
-    Truncate(usize),
-    /// Send `n` bytes of seeded garbage (from
-    /// [`ConnChaos::garbage_bytes`]) instead of the frame, then close.
-    Garbage(usize),
-    /// Slow-loris: send the frame in `chunk`-byte pieces, pausing
-    /// `delay` between pieces.
-    Dribble {
-        /// Bytes per piece (at least 1).
-        chunk: usize,
-        /// Pause between pieces, bounded so a chaos test cannot hang.
-        delay: Duration,
-    },
-    /// Close the connection without sending anything.
-    Disconnect,
-}
-
-/// Tally of the actions a [`ConnChaos`] planner has issued so far.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ConnChaosCounts {
-    /// Frames delivered intact.
-    pub delivered: u64,
-    /// Frames truncated mid-send.
-    pub truncated: u64,
-    /// Garbage frames issued.
-    pub garbage: u64,
-    /// Slow-loris dribbles issued.
-    pub dribbled: u64,
-    /// Silent disconnects issued.
-    pub disconnects: u64,
-}
-
-impl ConnChaosCounts {
-    /// Total hostile (non-`Deliver`) actions issued.
-    pub fn hostile(&self) -> u64 {
-        self.truncated + self.garbage + self.dribbled + self.disconnects
-    }
-}
-
-/// Ceiling on the per-chunk dribble delay [`ConnChaos`] plans, so a
-/// slow-loris client slows a chaos test down but can never hang it.
-pub const DRIBBLE_DELAY_CAP: Duration = Duration::from_millis(20);
-
-/// Seeded planner for hostile network-client behaviour (the connection
-/// sibling of [`FaultySource`] and [`crate::IoFaultInjector`]). Each
-/// [`ConnChaos::next_action`] call decides how the *next* framed send
-/// should be mangled — delivered, truncated mid-frame, replaced with
-/// garbage, dribbled slow-loris style, or dropped entirely — drawing
-/// rates from the `conn_*` fields of a [`FaultConfig`]. All decisions
-/// for one call are drawn up front, so the stream position per frame is
-/// fixed regardless of which chaos fires, and a failing run replays
-/// exactly from its seed.
-#[derive(Debug)]
-pub struct ConnChaos {
-    cfg: FaultConfig,
-    rng: Rng,
-    counts: ConnChaosCounts,
-}
-
-impl ConnChaos {
-    /// Creates a planner drawing from `cfg`'s `conn_*` rates and seed.
-    pub fn new(cfg: FaultConfig) -> Self {
-        ConnChaos {
-            rng: Rng::seed_from_u64(cfg.seed ^ 0xC0FFEE),
-            cfg,
-            counts: ConnChaosCounts::default(),
-        }
-    }
-
-    /// The actions issued so far.
-    pub fn counts(&self) -> ConnChaosCounts {
-        self.counts
-    }
-
-    /// Decides how a frame of `frame_len` bytes should be sent.
-    /// Precedence when several rates fire on one draw set: disconnect >
-    /// garbage > truncate > dribble — the nastier action wins.
-    pub fn next_action(&mut self, frame_len: usize) -> ChaosAction {
-        // Fixed draw order, all up front (see FaultySource::generate).
-        let disconnect = self.roll(self.cfg.conn_disconnect_rate);
-        let garbage = self.roll(self.cfg.conn_garbage_rate);
-        let truncate = self.roll(self.cfg.conn_disconnect_rate);
-        let dribble = self.roll(self.cfg.conn_dribble_rate);
-        let frac = self.rng.random::<f64>();
-        let len_draw = self.rng.random_range(1usize..=64);
-
-        if disconnect {
-            self.counts.disconnects += 1;
-            return ChaosAction::Disconnect;
-        }
-        if garbage {
-            self.counts.garbage += 1;
-            return ChaosAction::Garbage(len_draw);
-        }
-        if truncate {
-            self.counts.truncated += 1;
-            let cut = ((frame_len as f64) * frac) as usize;
-            return ChaosAction::Truncate(cut.min(frame_len.saturating_sub(1)));
-        }
-        if dribble {
-            self.counts.dribbled += 1;
-            let delay_ms = 1 + (frac * 4.0) as u64;
-            return ChaosAction::Dribble {
-                chunk: 1 + len_draw % 3,
-                delay: Duration::from_millis(delay_ms).min(DRIBBLE_DELAY_CAP),
-            };
-        }
-        self.counts.delivered += 1;
-        ChaosAction::Deliver
-    }
-
-    /// `len` bytes of seeded garbage for a [`ChaosAction::Garbage`]
-    /// frame. Deliberately includes high bytes and embedded zeros — the
-    /// shapes most likely to confuse a sloppy frame parser.
-    pub fn garbage_bytes(&mut self, len: usize) -> Vec<u8> {
-        (0..len)
-            .map(|_| self.rng.random_range(0u32..=255) as u8)
-            .collect()
-    }
-
-    fn roll(&mut self, rate: f64) -> bool {
-        let draw = self.rng.random::<f64>();
-        rate > 0.0 && draw < rate
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -584,56 +392,5 @@ mod tests {
         let spiked = s.generate(&cx(), &dev, 0.999, None);
         assert!((spiked.latency_ns - 10.0 * base.latency_ns).abs() < 1e-9);
         assert_eq!(s.counts().latency_spikes, 1);
-    }
-
-    #[test]
-    fn conn_chaos_is_deterministic_per_seed() {
-        let run = |seed: u64| {
-            let mut c = ConnChaos::new(FaultConfig::conn_chaos(seed, 0.4));
-            let actions: Vec<ChaosAction> = (0..64).map(|_| c.next_action(200)).collect();
-            (actions, c.counts())
-        };
-        assert_eq!(run(9), run(9));
-        assert_ne!(run(9).1, run(10).1);
-    }
-
-    #[test]
-    fn conn_chaos_zero_rate_always_delivers() {
-        let mut c = ConnChaos::new(FaultConfig::default());
-        for _ in 0..32 {
-            assert_eq!(c.next_action(128), ChaosAction::Deliver);
-        }
-        assert_eq!(c.counts().hostile(), 0);
-        assert_eq!(c.counts().delivered, 32);
-    }
-
-    #[test]
-    fn conn_chaos_storm_hits_every_hostile_shape() {
-        let mut c = ConnChaos::new(FaultConfig::conn_chaos(0xC4A05, 0.5));
-        for _ in 0..256 {
-            match c.next_action(512) {
-                ChaosAction::Truncate(n) => assert!(n < 512, "truncation must be mid-frame"),
-                ChaosAction::Garbage(n) => assert!(n >= 1),
-                ChaosAction::Dribble { chunk, delay } => {
-                    assert!(chunk >= 1);
-                    assert!(delay <= DRIBBLE_DELAY_CAP);
-                }
-                ChaosAction::Deliver | ChaosAction::Disconnect => {}
-            }
-        }
-        let counts = c.counts();
-        assert!(counts.truncated > 0, "no truncations in 256 draws");
-        assert!(counts.garbage > 0, "no garbage frames in 256 draws");
-        assert!(counts.dribbled > 0, "no dribbles in 256 draws");
-        assert!(counts.disconnects > 0, "no disconnects in 256 draws");
-        assert!(counts.delivered > 0, "storm at 0.5 must still deliver some");
-    }
-
-    #[test]
-    fn conn_chaos_garbage_is_seeded_and_sized() {
-        let mut a = ConnChaos::new(FaultConfig::conn_chaos(3, 1.0));
-        let mut b = ConnChaos::new(FaultConfig::conn_chaos(3, 1.0));
-        assert_eq!(a.garbage_bytes(48), b.garbage_bytes(48));
-        assert_eq!(a.garbage_bytes(7).len(), 7);
     }
 }

@@ -9,7 +9,7 @@ use crate::fingerprint::encode_namespaced;
 use crate::spec::HardwareSpec;
 use crate::topology::Topology;
 use crate::tuning::{BackendTag, DeviceTuning};
-use paqoc_math::{Matrix, C64};
+use paqoc_math::{Matrix, StableHasher, C64};
 
 /// One controllable term `α(t)·H` of the device Hamiltonian.
 #[derive(Clone, Debug)]
@@ -142,19 +142,11 @@ pub struct Device {
 }
 
 fn compute_fingerprint(topology: &Topology, spec: &HardwareSpec) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    eat(&(topology.num_qubits() as u64).to_le_bytes());
+    let mut h = StableHasher::new();
+    h.write(&(topology.num_qubits() as u64).to_le_bytes());
     for &(a, b) in topology.edges() {
-        eat(&(a as u64).to_le_bytes());
-        eat(&(b as u64).to_le_bytes());
+        h.write(&(a as u64).to_le_bytes());
+        h.write(&(b as u64).to_le_bytes());
     }
     for field in [
         spec.mu_max,
@@ -163,9 +155,9 @@ fn compute_fingerprint(topology: &Topology, spec: &HardwareSpec) -> u64 {
         spec.t1_us,
         spec.t2_us,
     ] {
-        eat(&field.to_bits().to_le_bytes());
+        h.write(&field.to_bits().to_le_bytes());
     }
-    h
+    h.finish()
 }
 
 impl Device {

@@ -23,7 +23,6 @@
 //! ([`IoFaultInjector::counts`]) and as telemetry counters
 //! (`faults.io_sync`, `faults.io_rename`, `faults.io_short_write`).
 
-use crate::faults::FaultConfig;
 use paqoc_math::Rng;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -78,24 +77,6 @@ impl IoFaultInjector {
             rename_failures: AtomicU64::new(0),
             short_writes: AtomicU64::new(0),
         }
-    }
-
-    /// Builds an injector from a [`FaultConfig`]'s IO rates, or `None`
-    /// when every IO rate is zero (the common no-faults case costs
-    /// nothing on the store path).
-    pub fn from_config(cfg: &FaultConfig) -> Option<Self> {
-        if cfg.io_sync_fail_rate <= 0.0
-            && cfg.io_rename_fail_rate <= 0.0
-            && cfg.io_short_write_rate <= 0.0
-        {
-            return None;
-        }
-        Some(IoFaultInjector::new(
-            cfg.seed,
-            cfg.io_sync_fail_rate,
-            cfg.io_rename_fail_rate,
-            cfg.io_short_write_rate,
-        ))
     }
 
     fn roll(&self, rate: f64) -> bool {
@@ -157,8 +138,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn zero_rates_build_no_injector_and_fire_nothing() {
-        assert!(IoFaultInjector::from_config(&FaultConfig::default()).is_none());
+    fn zero_rates_fire_nothing() {
         let inj = IoFaultInjector::new(1, 0.0, 0.0, 0.0);
         for _ in 0..100 {
             assert!(inj.fail_sync().is_none());
@@ -169,9 +149,8 @@ mod tests {
     }
 
     #[test]
-    fn io_storm_config_builds_an_injector_that_fires() {
-        let cfg = FaultConfig::io_storm(9, 1.0);
-        let inj = IoFaultInjector::from_config(&cfg).expect("rates set");
+    fn full_rates_fire_every_fault() {
+        let inj = IoFaultInjector::new(9, 1.0, 1.0, 1.0);
         assert!(inj.fail_sync().is_some());
         assert!(inj.fail_rename().is_some());
         let short = inj.short_write(100).expect("short write");

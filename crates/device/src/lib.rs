@@ -23,7 +23,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod corruption;
 mod faults;
 pub mod fingerprint;
 mod hamiltonian;
@@ -33,10 +32,7 @@ mod spec;
 mod topology;
 mod tuning;
 
-pub use faults::{
-    ChaosAction, ConnChaos, ConnChaosCounts, FaultConfig, FaultCounts, FaultySource,
-    DRIBBLE_DELAY_CAP, STALL_CAP,
-};
+pub use faults::{FaultConfig, FaultCounts, FaultySource, STALL_CAP};
 pub use fingerprint::{
     decode_fingerprint, encode_namespaced, is_namespaced, namespace_name, FingerprintKind,
     NAMESPACE_MAGIC, NS_HEAVY_HEX, NS_TUNABLE_COUPLER,

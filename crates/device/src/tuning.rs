@@ -11,6 +11,7 @@
 //! query with the exact spec-level value — the legacy code path is
 //! bit-identical.
 
+use paqoc_math::StableHasher;
 use std::collections::BTreeMap;
 
 /// Calibration of one qubit.
@@ -76,16 +77,8 @@ impl DeviceTuning {
     /// pattern), feeding the fingerprint's calibration digest: any
     /// drifted field rotates the namespace.
     pub fn content_hash(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        eat(&(self.qubits.len() as u64).to_le_bytes());
+        let mut h = StableHasher::new();
+        h.write(&(self.qubits.len() as u64).to_le_bytes());
         for q in &self.qubits {
             for field in [
                 q.frequency_ghz,
@@ -94,15 +87,15 @@ impl DeviceTuning {
                 q.t2_us,
                 q.drive_scale,
             ] {
-                eat(&field.to_bits().to_le_bytes());
+                h.write(&field.to_bits().to_le_bytes());
             }
         }
         for (&(a, b), &scale) in &self.coupler_scale {
-            eat(&(a as u64).to_le_bytes());
-            eat(&(b as u64).to_le_bytes());
-            eat(&scale.to_bits().to_le_bytes());
+            h.write(&(a as u64).to_le_bytes());
+            h.write(&(b as u64).to_le_bytes());
+            h.write(&scale.to_bits().to_le_bytes());
         }
-        h
+        h.finish()
     }
 
     /// The snapshot's 16-bit digest (the fingerprint `cal_id` field).

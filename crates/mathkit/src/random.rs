@@ -93,10 +93,10 @@ pub fn stable_jitter(bytes: &[u8]) -> f64 {
     h.jitter()
 }
 
-/// [`stable_jitter`] fed in pieces: the same bytes in the same order give
-/// the same value however they are split, so a caller can hash text as
-/// it formats it (`write!` into the hasher) instead of building a
-/// `String` first.
+/// FNV-1a fed in pieces, behind [`stable_jitter`] and the device
+/// fingerprints: the same bytes in the same order give the same value
+/// however they are split, so a caller can hash text as it formats it
+/// (`write!` into the hasher) instead of building a `String` first.
 #[derive(Clone, Copy, Debug)]
 pub struct StableHasher(u64);
 
@@ -118,6 +118,11 @@ impl StableHasher {
             self.0 ^= b as u64;
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
+    }
+
+    /// The FNV-1a hash of everything fed so far.
+    pub fn finish(self) -> u64 {
+        self.0
     }
 
     /// The jitter value of everything fed so far, in `[0, 1)`.

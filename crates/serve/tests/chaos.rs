@@ -4,8 +4,8 @@
 //! never panic, never leak a queue slot or tenant entry, and keep the
 //! shared pulse table serving correct results throughout.
 
-use paqoc_device::{ChaosAction, ConnChaos, FaultConfig};
 use paqoc_exec::QueueConfig;
+use paqoc_math::Rng;
 use paqoc_serve::{
     encode_request, read_frame, BindAddr, Client, Endpoint, Request, Response, ServeOptions,
     Server, DEFAULT_MAX_FRAME_BYTES,
@@ -13,6 +13,180 @@ use paqoc_serve::{
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
+
+/// How [`ConnChaos`] says one framed network send should be mangled.
+///
+/// The planner only *decides*; the client loop owns the socket and
+/// applies the action, so the decision stream replays exactly from the
+/// seed.
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum ChaosAction {
+    /// Send the frame intact.
+    Deliver,
+    /// Send only the first `n` bytes of the frame, then close the
+    /// connection mid-frame. `n` is strictly less than the frame
+    /// length (and can be zero: connect-then-slam).
+    Truncate(usize),
+    /// Send `n` bytes of seeded garbage (from
+    /// [`ConnChaos::garbage_bytes`]) instead of the frame, then close.
+    Garbage(usize),
+    /// Slow-loris: send the frame in `chunk`-byte pieces, pausing
+    /// `delay` between pieces.
+    Dribble { chunk: usize, delay: Duration },
+    /// Close the connection without sending anything.
+    Disconnect,
+}
+
+/// Tally of the actions a [`ConnChaos`] planner has issued so far.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct ConnChaosCounts {
+    delivered: u64,
+    truncated: u64,
+    garbage: u64,
+    dribbled: u64,
+    disconnects: u64,
+}
+
+impl ConnChaosCounts {
+    /// Total hostile (non-`Deliver`) actions issued.
+    fn hostile(&self) -> u64 {
+        self.truncated + self.garbage + self.dribbled + self.disconnects
+    }
+}
+
+/// Ceiling on the per-chunk dribble delay [`ConnChaos`] plans, so a
+/// slow-loris client slows the test down but can never hang it.
+const DRIBBLE_DELAY_CAP: Duration = Duration::from_millis(20);
+
+/// Seeded planner for hostile network-client behaviour. Each
+/// [`ConnChaos::next_action`] call decides how the *next* framed send
+/// should be mangled — delivered, truncated mid-frame, replaced with
+/// garbage, dribbled slow-loris style, or dropped entirely — each
+/// hostile shape at `rate`. All decisions for one call are drawn up
+/// front, so the stream position per frame is fixed regardless of
+/// which chaos fires, and a failing run replays exactly from its seed.
+#[derive(Debug)]
+struct ConnChaos {
+    rate: f64,
+    rng: Rng,
+    counts: ConnChaosCounts,
+}
+
+impl ConnChaos {
+    fn new(seed: u64, rate: f64) -> Self {
+        ConnChaos {
+            rate,
+            rng: Rng::seed_from_u64(seed ^ 0xC0FFEE),
+            counts: ConnChaosCounts::default(),
+        }
+    }
+
+    fn counts(&self) -> ConnChaosCounts {
+        self.counts
+    }
+
+    /// Decides how a frame of `frame_len` bytes should be sent.
+    /// Precedence when several rolls fire on one draw set: disconnect >
+    /// garbage > truncate > dribble — the nastier action wins.
+    fn next_action(&mut self, frame_len: usize) -> ChaosAction {
+        // Fixed draw order, all up front.
+        let disconnect = self.roll();
+        let garbage = self.roll();
+        let truncate = self.roll();
+        let dribble = self.roll();
+        let frac = self.rng.random::<f64>();
+        let len_draw = self.rng.random_range(1usize..=64);
+
+        if disconnect {
+            self.counts.disconnects += 1;
+            return ChaosAction::Disconnect;
+        }
+        if garbage {
+            self.counts.garbage += 1;
+            return ChaosAction::Garbage(len_draw);
+        }
+        if truncate {
+            self.counts.truncated += 1;
+            let cut = ((frame_len as f64) * frac) as usize;
+            return ChaosAction::Truncate(cut.min(frame_len.saturating_sub(1)));
+        }
+        if dribble {
+            self.counts.dribbled += 1;
+            let delay_ms = 1 + (frac * 4.0) as u64;
+            return ChaosAction::Dribble {
+                chunk: 1 + len_draw % 3,
+                delay: Duration::from_millis(delay_ms).min(DRIBBLE_DELAY_CAP),
+            };
+        }
+        self.counts.delivered += 1;
+        ChaosAction::Deliver
+    }
+
+    /// `len` bytes of seeded garbage for a [`ChaosAction::Garbage`]
+    /// frame. Deliberately includes high bytes and embedded zeros — the
+    /// shapes most likely to confuse a sloppy frame parser.
+    fn garbage_bytes(&mut self, len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|_| self.rng.random_range(0u32..=255) as u8)
+            .collect()
+    }
+
+    fn roll(&mut self) -> bool {
+        let draw = self.rng.random::<f64>();
+        self.rate > 0.0 && draw < self.rate
+    }
+}
+
+#[test]
+fn conn_chaos_is_deterministic_per_seed() {
+    let run = |seed: u64| {
+        let mut c = ConnChaos::new(seed, 0.4);
+        let actions: Vec<ChaosAction> = (0..64).map(|_| c.next_action(200)).collect();
+        (actions, c.counts())
+    };
+    assert_eq!(run(9), run(9));
+    assert_ne!(run(9).1, run(10).1);
+}
+
+#[test]
+fn conn_chaos_zero_rate_always_delivers() {
+    let mut c = ConnChaos::new(0xFA17, 0.0);
+    for _ in 0..32 {
+        assert_eq!(c.next_action(128), ChaosAction::Deliver);
+    }
+    assert_eq!(c.counts().hostile(), 0);
+    assert_eq!(c.counts().delivered, 32);
+}
+
+#[test]
+fn conn_chaos_storm_hits_every_hostile_shape() {
+    let mut c = ConnChaos::new(0xC4A05, 0.5);
+    for _ in 0..256 {
+        match c.next_action(512) {
+            ChaosAction::Truncate(n) => assert!(n < 512, "truncation must be mid-frame"),
+            ChaosAction::Garbage(n) => assert!(n >= 1),
+            ChaosAction::Dribble { chunk, delay } => {
+                assert!(chunk >= 1);
+                assert!(delay <= DRIBBLE_DELAY_CAP);
+            }
+            ChaosAction::Deliver | ChaosAction::Disconnect => {}
+        }
+    }
+    let counts = c.counts();
+    assert!(counts.truncated > 0, "no truncations in 256 draws");
+    assert!(counts.garbage > 0, "no garbage frames in 256 draws");
+    assert!(counts.dribbled > 0, "no dribbles in 256 draws");
+    assert!(counts.disconnects > 0, "no disconnects in 256 draws");
+    assert!(counts.delivered > 0, "storm at 0.5 must still deliver some");
+}
+
+#[test]
+fn conn_chaos_garbage_is_seeded_and_sized() {
+    let mut a = ConnChaos::new(3, 1.0);
+    let mut b = ConnChaos::new(3, 1.0);
+    assert_eq!(a.garbage_bytes(48), b.garbage_bytes(48));
+    assert_eq!(a.garbage_bytes(7).len(), 7);
+}
 
 /// Frames the request the way `write_frame` would, as one byte buffer
 /// the chaos planner can mangle.
@@ -90,7 +264,7 @@ fn chaos_storm_never_corrupts_the_daemon() {
         let storm = {
             let addr = addr.clone();
             scope.spawn(move || {
-                let mut chaos = ConnChaos::new(FaultConfig::conn_chaos(0xC4A05, 0.45));
+                let mut chaos = ConnChaos::new(0xC4A05, 0.45);
                 for i in 0..STORM_FRAMES {
                     let req = Request::compile(i as u64 + 1, "chaos", "mod5d2_64");
                     if let Some(resp) = play(&addr, &mut chaos, &req) {

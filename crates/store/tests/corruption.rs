@@ -1,26 +1,113 @@
 //! Corruption-injection acceptance suite for the persistent pulse store.
 //!
 //! Every test here manufactures a real on-disk failure with the
-//! byte-level injectors from `paqoc_device::corruption` — torn tails,
-//! flipped bits, stale fingerprints, mid-write crashes, garbage length
-//! prefixes, seeded random fuzz — and asserts the store's published
-//! recovery contract: open never panics, corrupt records are
-//! quarantined (never served), recovery is journaled, and corruption
-//! never survives a second open.
+//! byte-level injectors below — torn tails, flipped bits, stale
+//! fingerprints, mid-write crashes, garbage length prefixes, seeded
+//! random fuzz — and asserts the store's published recovery contract:
+//! open never panics, corrupt records are quarantined (never served),
+//! recovery is journaled, and corruption never survives a second open.
 //!
 //! The injectors know nothing about the record format; offsets are
 //! computed from the store's published layout constants (`HEADER_LEN`,
 //! `record_len`), so these tests double as a check that the documented
 //! layout matches the bytes actually written.
 
-use paqoc_device::corruption::{
-    append_bytes, flip_bit, flip_random_bits, overwrite_bytes, truncate_tail,
-};
 use paqoc_device::PulseEstimate;
+use paqoc_math::Rng;
 use paqoc_store::{
     encode_record, record_len, PulseStore, RejectReason, FORMAT_VERSION, HEADER_LEN,
 };
+use std::io::Write;
 use std::path::{Path, PathBuf};
+
+/// Flips one bit: bit `bit` (0–7) of the byte at `offset`.
+///
+/// # Panics
+///
+/// Panics if `offset` is past the end of the file (a test bug, not a
+/// runtime condition).
+fn flip_bit(path: &Path, offset: u64, bit: u8) -> std::io::Result<()> {
+    let mut bytes = std::fs::read(path)?;
+    let i = offset as usize;
+    assert!(
+        i < bytes.len(),
+        "flip_bit offset {i} past EOF {}",
+        bytes.len()
+    );
+    bytes[i] ^= 1 << (bit & 7);
+    std::fs::write(path, bytes)
+}
+
+/// Flips `count` bits at seeded-random positions anywhere after byte
+/// `skip` (pass the header length to spare the header, or 0 to allow
+/// hitting it too). Returns the `(offset, bit)` pairs flipped so a test
+/// can report exactly what it injected.
+///
+/// # Panics
+///
+/// Panics when the file has no bytes after `skip` to corrupt.
+fn flip_random_bits(
+    path: &Path,
+    count: usize,
+    seed: u64,
+    skip: u64,
+) -> std::io::Result<Vec<(u64, u8)>> {
+    let mut bytes = std::fs::read(path)?;
+    let skip = skip as usize;
+    assert!(
+        bytes.len() > skip,
+        "file has only {} bytes, nothing after skip={skip}",
+        bytes.len()
+    );
+    let mut rng = Rng::seed_from_u64(seed);
+    let mut flipped = Vec::with_capacity(count);
+    for _ in 0..count {
+        let offset = skip + (rng.next_u64() as usize) % (bytes.len() - skip);
+        let bit = (rng.next_u64() % 8) as u8;
+        bytes[offset] ^= 1 << bit;
+        flipped.push((offset as u64, bit));
+    }
+    std::fs::write(path, bytes)?;
+    Ok(flipped)
+}
+
+/// Truncates the last `tail_bytes` bytes off the file — a crash after a
+/// partial append, as seen by the next reader.
+fn truncate_tail(path: &Path, tail_bytes: u64) -> std::io::Result<()> {
+    let len = std::fs::metadata(path)?.len();
+    let file = std::fs::OpenOptions::new().write(true).open(path)?;
+    file.set_len(len.saturating_sub(tail_bytes))
+}
+
+/// Appends raw bytes — used to simulate a crash *mid-write*: append a
+/// prefix of a valid record (its framing header but only part of its
+/// payload) and the file looks exactly as it would after power loss
+/// between two `write` calls.
+fn append_bytes(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut file = std::fs::OpenOptions::new().append(true).open(path)?;
+    file.write_all(bytes)
+}
+
+/// Overwrites bytes in place at `offset` — used to plant a stale or
+/// foreign device fingerprint in a header, or to rewrite a length
+/// prefix with garbage.
+///
+/// # Panics
+///
+/// Panics when the write would extend past EOF (overwrite means
+/// overwrite, not grow).
+fn overwrite_bytes(path: &Path, offset: u64, replacement: &[u8]) -> std::io::Result<()> {
+    let mut bytes = std::fs::read(path)?;
+    let start = offset as usize;
+    assert!(
+        start + replacement.len() <= bytes.len(),
+        "overwrite [{start}, {}) past EOF {}",
+        start + replacement.len(),
+        bytes.len()
+    );
+    bytes[start..start + replacement.len()].copy_from_slice(replacement);
+    std::fs::write(path, bytes)
+}
 
 /// A fingerprint standing in for `Device::fingerprint()`; any nonzero
 /// u64 works — the store treats it as an opaque token.
@@ -323,4 +410,55 @@ fn store_accepts_new_pulses_after_recovery() {
     let store = PulseStore::open(&path, FP).expect("reopen");
     assert!(!store.recovery().recovered());
     assert_eq!(store.get("new:q7"), Some(est(900)));
+}
+
+/// A fresh file holding `0123456789abcdef`, for the injectors' own
+/// tests.
+fn sixteen_bytes(name: &str) -> PathBuf {
+    let path = tmp(name);
+    std::fs::write(&path, b"0123456789abcdef").expect("seed file");
+    path
+}
+
+#[test]
+fn flip_bit_changes_exactly_one_bit() {
+    let path = sixteen_bytes("flip.bin");
+    flip_bit(&path, 3, 0).expect("flip");
+    let bytes = std::fs::read(&path).expect("read");
+    assert_eq!(bytes[3], b'3' ^ 1);
+    assert_eq!(&bytes[..3], b"012");
+    assert_eq!(&bytes[4..], b"456789abcdef");
+}
+
+#[test]
+fn flip_random_bits_is_seeded_and_spares_the_skip_region() {
+    let a = sixteen_bytes("rand_a.bin");
+    let b = sixteen_bytes("rand_b.bin");
+    let fa = flip_random_bits(&a, 8, 42, 4).expect("flip a");
+    let fb = flip_random_bits(&b, 8, 42, 4).expect("flip b");
+    assert_eq!(fa, fb, "same seed, same flips");
+    assert!(fa.iter().all(|&(off, _)| off >= 4));
+    assert_eq!(
+        std::fs::read(&a).expect("read"),
+        std::fs::read(&b).expect("read")
+    );
+    assert_eq!(&std::fs::read(&a).expect("read")[..4], b"0123");
+}
+
+#[test]
+fn truncate_append_overwrite_do_what_they_say() {
+    let path = sixteen_bytes("edit.bin");
+    truncate_tail(&path, 6).expect("truncate");
+    assert_eq!(std::fs::read(&path).expect("read"), b"0123456789");
+    append_bytes(&path, b"XY").expect("append");
+    assert_eq!(std::fs::read(&path).expect("read"), b"0123456789XY");
+    overwrite_bytes(&path, 1, b"..").expect("overwrite");
+    assert_eq!(std::fs::read(&path).expect("read"), b"0..3456789XY");
+}
+
+#[test]
+fn truncating_more_than_the_file_empties_it() {
+    let path = sixteen_bytes("over_truncate.bin");
+    truncate_tail(&path, 1000).expect("truncate");
+    assert!(std::fs::read(&path).expect("read").is_empty());
 }

@@ -3,7 +3,7 @@
 //! budget, byte-accounted compaction triggers, reader refresh across
 //! appends and compactions, and IO fault storms on the storage path.
 
-use paqoc_device::{FaultConfig, IoFaultInjector, PulseEstimate};
+use paqoc_device::{IoFaultInjector, PulseEstimate};
 use paqoc_store::{
     crc32, inspect, record_len, PulseStore, StoreOptions, StoreRole, FORMAT_VERSION, HEADER_LEN,
 };
@@ -555,9 +555,7 @@ fn injected_rename_failure_leaves_the_old_file_intact() {
 fn io_fault_storm_never_corrupts_what_a_clean_reopen_serves() {
     for seed in 0..8u64 {
         let path = tmp(&format!("storm-{seed}.pqps"));
-        let injector = Arc::new(
-            IoFaultInjector::from_config(&FaultConfig::io_storm(seed, 0.3)).expect("storm rates"),
-        );
+        let injector = Arc::new(IoFaultInjector::new(seed, 0.3, 0.3, 0.3));
         let mut store = PulseStore::open_with(
             &path,
             FP,

@@ -19,14 +19,11 @@
 //! allocation churn in the Padé path is measurable.
 //!
 //! Probes are armed whenever tracing is on ([`crate::enabled`]), and can
-//! be forced on or off independently — programmatically with
-//! [`set_kernel_probes`] or via the `PAQOC_KERNEL_PROBES` environment
-//! variable (`1`/`on` forces them on, `0`/`off` forces them off) — which
-//! is what the probe-overhead gate in `verify.sh` uses to compare
-//! probes-on against probes-off runs of the same workload. Compiling the
-//! crate with `--no-default-features` (dropping the `kernel-probes`
-//! feature) removes the probe bodies entirely; the disabled runtime path
-//! costs a single relaxed atomic load per site.
+//! be forced on or off from code with [`set_kernel_probes`] — which is
+//! what the probe-overhead gate in `verify.sh` uses to compare
+//! probes-on against probes-off runs of the same workload. A forced
+//! state costs a single relaxed atomic load per site; following the
+//! tracing switch adds [`crate::enabled`]'s load.
 //!
 //! [`snapshot`]: crate::snapshot
 
@@ -37,48 +34,18 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-/// The environment variable that forces kernel probes on or off
-/// independently of `PAQOC_TRACE` (`1`/`on`/`true` arms them, `0`/`off`/
-/// `false` disarms them; unset, they follow [`crate::enabled`]).
-pub const KERNEL_PROBES_ENV_VAR: &str = "PAQOC_KERNEL_PROBES";
+// Follow [`crate::enabled`] unless forced; the steady-state check is
+// one relaxed load.
+const KSTATE_FOLLOW: u8 = 0;
+const KSTATE_ON: u8 = 1;
+const KSTATE_OFF: u8 = 2;
 
-// Tri-state + uninit, mirroring the main STATE machine: the env var is
-// consulted once, and the steady-state check is one relaxed load.
-const KSTATE_UNINIT: u8 = 0;
-const KSTATE_FOLLOW: u8 = 1;
-const KSTATE_ON: u8 = 2;
-const KSTATE_OFF: u8 = 3;
+static KERNEL_STATE: AtomicU8 = AtomicU8::new(KSTATE_FOLLOW);
 
-static KERNEL_STATE: AtomicU8 = AtomicU8::new(KSTATE_UNINIT);
-
-/// `true` when kernel probes are armed. Cost when disarmed: one relaxed
-/// atomic load (plus the [`crate::enabled`] load in follow mode).
+/// `true` when kernel probes are armed. Cost: one relaxed atomic load,
+/// plus the [`crate::enabled`] load when not forced.
 #[inline]
 pub fn kernel_probes_enabled() -> bool {
-    if !cfg!(feature = "kernel-probes") {
-        return false;
-    }
-    match KERNEL_STATE.load(Ordering::Relaxed) {
-        KSTATE_ON => true,
-        KSTATE_OFF => false,
-        KSTATE_FOLLOW => enabled(),
-        _ => kernel_init_from_env(),
-    }
-}
-
-#[cold]
-fn kernel_init_from_env() -> bool {
-    let target = match std::env::var(KERNEL_PROBES_ENV_VAR) {
-        Ok(v) => match v.to_lowercase().as_str() {
-            "1" | "on" | "true" | "yes" => KSTATE_ON,
-            "0" | "off" | "false" | "no" => KSTATE_OFF,
-            _ => KSTATE_FOLLOW,
-        },
-        Err(_) => KSTATE_FOLLOW,
-    };
-    // A concurrent set_kernel_probes wins: only replace the uninit state.
-    let _ =
-        KERNEL_STATE.compare_exchange(KSTATE_UNINIT, target, Ordering::Relaxed, Ordering::Relaxed);
     match KERNEL_STATE.load(Ordering::Relaxed) {
         KSTATE_ON => true,
         KSTATE_OFF => false,
@@ -87,8 +54,7 @@ fn kernel_init_from_env() -> bool {
 }
 
 /// Forces kernel probes on (`Some(true)`), off (`Some(false)`), or back
-/// to following [`crate::enabled`] (`None`). Overrides
-/// `PAQOC_KERNEL_PROBES`.
+/// to following [`crate::enabled`] (`None`).
 pub fn set_kernel_probes(mode: Option<bool>) {
     let state = match mode {
         Some(true) => KSTATE_ON,

@@ -64,7 +64,7 @@ pub mod resources;
 
 pub use kernel::{
     kernel_alloc, kernel_enter, kernel_flush, kernel_probes_enabled, kernel_thread_totals,
-    set_kernel_probes, KernelDimStats, KernelProbe, KernelSite, KernelStats, KERNEL_PROBES_ENV_VAR,
+    set_kernel_probes, KernelDimStats, KernelProbe, KernelSite, KernelStats,
 };
 
 use std::cell::RefCell;

@@ -31,7 +31,8 @@ echo "== report hotspots / flame smoke over a kernel-probed trace =="
 # A quick analytic batch compile still drives the mathkit kernels (the
 # Weyl-invariant matmuls and eigensolves inside the latency model), so
 # the trace must yield a non-empty hotspot ranking and folded stacks.
-PAQOC_TRACE=target/verify_kernels.jsonl PAQOC_KERNEL_PROBES=1 \
+# PAQOC_TRACE arms the probes; the mathkit.matmul grep proves they fired.
+PAQOC_TRACE=target/verify_kernels.jsonl \
     cargo run --release -p paqoc-bench --bin profile -- bv m0 --batch > /dev/null
 cargo run --release -p paqoc-bench --bin report -- hotspots \
     target/verify_kernels.jsonl | tee target/verify_hotspots.txt
@@ -111,5 +112,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "== cargo fmt --check (workspace and benchmark package) =="
 cargo fmt --check
 cargo fmt --check --manifest-path perf/Cargo.toml
+
+echo "== non-test lines per crate (information, not a gate) =="
+./scripts/loc.sh
 
 echo "verify: OK"

@@ -7,7 +7,7 @@
 //! concurrent compiles pooled on a store-backed table must leave a
 //! clean store that a second table serves without generating a pulse.
 
-use paqoc::backend::{Backend, HeavyHexBackend, TunableCouplerBackend, HEAVY_HEX_DEFAULT_CAL};
+use paqoc::backend::{Backend, HEAVY_HEX_DEFAULT_CAL};
 use paqoc::core::{try_compile, try_compile_batch, CompilationResult, PipelineOptions};
 use paqoc::device::{decode_fingerprint, is_namespaced, AnalyticModel, Device, FingerprintKind};
 use paqoc::exec::{AnalyticFactory, PulseSourceFactory, SharedPulseTable};
@@ -47,8 +47,8 @@ fn calibration_drift_rotates_namespace_without_clobbering() {
     let db = tmp_db("drift.pqps");
     let circuit = test_circuit();
 
-    let backend_a = HeavyHexBackend::from_snapshot_str(HEAVY_HEX_DEFAULT_CAL).expect("shipped");
-    let backend_b = HeavyHexBackend::from_snapshot_str(&drifted_snapshot()).expect("drifted");
+    let backend_a = Backend::heavy_hex_from_snapshot_str(HEAVY_HEX_DEFAULT_CAL).expect("shipped");
+    let backend_b = Backend::heavy_hex_from_snapshot_str(&drifted_snapshot()).expect("drifted");
     let dev_a = backend_a.device();
     let dev_b = backend_b.device();
     assert_ne!(
@@ -119,8 +119,8 @@ fn calibration_drift_rotates_namespace_without_clobbering() {
 fn stale_namespace_is_lfu_evicted_under_byte_budget() {
     let db = tmp_db("evict.pqps");
     let circuit = test_circuit();
-    let backend_a = HeavyHexBackend::from_snapshot_str(HEAVY_HEX_DEFAULT_CAL).expect("shipped");
-    let backend_b = HeavyHexBackend::from_snapshot_str(&drifted_snapshot()).expect("drifted");
+    let backend_a = Backend::heavy_hex_from_snapshot_str(HEAVY_HEX_DEFAULT_CAL).expect("shipped");
+    let backend_b = Backend::heavy_hex_from_snapshot_str(&drifted_snapshot()).expect("drifted");
     let dev_a = backend_a.device();
     let dev_b = backend_b.device();
     let opts = PipelineOptions {
@@ -205,8 +205,8 @@ fn stale_namespace_is_lfu_evicted_under_byte_budget() {
 #[test]
 fn shared_table_isolates_backends_in_batch_mode() {
     let circuit = test_circuit();
-    let dev_hh = HeavyHexBackend::shipped().device();
-    let dev_tc = TunableCouplerBackend::default().device();
+    let dev_hh = Backend::heavy_hex().device();
+    let dev_tc = Backend::tunable_coupler(0.5).device();
     let table = Arc::new(SharedPulseTable::new());
     let opts = PipelineOptions {
         shared_table: Some(table.clone()),
