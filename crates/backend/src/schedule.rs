@@ -118,11 +118,11 @@ fn synthesize_envelope(
 /// Lowers a compilation result to a [`PulseProgram`] on `device`,
 /// named after the device's backend ([`Device::backend_name`]).
 ///
-/// An untagged device (one built with `Device::new`, such as
-/// `Device::line(3)`) exports as backend `"transmon-grid"`, whatever its
-/// topology, with its own fingerprint. The name is only right for
-/// `Device::grid5x5()`; build the device through a `Backend` constructor
-/// to name another target.
+/// An untagged device exports as backend `"transmon-grid"` only when it
+/// is `Device::grid5x5()`, the paper's grid; any other untagged device
+/// (one built with `Device::new`, such as `Device::line(3)`) exports as
+/// `"custom"`, with its own fingerprint. Build the device through a
+/// `Backend` constructor to name another target.
 ///
 /// Deterministic: group topological order fixes instruction order, and
 /// envelopes are pure functions of (pulse name, fingerprint, duration).
@@ -259,6 +259,20 @@ mod tests {
                 assert_ne!(im.to_bits(), (-0.0f64).to_bits());
             }
         }
+    }
+
+    #[test]
+    fn an_untagged_line_does_not_export_as_the_grid() {
+        let mut c = Circuit::new(3);
+        c.h(0).cx(0, 1).cx(1, 2);
+        let device = Device::line(3);
+        let mut source = AnalyticModel::new();
+        let result =
+            try_compile(&c, &device, &mut source, &PipelineOptions::m0()).expect("compile");
+        let program = lower_to_program("line", &result, &device);
+        assert_eq!(program.backend_name, "custom");
+        assert!(!program.qobj_id.starts_with("transmon-grid"));
+        assert_eq!(program.fingerprint, device.fingerprint());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! Usage: `profile [benchmark] [config] [--batch] [--grape]` where
 //! `benchmark` is a Table-I name (default `qaoa`) and `config` is `m0`,
 //! `tuned` or `minf` (default `minf`). `--batch` compiles through
-//! [`try_compile_batch`] — the work-stealing executor path — so the
+//! [`try_compile_batch`] — the parallel executor path — so the
 //! trace additionally carries `exec.job` / `exec.worker` / `exec.batch`
 //! journal events for `report jobs` and `report workers`. `--grape`
 //! swaps the free analytic pulse source for the real GRAPE optimizer
@@ -61,10 +61,6 @@ fn main() {
             eprintln!("unknown config '{other}' (expected m0, tuned or minf)");
             std::process::exit(1);
         }
-    };
-    let opts = PipelineOptions {
-        trace: true,
-        ..opts
     };
 
     paqoc_telemetry::set_enabled(true);

@@ -9,8 +9,8 @@
 //!   the span tree, plus the critical path (the longest root-to-leaf
 //!   span chain).
 //! * `report workers TRACE` — per-worker utilization table from
-//!   `exec.worker` events (busy/idle/steal split, steal counts) and a
-//!   stall summary from `exec.stall` events.
+//!   `exec.worker` events (busy/idle split, job counts) and a stall
+//!   summary from `exec.stall` events.
 //! * `report hotspots TRACE [--top N] [--baseline TRACE]` — ranks the
 //!   numeric kernels (`mathkit.expm`, `grape.gradient`, …) by
 //!   self-time from the trace's kernel-probe records, with per-matrix-
@@ -400,10 +400,8 @@ fn cmd_workers(trace: &Trace) {
     struct Acc {
         batches: usize,
         jobs: u64,
-        steals: u64,
         busy_us: u64,
         idle_us: u64,
-        steal_us: u64,
         wall_us: u64,
     }
     let mut per_worker: BTreeMap<u64, Acc> = BTreeMap::new();
@@ -412,10 +410,8 @@ fn cmd_workers(trace: &Trace) {
         let acc = per_worker.entry(get("worker")).or_default();
         acc.batches += 1;
         acc.jobs += get("jobs");
-        acc.steals += get("steals");
         acc.busy_us += get("busy_us");
         acc.idle_us += get("idle_us");
-        acc.steal_us += get("steal_us");
         acc.wall_us += get("wall_us");
     }
     if per_worker.is_empty() {
@@ -423,8 +419,8 @@ fn cmd_workers(trace: &Trace) {
         return;
     }
     println!(
-        "{:>6} {:>8} {:>6} {:>7} {:>12} {:>12} {:>12} {:>12} {:>6}",
-        "worker", "batches", "jobs", "steals", "busy_ms", "idle_ms", "steal_ms", "wall_ms", "util"
+        "{:>6} {:>8} {:>6} {:>12} {:>12} {:>12} {:>6}",
+        "worker", "batches", "jobs", "busy_ms", "idle_ms", "wall_ms", "util"
     );
     for (worker, acc) in &per_worker {
         let util = if acc.wall_us == 0 {
@@ -433,14 +429,12 @@ fn cmd_workers(trace: &Trace) {
             100.0 * acc.busy_us as f64 / acc.wall_us as f64
         };
         println!(
-            "{:>6} {:>8} {:>6} {:>7} {:>12.3} {:>12.3} {:>12.3} {:>12.3} {:>5.1}%",
+            "{:>6} {:>8} {:>6} {:>12.3} {:>12.3} {:>12.3} {:>5.1}%",
             worker,
             acc.batches,
             acc.jobs,
-            acc.steals,
             acc.busy_us as f64 / 1e3,
             acc.idle_us as f64 / 1e3,
-            acc.steal_us as f64 / 1e3,
             acc.wall_us as f64 / 1e3,
             util
         );

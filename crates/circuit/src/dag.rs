@@ -10,6 +10,7 @@
 //! [`makespan`]: DependencyDag::makespan
 
 use crate::circuit::{combined_unitary, Circuit, Instruction};
+use paqoc_math::nan_max;
 use std::collections::VecDeque;
 
 /// `true` when two instructions commute (their order is irrelevant).
@@ -177,7 +178,8 @@ impl DependencyDag {
     }
 
     /// `CP(X)` of the paper: the longest weighted path *after* node `x`
-    /// finishes, excluding `x`'s own weight. Returned for every node.
+    /// finishes, excluding `x`'s own weight. Returned for every node; a
+    /// NaN weight makes every path through it NaN.
     ///
     /// # Panics
     ///
@@ -189,31 +191,27 @@ impl DependencyDag {
         for &i in order.iter().rev() {
             let mut best = 0.0f64;
             for &s in &self.succs[i] {
-                best = best.max(weights[s] + cp[s]);
+                best = nan_max(best, weights[s] + cp[s]);
             }
             cp[i] = best;
         }
         cp
     }
 
-    /// Total circuit latency: the weight of the heaviest path.
+    /// Total circuit latency: the weight of the heaviest path. A
+    /// non-finite path total is returned, not dropped: a NaN weight
+    /// gives NaN, an infinite one infinity.
     ///
     /// # Panics
     ///
     /// Panics if `weights.len() != self.len()`.
     pub fn makespan(&self, weights: &[f64]) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
         let cp_after = self.cp_after(weights);
+        // Only source-level paths matter, but the max over all nodes
+        // equals the max over sources since cp grows along edges.
         (0..self.len())
             .map(|i| weights[i] + cp_after[i])
-            .filter(|&v| {
-                // only source-level paths matter, but max over all nodes
-                // equals max over sources since cp grows along edges
-                v.is_finite()
-            })
-            .fold(0.0, f64::max)
+            .fold(0.0, nan_max)
     }
 }
 
@@ -339,6 +337,19 @@ mod tests {
         assert!(r2.preds(2).contains(&0));
         assert!(r2.preds(2).contains(&1));
         assert!(r2.preds(1).is_empty(), "z and rz commute");
+    }
+
+    #[test]
+    fn non_finite_path_totals_are_kept() {
+        // h(0); x(0): a two-node chain.
+        let mut c = Circuit::new(1);
+        c.h(0).x(0);
+        let dag = DependencyDag::from_circuit(&c);
+        assert!(dag.makespan(&[1.0, f64::NAN]).is_nan());
+        assert!(dag.makespan(&[f64::NAN, 1.0]).is_nan());
+        assert!(dag.cp_after(&[1.0, f64::NAN])[0].is_nan());
+        assert_eq!(dag.makespan(&[1.0, f64::INFINITY]), f64::INFINITY);
+        assert_eq!(dag.makespan(&[1.0, 2.0]), 3.0);
     }
 
     #[test]

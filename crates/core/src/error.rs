@@ -5,12 +5,11 @@
 //! what a *successful* compilation had to sacrifice along the way (see
 //! `CompilationResult::degradations`). The split is deliberate: under
 //! pulse-source failure the pipeline's contract is to degrade — retry,
-//! fall back, mark partial — and only error when degradation is
-//! impossible (malformed input, an unsatisfiable hard constraint, or
-//! fallbacks explicitly disabled).
+//! fall back, mark partial — and only error when no result is possible
+//! (unmappable or malformed input, a zero deadline, a backend
+//! mismatch).
 
 use paqoc_circuit::ParseQasmError;
-use paqoc_device::PulseGenError;
 use paqoc_mapping::MapError;
 use std::time::Duration;
 
@@ -22,36 +21,12 @@ pub enum CompileError {
     /// The input circuit is structurally unusable (zero qubits, a gate
     /// addressing a qubit outside the register, a QASM parse failure).
     MalformedCircuit(String),
-    /// The pulse source failed on a group and estimator fallback was
-    /// disabled (`PipelineOptions::allow_estimator_fallback = false`).
-    PulseSource {
-        /// The underlying generation failure.
-        source: PulseGenError,
-        /// Number of gates in the group that failed.
-        gates: usize,
-    },
     /// The wall-clock deadline was already spent before compilation
     /// could begin. (A deadline hit *during* generation degrades to a
     /// partial result instead — see [`Degradation::DeadlineHit`].)
     DeadlineExceeded {
         /// The configured deadline.
         deadline: Duration,
-    },
-    /// The pulse source panicked on a group and estimator fallback was
-    /// disabled, so the caught crash cannot degrade into anything.
-    SourcePanic {
-        /// Number of gates in the group whose generation panicked.
-        gates: usize,
-        /// The panic payload captured by the supervisor.
-        message: String,
-    },
-    /// The compiled circuit's estimated success probability fell below
-    /// the hard floor requested via `PipelineOptions::min_esp`.
-    EspUnsatisfiable {
-        /// ESP the compilation achieved.
-        achieved: f64,
-        /// ESP floor that was required.
-        required: f64,
     },
     /// `PipelineOptions::backend` named a backend, but the device the
     /// compilation was handed belongs to a different one. Compiling
@@ -74,10 +49,7 @@ impl CompileError {
         match self {
             CompileError::Mapping(_) => "mapping",
             CompileError::MalformedCircuit(_) => "malformed_circuit",
-            CompileError::PulseSource { .. } => "pulse_source",
             CompileError::DeadlineExceeded { .. } => "deadline_exceeded",
-            CompileError::SourcePanic { .. } => "source_panic",
-            CompileError::EspUnsatisfiable { .. } => "esp_unsatisfiable",
             CompileError::BackendMismatch { .. } => "backend_mismatch",
         }
     }
@@ -88,26 +60,12 @@ impl std::fmt::Display for CompileError {
         match self {
             CompileError::Mapping(e) => write!(f, "mapping failed: {e}"),
             CompileError::MalformedCircuit(msg) => write!(f, "malformed circuit: {msg}"),
-            CompileError::PulseSource { source, gates } => {
-                write!(
-                    f,
-                    "pulse generation failed on a {gates}-gate group: {source}"
-                )
-            }
             CompileError::DeadlineExceeded { deadline } => {
                 write!(
                     f,
                     "compilation deadline of {deadline:?} exceeded before start"
                 )
             }
-            CompileError::SourcePanic { gates, message } => write!(
-                f,
-                "pulse source panicked on a {gates}-gate group: {message}"
-            ),
-            CompileError::EspUnsatisfiable { achieved, required } => write!(
-                f,
-                "achievable ESP {achieved:.6} is below the required floor {required:.6}"
-            ),
             CompileError::BackendMismatch { requested, actual } => write!(
                 f,
                 "options request backend {requested:?} but the device belongs to {actual:?}"
@@ -120,7 +78,6 @@ impl std::error::Error for CompileError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             CompileError::Mapping(e) => Some(e),
-            CompileError::PulseSource { source, .. } => Some(source),
             _ => None,
         }
     }
@@ -135,15 +92,6 @@ impl From<MapError> for CompileError {
 impl From<ParseQasmError> for CompileError {
     fn from(e: ParseQasmError) -> Self {
         CompileError::MalformedCircuit(e.to_string())
-    }
-}
-
-impl From<PulseGenError> for CompileError {
-    fn from(e: PulseGenError) -> Self {
-        CompileError::PulseSource {
-            source: e,
-            gates: 0,
-        }
     }
 }
 
@@ -174,14 +122,6 @@ pub enum Degradation {
     DeadlineHit {
         /// Phase interrupted (`"merge"` or `"attach"`).
         phase: String,
-    },
-    /// The pulse-generation cost budget ran out mid-compilation; the
-    /// result is marked partial.
-    CostBudgetExhausted {
-        /// Cost units spent when the budget tripped.
-        spent: f64,
-        /// The configured budget.
-        budget: f64,
     },
     /// The pulse source **panicked** on a group; the supervisor caught
     /// the unwind, quarantined the group's cache key, and the group fell
@@ -220,7 +160,6 @@ impl Degradation {
             Degradation::MergeRolledBack { .. } => "merge_rolled_back",
             Degradation::EstimatorFallback { .. } => "estimator_fallback",
             Degradation::DeadlineHit { .. } => "deadline_hit",
-            Degradation::CostBudgetExhausted { .. } => "cost_budget_exhausted",
             Degradation::SourcePanic { .. } => "source_panic",
             Degradation::StoreUnavailable { .. } => "store_unavailable",
             Degradation::StoreReadOnly { .. } => "store_read_only",
@@ -246,10 +185,6 @@ impl std::fmt::Display for Degradation {
             Degradation::DeadlineHit { phase } => {
                 write!(f, "deadline hit during {phase}; result is partial")
             }
-            Degradation::CostBudgetExhausted { spent, budget } => write!(
-                f,
-                "cost budget exhausted ({spent:.1} of {budget:.1} units); result is partial"
-            ),
             Degradation::SourcePanic { gates, message } => write!(
                 f,
                 "pulse source panicked on a {gates}-gate group ({message}); key quarantined"

@@ -10,9 +10,9 @@
 //! back (its wasted generation cost still counts, like the paper's
 //! rejected Case-II trial generations).
 
-use crate::error::{CompileError, Degradation};
+use crate::error::Degradation;
 use crate::group::{GroupKind, GroupedCircuit};
-use crate::search::{run_search, SearchEnd};
+use crate::search::run_search;
 use crate::table::PulseTable;
 use paqoc_circuit::Instruction;
 use paqoc_device::{AnalyticModel, Device, PulseEstimate, PulseGenError, PulseSource};
@@ -22,27 +22,21 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Failed generations retried per group at the table layer (the source
+/// may escalate internally on top of this).
+const PULSE_RETRIES: usize = 2;
+
 /// Parallel-prefetch context for the attach phase: with one of these,
 /// the generator batch-generates every pending pulse of an attach sweep
 /// across the executor's worker pool, against the table's cache
 /// ([`PulseTable::cache`]), before the sequential commit logic runs.
 /// Without one the generator stays fully sequential.
-#[derive(Clone)]
-pub struct BatchContext {
+pub(crate) struct BatchContext {
     /// Builds one source per job, seeded by [`paqoc_exec::job_seed`] of
     /// its key.
-    pub factory: Arc<dyn PulseSourceFactory>,
+    pub(crate) factory: Arc<dyn PulseSourceFactory>,
     /// Worker count for each prefetch batch.
-    pub threads: usize,
-}
-
-impl std::fmt::Debug for BatchContext {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BatchContext")
-            .field("factory", &self.factory.name())
-            .field("threads", &self.threads)
-            .finish()
-    }
+    pub(crate) threads: usize,
 }
 
 /// Knobs of the customized-gates generator.
@@ -98,109 +92,54 @@ pub struct GeneratorReport {
     pub estimator_fallbacks: usize,
 }
 
-/// Wall-clock and cost budgets plus fallback policy for one generator
-/// run.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct GenerationLimits {
-    /// Hard wall-clock cutoff. When it passes mid-run the generator
-    /// stops merging (or attaching real pulses) and finishes with the
-    /// current valid grouping, marked partial.
-    pub deadline: Option<Instant>,
-    /// Pulse-generation cost cap in the estimator's synthetic
-    /// `cost_units`; exhaustion behaves like a deadline hit.
-    pub cost_budget_units: Option<f64>,
-    /// Failed generations retried per group at the table layer (the
-    /// source may escalate internally on top of this).
-    pub pulse_retries: usize,
-    /// When a group fails even as a singleton: `true` keeps its analytic
-    /// estimate (recorded as a degradation), `false` aborts the run with
-    /// [`CompileError::PulseSource`].
-    pub allow_estimator_fallback: bool,
-}
-
-impl Default for GenerationLimits {
-    fn default() -> Self {
-        GenerationLimits {
-            deadline: None,
-            cost_budget_units: None,
-            pulse_retries: 2,
-            allow_estimator_fallback: true,
-        }
-    }
-}
-
-/// What a fallible generator run produced.
-#[derive(Clone, Debug)]
-pub struct GenerationOutcome {
+/// What a generator run produced.
+pub(crate) struct GenerationOutcome {
     /// Merge/iteration accounting.
-    pub report: GeneratorReport,
+    pub(crate) report: GeneratorReport,
     /// Everything the run sacrificed to finish (rollbacks, fallbacks,
-    /// budget hits), in the order it happened.
-    pub degradations: Vec<Degradation>,
-    /// `true` when a deadline or cost budget cut the run short.
-    pub partial: bool,
+    /// deadline hits), in the order it happened.
+    pub(crate) degradations: Vec<Degradation>,
+    /// `true` when the deadline cut the run short.
+    pub(crate) partial: bool,
     /// Nanoseconds the prefetch batches spent in each numeric kernel
     /// (worker-side probe attribution, see
     /// [`BatchReport::kernel_ns`](paqoc_exec::BatchReport)). Empty when
     /// kernel probes are disarmed or no batch ran. Schedule-dependent
     /// soft data — never part of the deterministic outputs.
-    pub kernel_ns: BTreeMap<String, u64>,
+    pub(crate) kernel_ns: BTreeMap<String, u64>,
     /// Kernel call counts matching [`kernel_ns`](Self::kernel_ns);
     /// deterministic across thread counts.
-    pub kernel_calls: BTreeMap<String, u64>,
+    pub(crate) kernel_calls: BTreeMap<String, u64>,
 }
 
-/// Runs Algorithm 1 over a grouped circuit, with budgets and the
+/// Runs Algorithm 1 over a grouped circuit, with the deadline and the
 /// degradation ladder (paper Algorithm 1 hardened for production).
 ///
 /// On return every live group has a pulse (latency and fidelity set),
 /// and the circuit latency is monotonically no worse than the input
-/// grouping's.
+/// grouping's. Every estimate of the search and of the ladder's
+/// fallbacks comes from `estimator`, so its Weyl memo is shared with
+/// whatever else the compile estimated with it.
 ///
 /// The ladder, from cheapest to most drastic:
-/// 1. retry the pulse source per group (`limits.pulse_retries`, plus
+/// 1. retry the pulse source per group ([`PULSE_RETRIES`], plus
 ///    whatever escalation the source does internally),
 /// 2. roll a failing merged group back to decomposed per-gate pulses
 ///    (rebuilding the DAG with that group split into singletons),
 /// 3. keep the analytic estimate for a group that fails even as a
-///    singleton (when `limits.allow_estimator_fallback`).
+///    singleton.
 ///
-/// Budgets are checked every merge iteration and before every real
-/// pulse generation; exhaustion finishes the run with the current valid
-/// grouping marked `partial` instead of erroring. Every concession is
-/// recorded in [`GenerationOutcome::degradations`].
+/// The deadline is checked every merge iteration and before every real
+/// pulse generation; when it passes the run finishes with the current
+/// valid grouping marked `partial` instead of erroring. Every
+/// concession is recorded in [`GenerationOutcome::degradations`].
 ///
 /// With a parallel-prefetch context `exec`, every pending pulse of each
 /// attach sweep is first generated as a [`PulseJob`] batch on the
-/// executor (deduped, panic-isolated, budget-shared), and the sweep then
-/// commits sequentially — hits are free, failures fall through to the
-/// unchanged degradation ladder. The per-key seeding keeps results
+/// executor (deduped, panic-isolated, deadline-shared), and the sweep
+/// then commits sequentially — hits are free, failures fall through to
+/// the unchanged degradation ladder. The per-key seeding keeps results
 /// bit-identical to the sequential path for deterministic sources.
-pub fn try_generate_customized_gates(
-    grouped: &mut GroupedCircuit,
-    device: &Device,
-    source: &mut dyn PulseSource,
-    table: &mut PulseTable,
-    opts: &PaqocOptions,
-    limits: &GenerationLimits,
-    exec: Option<&BatchContext>,
-) -> Result<GenerationOutcome, CompileError> {
-    generate_with(
-        grouped,
-        device,
-        &mut AnalyticModel::new(),
-        source,
-        table,
-        opts,
-        limits,
-        exec,
-    )
-}
-
-/// [`try_generate_customized_gates`] with the compile's free estimator:
-/// every estimate of the search and of the ladder's fallbacks comes from
-/// `estimator`, so its Weyl memo is shared with whatever else the compile
-/// estimated with it.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn generate_with(
     grouped: &mut GroupedCircuit,
@@ -209,9 +148,9 @@ pub(crate) fn generate_with(
     source: &mut dyn PulseSource,
     table: &mut PulseTable,
     opts: &PaqocOptions,
-    limits: &GenerationLimits,
+    deadline: Option<Instant>,
     exec: Option<&BatchContext>,
-) -> Result<GenerationOutcome, CompileError> {
+) -> GenerationOutcome {
     let mut report = GeneratorReport::default();
     let mut degradations: Vec<Degradation> = Vec::new();
     let mut kernel_ns: BTreeMap<String, u64> = BTreeMap::new();
@@ -235,20 +174,15 @@ pub(crate) fn generate_with(
     }
 
     // One compilation gets at most one DeadlineHit degradation and one
-    // `pipeline.deadline_hits` increment (same for the cost budget),
-    // whether the limit trips in the merge loop, the attach loop, or
-    // both — the flags are shared across the phases.
-    let SearchEnd {
-        mut partial,
-        mut deadline_noted,
-        mut budget_noted,
-    } = run_search(
+    // `pipeline.deadline_hits` increment, whether the deadline trips in
+    // the merge loop, the attach loop, or both: only the deadline makes
+    // a run partial, so `partial` doubles as the "already noted" flag.
+    let mut partial = run_search(
         grouped,
         device,
         estimator,
-        table,
         opts,
-        limits,
+        deadline,
         &mut report,
         &mut degradations,
         &mut (),
@@ -263,8 +197,8 @@ pub(crate) fn generate_with(
     // singletons, already-attached shapes re-attach through the table
     // cache for free, and the loop restarts. The multi-gate group count
     // strictly decreases per rollback, so the loop terminates.
-    // Estimates kept for groups the deadline or budget left without a
-    // pulse, by table key.
+    // Estimates kept for groups the deadline left without a pulse, by
+    // table key.
     let mut unattached: HashMap<String, PulseEstimate> = HashMap::new();
     'attach: loop {
         // Parallel prefetch: batch-generate every pending pulse of this
@@ -277,7 +211,7 @@ pub(crate) fn generate_with(
                 device,
                 table,
                 opts,
-                limits,
+                deadline,
                 ctx,
                 &mut kernel_ns,
                 &mut kernel_calls,
@@ -288,27 +222,12 @@ pub(crate) fn generate_with(
             if grouped.group(id).fidelity != 0.0 {
                 continue;
             }
-            let out_of_time = limits
-                .deadline
-                .is_some_and(|deadline| Instant::now() >= deadline);
-            let out_of_budget = limits
-                .cost_budget_units
-                .is_some_and(|budget| table.stats().cost_units >= budget);
-            if out_of_time || out_of_budget {
-                if out_of_time && !deadline_noted {
-                    deadline_noted = true;
+            if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
+                if !partial {
                     partial = true;
                     counter("pipeline.deadline_hits", 1);
                     degradations.push(Degradation::DeadlineHit {
                         phase: "attach".to_string(),
-                    });
-                }
-                if out_of_budget && !budget_noted {
-                    budget_noted = true;
-                    partial = true;
-                    degradations.push(Degradation::CostBudgetExhausted {
-                        spent: table.stats().cost_units,
-                        budget: limits.cost_budget_units.unwrap_or(0.0),
                     });
                 }
                 // Keep the (already validated) analytic estimate: the
@@ -337,13 +256,7 @@ pub(crate) fn generate_with(
             // realized pulse length measures the Obs.1 estimator error
             // (negative = conservative over-estimate).
             let predicted_ns = grouped.group(id).latency_ns;
-            match table.try_pulse_for(
-                &insts,
-                device,
-                source,
-                opts.target_fidelity,
-                limits.pulse_retries,
-            ) {
+            match table.try_pulse_for(&insts, device, source, opts.target_fidelity, PULSE_RETRIES) {
                 Ok(pulse) => {
                     observe(
                         "search.predicted_latency_error_ns",
@@ -391,20 +304,6 @@ pub(crate) fn generate_with(
                     break;
                 }
                 Err(e) => {
-                    if !limits.allow_estimator_fallback {
-                        return Err(match e {
-                            PulseGenError::SourcePanic { message, .. } => {
-                                CompileError::SourcePanic {
-                                    gates: insts.len(),
-                                    message,
-                                }
-                            }
-                            other => CompileError::PulseSource {
-                                source: other,
-                                gates: insts.len(),
-                            },
-                        });
-                    }
                     // Rung 3: a singleton failed — keep the analytic
                     // estimate and record the concession.
                     if let PulseGenError::SourcePanic { message, .. } = &e {
@@ -445,13 +344,13 @@ pub(crate) fn generate_with(
         }
     }
 
-    Ok(GenerationOutcome {
+    GenerationOutcome {
         report,
         degradations,
         partial,
         kernel_ns,
         kernel_calls,
-    })
+    }
 }
 
 /// Batch-generates every pulse the coming attach sweep will need: one
@@ -459,7 +358,7 @@ pub(crate) fn generate_with(
 /// local table entry), priority = the group's predicted latency so the
 /// biggest pulses start first. Outcomes are folded into the table with
 /// exact sequential stats parity ([`PulseTable::absorb_batch`]);
-/// failures and budget skips are left for the sequential ladder, whose
+/// failures and deadline skips are left for the sequential ladder, whose
 /// semantics are unchanged.
 ///
 /// The batch's worker-side kernel-probe attribution is folded into the
@@ -471,7 +370,7 @@ fn prefetch_pending_pulses(
     device: &Device,
     table: &mut PulseTable,
     opts: &PaqocOptions,
-    limits: &GenerationLimits,
+    deadline: Option<Instant>,
     ctx: &BatchContext,
     kernel_ns: &mut BTreeMap<String, u64>,
     kernel_calls: &mut BTreeMap<String, u64>,
@@ -499,9 +398,7 @@ fn prefetch_pending_pulses(
     }
     let exec_opts = ExecOptions {
         threads: ctx.threads,
-        deadline: limits.deadline,
-        cost_budget_units: limits.cost_budget_units,
-        cost_spent_units: table.stats().cost_units,
+        deadline,
         stall_budget: None,
     };
     paqoc_telemetry::gauge!("core.sweep_pending_pulses", jobs.len() as f64);
@@ -578,16 +475,16 @@ mod tests {
         let mut grouped = GroupedCircuit::new(c.instructions(), c.num_qubits(), &[]);
         let mut source = AnalyticModel::new();
         let mut table = PulseTable::new();
-        let outcome = try_generate_customized_gates(
+        let outcome = generate_with(
             &mut grouped,
             &device,
+            &mut AnalyticModel::new(),
             &mut source,
             &mut table,
             opts,
-            &GenerationLimits::default(),
             None,
-        )
-        .expect("estimator fallback keeps the ladder infallible");
+            None,
+        );
         (grouped, outcome.report, table)
     }
 

@@ -3,9 +3,16 @@
 //! PAQOC itself: the grouped-circuit DAG with criticality analysis
 //! ([`GroupedCircuit`]), the canonical-keyed [`PulseTable`], the
 //! criticality-aware customized-gates generator implementing the paper's
-//! Algorithm 1 ([`try_generate_customized_gates`]), and the end-to-end
+//! Algorithm 1 (tuned by [`PaqocOptions`]), and the end-to-end
 //! [`try_compile`] pipeline (lower → SABRE map → mine APA basis → merge →
 //! pulses) with the paper's `M ∈ {0, tuned, inf}` presets.
+//!
+//! The generator picks the final grouping on free analytic estimates,
+//! then generates each group's pulse once. A pulse that will not
+//! generate walks a three-rung ladder — retry, roll the merge back,
+//! keep the estimate — so a compile under source failure degrades
+//! instead of failing; only `PipelineOptions::deadline` can cut it
+//! short, and then it finishes partial.
 //!
 //! Every compile, sequential or batch, resolves its pulses through one
 //! cache, the executor's [`paqoc_exec::SharedPulseTable`]: the
@@ -55,10 +62,7 @@ mod search_tests;
 mod table;
 
 pub use error::{CompileError, Degradation};
-pub use generator::{
-    try_generate_customized_gates, BatchContext, GenerationLimits, GenerationOutcome,
-    GeneratorReport, PaqocOptions,
-};
+pub use generator::{GeneratorReport, PaqocOptions};
 pub use group::{Group, GroupKind, GroupedCircuit};
 pub use pipeline::{
     attach_pulse_store, partition_is_acyclic, try_compile, try_compile_batch, CompilationResult,

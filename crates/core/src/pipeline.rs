@@ -5,9 +5,7 @@
 //! criticality-aware customized-gate generation → pulses.
 
 use crate::error::{CompileError, Degradation};
-use crate::generator::{
-    generate_with, BatchContext, GenerationLimits, GeneratorReport, PaqocOptions,
-};
+use crate::generator::{generate_with, BatchContext, GeneratorReport, PaqocOptions};
 use crate::group::{GroupKind, GroupedCircuit};
 use crate::table::{CompileStats, PulseTable};
 use paqoc_circuit::{decompose, Basis, Circuit, Instruction};
@@ -39,29 +37,11 @@ pub struct PipelineOptions {
     /// Disable the customized-gates generator entirely (the paper's
     /// APA-only mode of Section V-C).
     pub enable_generator: bool,
-    /// Force telemetry collection on for this compilation. When false,
-    /// collection still turns on if the `PAQOC_TRACE` environment
-    /// variable is set (see [`paqoc_telemetry`]).
-    pub trace: bool,
     /// Wall-clock budget for the whole compilation, measured from entry.
     /// When it expires mid-run the pipeline finishes with the current
     /// valid grouping marked [`CompilationResult::partial`]; a zero
     /// deadline fails fast with [`CompileError::DeadlineExceeded`].
     pub deadline: Option<Duration>,
-    /// Pulse-generation cost budget in synthetic `cost_units`;
-    /// exhaustion behaves like a deadline hit (partial result, never an
-    /// error).
-    pub cost_budget_units: Option<f64>,
-    /// Hard ESP floor: a finished compilation below it fails with
-    /// [`CompileError::EspUnsatisfiable`].
-    pub min_esp: Option<f64>,
-    /// Failed pulse generations retried per group (see
-    /// [`GenerationLimits::pulse_retries`]).
-    pub pulse_retries: usize,
-    /// Whether a group that fails even as a singleton may keep its
-    /// analytic estimate (see
-    /// [`GenerationLimits::allow_estimator_fallback`]).
-    pub allow_estimator_fallback: bool,
     /// Path of the persistent pulse store. `None` consults the
     /// `PAQOC_PULSE_DB` environment variable; set it (or the variable)
     /// to make pulse reuse survive process restarts. A store that fails
@@ -107,12 +87,7 @@ impl Default for PipelineOptions {
             sabre: SabreOptions::default(),
             skip_mapping: false,
             enable_generator: true,
-            trace: false,
             deadline: None,
-            cost_budget_units: None,
-            min_esp: None,
-            pulse_retries: 2,
-            allow_estimator_fallback: true,
             pulse_db: None,
             store_options: paqoc_store::StoreOptions::default(),
             threads: None,
@@ -169,9 +144,9 @@ pub struct CompilationResult {
     pub apa: ApaCover,
     /// Wall-clock compilation time in seconds.
     pub wall_seconds: f64,
-    /// `true` when a deadline or cost budget cut pulse work short; the
-    /// result is still valid (monotone latency) but some groups carry
-    /// analytic estimates instead of generated pulses.
+    /// `true` when the deadline cut pulse work short; the result is
+    /// still valid (monotone latency) but some groups carry analytic
+    /// estimates instead of generated pulses.
     pub partial: bool,
     /// Everything the compilation sacrificed to succeed, in order.
     pub degradations: Vec<Degradation>,
@@ -219,14 +194,13 @@ impl CompilationResult {
 ///
 /// This is the primary entry point. The contract under fault: the
 /// pipeline *degrades* — pulse-source failures are retried, then rolled
-/// back to decomposed per-gate pulses, then (by default) absorbed as
-/// analytic estimates, all recorded in
-/// [`CompilationResult::degradations`]; deadline or cost-budget
-/// exhaustion finishes with the current valid grouping marked
-/// [`CompilationResult::partial`]. A typed [`CompileError`] is returned
-/// only when no result is possible: unmappable or malformed input, a
-/// zero deadline, pulse-source failure with fallback disabled, or an
-/// unsatisfied `min_esp` floor.
+/// back to decomposed per-gate pulses, then absorbed as analytic
+/// estimates, all recorded in [`CompilationResult::degradations`]; a
+/// deadline that passes mid-run finishes with the current valid
+/// grouping marked [`CompilationResult::partial`]. A typed
+/// [`CompileError`] is returned only when no result is possible:
+/// unmappable or malformed input, a zero deadline, or a device that is
+/// not the requested [`PipelineOptions::backend`].
 pub fn try_compile(
     logical: &Circuit,
     device: &Device,
@@ -250,9 +224,8 @@ pub fn try_compile(
 /// Determinism contract: for a fixed input and factory, `threads = 1`
 /// and `threads = N` produce bit-identical pulses, latencies, ESP and
 /// stats — batch generations are pure functions of their job key.
-/// Deadline/cost-budget runs are exempt (which jobs a budget cuts off
-/// depends on the schedule, exactly as wall-clock deadlines already
-/// behave sequentially).
+/// Deadline runs are exempt (which jobs a deadline cuts off depends on
+/// the schedule, exactly as it does sequentially).
 pub fn try_compile_batch(
     logical: &Circuit,
     device: &Device,
@@ -328,9 +301,6 @@ fn compile_inner(
                 actual: actual.to_string(),
             });
         }
-    }
-    if opts.trace {
-        paqoc_telemetry::set_enabled(true);
     }
     let _compile_span = span("compile");
     // Caller-thread kernel-probe baseline: the sequential paths (weyl
@@ -466,12 +436,6 @@ fn compile_inner(
             ..opts.generator
         }
     };
-    let limits = GenerationLimits {
-        deadline: opts.deadline.map(|d| start + d),
-        cost_budget_units: opts.cost_budget_units,
-        pulse_retries: opts.pulse_retries,
-        allow_estimator_fallback: opts.allow_estimator_fallback,
-    };
     let outcome = {
         let _s = span("generate");
         generate_with(
@@ -481,9 +445,9 @@ fn compile_inner(
             source,
             &mut table,
             &gen_opts,
-            &limits,
+            opts.deadline.map(|d| start + d),
             batch.as_ref(),
-        )?
+        )
     };
     degradations.extend(outcome.degradations);
     // Write-behind flush: everything generated this run becomes durable
@@ -497,14 +461,6 @@ fn compile_inner(
     }
 
     let esp = grouped.esp();
-    if let Some(required) = opts.min_esp {
-        if esp < required {
-            return Err(CompileError::EspUnsatisfiable {
-                achieved: esp,
-                required,
-            });
-        }
-    }
 
     let latency_ns = grouped.makespan_ns();
     if paqoc_telemetry::enabled() {
@@ -1019,6 +975,16 @@ mod tests {
             ..PipelineOptions::m0()
         };
         assert!(try_compile(&qaoa_like(), &device, &mut source, &ok).is_ok());
+        // An untagged device other than the paper grid is not the grid.
+        let line = Device::line(3);
+        let mut c = Circuit::new(2);
+        c.cx(0, 1);
+        let err = try_compile(&c, &line, &mut source, &ok)
+            .expect_err("a 3-qubit line is not the transmon grid");
+        assert!(
+            matches!(&err, CompileError::BackendMismatch { actual, .. } if actual == "custom"),
+            "{err}"
+        );
     }
 
     #[test]

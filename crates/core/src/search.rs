@@ -1,4 +1,4 @@
-//! The merge search of [`try_generate_customized_gates`]: the
+//! The merge search of the customized-gates generator: the
 //! Observation-1 preprocessing and the criticality loop of the paper's
 //! Algorithm 1, over state kept from one round to the next.
 //!
@@ -23,13 +23,10 @@
 //!   pair's successor's position in the kept order.
 //!
 //! DESIGN.md §15 explains each step.
-//!
-//! [`try_generate_customized_gates`]: crate::try_generate_customized_gates
 
 use crate::error::Degradation;
-use crate::generator::{GenerationLimits, GeneratorReport, PaqocOptions};
+use crate::generator::{GeneratorReport, PaqocOptions};
 use crate::group::{GroupedCircuit, SpanScratch, Windows};
-use crate::table::PulseTable;
 use paqoc_circuit::Instruction;
 use paqoc_device::{AnalyticModel, Device, LoweredGroup};
 use paqoc_math::FastHash;
@@ -70,41 +67,30 @@ impl DecisionSink for () {
     fn record(&mut self, _: Decision) {}
 }
 
-/// How the search ended, for the attach phase that follows it.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct SearchEnd {
-    /// A deadline or the cost budget cut the search short.
-    pub(crate) partial: bool,
-    /// The deadline hit was recorded.
-    pub(crate) deadline_noted: bool,
-    /// The budget exhaustion was recorded.
-    pub(crate) budget_noted: bool,
-}
-
 /// Runs the preprocessing (when `opts.preprocess`) and the criticality
 /// loop over `grouped`, whose groups already carry their singleton
 /// estimates. Fills the merge and iteration fields of `report`, pushes
-/// any deadline or budget degradation, and reports every decision to
-/// `sink`.
+/// the deadline degradation if `deadline` passes, and reports every
+/// decision to `sink`. Returns `true` when the deadline cut the search
+/// short (the hit is then already counted and recorded).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_search<S: DecisionSink>(
     grouped: &mut GroupedCircuit,
     device: &Device,
     estimator: &mut AnalyticModel,
-    table: &PulseTable,
     opts: &PaqocOptions,
-    limits: &GenerationLimits,
+    deadline: Option<Instant>,
     report: &mut GeneratorReport,
     degradations: &mut Vec<Degradation>,
     sink: &mut S,
-) -> SearchEnd {
+) -> bool {
     let mut state = SearchState::new(grouped);
     if opts.preprocess {
         // Preprocessed groups keep free estimator latencies (fidelity-0
         // marker); real pulses are only generated for the *final*
         // grouping — the paper's central compile-time saving.
         report.preprocess_merges =
-            state.preprocess(grouped, device, estimator, opts, limits.deadline, sink);
+            state.preprocess(grouped, device, estimator, opts, deadline, sink);
         counter(
             "generator.preprocess_merges",
             report.preprocess_merges as u64,
@@ -114,9 +100,8 @@ pub(crate) fn run_search<S: DecisionSink>(
         grouped,
         device,
         estimator,
-        table,
         opts,
-        limits,
+        deadline,
         report,
         degradations,
         sink,
@@ -529,21 +514,20 @@ impl SearchState {
     /// The criticality-aware merge loop of Algorithm 1: per iteration,
     /// rank every candidate pair with a critical member by its predicted
     /// span gain (ties by local gain, then by pair) and commit up to
-    /// `top_k` disjoint pairs that shorten the circuit.
+    /// `top_k` disjoint pairs that shorten the circuit. Returns `true`
+    /// when `deadline` stopped it.
     #[allow(clippy::too_many_arguments)]
     fn criticality_loop<S: DecisionSink>(
         &mut self,
         grouped: &mut GroupedCircuit,
         device: &Device,
         estimator: &mut AnalyticModel,
-        table: &PulseTable,
         opts: &PaqocOptions,
-        limits: &GenerationLimits,
+        deadline: Option<Instant>,
         report: &mut GeneratorReport,
         degradations: &mut Vec<Degradation>,
         sink: &mut S,
-    ) -> SearchEnd {
-        let mut end = SearchEnd::default();
+    ) -> bool {
         let mut candidates = Candidates::default();
         candidates.seed(self, grouped, opts.max_qubits);
         let mut critical: Vec<bool> = Vec::new();
@@ -551,25 +535,12 @@ impl SearchState {
         let mut touched: Vec<usize> = Vec::new();
 
         for _ in 0..opts.max_iterations {
-            if let Some(deadline) = limits.deadline {
-                if Instant::now() >= deadline {
-                    end.deadline_noted = true;
-                    counter("pipeline.deadline_hits", 1);
-                    degradations.push(Degradation::DeadlineHit {
-                        phase: "merge".to_string(),
-                    });
-                    end.partial = true;
-                    break;
-                }
-            }
-            if let Some(budget) = limits.cost_budget_units {
-                let spent = table.stats().cost_units;
-                if spent >= budget {
-                    end.budget_noted = true;
-                    degradations.push(Degradation::CostBudgetExhausted { spent, budget });
-                    end.partial = true;
-                    break;
-                }
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                counter("pipeline.deadline_hits", 1);
+                degradations.push(Degradation::DeadlineHit {
+                    phase: "merge".to_string(),
+                });
+                return true;
             }
             report.iterations += 1;
             counter("generator.iterations", 1);
@@ -764,7 +735,7 @@ impl SearchState {
                 break;
             }
         }
-        end
+        false
     }
 }
 

@@ -10,11 +10,10 @@
 //! fidelity bits.
 
 use crate::error::Degradation;
-use crate::generator::{GenerationLimits, GeneratorReport, PaqocOptions};
+use crate::generator::{GeneratorReport, PaqocOptions};
 use crate::group::{GroupKind, GroupedCircuit, SpanScratch};
 use crate::pipeline::{try_compile, PipelineOptions};
 use crate::search::{run_search, Decision};
-use crate::table::PulseTable;
 use paqoc_circuit::{Circuit, Instruction};
 use paqoc_device::{AnalyticModel, Device, DeviceTuning, HardwareSpec, PulseSource, Topology};
 use paqoc_math::Rng;
@@ -171,7 +170,7 @@ fn reference_preprocess(
 /// The criticality loop as it was: every iteration enumerates the
 /// candidate pairs from the whole DAG, sorts and dedups them, checks the
 /// qubit cap with a `BTreeSet` union, and scores each pair with a
-/// critical member from a collected `Vec`. No deadline or budget.
+/// critical member from a collected `Vec`. No deadline.
 fn reference_loop(
     grouped: &mut GroupedCircuit,
     device: &Device,
@@ -384,18 +383,17 @@ fn kept_state_run(start: &GroupedCircuit, device: &Device, opts: &PaqocOptions) 
     let mut sink: Vec<Decision> = Vec::new();
     let mut report = GeneratorReport::default();
     let mut degradations: Vec<Degradation> = Vec::new();
-    let end = run_search(
+    let partial = run_search(
         &mut grouped,
         device,
         &mut AnalyticModel::new(),
-        &PulseTable::new(),
         opts,
-        &GenerationLimits::default(),
+        None,
         &mut report,
         &mut degradations,
         &mut sink,
     );
-    assert!(!end.partial && degradations.is_empty());
+    assert!(!partial && degradations.is_empty());
     Run {
         decisions: sink,
         report,

@@ -141,6 +141,9 @@ pub struct Device {
     tag: Option<BackendTag>,
 }
 
+/// The fingerprint of [`Device::grid5x5`], the untagged paper grid.
+const GRID5X5_FINGERPRINT: u64 = 0x9182_8249_684c_0a3e;
+
 fn compute_fingerprint(topology: &Topology, spec: &HardwareSpec) -> u64 {
     let mut h = StableHasher::new();
     h.write(&(topology.num_qubits() as u64).to_le_bytes());
@@ -255,13 +258,15 @@ impl Device {
         self.tag.as_ref()
     }
 
-    /// Name of the backend that owns this device. Untagged devices —
-    /// [`Device::new`], [`Device::grid5x5`], [`Device::line`] — answer
-    /// `"transmon-grid"`, the paper's platform.
+    /// Name of the backend that owns this device. An untagged device
+    /// answers `"transmon-grid"`, the paper's platform, only when its
+    /// fingerprint is that of [`Device::grid5x5`]; any other untagged
+    /// device — such as [`Device::line`] — answers `"custom"`.
     pub fn backend_name(&self) -> &str {
         match &self.tag {
             Some(tag) => &tag.name,
-            None => "transmon-grid",
+            None if self.fingerprint == GRID5X5_FINGERPRINT => "transmon-grid",
+            None => "custom",
         }
     }
 
@@ -441,6 +446,23 @@ mod tests {
         // And into the analytic rates.
         assert!(dev.single_qubit_rate_for(1) < dev.single_qubit_rate_for(0));
         assert!(dev.coupler_rate_between(0, 1) < dev.spec().coupler_rate());
+    }
+
+    #[test]
+    fn only_the_paper_grid_names_itself_transmon_grid_untagged() {
+        assert_eq!(Device::grid5x5().fingerprint(), GRID5X5_FINGERPRINT);
+        assert_eq!(
+            Device::new(Topology::grid(5, 5), HardwareSpec::transmon_xy()).backend_name(),
+            "transmon-grid"
+        );
+        assert_eq!(Device::line(3).backend_name(), "custom");
+        assert_eq!(Device::line(25).backend_name(), "custom");
+        let mut spec = HardwareSpec::transmon_xy();
+        spec.mu_max = 0.021;
+        assert_eq!(
+            Device::new(Topology::grid(5, 5), spec).backend_name(),
+            "custom"
+        );
     }
 
     #[test]

@@ -1,35 +1,35 @@
-//! The work-stealing batch executor.
+//! The priority-ordered batch executor.
 //!
 //! [`run_batch`] takes a set of [`PulseJob`]s — independent gate groups
-//! whose pulses a criticality-search iteration (or a benchmark sweep)
-//! will need — and generates them across `threads` std workers. Jobs
-//! are sorted by descending priority (predicted latency delta: the
-//! biggest candidate first, mirroring the paper's top-k ordering) and
-//! dealt round-robin into per-worker deques; a worker pops its own
-//! front and steals from victims' backs, so long GRAPE runs start early
-//! and stragglers are balanced without a global queue lock.
+//! whose pulses the attach phase (or a benchmark sweep) will need — and
+//! generates them across `threads` std workers. Jobs are sorted by
+//! descending priority (predicted latency: the biggest pulse first,
+//! mirroring the paper's top-k ordering), and every worker takes the
+//! next job of that order from one shared atomic cursor, so long GRAPE
+//! runs start early and a free worker always takes the most important
+//! job left.
 //!
 //! Determinism: each generation uses a fresh source from the
 //! [`PulseSourceFactory`], seeded by [`job_seed`] of the key, with no
 //! warm start — the pulse is a pure function of the job, so `threads=1`
-//! and `threads=N` produce bit-identical tables. Deadline/cost-budget
-//! runs are the documented exception: which jobs get skipped depends on
-//! the schedule, exactly as wall-clock deadlines already behave in the
-//! sequential pipeline.
+//! and `threads=N` produce bit-identical tables. Deadline runs are the
+//! documented exception: which jobs get skipped depends on the
+//! schedule, exactly as the deadline behaves in the sequential
+//! pipeline.
 //!
 //! Isolation: every generation runs under `catch_unwind`; a panic
 //! quarantines the key in the [`SharedPulseTable`] (so a deterministic
 //! crash fires once, not once per retry or worker) and the batch keeps
-//! going. Budgets are shared atomically: once the cost ceiling or the
-//! deadline is hit, all workers stop starting new generations.
+//! going. The deadline is shared: once it passes, no worker starts a
+//! new generation.
 
 use crate::factory::{job_seed, PulseSourceFactory};
 use crate::shared_table::{Claim, Provenance, SharedPulseTable};
 use paqoc_circuit::Instruction;
 use paqoc_device::{Device, PulseEstimate};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -64,8 +64,6 @@ impl PulseJob {
 pub enum SkipReason {
     /// The shared deadline passed before the job started.
     Deadline,
-    /// The shared cost budget was exhausted before the job started.
-    CostBudget,
     /// The key is quarantined from an earlier panic.
     Quarantined,
 }
@@ -106,12 +104,6 @@ pub struct ExecOptions {
     pub threads: usize,
     /// Shared wall-clock deadline: jobs not started by then are skipped.
     pub deadline: Option<Instant>,
-    /// Shared cost ceiling in source cost units; checked atomically
-    /// before each generation starts.
-    pub cost_budget_units: Option<f64>,
-    /// Cost already spent before this batch (the pipeline's running
-    /// total), charged against the same ceiling.
-    pub cost_spent_units: f64,
     /// Fixed per-job stall-watchdog budget. `None` derives the budget
     /// from the job's predicted latency (see [`stall_budget`]); `Some`
     /// overrides it uniformly — tests and latency-sensitive callers.
@@ -123,8 +115,6 @@ impl Default for ExecOptions {
         ExecOptions {
             threads: 1,
             deadline: None,
-            cost_budget_units: None,
-            cost_spent_units: 0.0,
             stall_budget: None,
         }
     }
@@ -155,26 +145,19 @@ pub fn stall_budget(job: &PulseJob, opts: &ExecOptions) -> Duration {
 
 /// Per-worker utilization accounting for one batch: where this worker's
 /// wall time went, split into busy (executing jobs, dedup checks
-/// included), idle (waiting on its own empty deque, plus ramp-down) and
-/// steal (acquiring work from a victim's deque). The executor
-/// guarantees `busy + idle + steal ≈ wall` — the remainder is
-/// per-iteration bookkeeping measured in nanoseconds.
+/// included) and idle (taking a job from the shared cursor, or finding
+/// none left). The executor guarantees `busy + idle ≈ wall` — the
+/// remainder is per-iteration bookkeeping measured in nanoseconds.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkerStats {
     /// Worker index within the batch pool.
     pub worker: usize,
-    /// Jobs this worker pulled from any deque (all outcomes, dedups and
-    /// skips included).
+    /// Jobs this worker took (all outcomes, dedups and skips included).
     pub jobs: usize,
-    /// Jobs acquired by stealing from a victim's deque.
-    pub steals: usize,
     /// Nanoseconds spent executing jobs.
     pub busy_ns: u64,
-    /// Nanoseconds spent acquiring from the worker's own deque or
-    /// discovering that every deque is empty.
+    /// Nanoseconds spent taking jobs or finding none left.
     pub idle_ns: u64,
-    /// Nanoseconds spent acquiring stolen jobs.
-    pub steal_ns: u64,
     /// Total wall time of this worker's run loop.
     pub wall_ns: u64,
 }
@@ -207,7 +190,7 @@ pub struct BatchReport {
     pub failures: usize,
     /// Panicking generations (keys now quarantined).
     pub panics: usize,
-    /// Jobs skipped for deadline/budget/quarantine.
+    /// Jobs skipped for deadline or quarantine.
     pub skipped: usize,
     /// Cost units spent by this batch's generations.
     pub cost_spent_units: f64,
@@ -234,40 +217,16 @@ impl BatchReport {
     fn tally(&mut self) {
         for status in &self.statuses {
             match status {
-                JobStatus::Generated(_) => self.generated += 1,
+                JobStatus::Generated(est) => {
+                    self.generated += 1;
+                    self.cost_spent_units += est.cost_units;
+                }
                 JobStatus::Hit(_, Provenance::Store) => self.store_hits += 1,
                 JobStatus::Hit(_, _) => self.shard_hits += 1,
                 JobStatus::Deduped(_) => self.dedup_hits += 1,
                 JobStatus::Failed(_) => self.failures += 1,
                 JobStatus::Panicked(_) => self.panics += 1,
                 JobStatus::Skipped(_) => self.skipped += 1,
-            }
-        }
-    }
-}
-
-/// Atomic f64 accumulator (bit-cast spins), for the shared cost tally.
-struct AtomicCost(AtomicU64);
-
-impl AtomicCost {
-    fn new(v: f64) -> Self {
-        AtomicCost(AtomicU64::new(v.to_bits()))
-    }
-
-    fn load(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Acquire))
-    }
-
-    fn add(&self, delta: f64) {
-        let mut cur = self.0.load(Ordering::Acquire);
-        loop {
-            let next = (f64::from_bits(cur) + delta).to_bits();
-            match self
-                .0
-                .compare_exchange_weak(cur, next, Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
             }
         }
     }
@@ -344,9 +303,9 @@ fn watchdog(
     }
 }
 
-/// Runs `jobs` across `opts.threads` work-stealing workers against the
-/// shared `table`. Statuses come back in input-job order; pulses land
-/// in the table (and its write-behind buffer — call
+/// Runs `jobs` across `opts.threads` workers against the shared
+/// `table`, highest priority first. Statuses come back in input-job
+/// order; pulses land in the table (and its write-behind buffer — call
 /// [`SharedPulseTable::sync`] afterwards to persist).
 pub fn run_batch(
     jobs: &[PulseJob],
@@ -364,7 +323,8 @@ pub fn run_batch(
         .min(jobs.len().max(1));
 
     // Priority-descending schedule, index-tie-broken so the order (and
-    // with it the threads=1 run) is fully deterministic.
+    // with it the threads=1 run) is fully deterministic. Workers take
+    // `order[cursor++]` until the cursor runs past the end.
     let mut order: Vec<usize> = (0..jobs.len()).collect();
     order.sort_by(|&a, &b| {
         jobs[b]
@@ -373,17 +333,7 @@ pub fn run_batch(
             .unwrap_or(std::cmp::Ordering::Equal)
             .then(a.cmp(&b))
     });
-    let queues: Vec<Mutex<VecDeque<usize>>> =
-        (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (pos, idx) in order.into_iter().enumerate() {
-        if let Ok(mut q) = queues[pos % threads].lock() {
-            q.push_back(idx);
-        }
-    }
-
-    let spent = AtomicCost::new(opts.cost_spent_units);
-    let over_budget = AtomicBool::new(false);
-    let batch_cost = AtomicCost::new(0.0);
+    let cursor = AtomicUsize::new(0);
 
     // Live-metrics plumbing: queue-depth gauges for the flight recorder
     // and active-job slots for the stall watchdog. All of it is gated
@@ -406,23 +356,17 @@ pub fn run_batch(
         }
         let handles: Vec<_> = (0..threads)
             .map(|me| {
-                let queues = &queues;
-                let spent = &spent;
-                let over_budget = &over_budget;
-                let batch_cost = &batch_cost;
-                let active = &active;
+                let (order, cursor, active) = (&order, &cursor, &active);
                 scope.spawn(move || {
                     worker(
                         me,
                         jobs,
+                        order,
+                        cursor,
                         device,
                         factory,
                         table,
                         opts,
-                        queues,
-                        spent,
-                        over_budget,
-                        batch_cost,
                         batch_id,
                         &active[me],
                     )
@@ -477,7 +421,6 @@ pub fn run_batch(
 
     let mut report = BatchReport {
         statuses,
-        cost_spent_units: batch_cost.load(),
         wall: start.elapsed(),
         workers,
         stalls: stall_count.load(Ordering::Acquire) as usize,
@@ -494,10 +437,8 @@ pub fn run_batch(
                 "exec.worker",
                 worker = w.worker as u64,
                 jobs = w.jobs as u64,
-                steals = w.steals as u64,
                 busy_us = w.busy_ns / 1_000,
                 idle_us = w.idle_ns / 1_000,
-                steal_us = w.steal_ns / 1_000,
                 wall_us = w.wall_ns / 1_000,
                 utilization = w.utilization(),
             );
@@ -541,14 +482,12 @@ fn elapsed_ns(since: Instant) -> u64 {
 fn worker(
     me: usize,
     jobs: &[PulseJob],
+    order: &[usize],
+    cursor: &AtomicUsize,
     device: &Device,
     factory: &dyn PulseSourceFactory,
     table: &SharedPulseTable,
     opts: &ExecOptions,
-    queues: &[Mutex<VecDeque<usize>>],
-    spent: &AtomicCost,
-    over_budget: &AtomicBool,
-    batch_cost: &AtomicCost,
     batch_id: Option<u64>,
     active: &Mutex<Option<ActiveJob>>,
 ) -> WorkerYield {
@@ -575,22 +514,16 @@ fn worker(
     let mut pending = Vec::new();
 
     loop {
-        // Acquisition time splits by provenance: own-deque pops (and
-        // the final every-deque-is-empty scan) count as idle, stolen
-        // pops as steal — so busy + idle + steal covers the loop.
+        // Taking a job, and finding none left, count as idle — so
+        // busy + idle covers the loop. `Relaxed` suffices: the cursor
+        // publishes no data (`order` is fixed before the workers start),
+        // and the atomic add alone hands each position out once.
         let acquire_start = Instant::now();
-        let acquired = next_job(me, queues);
-        let acquire_ns = elapsed_ns(acquire_start);
-        let Some((idx, stolen)) = acquired else {
-            stats.idle_ns += acquire_ns;
+        let next = order.get(cursor.fetch_add(1, Ordering::Relaxed)).copied();
+        stats.idle_ns += elapsed_ns(acquire_start);
+        let Some(idx) = next else {
             break;
         };
-        if stolen {
-            stats.steals += 1;
-            stats.steal_ns += acquire_ns;
-        } else {
-            stats.idle_ns += acquire_ns;
-        }
         if metrics_on {
             paqoc_telemetry::add_gauge("exec.jobs_pending", -1.0);
             paqoc_telemetry::add_gauge("exec.workers_busy", 1.0);
@@ -601,19 +534,7 @@ fn worker(
             None
         };
         let busy_start = Instant::now();
-        let disposition = run_one(
-            me,
-            idx,
-            jobs,
-            device,
-            factory,
-            table,
-            opts,
-            spent,
-            over_budget,
-            batch_cost,
-            active,
-        );
+        let disposition = run_one(me, idx, jobs, device, factory, table, opts, active);
         let busy_ns = elapsed_ns(busy_start);
         stats.busy_ns += busy_ns;
         stats.jobs += 1;
@@ -668,10 +589,10 @@ fn kernel_delta(before: &BTreeMap<&'static str, (u64, u64)>) -> BTreeMap<&'stati
         .collect()
 }
 
-/// Executes one pulled job: shared deadline/budget gates, then the
-/// claim protocol and (on a successful claim) the actual generation,
-/// with the active-job slot published around the source call so the
-/// stall watchdog can see it.
+/// Executes one taken job: the shared deadline gate, then the claim
+/// protocol and (on a successful claim) the actual generation, with the
+/// active-job slot published around the source call so the stall
+/// watchdog can see it.
 #[allow(clippy::too_many_arguments)]
 fn run_one(
     me: usize,
@@ -681,22 +602,11 @@ fn run_one(
     factory: &dyn PulseSourceFactory,
     table: &SharedPulseTable,
     opts: &ExecOptions,
-    spent: &AtomicCost,
-    over_budget: &AtomicBool,
-    batch_cost: &AtomicCost,
     active: &Mutex<Option<ActiveJob>>,
 ) -> Disposition {
     let job = &jobs[idx];
-    if let Some(deadline) = opts.deadline {
-        if Instant::now() >= deadline {
-            return Disposition::Done(JobStatus::Skipped(SkipReason::Deadline));
-        }
-    }
-    if let Some(budget) = opts.cost_budget_units {
-        if over_budget.load(Ordering::Acquire) || spent.load() >= budget {
-            over_budget.store(true, Ordering::Release);
-            return Disposition::Done(JobStatus::Skipped(SkipReason::CostBudget));
-        }
+    if opts.deadline.is_some_and(|d| Instant::now() >= d) {
+        return Disposition::Done(JobStatus::Skipped(SkipReason::Deadline));
     }
     let status = match table.claim(&job.key) {
         Claim::Hit(est, prov) => JobStatus::Hit(est, prov),
@@ -729,8 +639,6 @@ fn run_one(
             match outcome {
                 Ok(Ok(est)) => {
                     table.complete(&job.key, est);
-                    spent.add(est.cost_units);
-                    batch_cost.add(est.cost_units);
                     JobStatus::Generated(est)
                 }
                 Ok(Err(err)) => {
@@ -755,25 +663,6 @@ fn run_one(
     Disposition::Done(status)
 }
 
-/// Pops the worker's own front, else steals a victim's back. The flag
-/// is `true` when the job was stolen.
-fn next_job(me: usize, queues: &[Mutex<VecDeque<usize>>]) -> Option<(usize, bool)> {
-    if let Ok(mut own) = queues[me].lock() {
-        if let Some(idx) = own.pop_front() {
-            return Some((idx, false));
-        }
-    }
-    for offset in 1..queues.len() {
-        let victim = (me + offset) % queues.len();
-        if let Ok(mut q) = queues[victim].lock() {
-            if let Some(idx) = q.pop_back() {
-                return Some((idx, true));
-            }
-        }
-    }
-    None
-}
-
 fn status_label(status: &JobStatus) -> &'static str {
     match status {
         JobStatus::Generated(_) => "generated",
@@ -783,7 +672,6 @@ fn status_label(status: &JobStatus) -> &'static str {
         JobStatus::Failed(_) => "failed",
         JobStatus::Panicked(_) => "panicked",
         JobStatus::Skipped(SkipReason::Deadline) => "skipped_deadline",
-        JobStatus::Skipped(SkipReason::CostBudget) => "skipped_budget",
         JobStatus::Skipped(SkipReason::Quarantined) => "skipped_quarantined",
     }
 }

@@ -15,9 +15,8 @@
 //!   round-robin: each pop takes the *front* (highest-priority) entry of
 //!   the next tenant in rotation, so one tenant flooding its own deque
 //!   cannot starve the others. Within a tenant, entries order by
-//!   priority (descending, FIFO-stable on ties) — the same
-//!   priority-deque discipline [`run_batch`](crate::run_batch) uses for
-//!   pulse jobs.
+//!   priority (descending, FIFO-stable on ties) — the same order
+//!   [`run_batch`](crate::run_batch) takes pulse jobs in.
 //! * **Drain is a one-way valve.** [`FairQueue::drain`] permanently
 //!   rejects new pushes with [`PushError::Draining`] while letting
 //!   consumers keep popping; once the queue runs dry every pop answers

@@ -1,9 +1,8 @@
 //! # paqoc-exec
 //!
-//! A zero-dependency, std-`thread` work-stealing executor that turns
-//! pulse generation — the serial bottleneck of the whole pipeline —
-//! into explicit [`PulseJob`] batches run across a configurable worker
-//! pool. AccQOC observes that pulse-DB construction is embarrassingly
+//! A zero-dependency, std-`thread` executor that turns pulse
+//! generation — the serial bottleneck of the whole pipeline — into
+//! explicit [`PulseJob`] batches run across a configurable worker pool. AccQOC observes that pulse-DB construction is embarrassingly
 //! parallel across subcircuits, and PAQOC's per-iteration candidate set
 //! (top-k disjoint merge candidates) is exactly such an independent job
 //! batch; this crate supplies the machinery without dragging in an
@@ -18,9 +17,10 @@
 //! * [`PulseSourceFactory`] — `Send`-able per-job source construction,
 //!   seeded by [`job_seed`] of the key so results are bit-identical
 //!   regardless of thread count or schedule ([`factory`]).
-//! * [`run_batch`] — the work-stealing pool itself, with shared
-//!   deadline/cost budgets, `catch_unwind` panic isolation and key
-//!   quarantine ([`executor`]).
+//! * [`run_batch`] — the worker pool itself: workers take jobs
+//!   highest priority first from one atomic cursor, with a shared
+//!   deadline, `catch_unwind` panic isolation and key quarantine
+//!   ([`executor`]).
 //! * [`FairQueue`] — bounded multi-tenant fair-share admission queue
 //!   with reject-not-buffer overload behaviour and a drain lifecycle,
 //!   the scheduling core of the resident service ([`fair_queue`]).

@@ -1,4 +1,5 @@
-//! Contention, isolation and budget acceptance tests for the executor.
+//! Contention, isolation, deadline and scheduling acceptance tests for
+//! the executor.
 //!
 //! The heart of the suite is the dedup contract: N workers racing one
 //! key must produce **exactly one** generation — the rest take the
@@ -7,11 +8,12 @@
 //! key quarantines instead of retrying per worker.
 
 use paqoc_circuit::{GateKind, Instruction};
-use paqoc_device::{Device, FaultConfig};
+use paqoc_device::{AnalyticModel, Device, FaultConfig, PulseEstimate, PulseSource};
 use paqoc_exec::{
-    run_batch, AnalyticFactory, ExecOptions, FaultyAnalyticFactory, JobStatus, Provenance,
-    PulseJob, SharedPulseTable, SkipReason,
+    job_seed, run_batch, AnalyticFactory, ExecOptions, FaultyAnalyticFactory, JobStatus,
+    Provenance, PulseJob, PulseSourceFactory, SharedPulseTable, SkipReason,
 };
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 const STALL_EVENT: &str = "exec.stall";
@@ -180,51 +182,116 @@ fn batch_results_are_identical_across_thread_counts() {
     }
 }
 
-/// Shared budgets stop work promptly and deterministically: an
-/// already-spent budget skips everything; a one-generation budget
-/// admits exactly one at `threads=1`.
+/// The order in which a batch's sources were made, by job index.
+#[derive(Default)]
+struct StartLog {
+    started: Mutex<Vec<usize>>,
+    grew: Condvar,
+}
+
+/// Logs the job each source is made for (by its seed). The `held` job's
+/// source keeps its worker until every job has started, so the other
+/// jobs run on the other worker in whatever order the executor hands
+/// them out.
+struct RecordingFactory {
+    /// `job_seed` of each job's key, by job index.
+    seeds: Vec<u64>,
+    held: usize,
+    log: Arc<StartLog>,
+}
+
+impl PulseSourceFactory for RecordingFactory {
+    fn make(&self, seed: u64) -> Box<dyn PulseSource + Send> {
+        let idx = self
+            .seeds
+            .iter()
+            .position(|&s| s == seed)
+            .expect("every seed belongs to a job");
+        self.log.started.lock().expect("start log").push(idx);
+        self.log.grew.notify_all();
+        if idx == self.held {
+            Box::new(HeldSource {
+                log: Arc::clone(&self.log),
+                jobs: self.seeds.len(),
+            })
+        } else {
+            Box::new(AnalyticModel::new())
+        }
+    }
+}
+
+/// Waits until `jobs` sources have been made (at most 5 s, so a wrong
+/// schedule fails instead of hanging), then answers as the analytic
+/// model does.
+struct HeldSource {
+    log: Arc<StartLog>,
+    jobs: usize,
+}
+
+impl PulseSource for HeldSource {
+    fn generate(
+        &mut self,
+        group: &[Instruction],
+        device: &Device,
+        target_fidelity: f64,
+        warm_start: Option<f64>,
+    ) -> PulseEstimate {
+        let started = self.log.started.lock().expect("start log");
+        let wait = Duration::from_secs(5);
+        drop(
+            self.log
+                .grew
+                .wait_timeout_while(started, wait, |s| s.len() < self.jobs)
+                .expect("start log"),
+        );
+        AnalyticModel::new().generate(group, device, target_fidelity, warm_start)
+    }
+
+    fn typical_latency_ns(&self, num_qubits: usize, device: &Device) -> f64 {
+        AnalyticModel::new().typical_latency_ns(num_qubits, device)
+    }
+
+    fn name(&self) -> &'static str {
+        "held"
+    }
+}
+
+/// A free worker takes the most important job left: while one worker
+/// is held by the top-priority job, the other starts the remaining five
+/// in priority order.
 #[test]
-fn cost_budget_is_shared_and_checked_before_start() {
+fn a_free_worker_takes_the_most_important_job_left() {
     let device = Device::grid5x5();
-    let jobs: Vec<PulseJob> = (0..5)
-        .map(|i| job(&format!("b{i}"), cx_group(i, i + 1), 0.0))
+    // Job i has priority 6 - i: input order is priority order.
+    let jobs: Vec<PulseJob> = (0..6)
+        .map(|i| job(&format!("p{i}"), cx_group(i, i + 1), (6 - i) as f64))
         .collect();
-
-    let table = SharedPulseTable::new();
-    let exhausted = run_batch(
+    let log = Arc::new(StartLog::default());
+    let factory = RecordingFactory {
+        seeds: jobs.iter().map(|j| job_seed(&j.key)).collect(),
+        held: 0,
+        log: Arc::clone(&log),
+    };
+    let report = run_batch(
         &jobs,
         &device,
-        &AnalyticFactory,
-        &table,
+        &factory,
+        &SharedPulseTable::new(),
         &ExecOptions {
-            threads: 4,
-            cost_budget_units: Some(10.0),
-            cost_spent_units: 10.0,
+            threads: 2,
+            // Keep the watchdog quiet: this test is about start order.
+            stall_budget: Some(Duration::from_secs(3600)),
             ..ExecOptions::default()
         },
     );
-    assert_eq!(exhausted.generated, 0);
-    assert_eq!(exhausted.skipped, 5);
-    assert!(exhausted
-        .statuses
-        .iter()
-        .all(|s| *s == JobStatus::Skipped(SkipReason::CostBudget)));
-
-    let table = SharedPulseTable::new();
-    let tight = run_batch(
-        &jobs,
-        &device,
-        &AnalyticFactory,
-        &table,
-        &ExecOptions {
-            threads: 1,
-            cost_budget_units: Some(1e-9),
-            ..ExecOptions::default()
-        },
+    assert_eq!(report.generated, 6);
+    let started = log.started.lock().expect("start log").clone();
+    let rest: Vec<usize> = started.into_iter().filter(|&i| i != 0).collect();
+    assert_eq!(
+        rest,
+        [1, 2, 3, 4, 5],
+        "jobs must start highest priority first"
     );
-    assert_eq!(tight.generated, 1, "first job starts under budget");
-    assert_eq!(tight.skipped, 4, "charge lands before the next check");
-    assert!(tight.cost_spent_units > 0.0);
 }
 
 /// Stalled workers cannot sail past a shared deadline: jobs not started
@@ -284,7 +351,7 @@ fn stall_fault_interacts_with_shared_deadline() {
 
 /// Per-worker accounting must cover the worker's whole run loop: every
 /// job is attributed to exactly one worker, and each worker's
-/// `busy + idle + steal` accounts for its wall time up to per-iteration
+/// `busy + idle` accounts for its wall time up to per-iteration
 /// bookkeeping.
 #[test]
 fn worker_accounting_covers_wall_time() {
@@ -311,7 +378,7 @@ fn worker_accounting_covers_wall_time() {
     assert_eq!(report.workers.len(), 4, "one stats row per worker");
     for (i, w) in report.workers.iter().enumerate() {
         assert_eq!(w.worker, i, "rows sorted by worker index");
-        let accounted = w.busy_ns + w.idle_ns + w.steal_ns;
+        let accounted = w.busy_ns + w.idle_ns;
         assert!(
             accounted <= w.wall_ns,
             "worker {i}: accounted {accounted} ns exceeds wall {} ns",
@@ -319,7 +386,7 @@ fn worker_accounting_covers_wall_time() {
         );
         assert!(
             w.wall_ns - accounted < 10_000_000,
-            "worker {i}: {} ns of wall time unaccounted (busy+idle+steal must ≈ wall)",
+            "worker {i}: {} ns of wall time unaccounted (busy+idle must ≈ wall)",
             w.wall_ns - accounted
         );
         let util = w.utilization();
@@ -333,13 +400,8 @@ fn worker_accounting_covers_wall_time() {
             );
         }
     }
-    let pulled: usize = report.workers.iter().map(|w| w.jobs).sum();
-    assert_eq!(pulled, jobs.len(), "every job pulled exactly once");
-    let steals: usize = report.workers.iter().map(|w| w.steals).sum();
-    assert!(
-        steals <= pulled,
-        "steal count is a subset of pulled jobs ({steals} vs {pulled})"
-    );
+    let taken: usize = report.workers.iter().map(|w| w.jobs).sum();
+    assert_eq!(taken, jobs.len(), "every job taken exactly once");
 }
 
 /// The stall watchdog flags each stalled generation exactly once: a

@@ -49,7 +49,7 @@ pub use fidelity::{
 };
 pub use hash::{FastHash, FastHasher};
 pub use kernels::matmul_fixed;
-pub use matrix::Matrix;
+pub use matrix::{nan_max, Matrix};
 pub use random::{ginibre, random_unitary, random_unitary_seeded, stable_jitter, StableHasher};
 pub use rng::{Rng, Sample, SampleRange};
 pub use weyl::{det, weyl_coordinates, WeylCoordinates};

@@ -442,7 +442,7 @@ impl Matrix {
 /// `f64::max` that keeps a NaN instead of returning the other operand,
 /// so a fold over entries cannot skip one. Equal to `f64::max` when
 /// neither operand is NaN.
-fn nan_max(a: f64, b: f64) -> f64 {
+pub fn nan_max(a: f64, b: f64) -> f64 {
     if a.is_nan() || b.is_nan() {
         f64::NAN
     } else {

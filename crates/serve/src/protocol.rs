@@ -567,10 +567,6 @@ pub fn degradation_to_value(d: &Degradation) -> Value {
             pairs.push(("reason", s(reason)));
         }
         Degradation::DeadlineHit { phase } => pairs.push(("phase", s(phase))),
-        Degradation::CostBudgetExhausted { spent, budget } => {
-            pairs.push(("spent", num(*spent)));
-            pairs.push(("budget", num(*budget)));
-        }
         Degradation::SourcePanic { gates, message } => {
             pairs.push(("gates", num(*gates as f64)));
             pairs.push(("message", s(message)));
@@ -599,10 +595,6 @@ pub fn degradation_from_value(v: &Value) -> Option<Degradation> {
         }),
         "deadline_hit" => Some(Degradation::DeadlineHit {
             phase: get_str(v, "phase")?.to_string(),
-        }),
-        "cost_budget_exhausted" => Some(Degradation::CostBudgetExhausted {
-            spent: get_f64(v, "spent")?,
-            budget: get_f64(v, "budget")?,
         }),
         "source_panic" => Some(Degradation::SourcePanic {
             gates: get_u64(v, "gates")? as usize,
@@ -890,14 +882,6 @@ mod tests {
     }
 
     #[test]
-    fn degradation_cost_budget_exhausted_round_trips() {
-        roundtrip(Degradation::CostBudgetExhausted {
-            spent: 123.5,
-            budget: 100.0,
-        });
-    }
-
-    #[test]
     fn degradation_source_panic_round_trips() {
         roundtrip(Degradation::SourcePanic {
             gates: 4,
@@ -941,9 +925,8 @@ mod tests {
                 Degradation::StoreReadOnly {
                     reason: "lock-held".to_string(),
                 },
-                Degradation::CostBudgetExhausted {
-                    spent: 80.0,
-                    budget: 75.0,
+                Degradation::DeadlineHit {
+                    phase: "attach".to_string(),
                 },
             ],
             queue_ms: 12,

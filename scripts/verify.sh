@@ -43,6 +43,21 @@ cargo run --release -p paqoc-bench --bin report -- flame \
 grep -q "mathkit.matmul" target/verify_flame.txt
 echo "kernel trace smoke OK"
 
+echo "== report workers / jobs / phases smoke over the same batch trace =="
+# The batch compile above journals exec.worker, exec.job and exec.batch
+# events and spans; each report must find them, so the event fields the
+# executor writes and the report that reads them cannot drift apart.
+cargo run --release -p paqoc-bench --bin report -- workers \
+    target/verify_kernels.jsonl | tee target/verify_workers.txt
+grep -q "busy_ms" target/verify_workers.txt
+cargo run --release -p paqoc-bench --bin report -- jobs \
+    target/verify_kernels.jsonl | tee target/verify_jobs.txt
+grep -q "generated" target/verify_jobs.txt
+cargo run --release -p paqoc-bench --bin report -- phases \
+    target/verify_kernels.jsonl | tee target/verify_phases.txt
+grep -q "exec.batch" target/verify_phases.txt
+echo "batch trace report smoke OK"
+
 echo "== OpenPulse export smoke: one benchmark per backend, reimport-checked =="
 # The exporter re-imports its own output and diffs sample-by-sample, so
 # a pass here certifies the wire format end to end on every backend.

@@ -21,13 +21,13 @@
 //!   150-circuit observation corpus;
 //! * [`telemetry`] — zero-dependency phase spans, pipeline counters and
 //!   JSONL traces (enable with the `PAQOC_TRACE` environment variable
-//!   or `PipelineOptions::trace`);
+//!   or [`telemetry::set_enabled`]);
 //! * [`store`] — the crash-safe persistent pulse store behind
 //!   `PAQOC_PULSE_DB` / `PipelineOptions::pulse_db`: CRC-guarded
 //!   append-only records, device-fingerprinted headers, torn-tail and
 //!   corruption recovery;
-//! * [`exec`] — the parallel batch-compilation executor: work-stealing
-//!   std-thread pool over explicit pulse jobs, the sharded
+//! * [`exec`] — the parallel batch-compilation executor: a std-thread
+//!   pool taking explicit pulse jobs highest priority first, the sharded
 //!   [`exec::SharedPulseTable`] with in-flight dedup and store
 //!   read-through, and the per-job-seeded source factories that make
 //!   `threads = 1` and `threads = N` bit-identical (knob:

@@ -65,7 +65,6 @@ fn degradation_kind(d: &Degradation) -> &'static str {
         Degradation::MergeRolledBack { .. } => "rollback",
         Degradation::EstimatorFallback { .. } => "estimator",
         Degradation::DeadlineHit { .. } => "deadline",
-        Degradation::CostBudgetExhausted { .. } => "budget",
         Degradation::SourcePanic { .. } => "panic",
         Degradation::StoreUnavailable { .. } => "store-unavailable",
         Degradation::StoreReadOnly { .. } => "store-read-only",
