@@ -399,7 +399,6 @@ fn prefetch_pending_pulses(
     let exec_opts = ExecOptions {
         threads: ctx.threads,
         deadline,
-        stall_budget: None,
     };
     paqoc_telemetry::gauge!("core.sweep_pending_pulses", jobs.len() as f64);
     let report = run_batch(

@@ -29,8 +29,7 @@ use paqoc_circuit::Instruction;
 use paqoc_device::{Device, PulseEstimate};
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// One unit of pulse-generation work.
@@ -104,10 +103,6 @@ pub struct ExecOptions {
     pub threads: usize,
     /// Shared wall-clock deadline: jobs not started by then are skipped.
     pub deadline: Option<Instant>,
-    /// Fixed per-job stall-watchdog budget. `None` derives the budget
-    /// from the job's predicted latency (see [`stall_budget`]); `Some`
-    /// overrides it uniformly — tests and latency-sensitive callers.
-    pub stall_budget: Option<Duration>,
 }
 
 impl Default for ExecOptions {
@@ -115,30 +110,26 @@ impl Default for ExecOptions {
         ExecOptions {
             threads: 1,
             deadline: None,
-            stall_budget: None,
         }
     }
 }
 
-/// Floor of the derived stall-watchdog budget: generations faster than
-/// this can never be flagged, however small their predicted latency.
+/// Floor of the stall budget: generations faster than this are never
+/// flagged, however small their predicted latency.
 pub const STALL_BUDGET_FLOOR: Duration = Duration::from_millis(25);
 
 /// Wall-clock allowance per nanosecond of predicted latency when
 /// deriving a stall budget: bigger merge candidates get proportionally
-/// more time before the watchdog flags their worker.
+/// more time before their generation counts as a stall.
 const STALL_BUDGET_WALL_PER_PREDICTED_NS: f64 = 10_000.0;
 
-/// How long a worker may spend generating one job before the watchdog
-/// journals an `exec.stall` event for it: the explicit
-/// [`ExecOptions::stall_budget`] when set, otherwise
-/// [`STALL_BUDGET_FLOOR`] + the job's predicted latency scaled by a
-/// wall-time allowance. Purely observational — a flagged job keeps
-/// running; the budget bounds silence, not work.
-pub fn stall_budget(job: &PulseJob, opts: &ExecOptions) -> Duration {
-    if let Some(budget) = opts.stall_budget {
-        return budget;
-    }
+/// How long a worker may spend generating one job before the
+/// generation counts as a stall and, with telemetry on, is journaled as
+/// an `exec.stall` event when it ends: [`STALL_BUDGET_FLOOR`] + the
+/// job's predicted latency scaled by a wall-time allowance. Purely
+/// observational — nothing is cancelled; the budget bounds silence,
+/// not work.
+pub fn stall_budget(job: &PulseJob) -> Duration {
     let scaled_ns = (job.priority.max(0.0) * STALL_BUDGET_WALL_PER_PREDICTED_NS).min(1e15);
     STALL_BUDGET_FLOOR + Duration::from_nanos(scaled_ns as u64)
 }
@@ -198,9 +189,9 @@ pub struct BatchReport {
     pub wall: Duration,
     /// Per-worker utilization accounting, indexed by worker.
     pub workers: Vec<WorkerStats>,
-    /// Jobs the stall watchdog flagged (one `exec.stall` journal event
-    /// each). Zero when telemetry is disabled — the watchdog thread
-    /// only runs while collection is on.
+    /// Generations that ran at least their [`stall_budget`] (one
+    /// `exec.stall` journal event each, written when the generation
+    /// ends). Zero when telemetry is disabled.
     pub stalls: usize,
     /// Nanoseconds spent in each numeric kernel by this batch's
     /// workers, keyed by kernel name (`mathkit.expm`, …). Empty when
@@ -241,66 +232,8 @@ struct WorkerYield {
     /// Per-kernel `(calls, ns)` deltas this worker's jobs produced,
     /// from the thread-local probe totals. Empty when probes are off.
     kernels: BTreeMap<&'static str, (u64, u64)>,
-}
-
-/// What a worker is generating right now, published for the stall
-/// watchdog. One slot per worker; the worker writes it before calling
-/// the source and clears it after, the watchdog reads it on its own
-/// thread and flags it at most once.
-struct ActiveJob {
-    idx: usize,
-    started: Instant,
-    flagged: bool,
-}
-
-/// Watchdog scan cadence. Shutdown latency is bounded by one tick.
-const WATCHDOG_TICK: Duration = Duration::from_millis(5);
-
-/// The stall watchdog: scans every worker's active-job slot and, when a
-/// generation has run past its [`stall_budget`], journals one
-/// `exec.stall` event for it (exactly once per stalled job — the slot's
-/// `flagged` bit is the latch). Observational only: the job keeps
-/// running, nothing is cancelled. Runs on its own thread, strictly off
-/// the job-execution path, and only while telemetry is enabled.
-fn watchdog(
-    jobs: &[PulseJob],
-    active: &[Mutex<Option<ActiveJob>>],
-    opts: &ExecOptions,
-    stop: &AtomicBool,
-    stall_count: &AtomicU64,
-) {
-    while !stop.load(Ordering::Acquire) {
-        std::thread::sleep(WATCHDOG_TICK);
-        for (worker, slot) in active.iter().enumerate() {
-            let Ok(mut guard) = slot.lock() else {
-                continue;
-            };
-            let Some(entry) = guard.as_mut() else {
-                continue;
-            };
-            if entry.flagged {
-                continue;
-            }
-            let job = &jobs[entry.idx];
-            let budget = stall_budget(job, opts);
-            let elapsed = entry.started.elapsed();
-            if elapsed < budget {
-                continue;
-            }
-            entry.flagged = true;
-            stall_count.fetch_add(1, Ordering::AcqRel);
-            paqoc_telemetry::counter("exec.stall", 1);
-            paqoc_telemetry::event!(
-                "exec.stall",
-                worker = worker as u64,
-                key = job.key.as_str(),
-                arity = job.qubits() as u64,
-                priority = job.priority,
-                elapsed_ms = elapsed.as_millis() as u64,
-                budget_ms = budget.as_millis() as u64,
-            );
-        }
-    }
+    /// Stalls this worker flagged (see [`BatchReport::stalls`]).
+    stalls: usize,
 }
 
 /// Runs `jobs` across `opts.threads` workers against the shared
@@ -335,45 +268,25 @@ pub fn run_batch(
     });
     let cursor = AtomicUsize::new(0);
 
-    // Live-metrics plumbing: queue-depth gauges for the flight recorder
-    // and active-job slots for the stall watchdog. All of it is gated
-    // on telemetry being enabled and none of it touches the pulses, so
-    // the threads=1 ≡ threads=N determinism contract is unaffected.
-    let metrics_on = paqoc_telemetry::enabled();
-    if metrics_on {
+    // Queue-depth gauges for the flight recorder, gated on telemetry
+    // being enabled; they never touch the pulses, so the threads=1 ≡
+    // threads=N determinism contract is unaffected.
+    if paqoc_telemetry::enabled() {
         paqoc_telemetry::add_gauge("exec.jobs_pending", jobs.len() as f64);
     }
-    let active: Vec<Mutex<Option<ActiveJob>>> = (0..threads).map(|_| Mutex::new(None)).collect();
-    let stall_count = AtomicU64::new(0);
-    let watchdog_stop = AtomicBool::new(false);
 
     let yields: Vec<WorkerYield> = std::thread::scope(|scope| {
-        if metrics_on {
-            let active = &active;
-            let stop = &watchdog_stop;
-            let stall_count = &stall_count;
-            scope.spawn(move || watchdog(jobs, active, opts, stop, stall_count));
-        }
         let handles: Vec<_> = (0..threads)
             .map(|me| {
-                let (order, cursor, active) = (&order, &cursor, &active);
+                let (order, cursor) = (&order, &cursor);
                 scope.spawn(move || {
                     worker(
-                        me,
-                        jobs,
-                        order,
-                        cursor,
-                        device,
-                        factory,
-                        table,
-                        opts,
-                        batch_id,
-                        &active[me],
+                        me, jobs, order, cursor, device, factory, table, opts, batch_id,
                     )
                 })
             })
             .collect();
-        let yields = handles
+        handles
             .into_iter()
             .map(|h| {
                 h.join().unwrap_or_else(|_| WorkerYield {
@@ -381,12 +294,10 @@ pub fn run_batch(
                     pending: Vec::new(),
                     stats: WorkerStats::default(),
                     kernels: BTreeMap::new(),
+                    stalls: 0,
                 })
             })
-            .collect();
-        // Workers are done; release the watchdog (joined by the scope).
-        watchdog_stop.store(true, Ordering::Release);
-        yields
+            .collect()
     });
 
     // Stitch worker results back into input order, then resolve the
@@ -396,12 +307,14 @@ pub fn run_batch(
     let mut workers = Vec::with_capacity(yields.len());
     let mut kernel_ns: BTreeMap<String, u64> = BTreeMap::new();
     let mut kernel_calls: BTreeMap<String, u64> = BTreeMap::new();
+    let mut stalls = 0;
     for y in yields {
         for (idx, status) in y.done {
             statuses[idx] = status;
         }
         pending.extend(y.pending);
         workers.push(y.stats);
+        stalls += y.stalls;
         for (name, (calls, ns)) in y.kernels {
             *kernel_calls.entry(name.to_string()).or_insert(0) += calls;
             *kernel_ns.entry(name.to_string()).or_insert(0) += ns;
@@ -423,7 +336,7 @@ pub fn run_batch(
         statuses,
         wall: start.elapsed(),
         workers,
-        stalls: stall_count.load(Ordering::Acquire) as usize,
+        stalls,
         kernel_ns,
         kernel_calls,
         ..BatchReport::default()
@@ -489,7 +402,6 @@ fn worker(
     table: &SharedPulseTable,
     opts: &ExecOptions,
     batch_id: Option<u64>,
-    active: &Mutex<Option<ActiveJob>>,
 ) -> WorkerYield {
     // Worker spans run on this thread's own span stack but are linked
     // to the batch span, so the merged journal keeps the tree intact.
@@ -512,6 +424,7 @@ fn worker(
     };
     let mut done = Vec::new();
     let mut pending = Vec::new();
+    let mut stalls = 0;
 
     loop {
         // Taking a job, and finding none left, count as idle — so
@@ -534,7 +447,7 @@ fn worker(
             None
         };
         let busy_start = Instant::now();
-        let disposition = run_one(me, idx, jobs, device, factory, table, opts, active);
+        let disposition = run_one(me, &jobs[idx], device, factory, table, opts, &mut stalls);
         let busy_ns = elapsed_ns(busy_start);
         stats.busy_ns += busy_ns;
         stats.jobs += 1;
@@ -573,6 +486,7 @@ fn worker(
         pending,
         stats,
         kernels,
+        stalls,
     }
 }
 
@@ -590,21 +504,18 @@ fn kernel_delta(before: &BTreeMap<&'static str, (u64, u64)>) -> BTreeMap<&'stati
 }
 
 /// Executes one taken job: the shared deadline gate, then the claim
-/// protocol and (on a successful claim) the actual generation, with the
-/// active-job slot published around the source call so the stall
-/// watchdog can see it.
-#[allow(clippy::too_many_arguments)]
+/// protocol and (on a successful claim) the actual generation. A
+/// generation that ran at least its [`stall_budget`] is counted in
+/// `stalls` and, with telemetry on, journaled as an `exec.stall` event.
 fn run_one(
     me: usize,
-    idx: usize,
-    jobs: &[PulseJob],
+    job: &PulseJob,
     device: &Device,
     factory: &dyn PulseSourceFactory,
     table: &SharedPulseTable,
     opts: &ExecOptions,
-    active: &Mutex<Option<ActiveJob>>,
+    stalls: &mut usize,
 ) -> Disposition {
-    let job = &jobs[idx];
     if opts.deadline.is_some_and(|d| Instant::now() >= d) {
         return Disposition::Done(JobStatus::Skipped(SkipReason::Deadline));
     }
@@ -622,19 +533,25 @@ fn run_one(
             return Disposition::Pending;
         }
         Claim::Claimed => {
-            if let Ok(mut slot) = active.lock() {
-                *slot = Some(ActiveJob {
-                    idx,
-                    started: Instant::now(),
-                    flagged: false,
-                });
-            }
+            let started = Instant::now();
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 let mut source = factory.make(job_seed(&job.key));
                 source.try_generate(&job.group, device, job.target_fidelity, None)
             }));
-            if let Ok(mut slot) = active.lock() {
-                *slot = None;
+            let elapsed = started.elapsed();
+            let budget = stall_budget(job);
+            if elapsed >= budget && paqoc_telemetry::enabled() {
+                *stalls += 1;
+                paqoc_telemetry::counter("exec.stall", 1);
+                paqoc_telemetry::event!(
+                    "exec.stall",
+                    worker = me as u64,
+                    key = job.key.as_str(),
+                    arity = job.qubits() as u64,
+                    priority = job.priority,
+                    elapsed_ms = elapsed.as_millis() as u64,
+                    budget_ms = budget.as_millis() as u64,
+                );
             }
             match outcome {
                 Ok(Ok(est)) => {

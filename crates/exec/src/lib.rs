@@ -11,9 +11,9 @@
 //! The pieces:
 //!
 //! * [`SharedPulseTable`] — the one pulse cache every compile resolves
-//!   through: sharded and lock-striped, with per-key in-flight dedup,
-//!   cache-wide quarantine, persistent-store read-through and
-//!   single-writer write-behind ([`shared_table`]).
+//!   through, behind one lock: per-key in-flight dedup, cache-wide
+//!   quarantine, persistent-store read-through and single-writer
+//!   write-behind ([`shared_table`]).
 //! * [`PulseSourceFactory`] — `Send`-able per-job source construction,
 //!   seeded by [`job_seed`] of the key so results are bit-identical
 //!   regardless of thread count or schedule ([`factory`]).
@@ -50,7 +50,7 @@ pub use executor::{
 };
 pub use factory::{job_seed, AnalyticFactory, FaultyAnalyticFactory, PulseSourceFactory};
 pub use recorder::{interval_from_env, FlightRecorder, METRICS_ENV};
-pub use shared_table::{Claim, Provenance, SharedPulseTable, StoreHealth, DEFAULT_SHARDS};
+pub use shared_table::{Claim, Provenance, SharedPulseTable, StoreHealth};
 
 /// Hard ceiling on worker counts, protecting against a typo'd
 /// `PAQOC_THREADS=4000` spawning thousands of OS threads.

@@ -1,48 +1,45 @@
-//! Sharded, lock-striped pulse cache shared across workers and compiles.
+//! The pulse cache shared across workers and compiles.
 //!
 //! The [`SharedPulseTable`] is the one pulse cache: batch workers,
 //! sequential compiles and served requests all resolve pulses through
-//! it (a compile without a pooled table gets a private one). It is a
-//! fixed set of mutex-striped shards keyed by composite key
-//! (`"<fingerprint-hex>/<group>"`, computed by the caller — this crate
-//! treats keys as opaque), plus an optional persistent [`PulseStore`]
-//! behind a single mutex. The per-compile `PulseTable` in `paqoc-core`
-//! is a view over it that keeps only per-compile state. It also owns a
-//! [`WeylMemo`], so compiles pooled on one table pool the analytic
-//! estimator's Weyl decompositions as well as its pulses.
+//! it (a compile without a pooled table gets a private one). Its
+//! entries, keyed by composite key (`"<fingerprint-hex>/<group>"`,
+//! computed by the caller — this crate treats keys as opaque), sit
+//! behind one mutex, and an optional persistent [`PulseStore`] behind a
+//! second. One lock is enough: at most two threads ever touch one table
+//! (two batch workers, or two server workers that each compile on one
+//! thread), and its critical sections are a few map operations. The
+//! per-compile `PulseTable` in `paqoc-core` is a view over it that keeps
+//! only per-compile state. It also owns a [`WeylMemo`], so compiles
+//! pooled on one table pool the analytic estimator's Weyl
+//! decompositions as well as its pulses.
 //!
 //! Three invariants make it safe and cheap:
 //!
 //! * **Claim-or-wait dedup.** [`SharedPulseTable::claim`] is the entry
-//!   point for every lookup. Under one shard lock it resolves the key
+//!   point for every lookup. Under the table lock it resolves the key
 //!   to a hit, a quarantine, an in-flight marker, or — exactly once per
 //!   key — a claim. Two workers can therefore never run the optimizer
 //!   for the same key: the loser records a dedup and picks up the
 //!   winner's pulse after the batch joins.
-//! * **Read-through, write-behind.** A shard miss consults the store
-//!   (one lock, ordered strictly after the shard lock so the pair can
-//!   never deadlock); completions buffer in per-shard dirty lists and
-//!   reach the store only through the single-writer
-//!   [`SharedPulseTable::sync`], because the append-only store is not
-//!   multi-handle safe.
+//! * **Read-through, write-behind.** A miss consults the store (its
+//!   lock is taken strictly after the table lock, so the pair can never
+//!   deadlock); completions buffer in a dirty list and reach the store
+//!   only through the single-writer [`SharedPulseTable::sync`], because
+//!   the append-only store is not multi-handle safe.
 //! * **Quarantine is sticky.** A panicking key is quarantined before
 //!   its in-flight marker drops, so a deterministic crash fires once
 //!   per process, not once per worker.
 
-use crate::factory::job_seed;
 use paqoc_device::{PulseEstimate, WeylMemo};
 use paqoc_store::{PulseStore, StoreError, StoreRole};
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Default shard count — enough stripes that 64 workers rarely collide,
-/// small enough that iterating all shards for a snapshot stays trivial.
-pub const DEFAULT_SHARDS: usize = 16;
-
 /// Where a cached pulse came from, for stats and journal provenance.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Provenance {
-    /// Already present in a shard (an earlier batch or compile).
+    /// Already present in the table (an earlier batch or compile).
     Shard,
     /// Read through from the persistent store.
     Store,
@@ -84,8 +81,9 @@ pub enum Claim {
     Quarantined,
 }
 
+/// The table's in-memory state, guarded by its one lock.
 #[derive(Default)]
-struct Shard {
+struct State {
     entries: HashMap<String, PulseEstimate>,
     in_flight: HashSet<String>,
     quarantined: HashSet<String>,
@@ -93,9 +91,9 @@ struct Shard {
     dirty: Vec<(String, PulseEstimate)>,
 }
 
-/// Sharded pulse cache with in-flight dedup and store read-through.
+/// Pulse cache with in-flight dedup and store read-through.
 pub struct SharedPulseTable {
-    shards: Vec<Mutex<Shard>>,
+    state: Mutex<State>,
     store: Mutex<Option<PulseStore>>,
     /// Fast-path flag mirroring `store.is_some()`, so claim misses on
     /// store-less tables skip the store mutex entirely.
@@ -106,7 +104,6 @@ pub struct SharedPulseTable {
 impl std::fmt::Debug for SharedPulseTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SharedPulseTable")
-            .field("shards", &self.shards.len())
             .field("entries", &self.len())
             .field("store", &self.has_store())
             .finish()
@@ -119,7 +116,7 @@ impl Default for SharedPulseTable {
     }
 }
 
-/// Recovers a poisoned stripe: shard state is only mutated under short
+/// Recovers a poisoned lock: table state is only mutated under short
 /// critical sections that cannot panic, so the data is consistent even
 /// if a holder's thread died elsewhere.
 fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -127,15 +124,10 @@ fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl SharedPulseTable {
-    /// Creates an in-memory table with [`DEFAULT_SHARDS`] stripes.
+    /// Creates an empty in-memory table.
     pub fn new() -> Self {
-        Self::with_shards(DEFAULT_SHARDS)
-    }
-
-    /// Creates an in-memory table with `shards` stripes (min 1).
-    pub fn with_shards(shards: usize) -> Self {
         SharedPulseTable {
-            shards: (0..shards.max(1)).map(|_| Mutex::default()).collect(),
+            state: Mutex::default(),
             store: Mutex::new(None),
             store_attached: std::sync::atomic::AtomicBool::new(false),
             weyl_memo: Arc::default(),
@@ -197,48 +189,43 @@ impl SharedPulseTable {
             .load(std::sync::atomic::Ordering::Acquire)
     }
 
-    fn shard(&self, key: &str) -> &Mutex<Shard> {
-        let idx = (job_seed(key) as usize) % self.shards.len();
-        &self.shards[idx]
-    }
-
     /// Resolves `key` to a hit, a quarantine, an in-flight marker, or a
     /// claim (see [`Claim`]). A `Claimed` return transfers generation
     /// ownership to the caller, who must later call
     /// [`SharedPulseTable::complete`], [`SharedPulseTable::abandon`] or
     /// [`SharedPulseTable::quarantine`] for the same key.
     pub fn claim(&self, key: &str) -> Claim {
-        let mut shard = relock(self.shard(key));
-        if shard.quarantined.contains(key) {
+        let mut state = relock(&self.state);
+        if state.quarantined.contains(key) {
             return Claim::Quarantined;
         }
-        if let Some(&est) = shard.entries.get(key) {
+        if let Some(&est) = state.entries.get(key) {
             return Claim::Hit(est, Provenance::Shard);
         }
-        if shard.in_flight.contains(key) {
+        if state.in_flight.contains(key) {
             return Claim::InFlight;
         }
-        // Read-through. Lock order is shard → store, everywhere. `hit`
+        // Read-through. Lock order is table → store, everywhere. `hit`
         // (not `get`) so the store's LFU metadata sees the access and
         // eviction keeps read-through keys hot.
         if self.has_store() {
             if let Some(est) = relock(&self.store).as_mut().and_then(|s| s.hit(key)) {
-                shard.entries.insert(key.to_string(), est);
+                state.entries.insert(key.to_string(), est);
                 return Claim::Hit(est, Provenance::Store);
             }
         }
-        shard.in_flight.insert(key.to_string());
+        state.in_flight.insert(key.to_string());
         Claim::Claimed
     }
 
     /// Publishes a generated pulse for a previously claimed key and
     /// buffers it for write-behind persistence.
     pub fn complete(&self, key: &str, est: PulseEstimate) {
-        let mut shard = relock(self.shard(key));
-        shard.in_flight.remove(key);
-        shard.entries.insert(key.to_string(), est);
+        let mut state = relock(&self.state);
+        state.in_flight.remove(key);
+        state.entries.insert(key.to_string(), est);
         if self.has_store() {
-            shard.dirty.push((key.to_string(), est));
+            state.dirty.push((key.to_string(), est));
         }
     }
 
@@ -248,45 +235,45 @@ impl SharedPulseTable {
     /// quarantined — never clobbers a concurrent claimant's published
     /// result — and leaves in-flight markers untouched.
     pub fn publish(&self, key: &str, est: PulseEstimate) {
-        let mut shard = relock(self.shard(key));
-        if shard.quarantined.contains(key) || shard.entries.contains_key(key) {
+        let mut state = relock(&self.state);
+        if state.quarantined.contains(key) || state.entries.contains_key(key) {
             return;
         }
-        shard.entries.insert(key.to_string(), est);
+        state.entries.insert(key.to_string(), est);
         if self.has_store() {
-            shard.dirty.push((key.to_string(), est));
+            state.dirty.push((key.to_string(), est));
         }
     }
 
     /// Releases a claim without publishing (generation failed cleanly —
     /// the key stays retriable by the sequential ladder).
     pub fn abandon(&self, key: &str) {
-        relock(self.shard(key)).in_flight.remove(key);
+        relock(&self.state).in_flight.remove(key);
     }
 
     /// Quarantines a key whose source panicked: the claim is released
     /// and every future [`SharedPulseTable::claim`] answers
     /// [`Claim::Quarantined`].
     pub fn quarantine(&self, key: &str) {
-        let mut shard = relock(self.shard(key));
-        shard.in_flight.remove(key);
-        shard.quarantined.insert(key.to_string());
+        let mut state = relock(&self.state);
+        state.in_flight.remove(key);
+        state.quarantined.insert(key.to_string());
     }
 
-    /// Looks up a pulse without claiming (shards only, no
+    /// Looks up a pulse without claiming (the table only, no
     /// read-through).
     pub fn get(&self, key: &str) -> Option<PulseEstimate> {
-        relock(self.shard(key)).entries.get(key).copied()
+        relock(&self.state).entries.get(key).copied()
     }
 
     /// `true` when `key` is quarantined.
     pub fn is_quarantined(&self, key: &str) -> bool {
-        relock(self.shard(key)).quarantined.contains(key)
+        relock(&self.state).quarantined.contains(key)
     }
 
-    /// Cached pulse count across all shards.
+    /// Cached pulse count.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| relock(s).entries.len()).sum()
+        relock(&self.state).entries.len()
     }
 
     /// `true` when no pulses are cached.
@@ -296,11 +283,11 @@ impl SharedPulseTable {
 
     /// Pulses buffered for write-behind but not yet synced.
     pub fn dirty_len(&self) -> usize {
-        self.shards.iter().map(|s| relock(s).dirty.len()).sum()
+        relock(&self.state).dirty.len()
     }
 
-    /// Single-writer write-behind sync: drains every shard's dirty
-    /// buffer into the store (skipping keys the store already holds)
+    /// Single-writer write-behind sync: drains the dirty buffer into the
+    /// store (skipping keys the store already holds)
     /// and fsyncs once. Returns the number of records written; `Ok(0)`
     /// when no store is attached.
     ///
@@ -311,10 +298,7 @@ impl SharedPulseTable {
     /// Call this from **one** thread after a batch joins — never from
     /// workers — so the append-only log sees a single writer.
     pub fn sync(&self) -> Result<usize, StoreError> {
-        let mut pending = Vec::new();
-        for shard in &self.shards {
-            pending.append(&mut relock(shard).dirty);
-        }
+        let pending = std::mem::take(&mut relock(&self.state).dirty);
         let mut guard = relock(&self.store);
         let Some(store) = guard.as_mut() else {
             return Ok(0);
@@ -367,16 +351,10 @@ impl SharedPulseTable {
     /// the byte-comparable dump the determinism tests diff across
     /// thread counts.
     pub fn snapshot(&self) -> Vec<(String, PulseEstimate)> {
-        let mut all: Vec<(String, PulseEstimate)> = self
-            .shards
+        let mut all: Vec<(String, PulseEstimate)> = relock(&self.state)
+            .entries
             .iter()
-            .flat_map(|s| {
-                relock(s)
-                    .entries
-                    .iter()
-                    .map(|(k, v)| (k.clone(), *v))
-                    .collect::<Vec<_>>()
-            })
+            .map(|(k, v)| (k.clone(), *v))
             .collect();
         all.sort_by(|a, b| a.0.cmp(&b.0));
         all
@@ -399,7 +377,7 @@ mod tests {
 
     #[test]
     fn claim_complete_roundtrip_and_dedup() {
-        let t = SharedPulseTable::with_shards(4);
+        let t = SharedPulseTable::new();
         assert_eq!(t.claim("k"), Claim::Claimed);
         assert_eq!(t.claim("k"), Claim::InFlight, "second claimant must wait");
         t.complete("k", est(10.0));
@@ -422,7 +400,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_sorted_and_complete() {
-        let t = SharedPulseTable::with_shards(3);
+        let t = SharedPulseTable::new();
         for (i, k) in ["zz", "aa", "mm"].iter().enumerate() {
             assert_eq!(t.claim(k), Claim::Claimed);
             t.complete(k, est(i as f64));

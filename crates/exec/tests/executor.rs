@@ -279,8 +279,6 @@ fn a_free_worker_takes_the_most_important_job_left() {
         &SharedPulseTable::new(),
         &ExecOptions {
             threads: 2,
-            // Keep the watchdog quiet: this test is about start order.
-            stall_budget: Some(Duration::from_secs(3600)),
             ..ExecOptions::default()
         },
     );
@@ -314,7 +312,6 @@ fn stall_fault_interacts_with_shared_deadline() {
         &ExecOptions {
             threads: 2,
             deadline: Some(Instant::now()),
-            ..ExecOptions::default()
         },
     );
     assert_eq!(expired.generated, 0);
@@ -335,7 +332,6 @@ fn stall_fault_interacts_with_shared_deadline() {
         &ExecOptions {
             threads: 1,
             deadline: Some(Instant::now() + Duration::from_millis(60)),
-            ..ExecOptions::default()
         },
     );
     assert!(
@@ -369,8 +365,6 @@ fn worker_accounting_covers_wall_time() {
         &SharedPulseTable::new(),
         &ExecOptions {
             threads: 4,
-            // Keep the watchdog quiet: this test is about accounting.
-            stall_budget: Some(Duration::from_secs(3600)),
             ..ExecOptions::default()
         },
     );
@@ -404,12 +398,11 @@ fn worker_accounting_covers_wall_time() {
     assert_eq!(taken, jobs.len(), "every job taken exactly once");
 }
 
-/// The stall watchdog flags each stalled generation exactly once: a
-/// 75 ms injected stall blows through the derived 25 ms floor budget,
-/// producing one `exec.stall` journal event per job — never more, even
-/// though the watchdog rescans every 5 ms for the stall's whole tail.
+/// Each stalled generation is flagged exactly once: a 75 ms injected
+/// stall blows through the derived 25 ms floor budget, producing one
+/// `exec.stall` journal event per job when its generation ends.
 #[test]
-fn watchdog_flags_each_stalled_job_exactly_once() {
+fn each_stalled_generation_is_flagged_exactly_once() {
     paqoc_telemetry::set_enabled(true);
     let device = Device::grid5x5();
     let factory = FaultyAnalyticFactory::new(FaultConfig::stalling(Duration::from_millis(75)));
@@ -460,19 +453,56 @@ fn watchdog_flags_each_stalled_job_exactly_once() {
         "stall events carry budget and elapsed fields"
     );
 
-    // A generous explicit budget silences the watchdog entirely.
+    // A fast generation is not a stall.
     let quiet = run_batch(
         &jobs,
         &device,
-        &factory,
+        &AnalyticFactory,
         &SharedPulseTable::new(),
         &ExecOptions {
             threads: 3,
-            stall_budget: Some(Duration::from_secs(3600)),
             ..ExecOptions::default()
         },
     );
-    assert_eq!(quiet.stalls, 0, "explicit budget overrides the floor");
+    assert_eq!(quiet.generated, 3);
+    assert_eq!(quiet.stalls, 0, "a fast generation is not a stall");
+}
+
+/// A traced batch ends when its workers do: nothing it starts outlives
+/// them. Three analytic jobs on two threads take well under a
+/// millisecond of generation, so the fastest of five traced batches
+/// must finish in under 5 ms.
+#[test]
+fn a_traced_batch_ends_with_its_workers() {
+    paqoc_telemetry::set_enabled(true);
+    let device = Device::grid5x5();
+    let fastest = (0..5)
+        .map(|round| {
+            let jobs: Vec<PulseJob> = (0..3)
+                .map(|i| job(&format!("traced-{round}-{i}"), cx_group(i, i + 1), 0.0))
+                .collect();
+            let table = SharedPulseTable::new();
+            let start = Instant::now();
+            let report = run_batch(
+                &jobs,
+                &device,
+                &AnalyticFactory,
+                &table,
+                &ExecOptions {
+                    threads: 2,
+                    ..ExecOptions::default()
+                },
+            );
+            let wall = start.elapsed();
+            assert_eq!(report.generated, 3);
+            wall
+        })
+        .min()
+        .expect("five batches ran");
+    assert!(
+        fastest < Duration::from_millis(5),
+        "the fastest traced batch took {fastest:?}"
+    );
 }
 
 /// Store-backed tables resolve cross-process hits with store

@@ -12,76 +12,41 @@
 //! alongside the span slices instead of a wall of instant arrows.
 //! Timestamps are microseconds since the telemetry epoch, and the
 //! emitted array is sorted by timestamp so the file is monotonic — some
-//! viewers reject out-of-order traces.
+//! viewers reject out-of-order traces. This is an export for viewers;
+//! the JSONL trace ([`Snapshot::to_jsonl`]) is the one that reads back.
 
-use crate::json::write_escaped;
+use crate::json::{fields, Value};
+use crate::report::field_to_json;
 use crate::{FieldValue, Snapshot, METRICS_SAMPLE_EVENT, TRACE_SCHEMA};
-use std::fmt::Write as _;
 
-/// One pre-rendered trace event, keyed for the monotonic sort.
-struct TraceEvent {
-    ts_ns: u64,
-    body: String,
+/// Nanoseconds as the format's microseconds.
+fn micros(ns: u64) -> f64 {
+    ns as f64 / 1_000.0
 }
 
-fn write_ts(out: &mut String, ts_ns: u64) {
-    // Microseconds with nanosecond precision kept as fractional digits.
-    let _ = write!(out, "{}.{:03}", ts_ns / 1_000, ts_ns % 1_000);
-}
-
-fn write_field_value(out: &mut String, v: &FieldValue) {
-    match v {
-        FieldValue::U64(n) => {
-            let _ = write!(out, "{n}");
-        }
-        FieldValue::I64(n) => {
-            let _ = write!(out, "{n}");
-        }
-        FieldValue::F64(x) if x.is_finite() => {
-            let _ = write!(out, "{x}");
-        }
-        FieldValue::F64(_) => out.push_str("null"),
-        FieldValue::Bool(b) => {
-            let _ = write!(out, "{b}");
-        }
-        FieldValue::Str(s) => write_escaped(out, s),
-    }
+/// A counter sample (`ph:"C"`) on the process track.
+fn counter_event(ts_ns: u64, cat: &str, name: &str, args: Value) -> (u64, Value) {
+    let event = fields!("ph": "C", "pid": 0u64, "tid": 0u64, "ts": micros(ts_ns), "cat": cat,
+        "name": name, "args": args);
+    (ts_ns, Value::object(event))
 }
 
 impl Snapshot {
     /// Serializes the snapshot as Chrome-trace JSON. The returned
     /// document is a single JSON object; write it to a `.json` file and
-    /// open it in `chrome://tracing` or Perfetto. Every string is
-    /// escaped through the same writer as the JSONL export, and events
-    /// appear in non-decreasing timestamp order.
+    /// open it in `chrome://tracing` or Perfetto. It is built as a
+    /// [`Value`], like the JSONL export, and events appear in
+    /// non-decreasing timestamp order.
     pub fn to_chrome_trace(&self) -> String {
-        let mut events: Vec<TraceEvent> = Vec::with_capacity(
+        let mut events: Vec<(u64, Value)> = Vec::with_capacity(
             self.spans.len() + self.events.len() + self.counters.len() + self.gauges.len(),
         );
         for s in &self.spans {
-            let mut body = String::new();
-            body.push_str("{\"ph\":\"X\",\"pid\":0,\"tid\":");
-            let _ = write!(body, "{}", s.thread);
-            body.push_str(",\"ts\":");
-            write_ts(&mut body, s.start_ns);
-            body.push_str(",\"dur\":");
-            write_ts(&mut body, s.duration_ns);
-            body.push_str(",\"cat\":\"span\",\"name\":");
-            write_escaped(&mut body, &s.name);
-            body.push_str(",\"args\":{\"id\":");
-            let _ = write!(body, "{}", s.id);
-            body.push_str(",\"parent\":");
-            match s.parent {
-                Some(p) => {
-                    let _ = write!(body, "{p}");
-                }
-                None => body.push_str("null"),
-            }
-            body.push_str("}}");
-            events.push(TraceEvent {
-                ts_ns: s.start_ns,
-                body,
-            });
+            let args = Value::object(fields!("id": s.id, "parent": s.parent));
+            let event = fields!("ph": "X", "pid": 0u64, "tid": s.thread, "ts": micros(s.start_ns),
+                "dur": micros(s.duration_ns), "cat": "span", "name": s.name.as_str(),
+                "args": args);
+            events.push((s.start_ns, Value::object(event)));
         }
         for e in &self.events {
             // Flight-recorder samples become counter timelines: one
@@ -95,75 +60,30 @@ impl Snapshot {
                         FieldValue::F64(x) if x.is_finite() => *x,
                         _ => continue,
                     };
-                    let mut body = String::new();
-                    body.push_str("{\"ph\":\"C\",\"pid\":0,\"tid\":0,\"ts\":");
-                    write_ts(&mut body, e.ts_ns);
-                    body.push_str(",\"cat\":\"metric\",\"name\":");
-                    write_escaped(&mut body, k);
-                    body.push_str(",\"args\":{\"value\":");
-                    let _ = write!(body, "{value}");
-                    body.push_str("}}");
-                    events.push(TraceEvent {
-                        ts_ns: e.ts_ns,
-                        body,
-                    });
+                    let args = Value::object(fields!("value": value));
+                    events.push(counter_event(e.ts_ns, "metric", k, args));
                 }
                 continue;
             }
-            let mut body = String::new();
-            body.push_str("{\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":");
-            let _ = write!(body, "{}", e.thread);
-            body.push_str(",\"ts\":");
-            write_ts(&mut body, e.ts_ns);
-            body.push_str(",\"cat\":\"event\",\"name\":");
-            write_escaped(&mut body, &e.name);
-            body.push_str(",\"args\":{\"seq\":");
-            let _ = write!(body, "{}", e.seq);
-            for (k, v) in &e.fields {
-                body.push(',');
-                write_escaped(&mut body, k);
-                body.push(':');
-                write_field_value(&mut body, v);
-            }
-            body.push_str("}}");
-            events.push(TraceEvent {
-                ts_ns: e.ts_ns,
-                body,
-            });
+            let fields = e.fields.iter().map(|(k, v)| (k.clone(), field_to_json(v)));
+            let seq = ("seq".to_string(), e.seq.into());
+            let args = Value::Obj([seq].into_iter().chain(fields).collect());
+            let event = fields!("ph": "i", "s": "t", "pid": 0u64, "tid": e.thread,
+                "ts": micros(e.ts_ns), "cat": "event", "name": e.name.as_str(), "args": args);
+            events.push((e.ts_ns, Value::object(event)));
         }
         // Counter totals and gauge levels as one sample each, stamped
         // after everything else so they read as the run's final state.
-        let last_ts = events.iter().map(|e| e.ts_ns).max().unwrap_or(0);
-        for (name, value) in &self.counters {
-            let mut body = String::new();
-            body.push_str("{\"ph\":\"C\",\"pid\":0,\"tid\":0,\"ts\":");
-            write_ts(&mut body, last_ts);
-            body.push_str(",\"cat\":\"counter\",\"name\":");
-            write_escaped(&mut body, name);
-            body.push_str(",\"args\":{\"value\":");
-            let _ = write!(body, "{value}");
-            body.push_str("}}");
-            events.push(TraceEvent {
-                ts_ns: last_ts,
-                body,
-            });
+        let last_ts = events.iter().map(|e| e.0).max().unwrap_or(0);
+        for (name, &value) in &self.counters {
+            let args = Value::object(fields!("value": value));
+            events.push(counter_event(last_ts, "counter", name, args));
         }
-        for (name, value) in &self.gauges {
-            if !value.is_finite() {
-                continue;
+        for (name, &value) in &self.gauges {
+            if value.is_finite() {
+                let args = Value::object(fields!("value": value));
+                events.push(counter_event(last_ts, "gauge", name, args));
             }
-            let mut body = String::new();
-            body.push_str("{\"ph\":\"C\",\"pid\":0,\"tid\":0,\"ts\":");
-            write_ts(&mut body, last_ts);
-            body.push_str(",\"cat\":\"gauge\",\"name\":");
-            write_escaped(&mut body, name);
-            body.push_str(",\"args\":{\"value\":");
-            let _ = write!(body, "{value}");
-            body.push_str("}}");
-            events.push(TraceEvent {
-                ts_ns: last_ts,
-                body,
-            });
         }
         // Kernel-probe totals as a counter track: one final sample per
         // (kernel, dimension) plus an allocation sample per kernel. The
@@ -171,49 +91,30 @@ impl Snapshot {
         // name), so readers recover them even for hostile names.
         for (name, k) in &self.kernels {
             for (dim, d) in &k.by_dim {
-                let mut body = String::new();
-                body.push_str("{\"ph\":\"C\",\"pid\":0,\"tid\":0,\"ts\":");
-                write_ts(&mut body, last_ts);
-                body.push_str(",\"cat\":\"kernel\",\"name\":");
-                write_escaped(&mut body, &format!("kernel.{name}.{dim}x{dim}"));
-                body.push_str(",\"args\":{\"kernel\":");
-                write_escaped(&mut body, name);
-                let _ = write!(
-                    body,
-                    ",\"dim\":{dim},\"calls\":{},\"total_ns\":{},\"self_ns\":{}}}}}",
-                    d.calls, d.total_ns, d.self_ns
-                );
-                events.push(TraceEvent {
-                    ts_ns: last_ts,
-                    body,
-                });
+                let args = fields!("kernel": name.as_str(), "dim": u64::from(*dim),
+                    "calls": d.calls, "total_ns": d.total_ns, "self_ns": d.self_ns);
+                let track = format!("kernel.{name}.{dim}x{dim}");
+                events.push(counter_event(
+                    last_ts,
+                    "kernel",
+                    &track,
+                    Value::object(args),
+                ));
             }
             if k.allocs > 0 {
-                let mut body = String::new();
-                body.push_str("{\"ph\":\"C\",\"pid\":0,\"tid\":0,\"ts\":");
-                write_ts(&mut body, last_ts);
-                body.push_str(",\"cat\":\"kernel\",\"name\":");
-                write_escaped(&mut body, &format!("kernel.{name}.alloc"));
-                body.push_str(",\"args\":{\"kernel\":");
-                write_escaped(&mut body, name);
-                let _ = write!(
-                    body,
-                    ",\"allocs\":{},\"alloc_bytes\":{}}}}}",
-                    k.allocs, k.alloc_bytes
-                );
-                events.push(TraceEvent {
-                    ts_ns: last_ts,
-                    body,
-                });
+                let args = fields!("kernel": name.as_str(), "allocs": k.allocs,
+                    "alloc_bytes": k.alloc_bytes);
+                let track = format!("kernel.{name}.alloc");
+                events.push(counter_event(
+                    last_ts,
+                    "kernel",
+                    &track,
+                    Value::object(args),
+                ));
             }
         }
-        events.sort_by_key(|e| e.ts_ns);
+        events.sort_by_key(|e| e.0);
 
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"displayTimeUnit\":\"ns\",\"paqocTraceSchema\":{TRACE_SCHEMA},\"traceEvents\":["
-        );
         // Thread-name metadata first (ph:"M" carries no timestamp
         // semantics, so it does not break monotonicity).
         let mut threads: Vec<u64> = self
@@ -224,26 +125,16 @@ impl Snapshot {
             .collect();
         threads.sort_unstable();
         threads.dedup();
-        let mut first = true;
-        for t in threads {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "{{\"ph\":\"M\",\"pid\":0,\"tid\":{t},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"paqoc-{t}\"}}}}"
-            );
-        }
-        for e in &events {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&e.body);
-        }
-        out.push_str("]}");
-        out
+        let metadata = threads.into_iter().map(|t| {
+            let args = Value::object(fields!("name": format!("paqoc-{t}").as_str()));
+            Value::object(
+                fields!("ph": "M", "pid": 0u64, "tid": t, "name": "thread_name",
+                "args": args),
+            )
+        });
+        let trace_events = metadata.chain(events.into_iter().map(|e| e.1)).collect();
+        let trace = fields!("displayTimeUnit": "ns", "paqocTraceSchema": TRACE_SCHEMA,
+            "traceEvents": Value::Arr(trace_events));
+        Value::object(trace).to_json()
     }
 }

@@ -1,6 +1,7 @@
-//! Minimal hand-rolled JSON: string escaping for the JSONL exporter and
-//! a small recursive-descent parser for round-trip checks and offline
-//! trace tooling. Covers the JSON subset the exporter emits (objects,
+//! Minimal hand-rolled JSON: a [`Value`] tree with a compact writer
+//! (what both trace exporters serialize through) and a small
+//! recursive-descent parser (what the JSONL reader and offline tooling
+//! read with). Covers the JSON subset the exporters emit (objects,
 //! arrays, strings, finite numbers, booleans, null) — not a general
 //! standards-lab validator.
 
@@ -25,6 +26,12 @@ pub enum Value {
 }
 
 impl Value {
+    /// An object from `(key, value)` pairs; a repeated key keeps its
+    /// last value.
+    pub fn object<'a>(pairs: impl IntoIterator<Item = (&'a str, Value)>) -> Value {
+        Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    }
+
     /// The object field `key`, if this is an object containing it.
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
@@ -108,6 +115,41 @@ impl Value {
                 out.push('}');
             }
         }
+    }
+}
+
+/// `[(key, Value::from(value)), …]` from `"key": value` pairs: the
+/// fields of an object the exporters build with [`Value::object`].
+macro_rules! fields {
+    ($($key:literal: $value:expr),* $(,)?) => {
+        [$(($key, $crate::json::Value::from($value))),*]
+    };
+}
+pub(crate) use fields;
+
+impl From<u64> for Value {
+    /// A number; integers above 2⁵³ round to the nearest `f64`.
+    fn from(n: u64) -> Self {
+        Value::Num(n as f64)
+    }
+}
+
+impl From<f64> for Value {
+    fn from(n: f64) -> Self {
+        Value::Num(n)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Self {
+        Value::Str(s.to_string())
+    }
+}
+
+impl<T: Into<Value>> From<Option<T>> for Value {
+    /// `null` for `None`.
+    fn from(v: Option<T>) -> Self {
+        v.map_or(Value::Null, Into::into)
     }
 }
 
@@ -332,13 +374,18 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // slice is valid UTF-8).
+                    // Copy the run up to the next quote or backslash in
+                    // one step, validating only its bytes (validating the
+                    // rest of the input per character is quadratic on a
+                    // long line). Both are ASCII, so the run ends on a
+                    // character boundary of the (valid UTF-8) input.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).expect("input was a &str");
-                    let c = s.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    out.push_str(std::str::from_utf8(&rest[..run]).expect("input was a &str"));
+                    self.pos += run;
                 }
             }
         }

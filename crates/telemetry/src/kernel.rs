@@ -367,58 +367,88 @@ pub struct KernelStats {
     pub by_dim: BTreeMap<u32, KernelDimStats>,
 }
 
-/// Builds the snapshot views (sorted site list + per-kernel aggregates)
-/// from the global store. The caller flushed its own TLS first.
+/// Builds the snapshot views from the global store: the sorted site
+/// list, and the per-kernel aggregates [`aggregate`] derives from it and
+/// the store's sketches and allocation totals. The caller flushed its
+/// own TLS first.
 pub(crate) fn snapshot_kernels() -> (Vec<KernelSite>, BTreeMap<String, KernelStats>) {
     let store = kernel_store().lock().expect("kernel store poisoned");
-    let mut sites: Vec<KernelSite> = Vec::with_capacity(store.sites.len());
+    let mut sites: Vec<KernelSite> = store
+        .sites
+        .iter()
+        .map(
+            |(&(span, parent_name, parent_dim, name, dim), agg)| KernelSite {
+                span: (span != 0).then_some(span),
+                parent: (!parent_name.is_empty()).then(|| (parent_name.to_string(), parent_dim)),
+                name: name.to_string(),
+                dim,
+                calls: agg.calls,
+                total_ns: agg.ns,
+            },
+        )
+        .collect();
+    sites.sort_by(|a, b| {
+        (&a.name, a.dim, a.span, &a.parent).cmp(&(&b.name, b.dim, b.span, &b.parent))
+    });
+    let sketches = store
+        .hists
+        .iter()
+        .map(|(&(name, dim), hist)| ((name.to_string(), dim), hist.clone()))
+        .collect();
+    let allocs = store
+        .allocs
+        .iter()
+        .map(|(&name, agg)| (name.to_string(), (agg.allocs, agg.bytes)))
+        .collect();
+    drop(store);
+    let kernels = aggregate(&sites, sketches, allocs);
+    (sites, kernels)
+}
+
+/// Derives the per-kernel aggregates — calls, total and self time, the
+/// per-dimension breakdowns with their latency sketches, allocation
+/// totals — from the call sites, one latency sketch per (kernel,
+/// dimension) and one `(allocs, bytes)` total per kernel.
+/// [`crate::snapshot`] and [`crate::Snapshot::from_jsonl`] both derive
+/// [`crate::Snapshot::kernels`] here, so a trace read back aggregates
+/// exactly as the recorded one did.
+pub(crate) fn aggregate(
+    sites: &[KernelSite],
+    mut sketches: BTreeMap<(String, u32), Histogram>,
+    allocs: BTreeMap<String, (u64, u64)>,
+) -> BTreeMap<String, KernelStats> {
     // Nested-kernel time per (name, dim): what self-time subtracts.
     let mut child_ns: BTreeMap<(&str, u32), u64> = BTreeMap::new();
-    for (&(span, parent_name, parent_dim, name, dim), agg) in &store.sites {
-        if !parent_name.is_empty() {
-            *child_ns.entry((parent_name, parent_dim)).or_insert(0) += agg.ns;
-        }
-        sites.push(KernelSite {
-            span: (span != 0).then_some(span),
-            parent: (!parent_name.is_empty()).then(|| (parent_name.to_string(), parent_dim)),
-            name: name.to_string(),
-            dim,
-            calls: agg.calls,
-            total_ns: agg.ns,
-        });
-    }
     let mut kernels: BTreeMap<String, KernelStats> = BTreeMap::new();
-    for (&(_, _, _, name, dim), agg) in &store.sites {
-        let k = kernels.entry(name.to_string()).or_default();
-        k.calls += agg.calls;
-        k.total_ns += agg.ns;
-        let d = k.by_dim.entry(dim).or_default();
-        d.calls += agg.calls;
-        d.total_ns += agg.ns;
-    }
-    for ((name, dim), hist) in &store.hists {
-        if let Some(d) = kernels.get_mut(*name).and_then(|k| k.by_dim.get_mut(dim)) {
-            d.hist = hist.clone();
+    for site in sites {
+        if let Some((parent, parent_dim)) = &site.parent {
+            *child_ns.entry((parent.as_str(), *parent_dim)).or_insert(0) += site.total_ns;
         }
+        let k = kernels.entry(site.name.clone()).or_default();
+        k.calls += site.calls;
+        k.total_ns += site.total_ns;
+        let d = k.by_dim.entry(site.dim).or_default();
+        d.calls += site.calls;
+        d.total_ns += site.total_ns;
     }
     for (name, k) in kernels.iter_mut() {
         let mut nested = 0u64;
         for (dim, d) in k.by_dim.iter_mut() {
+            if let Some(hist) = sketches.remove(&(name.clone(), *dim)) {
+                d.hist = hist;
+            }
             let child = child_ns.get(&(name.as_str(), *dim)).copied().unwrap_or(0);
             d.self_ns = d.total_ns.saturating_sub(child);
             nested += child;
         }
         k.self_ns = k.total_ns.saturating_sub(nested);
     }
-    for (&name, agg) in &store.allocs {
-        let k = kernels.entry(name.to_string()).or_default();
-        k.alloc_bytes += agg.bytes;
-        k.allocs += agg.allocs;
+    for (name, (allocs, bytes)) in allocs {
+        let k = kernels.entry(name).or_default();
+        k.alloc_bytes += bytes;
+        k.allocs += allocs;
     }
-    sites.sort_by(|a, b| {
-        (&a.name, a.dim, a.span, &a.parent).cmp(&(&b.name, b.dim, b.span, &b.parent))
-    });
-    (sites, kernels)
+    kernels
 }
 
 /// Opens a kernel probe; sugar for [`kernel_enter`]. The guard is bound

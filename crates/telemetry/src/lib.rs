@@ -22,12 +22,14 @@
 //!   records with typed fields ([`FieldValue`]), stamped with time,
 //!   thread and enclosing span, ring-buffered so unbounded workloads
 //!   keep the newest [`EVENT_CAPACITY`] records;
-//! * **Exports** — a JSONL trace ([`Snapshot::to_jsonl`], hand-rolled
-//!   JSON, parseable back with [`json::parse`]), a Chrome-trace /
-//!   Perfetto JSON ([`Snapshot::to_chrome_trace`], open it in
-//!   `chrome://tracing` or <https://ui.perfetto.dev>) and a
+//! * **Exports** — a JSONL trace ([`Snapshot::to_jsonl`]) that reads
+//!   back into the snapshot it was written from
+//!   ([`Snapshot::from_jsonl`]), a Chrome-trace / Perfetto JSON
+//!   ([`Snapshot::to_chrome_trace`], open it in `chrome://tracing` or
+//!   <https://ui.perfetto.dev>; an export, not read back) and a
 //!   human-readable span-tree + counter-table report
-//!   ([`Snapshot::render_report`]).
+//!   ([`Snapshot::render_report`]). Both JSON exports serialize
+//!   through [`json::Value`].
 //!
 //! Collection is off by default and costs a single relaxed atomic load
 //! per instrumentation site when disabled. It is switched on
@@ -104,11 +106,9 @@ static RESET_GENERATION: AtomicU64 = AtomicU64::new(0);
 pub const EVENT_CAPACITY: usize = 65_536;
 
 /// Version of the exported trace formats (JSONL `trace_meta` line,
-/// Chrome-trace `paqocTraceSchema` key). Readers must reject traces
-/// stamped with a *newer* version instead of silently skipping the
-/// lines they do not understand; unknown line types within the same
-/// version remain skippable (additions bump the version).
-pub const TRACE_SCHEMA: u64 = 1;
+/// Chrome-trace `paqocTraceSchema` key). Any change to a line type
+/// bumps it, and [`Snapshot::from_jsonl`] reads this version only.
+pub const TRACE_SCHEMA: u64 = 2;
 
 fn registry() -> &'static Mutex<Registry> {
     static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();

@@ -5,7 +5,7 @@
 use paqoc_telemetry::json::{parse, Value};
 use paqoc_telemetry::{
     add_gauge, counter, event, gauge, observe, reset, set_enabled, set_gauge, snapshot, span,
-    FieldValue, EVENT_CAPACITY, METRICS_SAMPLE_EVENT,
+    FieldValue, Snapshot, EVENT_CAPACITY, METRICS_SAMPLE_EVENT,
 };
 use std::sync::Mutex;
 
@@ -738,4 +738,140 @@ fn chrome_trace_renders_kernel_counter_track() {
     let args = alloc_sample.get("args").expect("args");
     assert_eq!(args.get("allocs").and_then(Value::as_num), Some(2.0));
     assert_eq!(args.get("alloc_bytes").and_then(Value::as_num), Some(512.0));
+}
+
+/// The JSONL trace is the serialized snapshot: reading it back and
+/// writing again gives the same text, and the kernel aggregates read
+/// back are the recorded ones.
+#[test]
+fn jsonl_reads_back_into_the_snapshot_it_was_written_from() {
+    let _lock = fresh();
+    {
+        let outer = span("compile \"q\"");
+        let _mine = span("mine");
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let _worker = paqoc_telemetry::span_with_parent("worker", outer.id());
+                let _job = span("job");
+                paqoc_telemetry::kernel_probe!("test.matmul", 8);
+            });
+        });
+        {
+            paqoc_telemetry::kernel_probe!("test.expm", 4);
+            for _ in 0..3 {
+                paqoc_telemetry::kernel_probe!("test.matmul", 4);
+            }
+            paqoc_telemetry::kernel_alloc("test.expm", 9, 9 * 256);
+        }
+        paqoc_telemetry::kernel_alloc("test.alloc_only", 2, 64);
+    }
+    counter("roundtrip.count", 7);
+    set_gauge("roundtrip.level", -2.5);
+    set_gauge("roundtrip.nan", f64::NAN);
+    for v in [-40.0, -0.5, 0.0, 1e-9, 3.0, 1e12] {
+        observe("roundtrip.signed", v);
+    }
+    observe("roundtrip.with_nan", 2.0);
+    observe("roundtrip.with_nan", f64::NAN);
+    event(
+        "every kind",
+        &[
+            ("u", FieldValue::U64(3)),
+            ("i", FieldValue::I64(-4)),
+            ("f", FieldValue::F64(2.5)),
+            ("integral", FieldValue::F64(6.0)),
+            ("nan", FieldValue::F64(f64::NAN)),
+            ("b", FieldValue::Bool(true)),
+            ("s", FieldValue::Str("a\"b\nc".to_string())),
+        ],
+    );
+    for i in 0..EVENT_CAPACITY + 3 {
+        event("flood", &[("i", FieldValue::from(i))]);
+    }
+    let snap = snapshot();
+    set_enabled(false);
+    assert_eq!(
+        snap.events_dropped, 4,
+        "the flood evicted the oldest events"
+    );
+
+    let text = snap.to_jsonl();
+    let back = Snapshot::from_jsonl(&text).expect("the trace reads back");
+    assert_eq!(back.to_jsonl(), text, "writing the read-back snapshot");
+    assert_eq!(back.spans, snap.spans);
+    assert_eq!(back.counters, snap.counters);
+    assert_eq!(back.kernel_sites, snap.kernel_sites);
+    assert_eq!(
+        back.histograms["roundtrip.signed"],
+        snap.histograms["roundtrip.signed"]
+    );
+    let (with_nan, recorded) = (
+        &back.histograms["roundtrip.with_nan"],
+        &snap.histograms["roundtrip.with_nan"],
+    );
+    assert!(with_nan.sum.is_nan() && recorded.sum.is_nan());
+    assert_eq!(
+        (
+            with_nan.count,
+            with_nan.min,
+            with_nan.max,
+            with_nan.p50(),
+            with_nan.p99()
+        ),
+        (
+            recorded.count,
+            recorded.min,
+            recorded.max,
+            recorded.p50(),
+            recorded.p99()
+        )
+    );
+    assert!(back.gauges["roundtrip.nan"].is_nan());
+    assert_eq!(back.events.len(), EVENT_CAPACITY);
+    assert_eq!(back.events_dropped, snap.events_dropped);
+
+    assert_eq!(
+        back.kernels.keys().collect::<Vec<_>>(),
+        snap.kernels.keys().collect::<Vec<_>>()
+    );
+    for (name, k) in &snap.kernels {
+        let b = &back.kernels[name];
+        assert_eq!(
+            (b.calls, b.total_ns, b.self_ns, b.allocs, b.alloc_bytes),
+            (k.calls, k.total_ns, k.self_ns, k.allocs, k.alloc_bytes),
+            "kernel {name}"
+        );
+        assert_eq!(
+            b.by_dim.keys().collect::<Vec<_>>(),
+            k.by_dim.keys().collect::<Vec<_>>()
+        );
+        for (dim, d) in &k.by_dim {
+            let bd = &b.by_dim[dim];
+            assert_eq!(
+                (bd.calls, bd.total_ns, bd.self_ns),
+                (d.calls, d.total_ns, d.self_ns)
+            );
+            assert_eq!(
+                [bd.hist.p50(), bd.hist.p90(), bd.hist.p99()],
+                [d.hist.p50(), d.hist.p90(), d.hist.p99()],
+                "kernel {name} at {dim}x{dim}"
+            );
+        }
+    }
+    assert!(snap.kernels["test.expm"].self_ns < snap.kernels["test.expm"].total_ns);
+    assert_eq!(snap.kernels["test.alloc_only"].allocs, 2);
+
+    // Only a JSONL trace of this schema reads back.
+    let schema = format!("\"trace_schema\":{}", paqoc_telemetry::TRACE_SCHEMA);
+    for (refused, what) in [
+        (snap.to_chrome_trace(), "a Chrome export"),
+        (
+            text.replacen(&schema, "\"trace_schema\":1", 1),
+            "another schema",
+        ),
+        (String::new(), "an empty file"),
+    ] {
+        let err = Snapshot::from_jsonl(&refused).expect_err(what);
+        assert!(err.contains("PAQOC_TRACE=<path>.jsonl"), "{what}: {err}");
+    }
 }

@@ -56,7 +56,29 @@ grep -q "generated" target/verify_jobs.txt
 cargo run --release -p paqoc-bench --bin report -- phases \
     target/verify_kernels.jsonl | tee target/verify_phases.txt
 grep -q "exec.batch" target/verify_phases.txt
+# A baseline diff reads a second trace through the same loader; the
+# trace against itself must print the baseline columns.
+cargo run --release -p paqoc-bench --bin report -- hotspots \
+    target/verify_kernels.jsonl --baseline target/verify_kernels.jsonl \
+    | tee target/verify_hotspots_baseline.txt
+grep -q "base_ms" target/verify_hotspots_baseline.txt
 echo "batch trace report smoke OK"
+
+echo "== Chrome-trace export: written for Perfetto, refused by report =="
+# A .json PAQOC_TRACE path writes the Chrome-trace export. report reads
+# JSONL only, so it must exit non-zero and say how to record a JSONL
+# trace instead of misreading the export.
+rm -f target/verify_kernels.json
+PAQOC_TRACE=target/verify_kernels.json \
+    cargo run --release -p paqoc-bench --bin profile -- bv m0 --batch > /dev/null
+[ -s target/verify_kernels.json ]
+if cargo run --release -q -p paqoc-bench --bin report -- phases \
+    target/verify_kernels.json 2> target/verify_chrome_refused.txt; then
+    echo "report read a Chrome export" >&2
+    exit 1
+fi
+grep -q "PAQOC_TRACE=<path>.jsonl" target/verify_chrome_refused.txt
+echo "Chrome export smoke OK"
 
 echo "== OpenPulse export smoke: one benchmark per backend, reimport-checked =="
 # The exporter re-imports its own output and diffs sample-by-sample, so

@@ -207,8 +207,9 @@ fn repeated_parallel_compiles_are_self_consistent() {
 
 /// The flight recorder samples gauges and process resources on its own
 /// thread while batches run; with it live (and telemetry enabled, so
-/// the stall watchdog threads spawn too) the determinism contract must
-/// be untouched — observability writes to the journal, never to pulses.
+/// the workers check their generations for stalls too) the determinism
+/// contract must be untouched — observability writes to the journal,
+/// never to pulses.
 #[test]
 fn determinism_holds_with_flight_recorder_running() {
     paqoc::telemetry::set_enabled(true);

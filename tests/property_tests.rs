@@ -284,8 +284,9 @@ fn jsonl_export_roundtrips_hostile_names() {
             }
         }
         let snap = telemetry::snapshot();
+        let jsonl = snap.to_jsonl();
         let mut seen: Vec<String> = Vec::new();
-        for line in snap.to_jsonl().lines() {
+        for line in jsonl.lines() {
             let v = json::parse(line)
                 .unwrap_or_else(|e| panic!("seed {seed}: line does not parse: {e}\n{line}"));
             if let Some(name) = v.get("name").and_then(json::Value::as_str) {
@@ -302,6 +303,25 @@ fn jsonl_export_roundtrips_hostile_names() {
         for n in &names {
             assert!(seen.iter().any(|s| s == n), "seed {seed}: {n:?} lost");
         }
+        // Read back, every name and payload is intact, and writing the
+        // read-back snapshot gives the same text.
+        let back = telemetry::Snapshot::from_jsonl(&jsonl)
+            .unwrap_or_else(|e| panic!("seed {seed}: trace does not read back: {e}"));
+        assert!(back.spans.iter().any(|s| s.name == names[0]), "seed {seed}");
+        for n in &names {
+            assert_eq!(back.counters.get(n), Some(&1), "seed {seed}: counter {n:?}");
+            let event = back
+                .events
+                .iter()
+                .find(|e| &e.name == n)
+                .unwrap_or_else(|| panic!("seed {seed}: event {n:?} lost"));
+            assert_eq!(
+                event.fields,
+                [("payload".to_string(), FieldValue::from(field.as_str()))],
+                "seed {seed}"
+            );
+        }
+        assert_eq!(back.to_jsonl(), jsonl, "seed {seed}: not a fixed point");
         // The Chrome-trace export of the same snapshot must also parse.
         json::parse(&snap.to_chrome_trace())
             .unwrap_or_else(|e| panic!("seed {seed}: chrome trace does not parse: {e}"));
@@ -356,11 +376,12 @@ fn collapsed_stacks_and_chrome_tracks_survive_hostile_kernel_names() {
         }
 
         // JSONL: the kernel records carry the raw names, escape-intact.
+        let jsonl = snap.to_jsonl();
         let mut jsonl_names: Vec<String> = Vec::new();
-        for line in snap.to_jsonl().lines() {
+        for line in jsonl.lines() {
             let v = json::parse(line)
                 .unwrap_or_else(|e| panic!("seed {seed}: line does not parse: {e}\n{line}"));
-            if v.get("type").and_then(json::Value::as_str) == Some("kernel_total") {
+            if v.get("type").and_then(json::Value::as_str) == Some("kernel") {
                 if let Some(name) = v.get("name").and_then(json::Value::as_str) {
                     jsonl_names.push(name.to_string());
                 }
@@ -372,6 +393,26 @@ fn collapsed_stacks_and_chrome_tracks_survive_hostile_kernel_names() {
                 "seed {seed}: kernel {name:?} lost in JSONL export"
             );
         }
+        // Read back, the span and kernel names are intact, and writing
+        // the read-back snapshot gives the same text.
+        let back = telemetry::Snapshot::from_jsonl(&jsonl)
+            .unwrap_or_else(|e| panic!("seed {seed}: trace does not read back: {e}"));
+        assert!(
+            back.spans.iter().any(|s| s.name == span_name),
+            "seed {seed}"
+        );
+        for name in &kernels {
+            assert!(
+                back.kernel_sites.iter().any(|s| s.name == *name),
+                "seed {seed}: kernel site {name:?} lost in the read-back"
+            );
+            assert_eq!(
+                back.kernels.get(*name).map(|k| (k.calls, k.allocs)),
+                snap.kernels.get(*name).map(|k| (k.calls, k.allocs)),
+                "seed {seed}: kernel {name:?} changed in the read-back"
+            );
+        }
+        assert_eq!(back.to_jsonl(), jsonl, "seed {seed}: not a fixed point");
 
         // Chrome: the export must parse and the kernel counter tracks
         // must round-trip the raw names through their args.
