@@ -12,7 +12,7 @@ use paqoc_core::{try_compile, PipelineOptions};
 use paqoc_device::{transmon_xy_controls, AnalyticModel, Device, HardwareSpec, PulseSource};
 use paqoc_grape::{optimize, GrapeOptions};
 use paqoc_mapping::{try_sabre_map, SabreOptions};
-use paqoc_math::{expm, weyl_coordinates, Matrix, C64};
+use paqoc_math::{expm, weyl_coordinates, Matrix, SplitMatrix, C64};
 use paqoc_mining::{mine_frequent_subcircuits, MinerOptions};
 use paqoc_workloads::benchmark;
 use std::hint::black_box;
@@ -85,9 +85,26 @@ fn bench_solve() {
     // The system of a Padé step: (I − A/2)·X = I + A/2.
     let half = grape_exponent_8x8().scaled(C64::real(0.5));
     let identity = Matrix::identity(8);
-    let (lhs, rhs) = (&identity - &half, &identity + &half);
+    let lhs = SplitMatrix::from(&(&identity - &half));
+    let rhs = SplitMatrix::from(&(&identity + &half));
+    let (mut x, mut lu) = (SplitMatrix::zeros(8), SplitMatrix::zeros(8));
     bench("solve_8x8", || {
-        black_box(black_box(&lhs).solve(black_box(&rhs)));
+        black_box(black_box(&lhs).solve_into(black_box(&rhs), &mut x, &mut lu));
+    });
+}
+
+/// The d = 8 product in both storage layouts, on a dense step
+/// propagator: `Matrix` (interleaved `C64`) and `SplitMatrix`.
+fn bench_matmul() {
+    let u = expm(&grape_exponent_8x8());
+    let mut out = Matrix::zeros(8, 8);
+    bench("matmul_8x8/interleaved", || {
+        black_box(&u).matmul_into(black_box(&u), &mut out);
+    });
+    let split = SplitMatrix::from(&u);
+    let mut split_out = SplitMatrix::zeros(8);
+    bench("matmul_8x8/split", || {
+        black_box(&split).matmul_into(black_box(&split), &mut split_out);
     });
 }
 
@@ -192,6 +209,7 @@ fn bench_compile_configs() {
 fn main() {
     println!("kernel micro-benchmarks (Instant harness, 0.5 s window each)");
     bench_expm();
+    bench_matmul();
     bench_solve();
     bench_weyl();
     bench_grape_iteration();

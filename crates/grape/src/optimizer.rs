@@ -9,7 +9,7 @@
 //! small step norms used here.
 
 use paqoc_device::ControlSet;
-use paqoc_math::{expm_into, ExpmScratch, Matrix, Rng, C64};
+use paqoc_math::{expm_into, ExpmScratch, Matrix, Rng, SplitMatrix, C64};
 
 /// A piecewise-constant control schedule.
 #[derive(Clone, Debug, PartialEq)]
@@ -226,30 +226,39 @@ impl SparseOp {
         SparseOp { dim, entries }
     }
 
-    /// Writes `(op · rhs)ᵀ` into the row-major `d×d` block `out`: the
-    /// products of `op.matmul(rhs)` in its order, each entry accumulating
-    /// from `+0` in increasing column of `op`, stored at the transposed
-    /// position.
-    fn transposed_product_into(&self, rhs: &Matrix, out: &mut [C64]) {
+    /// Writes `(op · rhs)ᵀ` into the row-major `d×d` block whose parts are
+    /// `out_re` and `out_im`: the products of `op.matmul(rhs)` in its
+    /// order, each entry accumulating from `+0` in increasing column of
+    /// `op` as `C64::mul_add` does, stored at the transposed position.
+    fn transposed_product_into(&self, rhs: &SplitMatrix, out_re: &mut [f64], out_im: &mut [f64]) {
         let d = self.dim;
-        let rhs = rhs.as_slice();
-        out.fill(C64::ZERO);
+        let [rhs_re, rhs_im] = rhs.parts();
+        out_re.fill(0.0);
+        out_im.fill(0.0);
         for &(r, c, x) in &self.entries {
-            // Row `r` of the product is column `r` of `out`.
-            for (o, &v) in out[r..].iter_mut().step_by(d).zip(&rhs[c * d..(c + 1) * d]) {
-                *o = o.mul_add(x, v);
+            // Row `r` of the product is column `r` of the block.
+            let column = out_re[r..]
+                .iter_mut()
+                .step_by(d)
+                .zip(out_im[r..].iter_mut().step_by(d));
+            let row = rhs_re[c * d..][..d].iter().zip(&rhs_im[c * d..][..d]);
+            for ((o_re, o_im), (&v_re, &v_im)) in column.zip(row) {
+                *o_re = *o_re + x.re * v_re - x.im * v_im;
+                *o_im = *o_im + x.re * v_im + x.im * v_re;
             }
         }
     }
 
-    /// `h += op · s` on the nonzero entries. With a finite `s` and an `h`
-    /// free of negative zeros this is bit-for-bit `h.axpy(s, op)`: adding
-    /// `0 · s` leaves such an entry unchanged.
-    fn axpy_into(&self, s: C64, h: &mut Matrix) {
-        let h = h.as_mut_slice();
+    /// `h += op · s` on the nonzero entries, each as `C64::mul_add`
+    /// computes it. With a finite `s` and an `h` free of negative zeros
+    /// this is bit-for-bit `h.axpy(s, op)`: adding `0 · s` leaves such an
+    /// entry unchanged.
+    fn axpy_into(&self, s: C64, h: &mut SplitMatrix) {
+        let [h_re, h_im] = h.parts_mut();
         for &(r, c, x) in &self.entries {
-            let z = &mut h[r * self.dim + c];
-            *z = z.mul_add(x, s);
+            let at = r * self.dim + c;
+            h_re[at] = h_re[at] + x.re * s.re - x.im * s.im;
+            h_im[at] = h_im[at] + x.re * s.im + x.im * s.re;
         }
     }
 }
@@ -264,22 +273,23 @@ struct Channel {
 /// Builds step propagators `U = exp(−i·2π·dt·H(α))` of one control
 /// system, with `H(α) = H₀ + Σ_k α_k·H_k`, in buffers reused across
 /// steps. Both the optimizer's forward pass and [`crate::propagate`] run
-/// through it.
+/// through it, on split matrices.
 #[derive(Debug)]
-pub(crate) struct Stepper<'a> {
-    drift: &'a Matrix,
+pub(crate) struct Stepper {
+    /// The drift `H₀`, split.
+    drift: SplitMatrix,
     channels: Vec<Channel>,
     /// `−i·2π·dt`.
     rotation: C64,
     /// The step Hamiltonian `H(α)`.
-    h: Matrix,
+    h: SplitMatrix,
     /// `−i·2π·dt·H(α)`, the exponent.
-    exponent: Matrix,
+    exponent: SplitMatrix,
     expm: ExpmScratch,
 }
 
-impl<'a> Stepper<'a> {
-    pub(crate) fn new(controls: &'a ControlSet, step_ns: f64) -> Self {
+impl Stepper {
+    pub(crate) fn new(controls: &ControlSet, step_ns: f64) -> Self {
         let dim = controls.dim();
         let square = |m: &Matrix| m.rows() == dim && m.cols() == dim;
         assert!(
@@ -288,7 +298,7 @@ impl<'a> Stepper<'a> {
         );
         let two_pi_dt = 2.0 * std::f64::consts::PI * step_ns;
         Stepper {
-            drift: &controls.drift,
+            drift: SplitMatrix::from(&controls.drift),
             channels: controls
                 .channels
                 .iter()
@@ -298,16 +308,16 @@ impl<'a> Stepper<'a> {
                 })
                 .collect(),
             rotation: C64::new(0.0, -two_pi_dt),
-            h: Matrix::zeros(dim, dim),
-            exponent: Matrix::zeros(dim, dim),
+            h: SplitMatrix::zeros(dim),
+            exponent: SplitMatrix::zeros(dim),
             expm: ExpmScratch::new(dim),
         }
     }
 
     /// Writes the propagator of one step with channel amplitudes `amps`
     /// (GHz, in channel order) into `out`.
-    pub(crate) fn propagator_into(&mut self, amps: &[f64], out: &mut Matrix) {
-        self.h.as_mut_slice().copy_from_slice(self.drift.as_slice());
+    pub(crate) fn propagator_into(&mut self, amps: &[f64], out: &mut SplitMatrix) {
+        self.h.copy_from(&self.drift);
         for (ch, &amp) in self.channels.iter().zip(amps) {
             if amp != 0.0 {
                 ch.op.axpy_into(C64::real(amp), &mut self.h);
@@ -321,44 +331,49 @@ impl<'a> Stepper<'a> {
 /// Channels whose gradient traces run side by side.
 const TRACE_CHAINS: usize = 4;
 
-/// The traces `Tr(M·P_w) = Σ_r Σ_c M[r][c]·P_w[c][r]` of the row-major
-/// `d×d` matrix `left` (`M`) with [`TRACE_CHAINS`] matrices `P_w`, given
-/// transposed as the consecutive `d×d` blocks of `transposed`.
+/// The traces `Tr(M·P_w) = Σ_r Σ_c M[r][c]·P_w[c][r]` of the `d×d`
+/// matrix `left` (`M`) with [`TRACE_CHAINS`] matrices `P_w`, given
+/// transposed as the consecutive row-major `d×d` blocks of the parts
+/// `blocks_re` and `blocks_im`.
 ///
 /// Each trace is its own chain `dg.mul_add(M[r][c], P_w[c][r])` from `+0`
 /// over `(r, c)` in row-major order, as a trace computed alone runs; the
 /// chains do not depend on each other, so they overlap.
-fn traces(left: &[C64], transposed: &[C64]) -> [C64; TRACE_CHAINS] {
-    let dd = left.len();
-    let blocks: [&[C64]; TRACE_CHAINS] = std::array::from_fn(|w| &transposed[w * dd..][..dd]);
+fn traces(left: &SplitMatrix, blocks_re: &[f64], blocks_im: &[f64]) -> [C64; TRACE_CHAINS] {
+    let [m_re, m_im] = left.parts();
+    let dd = m_re.len();
+    let block = |w: usize| (&blocks_re[w * dd..][..dd], &blocks_im[w * dd..][..dd]);
+    let blocks: [(&[f64], &[f64]); TRACE_CHAINS] = std::array::from_fn(block);
     let mut dg = [C64::ZERO; TRACE_CHAINS];
-    for (i, &m) in left.iter().enumerate() {
-        for (acc, block) in dg.iter_mut().zip(&blocks) {
-            *acc = acc.mul_add(m, block[i]);
+    for (i, (&re, &im)) in m_re.iter().zip(m_im).enumerate() {
+        for (acc, (p_re, p_im)) in dg.iter_mut().zip(&blocks) {
+            *acc = acc.mul_add(C64::new(re, im), C64::new(p_re[i], p_im[i]));
         }
     }
     dg
 }
 
 /// Every buffer of one [`optimize`] call, allocated once and reused by
-/// each iteration and restart.
-struct Workspace<'a> {
-    stepper: Stepper<'a>,
+/// each iteration and restart. The matrices are split; only `target†`
+/// comes in as a [`Matrix`].
+struct Workspace {
+    stepper: Stepper,
     /// `U_target†`.
-    target_dagger: Matrix,
+    target_dagger: SplitMatrix,
     /// One step's channel amplitudes.
     amps: Vec<f64>,
     /// `props[j] = U_j`, the step propagators.
-    props: Vec<Matrix>,
+    props: Vec<SplitMatrix>,
     /// `fwd[j] = U_j ⋯ U_1`, the prefix products.
-    fwd: Vec<Matrix>,
+    fwd: Vec<SplitMatrix>,
     /// `bwd[j] = U_N ⋯ U_{j+1}`, the suffix products (`bwd[N-1] = I`).
-    bwd: Vec<Matrix>,
+    bwd: Vec<SplitMatrix>,
     /// `U_target† · U_N⋯U_1`, then `M_j = U_target† · B_j` per step.
-    left: Matrix,
-    /// `(H_k · F_j)ᵀ` of up to [`TRACE_CHAINS`] channels, as consecutive
-    /// `d×d` blocks.
-    hk_fwd_t: Vec<C64>,
+    left: SplitMatrix,
+    /// The real and imaginary parts of `(H_k · F_j)ᵀ` for up to
+    /// [`TRACE_CHAINS`] channels, as consecutive `d×d` blocks.
+    hk_fwd_t_re: Vec<f64>,
+    hk_fwd_t_im: Vec<f64>,
     /// `tanh(theta)` of the current iteration, laid out like `theta`:
     /// the forward pass and the gradient share one `tanh` per parameter.
     tanh_theta: Vec<f64>,
@@ -369,21 +384,22 @@ struct Workspace<'a> {
     best: Vec<f64>,
 }
 
-impl<'a> Workspace<'a> {
-    fn new(target: &Matrix, controls: &'a ControlSet, steps: usize, step_ns: f64) -> Self {
+impl Workspace {
+    fn new(target: &Matrix, controls: &ControlSet, steps: usize, step_ns: f64) -> Self {
         let dim = controls.dim();
         let params = steps * controls.channels.len();
-        let mut bwd = vec![Matrix::zeros(dim, dim); steps];
-        bwd[steps - 1] = Matrix::identity(dim);
+        let mut bwd = vec![SplitMatrix::zeros(dim); steps];
+        bwd[steps - 1] = SplitMatrix::identity(dim);
         Workspace {
             stepper: Stepper::new(controls, step_ns),
-            target_dagger: target.dagger(),
+            target_dagger: SplitMatrix::from(&target.dagger()),
             amps: vec![0.0; controls.channels.len()],
-            props: vec![Matrix::zeros(dim, dim); steps],
-            fwd: vec![Matrix::zeros(dim, dim); steps],
+            props: vec![SplitMatrix::zeros(dim); steps],
+            fwd: vec![SplitMatrix::zeros(dim); steps],
             bwd,
-            left: Matrix::zeros(dim, dim),
-            hk_fwd_t: vec![C64::ZERO; TRACE_CHAINS * dim * dim],
+            left: SplitMatrix::zeros(dim),
+            hk_fwd_t_re: vec![0.0; TRACE_CHAINS * dim * dim],
+            hk_fwd_t_im: vec![0.0; TRACE_CHAINS * dim * dim],
             tanh_theta: vec![0.0; params],
             m: vec![0.0; params],
             v: vec![0.0; params],
@@ -397,7 +413,7 @@ impl<'a> Workspace<'a> {
     fn adam_loop(&mut self, theta: &mut [f64], opts: &GrapeOptions) -> (f64, usize) {
         let steps = self.props.len();
         let num_channels = self.amps.len();
-        let dim = self.left.rows();
+        let dim = self.left.dim();
         let d = dim as f64;
 
         self.m.fill(0.0);
@@ -419,9 +435,7 @@ impl<'a> Workspace<'a> {
                 self.stepper.propagator_into(&self.amps, u);
             }
             // fwd[j] = U_j ⋯ U_1 (prefix products), bwd[j] = U_N ⋯ U_{j+1}.
-            self.fwd[0]
-                .as_mut_slice()
-                .copy_from_slice(self.props[0].as_slice());
+            self.fwd[0].copy_from(&self.props[0]);
             for j in 1..steps {
                 let (done, rest) = self.fwd.split_at_mut(j);
                 self.props[j].matmul_into(&done[j - 1], &mut rest[0]);
@@ -486,13 +500,17 @@ impl<'a> Workspace<'a> {
                 let right = &self.fwd[j];
                 let chunks = self.stepper.channels.chunks(TRACE_CHAINS);
                 for (first, group) in (0..).step_by(TRACE_CHAINS).zip(chunks) {
-                    for (ch, block) in group.iter().zip(self.hk_fwd_t.chunks_exact_mut(dim * dim)) {
-                        ch.op.transposed_product_into(right, block);
+                    let blocks = self
+                        .hk_fwd_t_re
+                        .chunks_exact_mut(dim * dim)
+                        .zip(self.hk_fwd_t_im.chunks_exact_mut(dim * dim));
+                    for (ch, (block_re, block_im)) in group.iter().zip(blocks) {
+                        ch.op.transposed_product_into(right, block_re, block_im);
                     }
                     // dg = Tr(left · (−i 2π dt H_k) · right). A last group
                     // of fewer channels leaves stale blocks, whose traces
                     // are dropped.
-                    let dgs = traces(self.left.as_slice(), &self.hk_fwd_t);
+                    let dgs = traces(&self.left, &self.hk_fwd_t_re, &self.hk_fwd_t_im);
                     for ((k, ch), dg) in (first..).zip(group).zip(dgs) {
                         let dg = dg * self.stepper.rotation;
                         // dF/dα = 2·Re(conj(g)·dg)/d²  (maximize → ascend)
@@ -980,15 +998,49 @@ mod tests {
         assert_eq!(r.pulse.num_steps(), 5);
     }
 
+    /// Two 3-qubit control sets beside the line: an L-shaped group of the
+    /// grid, whose couplers meet at local qubit 0, and the line with a
+    /// different limit on every channel, as a calibrated device gives.
+    fn more_control_sets() -> [(&'static str, ControlSet); 2] {
+        let l_shape = paqoc_device::Device::grid5x5().controls_for(&[0, 1, 5]);
+        let names: Vec<&str> = l_shape.channels.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names[6..], ["xy[0,1]", "xy[0,2]"]);
+        let mut tuned = line_controls(3);
+        let scales = [0.86, 1.095, 0.93, 1.02, 0.97, 1.06, 0.75, 1.1];
+        for (ch, scale) in tuned.channels.iter_mut().zip(scales) {
+            ch.max_amp *= scale;
+        }
+        [("L-shaped group", l_shape), ("per-channel limits", tuned)]
+    }
+
+    #[test]
+    fn workspace_matches_the_reference_on_more_control_sets() {
+        for (what, controls) in more_control_sets() {
+            for seed in 0..2u64 {
+                let target = random_unitary_seeded(8, 0x4c5e + seed);
+                let opts = GrapeOptions {
+                    max_iters: 12,
+                    seed: 0x9a0c ^ seed,
+                    target_fidelity: 0.9999,
+                    ..GrapeOptions::default()
+                };
+                let what = format!("{what}, seed {seed}");
+                let cold = assert_same_bits(&target, &controls, 8, &opts, None, &what);
+                let warm = Some(&cold.pulse);
+                assert_same_bits(&target, &controls, 9, &opts, warm, &format!("{what}, warm"));
+            }
+        }
+    }
+
     #[test]
     fn propagate_matches_the_reference_bit_for_bit() {
-        for n in 1..=3 {
-            let controls = line_controls(n);
+        let lines = (1..=3).map(|n| ("line", line_controls(n)));
+        for (k, (what, controls)) in lines.chain(more_control_sets()).enumerate() {
             let opts = GrapeOptions {
                 max_iters: 20,
                 ..GrapeOptions::default()
             };
-            let target = random_unitary_seeded(1 << n, 0x99 + n as u64);
+            let target = random_unitary_seeded(controls.dim(), 0x9a + k as u64);
             let r = optimize(&target, &controls, 8, &opts, None);
             let got = crate::sim::propagate(&r.pulse, &controls);
             let want = reference::propagate(&r.pulse, &controls);
@@ -998,7 +1050,7 @@ mod tests {
                     .map(|z| (z.re.to_bits(), z.im.to_bits()))
                     .collect()
             };
-            assert_eq!(bits(&got), bits(&want), "{n} qubits");
+            assert_eq!(bits(&got), bits(&want), "{what}, d = {}", controls.dim());
         }
     }
 }

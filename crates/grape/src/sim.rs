@@ -9,13 +9,13 @@
 use crate::optimizer::{Pulse, Stepper};
 use paqoc_circuit::embed_unitary;
 use paqoc_device::ControlSet;
-use paqoc_math::{trace_fidelity, Matrix};
+use paqoc_math::{trace_fidelity, Matrix, SplitMatrix};
 
 /// Propagates a pulse through its control system, returning the realized
 /// unitary `U = Π_j exp(-i·2π·dt·H_j)`.
 ///
 /// Each step's propagator comes from the optimizer's own step routine,
-/// in buffers reused across steps.
+/// in split buffers reused across steps; only the result is converted.
 ///
 /// # Panics
 ///
@@ -23,9 +23,9 @@ use paqoc_math::{trace_fidelity, Matrix};
 pub fn propagate(pulse: &Pulse, controls: &ControlSet) -> Matrix {
     let dim = controls.dim();
     let mut stepper = Stepper::new(controls, pulse.step_ns);
-    let mut u = Matrix::identity(dim);
-    let mut step = Matrix::zeros(dim, dim);
-    let mut next = Matrix::zeros(dim, dim);
+    let mut u = SplitMatrix::identity(dim);
+    let mut step = SplitMatrix::zeros(dim);
+    let mut next = SplitMatrix::zeros(dim);
     for row in &pulse.amplitudes {
         assert_eq!(
             row.len(),
@@ -36,7 +36,7 @@ pub fn propagate(pulse: &Pulse, controls: &ControlSet) -> Matrix {
         step.matmul_into(&u, &mut next);
         std::mem::swap(&mut u, &mut next);
     }
-    u
+    Matrix::from(&u)
 }
 
 /// One scheduled pulse: the realized small unitary and the physical

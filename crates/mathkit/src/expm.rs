@@ -4,10 +4,11 @@
 //! computes `exp(-i·dt·H)` for a small Hermitian `H`. We use the classic
 //! Higham [13/13] scaling-and-squaring scheme, simplified to a fixed [6/6]
 //! Padé with norm-based scaling, which is more than accurate enough for
-//! the step norms this workspace produces (`‖A‖ ≲ 1`).
+//! the step norms this workspace produces (`‖A‖ ≲ 1`). The kernel runs on
+//! [`SplitMatrix`]; [`expm`] converts a [`Matrix`] in and out.
 
 use crate::complex::C64;
-use crate::matrix::Matrix;
+use crate::matrix::{Matrix, SplitMatrix};
 
 /// Padé [6/6] numerator coefficients for `exp`.
 const PADE6: [f64; 7] = [
@@ -28,15 +29,15 @@ const PADE6: [f64; 7] = [
 /// allocates nothing.
 #[derive(Clone, Debug)]
 pub struct ExpmScratch {
-    a_scaled: Matrix,
-    a2: Matrix,
-    a4: Matrix,
-    a6: Matrix,
-    v: Matrix,
-    u_inner: Matrix,
-    u: Matrix,
-    lu: Matrix,
-    square: Matrix,
+    a_scaled: SplitMatrix,
+    a2: SplitMatrix,
+    a4: SplitMatrix,
+    a6: SplitMatrix,
+    v: SplitMatrix,
+    u_inner: SplitMatrix,
+    u: SplitMatrix,
+    lu: SplitMatrix,
+    square: SplitMatrix,
 }
 
 /// Number of `n×n` matrices an [`ExpmScratch`] holds.
@@ -49,7 +50,7 @@ impl ExpmScratch {
     ///
     /// Panics if `n == 0`.
     pub fn new(n: usize) -> Self {
-        let z = || Matrix::zeros(n, n);
+        let z = || SplitMatrix::zeros(n);
         ExpmScratch {
             a_scaled: z(),
             a2: z(),
@@ -62,11 +63,6 @@ impl ExpmScratch {
             square: z(),
         }
     }
-
-    /// The dimension this scratch serves.
-    fn dim(&self) -> usize {
-        self.a2.rows()
-    }
 }
 
 /// Computes the matrix exponential `e^A` of a square complex matrix.
@@ -74,8 +70,9 @@ impl ExpmScratch {
 /// Uses a [6/6] Padé approximant with scaling and squaring; the number of
 /// squarings `s` is the smallest with `‖A‖₁ ≤ 0.5·2^s`. When `2^s` is not
 /// a finite `f64` (a one-norm above about `2^1022`, or an infinite one)
-/// every entry of the result is NaN. Allocates its scratch and the result;
-/// [`expm_into`] is the same kernel over caller buffers.
+/// every entry of the result is NaN. Splits `a`, runs [`expm_into`] in
+/// fresh scratch and joins the result, so it returns the bits `expm_into`
+/// returns.
 ///
 /// # Panics
 ///
@@ -97,24 +94,25 @@ impl ExpmScratch {
 pub fn expm(a: &Matrix) -> Matrix {
     assert!(a.is_square(), "expm requires a square matrix");
     let n = a.rows();
-    // The scratch matrices plus the result: counted so a caller that
-    // could hold an `ExpmScratch` instead sees what this call costs.
+    // The scratch matrices plus the split input and output: counted so a
+    // caller that could hold an `ExpmScratch` sees what this call costs.
     paqoc_telemetry::kernel_alloc(
         "mathkit.expm",
-        SCRATCH_MATRICES as u64 + 1,
-        ((SCRATCH_MATRICES + 1) * n * n * std::mem::size_of::<C64>()) as u64,
+        SCRATCH_MATRICES as u64 + 2,
+        ((SCRATCH_MATRICES + 2) * n * n * std::mem::size_of::<C64>()) as u64,
     );
     let mut scratch = ExpmScratch::new(n);
-    let mut out = Matrix::zeros(n, n);
-    expm_into(a, &mut out, &mut scratch);
-    out
+    let mut out = SplitMatrix::zeros(n);
+    expm_into(&SplitMatrix::from(a), &mut out, &mut scratch);
+    Matrix::from(&out)
 }
 
 /// Computes `e^A` into `out`, using `scratch` for every intermediate.
 ///
-/// Bit-for-bit the result of [`expm`]: the same Padé terms, products and
-/// elimination in the same scalar order, through
-/// [`Matrix::matmul_into`] and [`Matrix::solve_into`].
+/// The Padé terms come from [`SplitMatrix::matmul_into`] and
+/// [`SplitMatrix::axpy`], and the Padé quotient from
+/// [`SplitMatrix::solve_into`]; each entry is computed in the scalar
+/// order the [`Matrix`] kernels use.
 ///
 /// The squaring count is `0` when `‖A‖₁ ≤ 0.5` and `⌈log₂(‖A‖₁ / 0.5)⌉`
 /// otherwise. It is decided on a one-norm estimate from squared moduli,
@@ -127,31 +125,29 @@ pub fn expm(a: &Matrix) -> Matrix {
 ///
 /// # Panics
 ///
-/// Panics if `a` is not square, if `out` or `scratch` has another
-/// dimension, or if the Padé solve fails (see [`expm`]).
+/// Panics if `out` or `scratch` has another dimension than `a`, or if the
+/// Padé solve fails (see [`expm`]).
 ///
 /// # Examples
 ///
 /// ```
-/// use paqoc_math::{expm, expm_into, C64, ExpmScratch, Matrix};
+/// use paqoc_math::{expm, expm_into, C64, ExpmScratch, Matrix, SplitMatrix};
 /// let x = Matrix::from_rows(&[&[C64::ZERO, C64::ONE], &[C64::ONE, C64::ZERO]]);
 /// let a = x.scaled(C64::new(0.0, -0.4));
 /// let mut scratch = ExpmScratch::new(2);
-/// let mut u = Matrix::zeros(2, 2);
-/// expm_into(&a, &mut u, &mut scratch);
-/// assert_eq!(u, expm(&a));
+/// let mut u = SplitMatrix::zeros(2);
+/// expm_into(&SplitMatrix::from(&a), &mut u, &mut scratch);
+/// assert_eq!(Matrix::from(&u), expm(&a));
 /// ```
-pub fn expm_into(a: &Matrix, out: &mut Matrix, scratch: &mut ExpmScratch) {
-    assert!(a.is_square(), "expm requires a square matrix");
-    let n = a.rows();
-    assert_eq!(scratch.dim(), n, "expm scratch dimension must match");
-    assert!(
-        out.rows() == n && out.cols() == n,
-        "expm output must be {n}×{n}"
-    );
+pub fn expm_into(a: &SplitMatrix, out: &mut SplitMatrix, scratch: &mut ExpmScratch) {
+    let n = a.dim();
+    assert_eq!(scratch.a2.dim(), n, "expm scratch dimension must match");
+    assert_eq!(out.dim(), n, "expm output must be {n}×{n}");
     paqoc_telemetry::kernel_probe!("mathkit.expm", n);
     let Some(squarings) = squaring_count(a) else {
-        out.as_mut_slice().fill(C64::new(f64::NAN, f64::NAN));
+        for part in out.parts_mut() {
+            part.fill(f64::NAN);
+        }
         return;
     };
     let scale = 1.0 / f64::powi(2.0, squarings as i32);
@@ -177,17 +173,20 @@ pub fn expm_into(a: &Matrix, out: &mut Matrix, scratch: &mut ExpmScratch) {
     s.u_inner.axpy(C64::real(PADE6[5]), &s.a4);
     s.a_scaled.matmul_into(&s.u_inner, &mut s.u);
 
-    // V becomes the denominator V − U and U the numerator V + U.
-    for (v, u) in s.v.as_mut_slice().iter_mut().zip(s.u.as_mut_slice()) {
-        let (vv, uu) = (*v, *u);
-        *v = vv - uu;
-        *u = vv + uu;
+    // V becomes the denominator V − U and U the numerator V + U, part by
+    // part as `C64`'s `-` and `+` compute them.
+    for (v, u) in s.v.parts_mut().into_iter().zip(s.u.parts_mut()) {
+        for (v, u) in v.iter_mut().zip(u) {
+            let (vv, uu) = (*v, *u);
+            *v = vv - uu;
+            *u = vv + uu;
+        }
     }
     let solved = s.v.solve_into(&s.u, out, &mut s.lu);
     assert!(solved, "Padé denominator is nonsingular after scaling");
 
     for _ in 0..squarings {
-        let result: &Matrix = out;
+        let result: &SplitMatrix = out;
         result.matmul_into(result, &mut s.square);
         std::mem::swap(out, &mut s.square);
     }
@@ -208,9 +207,9 @@ const NORM_BAND: f64 = 1e-9;
 /// `1e-160` of it where a square underflows, so an estimate outside a
 /// relative [`NORM_BAND`] of every threshold `0.5·2^k` gives the count the
 /// exact norm gives. Otherwise, and when a column's estimate is not
-/// finite, the count comes from [`Matrix::one_norm`], whose maximum skips
-/// a NaN column.
-fn squaring_count(a: &Matrix) -> Option<u32> {
+/// finite, the count comes from [`Matrix::one_norm`]'s rule, whose
+/// maximum skips a NaN column.
+fn squaring_count(a: &SplitMatrix) -> Option<u32> {
     let norm = match one_norm_on_squares(a) {
         Some(estimate) if !near_a_threshold(estimate) => estimate,
         _ => a.one_norm(),
@@ -222,22 +221,32 @@ fn squaring_count(a: &Matrix) -> Option<u32> {
     (squarings < f64::MAX_EXP as f64).then_some(squarings as u32)
 }
 
+/// Columns whose one-norm estimates [`one_norm_on_squares`] sums side by
+/// side.
+const NORM_COLUMNS: usize = 8;
+
 /// The largest column sum of `sqrt(re² + im²)`, each column summed in row
 /// order as [`Matrix::one_norm`] sums it; `None` when any column's sum
-/// is not finite.
-fn one_norm_on_squares(a: &Matrix) -> Option<f64> {
-    let (n, entries) = (a.cols(), a.as_slice());
+/// is not finite. Up to [`NORM_COLUMNS`] columns are summed at once, row
+/// by row.
+fn one_norm_on_squares(a: &SplitMatrix) -> Option<f64> {
+    let (n, [re, im]) = (a.dim(), a.parts());
     let mut best = 0.0f64;
-    for j in 0..n {
-        let sum: f64 = entries[j..]
-            .iter()
-            .step_by(n)
-            .map(|z| z.norm_sqr().sqrt())
-            .sum();
-        if !sum.is_finite() {
-            return None;
+    for first in (0..n).step_by(NORM_COLUMNS) {
+        let width = NORM_COLUMNS.min(n - first);
+        let mut sums = [0.0f64; NORM_COLUMNS];
+        for (row_re, row_im) in re.chunks_exact(n).zip(im.chunks_exact(n)) {
+            let row = row_re[first..].iter().zip(&row_im[first..]);
+            for (sum, (&x, &y)) in sums[..width].iter_mut().zip(row) {
+                *sum += (x * x + y * y).sqrt();
+            }
         }
-        best = best.max(sum);
+        for &sum in &sums[..width] {
+            if !sum.is_finite() {
+                return None;
+            }
+            best = best.max(sum);
+        }
     }
     Some(best)
 }
@@ -255,13 +264,15 @@ fn near_a_threshold(norm: f64) -> bool {
 }
 
 /// Writes `I·c` into `m`, entry by entry as `Matrix::identity(n).scaled(c)`
-/// computes it.
-fn scaled_identity_into(c: f64, m: &mut Matrix) {
-    let n = m.rows();
-    for (i, row) in m.as_mut_slice().chunks_exact_mut(n).enumerate() {
-        for (j, z) in row.iter_mut().enumerate() {
-            let e = if i == j { C64::ONE } else { C64::ZERO };
-            *z = e * C64::real(c);
+/// computes it: `e·(c + 0i)` for each identity entry `e`.
+fn scaled_identity_into(c: f64, m: &mut SplitMatrix) {
+    let n = m.dim();
+    let [re, im] = m.parts_mut();
+    let rows = re.chunks_exact_mut(n).zip(im.chunks_exact_mut(n));
+    for (i, (row_re, row_im)) in rows.enumerate() {
+        for (j, (re, im)) in row_re.iter_mut().zip(row_im).enumerate() {
+            let e = (if i == j { C64::ONE } else { C64::ZERO }) * C64::real(c);
+            (*re, *im) = (e.re, e.im);
         }
     }
 }
@@ -321,12 +332,13 @@ mod tests {
             // One scratch per dimension, reused across calls whose norms
             // take 0 to several squarings.
             let mut scratch = ExpmScratch::new(n);
-            let mut out = reference::sample(n, n, &mut rng);
+            let mut out = SplitMatrix::from(&reference::sample(n, n, &mut rng));
             for scale in [0.01, 0.1, 0.5, 2.0, 9.0] {
                 let a = reference::sample(n, n, &mut rng).scaled(C64::real(scale));
                 let want = reference::bits(&reference_expm(&a));
-                expm_into(&a, &mut out, &mut scratch);
-                assert_eq!(reference::bits(&out), want, "n = {n}, scale {scale}");
+                expm_into(&SplitMatrix::from(&a), &mut out, &mut scratch);
+                let got = reference::bits(&Matrix::from(&out));
+                assert_eq!(got, want, "n = {n}, scale {scale}");
                 assert_eq!(reference::bits(&expm(&a)), want, "n = {n}, scale {scale}");
             }
         }
@@ -338,13 +350,14 @@ mod tests {
         let mut rng = crate::Rng::seed_from_u64(0xe4_0002);
         for n in [2, 4, 8, 16] {
             let mut scratch = ExpmScratch::new(n);
-            let mut out = Matrix::zeros(n, n);
+            let mut out = SplitMatrix::zeros(n);
             for _ in 0..6 {
                 let g = reference::sample(n, n, &mut rng);
                 let h = (&g + &g.dagger()).scaled(C64::real(0.05));
                 let a = h.scaled(C64::new(0.0, -std::f64::consts::PI));
-                expm_into(&a, &mut out, &mut scratch);
-                assert_eq!(reference::bits(&out), reference::bits(&reference_expm(&a)));
+                expm_into(&SplitMatrix::from(&a), &mut out, &mut scratch);
+                let got = reference::bits(&Matrix::from(&out));
+                assert_eq!(got, reference::bits(&reference_expm(&a)));
             }
         }
     }
@@ -362,7 +375,7 @@ mod tests {
             Matrix::diag(&[C64::real(8e307), C64::ZERO]),
         ];
         for a in cases {
-            assert_eq!(squaring_count(&a), None, "{a:?}");
+            assert_eq!(squaring_count(&SplitMatrix::from(&a)), None, "{a:?}");
             let e = within_watchdog(move || expm(&a));
             let all_nan = e.as_slice().iter().all(|z| z.re.is_nan() && z.im.is_nan());
             assert!(all_nan, "{e:?}");
@@ -375,7 +388,7 @@ mod tests {
         // above, `log₂` still rounds to 1023.
         for bits in [0x7fd0_0000_0000_0000, 0x7fd0_0000_0000_0001] {
             let a = Matrix::diag(&[C64::real(f64::from_bits(bits)), C64::ZERO]);
-            assert_eq!(squaring_count(&a), Some(1023));
+            assert_eq!(squaring_count(&SplitMatrix::from(&a)), Some(1023));
             assert_eq!(
                 reference::bits(&expm(&a)),
                 reference::bits(&reference_expm(&a))
@@ -389,7 +402,7 @@ mod tests {
         // column's, 3 for a norm of 3.
         for nan in [C64::new(f64::NAN, 0.0), C64::new(1.0, f64::NAN)] {
             let a = Matrix::from_rows(&[&[nan, C64::ZERO], &[C64::real(0.1), C64::real(3.0)]]);
-            assert_eq!(squaring_count(&a), Some(3));
+            assert_eq!(squaring_count(&SplitMatrix::from(&a)), Some(3));
             let e = within_watchdog(move || (expm(&a), reference_expm(&a)));
             assert_eq!(reference::bits(&e.0), reference::bits(&e.1));
         }

@@ -1,27 +1,33 @@
-//! Slice-level loops behind [`Matrix::matmul_into`] and
-//! [`Matrix::solve_into`].
+//! Slice-level loops behind [`Matrix::matmul_into`],
+//! [`SplitMatrix::matmul_into`] and [`SplitMatrix::solve_into`].
 //!
-//! Each operation has exactly one scalar operation order. It runs either
-//! over a runtime dimension or, for the dimensions GRAPE works at
-//! (d = 2, 4, 8), over `[[C64; N]; N]` views whose size lives in the type,
-//! so the compiler can drop the bounds checks and unroll the inner loops.
-//! Both forms perform the same `C64` operations in the same order, so they
+//! Each operation has exactly one scalar operation order. The product has
+//! one loop per storage layout: interleaved `C64` entries for [`Matrix`]
+//! and separate real and imaginary arrays for [`SplitMatrix`], whose
+//! multiply-adds the compiler vectorizes on the baseline target. Each
+//! loop runs either over a runtime dimension or, for the dimensions GRAPE
+//! works at (d = 2, 4, 8), with the dimension fixed at compile time, so
+//! the compiler can drop the bounds checks and unroll the inner loops.
+//! Both forms perform the same operations in the same order, so they
 //! return the same bits; the choice is made from the matrix dimension
 //! alone.
 //!
+//! [`Matrix`]: crate::Matrix
 //! [`Matrix::matmul_into`]: crate::Matrix::matmul_into
-//! [`Matrix::solve_into`]: crate::Matrix::solve_into
+//! [`SplitMatrix`]: crate::SplitMatrix
+//! [`SplitMatrix::matmul_into`]: crate::SplitMatrix::matmul_into
+//! [`SplitMatrix::solve_into`]: crate::SplitMatrix::solve_into
 
 use crate::complex::C64;
 
 /// Views a row-major `N×N` buffer as `N` fixed-size rows.
-fn square<const N: usize>(s: &[C64]) -> &[[C64; N]; N] {
+fn square<T, const N: usize>(s: &[T]) -> &[[T; N]; N] {
     let (rows, _) = s.as_chunks::<N>();
     rows.try_into().expect("buffer holds exactly N×N entries")
 }
 
 /// Mutable form of [`square`].
-fn square_mut<const N: usize>(s: &mut [C64]) -> &mut [[C64; N]; N] {
+fn square_mut<T, const N: usize>(s: &mut [T]) -> &mut [[T; N]; N] {
     let (rows, _) = s.as_chunks_mut::<N>();
     rows.try_into().expect("buffer holds exactly N×N entries")
 }
@@ -61,7 +67,7 @@ pub(crate) fn matmul(n: usize, m: usize, p: usize, a: &[C64], b: &[C64], out: &m
 }
 
 fn matmul_square<const N: usize>(a: &[C64], b: &[C64], out: &mut [C64]) {
-    matmul_arrays(square::<N>(a), square::<N>(b), square_mut::<N>(out));
+    matmul_arrays::<N>(square(a), square(b), square_mut(out));
 }
 
 /// The product `a · b` of two `N×N` matrices held in fixed-size arrays,
@@ -103,7 +109,7 @@ const PIVOT_BAND: f64 = 1e-9;
 const PIVOT_MIN_SQ: f64 = 1e-290;
 
 /// The partial pivot of one column, given its entries from the diagonal
-/// down: the offset of the first entry of largest modulus, or `None`
+/// down, for [`split_solve`]: the offset of the first entry of largest modulus, or `None`
 /// when that modulus is below `1e-300` (singular to working precision).
 ///
 /// Decided on squared moduli, without `hypot`, when every square is
@@ -151,99 +157,166 @@ fn hypot_pivot(column: impl Iterator<Item = C64>) -> Option<usize> {
     }
 }
 
-/// Solves `A·X = B` in place by Gaussian elimination with partial
-/// pivoting: `a` (`n×n`) is destroyed and `x` (`n×m`) goes in as `B` and
-/// comes out as `X`. Returns `false` when a pivot falls below `1e-300`
-/// (singular to working precision); `a` and `x` then hold partial work.
-/// Both loop forms pick their pivots through [`pivot`].
-pub(crate) fn solve(n: usize, m: usize, a: &mut [C64], x: &mut [C64]) -> bool {
-    if n == m {
-        match n {
-            2 => return solve_square::<2>(a, x),
-            4 => return solve_square::<4>(a, x),
-            8 => return solve_square::<8>(a, x),
-            _ => {}
-        }
+/// The real and imaginary parts of a row-major matrix.
+pub(crate) type Parts<'a> = [&'a [f64]; 2];
+
+/// Mutable [`Parts`].
+pub(crate) type PartsMut<'a> = [&'a mut [f64]; 2];
+
+/// `o += x · v` entry by entry on split rows, as `o.mul_add(x, v)`
+/// evaluates it: `(o.re + x.re·v.re) − x.im·v.im` and
+/// `(o.im + x.re·v.im) + x.im·v.re`.
+#[inline(always)]
+fn mul_add_row([o_re, o_im]: PartsMut, x: C64, [v_re, v_im]: Parts) {
+    let rows = o_re
+        .iter_mut()
+        .zip(o_im.iter_mut())
+        .zip(v_re.iter().zip(v_im));
+    for ((re, im), (&vr, &vi)) in rows {
+        *re = *re + x.re * vr - x.im * vi;
+        *im = *im + x.re * vi + x.im * vr;
     }
-    for col in 0..n {
-        let Some(offset) = pivot((col..n).map(|r| a[r * n + col])) else {
-            return false;
-        };
-        let piv = col + offset;
-        if piv != col {
-            for j in 0..n {
-                a.swap(col * n + j, piv * n + j);
-            }
-            for j in 0..m {
-                x.swap(col * m + j, piv * m + j);
-            }
-        }
-        let inv = a[col * n + col].recip();
-        for r in (col + 1)..n {
-            let f = a[r * n + col] * inv;
-            if is_zero(f) {
-                continue;
-            }
-            for j in col..n {
-                let v = a[col * n + j];
-                a[r * n + j] = a[r * n + j].mul_add(-f, v);
-            }
-            for j in 0..m {
-                let v = x[col * m + j];
-                x[r * m + j] = x[r * m + j].mul_add(-f, v);
-            }
-        }
-    }
-    // Back substitution.
-    for col in (0..n).rev() {
-        let inv = a[col * n + col].recip();
-        for j in 0..m {
-            let mut acc = x[col * m + j];
-            for k in (col + 1)..n {
-                acc = acc.mul_add(-a[col * n + k], x[k * m + j]);
-            }
-            x[col * m + j] = acc * inv;
-        }
-    }
-    true
 }
 
-fn solve_square<const N: usize>(a: &mut [C64], x: &mut [C64]) -> bool {
-    let (a, x) = (square_mut::<N>(a), square_mut::<N>(x));
-    for col in 0..N {
-        let Some(offset) = pivot(a[col..].iter().map(|row| row[col])) else {
-            return false;
-        };
-        let piv = col + offset;
-        if piv != col {
-            a.swap(col, piv);
-            x.swap(col, piv);
-        }
-        let inv = a[col][col].recip();
-        let (a_piv, x_piv) = (a[col], x[col]);
-        for r in (col + 1)..N {
-            let f = a[r][col] * inv;
-            if is_zero(f) {
-                continue;
-            }
-            for j in col..N {
-                a[r][j] = a[r][j].mul_add(-f, a_piv[j]);
-            }
-            for (v, &p) in x[r].iter_mut().zip(&x_piv) {
-                *v = v.mul_add(-f, p);
+/// `out = a · b` for split row-major `n×n` matrices.
+///
+/// The loop and scalar order of [`matmul`]: a left entry whose two parts
+/// are both zero (either sign) is skipped, and each output entry
+/// accumulates from `+0` in increasing inner index.
+pub(crate) fn split_matmul(n: usize, a: Parts, b: Parts, out: PartsMut) {
+    match n {
+        2 => split_matmul_square::<2>(a, b, out),
+        4 => split_matmul_square::<4>(a, b, out),
+        8 => split_matmul_square::<8>(a, b, out),
+        _ => {
+            let [out_re, out_im] = out;
+            let out_rows = out_re.chunks_exact_mut(n).zip(out_im.chunks_exact_mut(n));
+            let lhs_rows = a[0].chunks_exact(n).zip(a[1].chunks_exact(n));
+            for ((row_re, row_im), (lhs_re, lhs_im)) in out_rows.zip(lhs_rows) {
+                row_re.fill(0.0);
+                row_im.fill(0.0);
+                let rhs_rows = b[0].chunks_exact(n).zip(b[1].chunks_exact(n));
+                for ((&re, &im), rhs) in lhs_re.iter().zip(lhs_im).zip(rhs_rows) {
+                    if re != 0.0 || im != 0.0 {
+                        mul_add_row([row_re, row_im], C64::new(re, im), [rhs.0, rhs.1]);
+                    }
+                }
             }
         }
     }
-    // Back substitution: row `col` of X from the finished rows below it.
-    for col in (0..N).rev() {
-        let inv = a[col][col].recip();
-        let (head, below) = x.split_at_mut(col + 1);
-        for (j, v) in head[col].iter_mut().enumerate() {
-            let mut acc = *v;
-            for (&a_ck, x_k) in a[col][col + 1..].iter().zip(below.iter()) {
-                acc = acc.mul_add(-a_ck, x_k[j]);
+}
+
+/// [`split_matmul`] at the dimension `N`, over fixed-size rows; each
+/// output row accumulates in a local array, which the compiler keeps in
+/// registers.
+fn split_matmul_square<const N: usize>(a: Parts, b: Parts, [out_re, out_im]: PartsMut) {
+    let ([a_re, a_im], [b_re, b_im]) = (a.map(square::<f64, N>), b.map(square::<f64, N>));
+    let out_rows = square_mut::<f64, N>(out_re)
+        .iter_mut()
+        .zip(square_mut::<f64, N>(out_im));
+    for ((row_re, row_im), (lhs_re, lhs_im)) in out_rows.zip(a_re.iter().zip(a_im)) {
+        let [mut acc_re, mut acc_im] = [[0.0; N]; 2];
+        for ((&re, &im), rhs) in lhs_re.iter().zip(lhs_im).zip(b_re.iter().zip(b_im)) {
+            if re != 0.0 || im != 0.0 {
+                mul_add_row([&mut acc_re, &mut acc_im], C64::new(re, im), [rhs.0, rhs.1]);
             }
-            *v = acc * inv;
+        }
+        (*row_re, *row_im) = (acc_re, acc_im);
+    }
+}
+
+/// Swaps rows `i < j` of a row-major matrix with rows of length `n`.
+fn swap_rows(s: &mut [f64], n: usize, i: usize, j: usize) {
+    let (head, tail) = s.split_at_mut(j * n);
+    head[i * n..][..n].swap_with_slice(&mut tail[..n]);
+}
+
+/// Solves `A·X = B` in place by Gaussian elimination with partial
+/// pivoting, for split row-major `n×n` matrices: `a` is destroyed and
+/// `x` goes in as `B` and comes out as `X`. Returns `false` when
+/// [`pivot`] finds a column singular to working precision; `a` and `x`
+/// then hold partial work.
+///
+/// Each entry of `X` gets the scalar operations the elimination has
+/// always performed, in the same order:
+///
+/// * Step `col` picks its pivot by [`pivot`], swaps it into row `col`,
+///   takes `inv = 1/a[col][col]`, and subtracts `f = a[r][col]·inv` times
+///   the pivot row from each row `r` below it, skipping a row whose `f`
+///   is zero. The update runs over the whole row, so its loop has a fixed
+///   length; the entries left of column `col` it also writes are never
+///   read again.
+/// * Row `col` does not change after step `col`, so `inv` is the
+///   reciprocal back-substitution used to recompute: the step stores it
+///   in the diagonal entry, which nothing else reads again.
+/// * Back-substitution forms row `col` of `X` as
+///   `(x[col][j] − Σ_k a[col][k]·x[k][j])·inv`, each sum a multiply-add
+///   chain in increasing `k`; the `n` chains of a row run side by side.
+pub(crate) fn split_solve(n: usize, a: PartsMut, x: PartsMut) -> bool {
+    match n {
+        2 => split_solve_n::<2>(2, a, x),
+        4 => split_solve_n::<4>(4, a, x),
+        8 => split_solve_n::<8>(8, a, x),
+        _ => split_solve_n::<0>(n, a, x),
+    }
+}
+
+/// [`split_solve`] with the dimension `N` fixed at compile time, so the
+/// compiler sizes every row loop; `N = 0` reads the dimension `n` at run
+/// time instead.
+fn split_solve_n<const N: usize>(n: usize, [a_re, a_im]: PartsMut, [x_re, x_im]: PartsMut) -> bool {
+    let n = if N == 0 { n } else { N };
+    for col in 0..n {
+        let column = (col..n).map(|r| C64::new(a_re[r * n + col], a_im[r * n + col]));
+        let Some(offset) = pivot(column) else {
+            return false;
+        };
+        if offset != 0 {
+            for part in [&mut *a_re, &mut *a_im, &mut *x_re, &mut *x_im] {
+                swap_rows(part, n, col, col + offset);
+            }
+        }
+        let diagonal = col * n + col;
+        let inv = C64::new(a_re[diagonal], a_im[diagonal]).recip();
+        let split = (col + 1) * n;
+        let (a_head_re, a_below_re) = a_re.split_at_mut(split);
+        let (a_head_im, a_below_im) = a_im.split_at_mut(split);
+        let (x_head_re, x_below_re) = x_re.split_at_mut(split);
+        let (x_head_im, x_below_im) = x_im.split_at_mut(split);
+        let a_pivot = [&a_head_re[col * n..], &a_head_im[col * n..]];
+        let x_pivot = [&x_head_re[col * n..], &x_head_im[col * n..]];
+        let a_rows = a_below_re
+            .chunks_exact_mut(n)
+            .zip(a_below_im.chunks_exact_mut(n));
+        let x_rows = x_below_re
+            .chunks_exact_mut(n)
+            .zip(x_below_im.chunks_exact_mut(n));
+        for ((a_row_re, a_row_im), (x_row_re, x_row_im)) in a_rows.zip(x_rows) {
+            let f = C64::new(a_row_re[col], a_row_im[col]) * inv;
+            if is_zero(f) {
+                continue;
+            }
+            mul_add_row([a_row_re, a_row_im], -f, a_pivot);
+            mul_add_row([x_row_re, x_row_im], -f, x_pivot);
+        }
+        a_re[diagonal] = inv.re;
+        a_im[diagonal] = inv.im;
+    }
+    // Back substitution: row `col` of X from the finished rows below it.
+    for col in (0..n).rev() {
+        let split = (col + 1) * n;
+        let (x_head_re, x_below_re) = x_re.split_at_mut(split);
+        let (x_head_im, x_below_im) = x_im.split_at_mut(split);
+        let (acc_re, acc_im) = (&mut x_head_re[col * n..], &mut x_head_im[col * n..]);
+        let below = x_below_re.chunks_exact(n).zip(x_below_im.chunks_exact(n));
+        for (k, (x_k_re, x_k_im)) in (col + 1..n).zip(below) {
+            let a_ck = C64::new(a_re[col * n + k], a_im[col * n + k]);
+            mul_add_row([&mut *acc_re, &mut *acc_im], -a_ck, [x_k_re, x_k_im]);
+        }
+        let inv = C64::new(a_re[col * n + col], a_im[col * n + col]);
+        for (re, im) in acc_re.iter_mut().zip(acc_im.iter_mut()) {
+            let v = C64::new(*re, *im) * inv;
+            (*re, *im) = (v.re, v.im);
         }
     }
     true

@@ -2,13 +2,20 @@
 //!
 //! From-scratch complex linear algebra sized for few-qubit quantum optimal
 //! control: a [`C64`] scalar type, dense [`Matrix`] kernels (product,
-//! Kronecker, adjoint, linear solve), the matrix exponential [`expm`],
-//! allocation-free forms of the hot kernels that write into caller
-//! buffers ([`Matrix::matmul_into`], [`Matrix::solve_into`],
-//! [`expm_into`]),
-//! small-matrix [`eigenvalues`], Weyl-chamber canonical coordinates of
-//! two-qubit gates ([`weyl_coordinates`]), fidelity metrics and Haar-random
-//! unitaries.
+//! Kronecker, adjoint), the matrix exponential [`expm`], small-matrix
+//! [`eigenvalues`], Weyl-chamber canonical coordinates of two-qubit gates
+//! ([`weyl_coordinates`]), fidelity metrics and Haar-random unitaries.
+//!
+//! GRAPE's kernels run on [`SplitMatrix`], a square matrix stored as one
+//! array of real parts and one of imaginary parts, so their complex
+//! multiply-adds vectorize on the baseline target. They write into caller
+//! buffers and allocate nothing: the product
+//! ([`SplitMatrix::matmul_into`]), the pivoted linear solve
+//! ([`SplitMatrix::solve_into`]) and the Padé exponential ([`expm_into`]
+//! with an [`ExpmScratch`]). Each returns the bits the interleaved form
+//! of the same scalar operations returns: [`expm`] converts a [`Matrix`]
+//! in and out of the split kernel, and [`Matrix::matmul_into`] keeps its
+//! own loop for the analytic path's small products.
 //!
 //! This crate is the numeric substrate of the PAQOC reproduction; every
 //! other crate builds on it and nothing here knows about circuits or
@@ -49,7 +56,7 @@ pub use fidelity::{
 };
 pub use hash::{FastHash, FastHasher};
 pub use kernels::matmul_fixed;
-pub use matrix::{nan_max, Matrix};
+pub use matrix::{nan_max, Matrix, SplitMatrix};
 pub use random::{ginibre, random_unitary, random_unitary_seeded, stable_jitter, StableHasher};
 pub use rng::{Rng, Sample, SampleRange};
 pub use weyl::{det, weyl_coordinates, WeylCoordinates};

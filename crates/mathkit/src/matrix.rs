@@ -193,22 +193,11 @@ impl Matrix {
 
     /// Scales every entry by a complex factor.
     pub fn scaled(&self, s: C64) -> Matrix {
-        let mut out = Matrix::unfilled(self.rows, self.cols);
-        self.scaled_into(s, &mut out);
-        out
-    }
-
-    /// Writes `self · s` into `out`, which must have the same shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn scaled_into(&self, s: C64, out: &mut Matrix) {
-        assert!(
-            out.rows == self.rows && out.cols == self.cols,
-            "scaled_into shape mismatch"
-        );
-        out.overwrite(self.data.iter().map(|&z| z * s));
+        Matrix {
+            rows: self.rows,
+            cols: self.cols,
+            data: self.data.iter().map(|&z| z * s).collect(),
+        }
     }
 
     /// In-place `self += other * s`.
@@ -305,16 +294,14 @@ impl Matrix {
     }
 
     /// Induced 1-norm (maximum absolute column sum), each modulus by
-    /// `hypot`; a column whose sum is NaN is skipped. [`crate::expm`]
-    /// reads it only where its estimate on squared moduli lies near a
-    /// squaring threshold or is not finite.
+    /// `hypot`; a column whose sum is NaN is skipped. Computed on a
+    /// [`SplitMatrix`] copy, by the rule [`crate::expm`] falls back on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the matrix is not square.
     pub fn one_norm(&self) -> f64 {
-        let mut best = 0.0f64;
-        for j in 0..self.cols {
-            let s: f64 = (0..self.rows).map(|i| self[(i, j)].abs()).sum();
-            best = best.max(s);
-        }
-        best
+        SplitMatrix::from(self).one_norm()
     }
 
     /// Largest entry magnitude; NaN when an entry is NaN.
@@ -387,55 +374,6 @@ impl Matrix {
             *o = acc;
         }
         out
-    }
-
-    /// Solves `A·X = B` by Gaussian elimination with partial pivoting.
-    ///
-    /// Used by the Padé step of [`crate::expm`]. Returns `None` when the
-    /// system is singular to working precision. Allocates the result and
-    /// the elimination copy of `A`; [`Matrix::solve_into`] is the same
-    /// kernel over caller buffers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes disagree.
-    pub fn solve(&self, b: &Matrix) -> Option<Matrix> {
-        assert!(self.is_square(), "solve requires a square matrix");
-        assert_eq!(self.rows, b.rows, "solve shape mismatch");
-        paqoc_telemetry::kernel_alloc(
-            "mathkit.solve",
-            2,
-            ((self.data.len() + b.data.len()) * std::mem::size_of::<C64>()) as u64,
-        );
-        let mut x = Matrix::unfilled(b.rows, b.cols);
-        let mut lu = Matrix::unfilled(self.rows, self.cols);
-        self.solve_into(b, &mut x, &mut lu).then_some(x)
-    }
-
-    /// Solves `A·X = B` into caller buffers: `x` receives `X` and `lu`
-    /// is overwritten with the eliminated copy of `A`.
-    ///
-    /// Returns `false` when the system is singular to working precision;
-    /// `x` then holds partial work. The scalar operation order is that of
-    /// [`Matrix::solve`], and square right-hand sides at dimension 2, 4 or
-    /// 8 run a loop specialised to that size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes disagree: `self` must be square, `b` and `x` must
-    /// be `self.rows() × b.cols()`, and `lu` must have the shape of `self`.
-    #[must_use = "a singular system leaves `x` holding partial work"]
-    pub fn solve_into(&self, b: &Matrix, x: &mut Matrix, lu: &mut Matrix) -> bool {
-        assert!(self.is_square(), "solve requires a square matrix");
-        assert_eq!(self.rows, b.rows, "solve shape mismatch");
-        assert!(
-            x.rows == b.rows && x.cols == b.cols && lu.rows == self.rows && lu.cols == self.cols,
-            "solve buffer shape mismatch"
-        );
-        paqoc_telemetry::kernel_probe!("mathkit.solve", self.rows);
-        lu.overwrite(self.data.iter().copied());
-        x.overwrite(b.data.iter().copied());
-        kernels::solve(self.rows, b.cols, &mut lu.data, &mut x.data)
     }
 }
 
@@ -531,8 +469,190 @@ impl Neg for &Matrix {
     }
 }
 
+/// A square complex matrix in split storage: one row-major array of real
+/// parts and one of imaginary parts, so that the compiler vectorizes its
+/// complex multiply-adds on the baseline target without lane shuffles.
+/// GRAPE's kernels run on it. Each kernel evaluates every entry in the
+/// scalar order `C64` uses, so a result converted to a [`Matrix`] has
+/// the bits of the same computation on `Matrix`. A method given a second
+/// matrix of another dimension panics.
+///
+/// # Examples
+///
+/// ```
+/// use paqoc_math::{C64, Matrix, SplitMatrix};
+/// let x = Matrix::from_rows(&[&[C64::ZERO, C64::ONE], &[C64::ONE, C64::ZERO]]);
+/// let split = SplitMatrix::from(&x);
+/// let mut square = SplitMatrix::zeros(2);
+/// split.matmul_into(&split, &mut square);
+/// assert_eq!(Matrix::from(&square), x.matmul(&x));
+/// ```
+#[derive(Clone, Debug, PartialEq)]
+pub struct SplitMatrix {
+    n: usize,
+    re: Vec<f64>,
+    im: Vec<f64>,
+}
+
+impl SplitMatrix {
+    /// The `n×n` zero matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`.
+    pub fn zeros(n: usize) -> Self {
+        assert!(n > 0, "matrix dimensions must be nonzero");
+        SplitMatrix {
+            n,
+            re: vec![0.0; n * n],
+            im: vec![0.0; n * n],
+        }
+    }
+
+    /// The `n×n` identity matrix.
+    pub fn identity(n: usize) -> Self {
+        let mut m = SplitMatrix::zeros(n);
+        m.re.iter_mut().step_by(n + 1).for_each(|d| *d = 1.0);
+        m
+    }
+
+    /// The dimension `n` of this `n×n` matrix.
+    #[inline]
+    pub fn dim(&self) -> usize {
+        self.n
+    }
+
+    /// The row-major real and imaginary parts.
+    #[inline]
+    pub fn parts(&self) -> [&[f64]; 2] {
+        [&self.re, &self.im]
+    }
+
+    /// Mutable row-major real and imaginary parts.
+    #[inline]
+    pub fn parts_mut(&mut self) -> [&mut [f64]; 2] {
+        [&mut self.re, &mut self.im]
+    }
+
+    fn assert_dim(&self, other: &SplitMatrix, what: &str) {
+        assert_eq!(self.n, other.n, "{what}: dimensions must agree");
+    }
+
+    /// Overwrites `self` with the entries of `other`, without allocating.
+    pub fn copy_from(&mut self, other: &SplitMatrix) {
+        self.assert_dim(other, "copy_from");
+        self.re.copy_from_slice(&other.re);
+        self.im.copy_from_slice(&other.im);
+    }
+
+    /// Matrix trace, summed as [`Matrix::trace`] sums it: a `C64` fold
+    /// from zero down the diagonal.
+    pub fn trace(&self) -> C64 {
+        (0..self.n).fold(C64::ZERO, |acc, i| {
+            let d = i * (self.n + 1);
+            acc + C64::new(self.re[d], self.im[d])
+        })
+    }
+
+    /// Induced 1-norm (maximum absolute column sum), each modulus by
+    /// `hypot` and each column summed in row order; a column whose sum is
+    /// NaN is skipped. [`crate::expm`] reads it only where its estimate on
+    /// squared moduli lies near a squaring threshold or is not finite.
+    pub(crate) fn one_norm(&self) -> f64 {
+        let n = self.n;
+        let mut best = 0.0f64;
+        for j in 0..n {
+            let s: f64 = (0..n)
+                .map(|i| self.re[i * n + j].hypot(self.im[i * n + j]))
+                .sum();
+            best = best.max(s);
+        }
+        best
+    }
+
+    /// Writes `self · s` into `out`, each entry as `C64`'s product
+    /// computes it.
+    pub fn scaled_into(&self, s: C64, out: &mut SplitMatrix) {
+        self.assert_dim(out, "scaled_into");
+        let entries = self.re.iter().zip(&self.im);
+        for ((o_re, o_im), (&re, &im)) in out.re.iter_mut().zip(&mut out.im).zip(entries) {
+            *o_re = re * s.re - im * s.im;
+            *o_im = re * s.im + im * s.re;
+        }
+    }
+
+    /// In-place `self += other · s`, each entry as `C64::mul_add`
+    /// computes it.
+    pub fn axpy(&mut self, s: C64, other: &SplitMatrix) {
+        self.assert_dim(other, "axpy");
+        let entries = other.re.iter().zip(&other.im);
+        for ((re, im), (&o_re, &o_im)) in self.re.iter_mut().zip(&mut self.im).zip(entries) {
+            *re = *re + o_re * s.re - o_im * s.im;
+            *im = *im + o_re * s.im + o_im * s.re;
+        }
+    }
+
+    /// Matrix product `self · rhs`, written into `out` (overwritten),
+    /// with the bits of [`Matrix::matmul_into`]: a left entry whose two
+    /// parts are both zero is skipped, and every output entry accumulates
+    /// from `+0` in increasing inner index. Dimensions 2, 4 and 8 run a
+    /// loop specialised to that size.
+    pub fn matmul_into(&self, rhs: &SplitMatrix, out: &mut SplitMatrix) {
+        self.assert_dim(rhs, "matmul");
+        self.assert_dim(out, "matmul output");
+        paqoc_telemetry::kernel_probe!("mathkit.matmul", self.n);
+        kernels::split_matmul(self.n, self.parts(), rhs.parts(), out.parts_mut());
+    }
+
+    /// Solves `A·X = B` by Gaussian elimination with partial pivoting:
+    /// `x` receives `X` and `lu` is overwritten with working state.
+    /// Returns `false` when the system is singular to working precision;
+    /// `x` then holds partial work. Each entry of `X` gets the scalar
+    /// operations the elimination of [`crate::expm`] has always performed,
+    /// in the same order; dimensions 2, 4 and 8 run a loop specialised to
+    /// that size.
+    #[must_use = "a singular system leaves `x` holding partial work"]
+    pub fn solve_into(&self, b: &SplitMatrix, x: &mut SplitMatrix, lu: &mut SplitMatrix) -> bool {
+        self.assert_dim(b, "solve");
+        self.assert_dim(x, "solve output");
+        self.assert_dim(lu, "solve scratch");
+        paqoc_telemetry::kernel_probe!("mathkit.solve", self.n);
+        lu.copy_from(self);
+        x.copy_from(b);
+        kernels::split_solve(self.n, lu.parts_mut(), x.parts_mut())
+    }
+}
+
+impl From<&Matrix> for SplitMatrix {
+    /// Splits a square matrix into its real and imaginary parts; panics
+    /// if `m` is not square.
+    fn from(m: &Matrix) -> Self {
+        assert!(m.is_square(), "a split matrix is square");
+        SplitMatrix {
+            n: m.rows,
+            re: m.data.iter().map(|z| z.re).collect(),
+            im: m.data.iter().map(|z| z.im).collect(),
+        }
+    }
+}
+
+impl From<&SplitMatrix> for Matrix {
+    fn from(m: &SplitMatrix) -> Self {
+        Matrix {
+            rows: m.n,
+            cols: m.n,
+            data: m
+                .re
+                .iter()
+                .zip(&m.im)
+                .map(|(&re, &im)| C64::new(re, im))
+                .collect(),
+        }
+    }
+}
+
 /// The allocating `matmul` and `solve` bodies as they were before the
-/// `_into` kernels, kept as oracles for the bit-identity tests.
+/// `_into` and split kernels, kept as oracles for the bit-identity tests.
 #[cfg(test)]
 pub(crate) mod reference {
     use super::*;
@@ -630,6 +750,30 @@ pub(crate) mod reference {
                 _ => rng.random::<f64>() * 4.0 - 2.0,
             };
             *z = C64::new(part(), part());
+        }
+        m
+    }
+
+    /// [`sample`], and when `hostile` about one part in eight then
+    /// replaced by +∞, −∞ or NaN.
+    pub(crate) fn sample_with(
+        rows: usize,
+        cols: usize,
+        hostile: bool,
+        rng: &mut crate::Rng,
+    ) -> Matrix {
+        let mut m = sample(rows, cols, rng);
+        if hostile {
+            for z in &mut m.data {
+                for part in [&mut z.re, &mut z.im] {
+                    match rng.random_range(0..24u32) {
+                        0 => *part = f64::INFINITY,
+                        1 => *part = f64::NEG_INFINITY,
+                        2 => *part = f64::NAN,
+                        _ => {}
+                    }
+                }
+            }
         }
         m
     }
@@ -735,19 +879,28 @@ mod tests {
         assert_eq!(Matrix::identity(5).trace(), C64::real(5.0));
     }
 
+    /// `a \\ b` by the split solve, `None` when it reports a singular
+    /// system.
+    fn split_solve(a: &Matrix, b: &Matrix) -> Option<Matrix> {
+        let n = a.rows();
+        let (mut x, mut lu) = (SplitMatrix::zeros(n), SplitMatrix::zeros(n));
+        let ok = SplitMatrix::from(a).solve_into(&SplitMatrix::from(b), &mut x, &mut lu);
+        ok.then(|| Matrix::from(&x))
+    }
+
     #[test]
     fn solve_recovers_rhs() {
         // A = H (unitary, well conditioned); X should satisfy H X = B.
         let h = h_gate();
         let b = x_gate();
-        let x = h.solve(&b).expect("H is invertible");
+        let x = split_solve(&h, &b).expect("H is invertible");
         assert!(h.matmul(&x).max_diff(&b) < 1e-12);
     }
 
     #[test]
     fn solve_detects_singularity() {
         let singular = Matrix::from_rows(&[&[C64::ONE, C64::ONE], &[C64::ONE, C64::ONE]]);
-        assert!(singular.solve(&Matrix::identity(2)).is_none());
+        assert!(split_solve(&singular, &Matrix::identity(2)).is_none());
     }
 
     #[test]
@@ -865,54 +1018,126 @@ mod tests {
         }
     }
 
+    /// The dimensions the split kernels are checked at: the three they
+    /// specialise, and runtime sizes on either side.
+    const SPLIT_DIMS: [usize; 7] = [1, 2, 3, 4, 5, 8, 16];
+
     #[test]
-    fn solve_into_matches_the_reference_bit_for_bit() {
-        let mut rng = crate::Rng::seed_from_u64(0x5eed_0003);
-        let shapes = [1, 2, 3, 4, 5, 8, 16].map(|n| (n, n)).into_iter().chain([
-            (2, 3),
-            (3, 1),
-            (4, 2),
-            (8, 1),
-            (8, 16),
-            (16, 4),
-        ]);
-        for (n, m) in shapes {
-            for _ in 0..8 {
-                let a = reference::sample(n, n, &mut rng);
-                let b = reference::sample(n, m, &mut rng);
-                let want = reference::solve(&a, &b).map(|x| reference::bits(&x));
-                let mut x = reference::sample(n, m, &mut rng);
-                let mut lu = reference::sample(n, n, &mut rng);
-                let ok = a.solve_into(&b, &mut x, &mut lu);
-                assert_eq!(ok.then(|| reference::bits(&x)), want, "{n}×{n} \\ {n}×{m}");
-                assert_eq!(a.solve(&b).map(|x| reference::bits(&x)), want);
+    fn split_matmul_into_matches_the_reference_bit_for_bit() {
+        let mut rng = crate::Rng::seed_from_u64(0x5eed_0011);
+        for n in SPLIT_DIMS {
+            for round in 0..12 {
+                // Every third pair also holds ±∞ and NaN entries.
+                let hostile = round % 3 == 2;
+                let a = reference::sample_with(n, n, hostile, &mut rng);
+                let b = reference::sample_with(n, n, hostile, &mut rng);
+                let want = reference::bits(&reference::matmul(&a, &b));
+                // A dirty output buffer must not leak into the result.
+                let mut out = SplitMatrix::from(&reference::sample(n, n, &mut rng));
+                SplitMatrix::from(&a).matmul_into(&SplitMatrix::from(&b), &mut out);
+                assert_eq!(reference::bits(&Matrix::from(&out)), want, "n = {n}");
             }
         }
     }
 
     #[test]
-    fn solve_into_reports_singular_systems_like_the_reference() {
-        for n in [2, 3, 4, 8, 16] {
-            let mut a = Matrix::identity(n);
-            a[(n - 1, n - 1)] = C64::ZERO;
-            let b = Matrix::identity(n);
-            assert!(reference::solve(&a, &b).is_none());
-            let (mut x, mut lu) = (Matrix::zeros(n, n), Matrix::zeros(n, n));
-            assert!(!a.solve_into(&b, &mut x, &mut lu), "n = {n}");
-            assert!(a.solve(&b).is_none());
+    fn split_matmul_into_propagates_non_finite_entries_like_the_reference() {
+        let mut rng = crate::Rng::seed_from_u64(0x5eed_0012);
+        for n in SPLIT_DIMS {
+            let mut a = reference::sample(n, n, &mut rng);
+            let mut b = reference::sample(n, n, &mut rng);
+            a[(0, n - 1)] = C64::new(f64::NAN, 0.0);
+            b[(n - 1, 0)] = C64::new(f64::INFINITY, -0.0);
+            let want = reference::bits(&reference::matmul(&a, &b));
+            assert!(want.iter().any(|&(re, _)| f64::from_bits(re).is_nan()));
+            let mut out = SplitMatrix::zeros(n);
+            SplitMatrix::from(&a).matmul_into(&SplitMatrix::from(&b), &mut out);
+            assert_eq!(reference::bits(&Matrix::from(&out)), want, "n = {n}");
         }
     }
 
     #[test]
-    fn scaled_into_matches_scaled() {
+    fn split_solve_into_matches_the_reference_bit_for_bit() {
+        let mut rng = crate::Rng::seed_from_u64(0x5eed_0013);
+        for n in SPLIT_DIMS {
+            for round in 0..12 {
+                let hostile = round % 3 == 2;
+                let a = reference::sample_with(n, n, hostile, &mut rng);
+                let b = reference::sample_with(n, n, hostile, &mut rng);
+                let want = reference::solve(&a, &b).map(|x| reference::bits(&x));
+                // Dirty buffers must not leak into the result.
+                let mut x = SplitMatrix::from(&reference::sample(n, n, &mut rng));
+                let mut lu = SplitMatrix::from(&reference::sample(n, n, &mut rng));
+                let ok = SplitMatrix::from(&a).solve_into(&SplitMatrix::from(&b), &mut x, &mut lu);
+                let got = ok.then(|| reference::bits(&Matrix::from(&x)));
+                assert_eq!(got, want, "{n}×{n}, round {round}");
+            }
+        }
+    }
+
+    #[test]
+    fn split_solve_into_reports_singular_systems_like_the_reference() {
+        let mut rng = crate::Rng::seed_from_u64(0x5eed_0014);
+        for n in SPLIT_DIMS {
+            // A zero last pivot, and random entries beside a zero row or a
+            // zero column.
+            let mut systems = vec![Matrix::identity(n)];
+            systems[0][(n - 1, n - 1)] = C64::ZERO;
+            for zero_row in [true, false] {
+                let mut a = reference::sample(n, n, &mut rng);
+                for k in 0..n {
+                    let at = if zero_row { (n / 2, k) } else { (k, n / 2) };
+                    a[at] = C64::new(-0.0, 0.0);
+                }
+                systems.push(a);
+            }
+            let b = reference::sample(n, n, &mut rng);
+            for a in &systems {
+                assert!(reference::solve(a, &b).is_none(), "{a:?}");
+                assert!(split_solve(a, &b).is_none(), "{a:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn split_elementwise_kernels_match_matrix_bit_for_bit() {
         let mut rng = crate::Rng::seed_from_u64(0x5eed_0004);
-        let a = reference::sample(3, 5, &mut rng);
-        let s = C64::new(0.0, -3.1);
-        let mut out = reference::sample(3, 5, &mut rng);
-        a.scaled_into(s, &mut out);
-        let want: Vec<C64> = a.as_slice().iter().map(|&z| z * s).collect();
-        assert_eq!(out.as_slice(), &want[..]);
-        assert_eq!(a.scaled(s), out);
+        for n in SPLIT_DIMS {
+            let a = reference::sample_with(n, n, true, &mut rng);
+            let b = reference::sample_with(n, n, true, &mut rng);
+            let split = SplitMatrix::from(&a);
+            assert_eq!(reference::bits(&Matrix::from(&split)), reference::bits(&a));
+            assert_eq!(
+                SplitMatrix::identity(n),
+                SplitMatrix::from(&Matrix::identity(n))
+            );
+            let trace = |z: C64| reference::bits(&Matrix::diag(&[z]));
+            assert_eq!(trace(split.trace()), trace(a.trace()), "n = {n}");
+            for s in [
+                C64::new(0.0, -3.1),
+                C64::real(0.25),
+                C64::new(-0.0, f64::INFINITY),
+            ] {
+                let mut out = SplitMatrix::from(&reference::sample(n, n, &mut rng));
+                split.scaled_into(s, &mut out);
+                let want = reference::bits(&a.scaled(s));
+                assert_eq!(
+                    reference::bits(&Matrix::from(&out)),
+                    want,
+                    "n = {n}, s = {s:?}"
+                );
+                let mut acc = SplitMatrix::from(&b);
+                acc.axpy(s, &split);
+                let mut want = b.clone();
+                want.axpy(s, &a);
+                let want = reference::bits(&want);
+                assert_eq!(
+                    reference::bits(&Matrix::from(&acc)),
+                    want,
+                    "n = {n}, s = {s:?}"
+                );
+            }
+        }
     }
 
     #[test]

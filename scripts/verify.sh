@@ -64,6 +64,15 @@ cargo run --release -p paqoc-bench --bin report -- hotspots \
 grep -q "base_ms" target/verify_hotspots_baseline.txt
 echo "batch trace report smoke OK"
 
+echo "== report ledger over the committed ledger =="
+# The ledger reader parses BENCH_perf.json with paqoc_telemetry::json and
+# exits non-zero on a malformed ledger; one known row must print with
+# its medians.
+cargo run --release -p paqoc-bench --bin report -- ledger BENCH_perf.json \
+    --entry "PR 23" | tee target/verify_ledger.txt
+grep -Eq "^grape-small +job_s_total +1\.13193 +1\.14961 " target/verify_ledger.txt
+echo "ledger reader smoke OK"
+
 echo "== Chrome-trace export: written for Perfetto, refused by report =="
 # A .json PAQOC_TRACE path writes the Chrome-trace export. report reads
 # JSONL only, so it must exit non-zero and say how to record a JSONL

@@ -1,5 +1,5 @@
-//! `paqoc_math::expm_into` and `Matrix::solve_into` against copies of the
-//! rules they decided by `hypot` before: `expm`'s squaring count from the
+//! `paqoc_math::expm_into` and `SplitMatrix::solve_into` (GRAPE's split
+//! kernels) against copies of the rules they decided by `hypot` before: `expm`'s squaring count from the
 //! exact one-norm and `⌈log₂(‖A‖₁ / 0.5)⌉`, and the elimination's partial
 //! pivot as the first entry of largest `hypot` in each column. Outputs are
 //! compared bit for bit, every NaN as one value, on two sets:
@@ -24,7 +24,7 @@
 
 use paqoc::device::{transmon_xy_controls, HardwareSpec};
 use paqoc::grape::GrapeOptions;
-use paqoc::math::{expm_into, ExpmScratch, Matrix, Rng, C64};
+use paqoc::math::{expm_into, ExpmScratch, Matrix, Rng, SplitMatrix, C64};
 
 /// `expm`'s squaring count and elimination as they were before they were
 /// decided on squared moduli.
@@ -237,18 +237,33 @@ fn bits(m: &Matrix) -> Vec<(u64, u64)> {
 fn check_expm(a: &Matrix, coverage: &mut reference::Coverage, what: &str) {
     let n = a.rows();
     let want = bits(&reference::expm(a, coverage));
-    let (mut out, mut scratch) = (Matrix::zeros(n, n), ExpmScratch::new(n));
-    expm_into(a, &mut out, &mut scratch);
-    assert_eq!(bits(&out), want, "{what}: expm of {a:?}");
+    let (mut out, mut scratch) = (SplitMatrix::zeros(n), ExpmScratch::new(n));
+    expm_into(&SplitMatrix::from(a), &mut out, &mut scratch);
+    assert_eq!(bits(&Matrix::from(&out)), want, "{what}: expm of {a:?}");
+}
+
+/// The `rows×cols` top-left block of `m`, zero where `m` has no entry.
+fn block(m: &Matrix, rows: usize, cols: usize) -> Matrix {
+    let mut out = Matrix::zeros(rows, cols);
+    for i in 0..rows.min(m.rows()) {
+        for j in 0..cols.min(m.cols()) {
+            out[(i, j)] = m[(i, j)];
+        }
+    }
+    out
 }
 
 /// Requires `solve_into` to give the reference's verdict and bits for
-/// `a·X = b`.
+/// `a·X = b`. A `b` with fewer columns than `a` is solved as the leading
+/// columns of `[b | 0]`: the elimination forms each column of `X` from
+/// the same column of `B` alone.
 fn check_solve(a: &Matrix, b: &Matrix, coverage: &mut reference::Coverage, what: &str) {
     let want = reference::solve(a, b, coverage).map(|x| bits(&x));
-    let mut x = Matrix::zeros(b.rows(), b.cols());
-    let mut lu = Matrix::zeros(a.rows(), a.cols());
-    let got = a.solve_into(b, &mut x, &mut lu).then(|| bits(&x));
+    let n = a.rows();
+    let (mut x, mut lu) = (SplitMatrix::zeros(n), SplitMatrix::zeros(n));
+    let padded = SplitMatrix::from(&block(b, n, n));
+    let solved = SplitMatrix::from(a).solve_into(&padded, &mut x, &mut lu);
+    let got = solved.then(|| bits(&block(&Matrix::from(&x), n, b.cols())));
     assert_eq!(got, want, "{what}: {a:?} \\ {b:?}");
 }
 
@@ -286,7 +301,8 @@ fn grape_step_exponents_keep_their_bits() {
             let half = a.scaled(C64::real(0.5));
             let (lhs, rhs) = (&identity - &half, &identity + &half);
             check_solve(&lhs, &rhs, &mut coverage, &what);
-            // One right-hand column: the runtime-size elimination.
+            // One right-hand column, as the first column of a square
+            // right-hand side.
             let mut column = Matrix::zeros(d, 1);
             for i in 0..d {
                 column[(i, 0)] = rhs[(i, 0)];
