@@ -229,7 +229,7 @@ impl SparseOp {
     /// Writes `(op · rhs)ᵀ` into the row-major `d×d` block whose parts are
     /// `out_re` and `out_im`: the products of `op.matmul(rhs)` in its
     /// order, each entry accumulating from `+0` in increasing column of
-    /// `op` as `C64::mul_add` does, stored at the transposed position.
+    /// `op`, stored at the transposed position.
     fn transposed_product_into(&self, rhs: &SplitMatrix, out_re: &mut [f64], out_im: &mut [f64]) {
         let d = self.dim;
         let [rhs_re, rhs_im] = rhs.parts();
@@ -243,22 +243,22 @@ impl SparseOp {
                 .zip(out_im[r..].iter_mut().step_by(d));
             let row = rhs_re[c * d..][..d].iter().zip(&rhs_im[c * d..][..d]);
             for ((o_re, o_im), (&v_re, &v_im)) in column.zip(row) {
-                *o_re = *o_re + x.re * v_re - x.im * v_im;
-                *o_im = *o_im + x.re * v_im + x.im * v_re;
+                let o = C64::new(*o_re, *o_im).mul_add(x, C64::new(v_re, v_im));
+                (*o_re, *o_im) = (o.re, o.im);
             }
         }
     }
 
-    /// `h += op · s` on the nonzero entries, each as `C64::mul_add`
-    /// computes it. With a finite `s` and an `h` free of negative zeros
+    /// `h += op · s` on the nonzero entries. With a finite `s` and an `h`
+    /// free of negative zeros
     /// this is bit-for-bit `h.axpy(s, op)`: adding `0 · s` leaves such an
     /// entry unchanged.
     fn axpy_into(&self, s: C64, h: &mut SplitMatrix) {
         let [h_re, h_im] = h.parts_mut();
         for &(r, c, x) in &self.entries {
             let at = r * self.dim + c;
-            h_re[at] = h_re[at] + x.re * s.re - x.im * s.im;
-            h_im[at] = h_im[at] + x.re * s.im + x.im * s.re;
+            let z = C64::new(h_re[at], h_im[at]).mul_add(x, s);
+            (h_re[at], h_im[at]) = (z.re, z.im);
         }
     }
 }

@@ -94,12 +94,13 @@ impl ExpmScratch {
 pub fn expm(a: &Matrix) -> Matrix {
     assert!(a.is_square(), "expm requires a square matrix");
     let n = a.rows();
-    // The scratch matrices plus the split input and output: counted so a
-    // caller that could hold an `ExpmScratch` sees what this call costs.
+    // The scratch matrices, the split input and output and the result:
+    // counted so a caller that could hold an `ExpmScratch` sees what this
+    // call costs.
     paqoc_telemetry::kernel_alloc(
         "mathkit.expm",
-        SCRATCH_MATRICES as u64 + 2,
-        ((SCRATCH_MATRICES + 2) * n * n * std::mem::size_of::<C64>()) as u64,
+        SCRATCH_MATRICES as u64 + 3,
+        ((SCRATCH_MATRICES + 3) * n * n * std::mem::size_of::<C64>()) as u64,
     );
     let mut scratch = ExpmScratch::new(n);
     let mut out = SplitMatrix::zeros(n);
@@ -238,7 +239,7 @@ fn one_norm_on_squares(a: &SplitMatrix) -> Option<f64> {
         for (row_re, row_im) in re.chunks_exact(n).zip(im.chunks_exact(n)) {
             let row = row_re[first..].iter().zip(&row_im[first..]);
             for (sum, (&x, &y)) in sums[..width].iter_mut().zip(row) {
-                *sum += (x * x + y * y).sqrt();
+                *sum += C64::new(x, y).norm_sqr().sqrt();
             }
         }
         for &sum in &sums[..width] {

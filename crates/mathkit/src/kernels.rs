@@ -163,9 +163,9 @@ pub(crate) type Parts<'a> = [&'a [f64]; 2];
 /// Mutable [`Parts`].
 pub(crate) type PartsMut<'a> = [&'a mut [f64]; 2];
 
-/// `o += x · v` entry by entry on split rows, as `o.mul_add(x, v)`
-/// evaluates it: `(o.re + x.re·v.re) − x.im·v.im` and
-/// `(o.im + x.re·v.im) + x.im·v.re`.
+/// `o = o.mul_add(x, v)` entry by entry on split rows: per entry
+/// `(o.re + x.re·v.re) − x.im·v.im` and `(o.im + x.re·v.im) + x.im·v.re`,
+/// which the compiler computes for two entries at a time.
 #[inline(always)]
 fn mul_add_row([o_re, o_im]: PartsMut, x: C64, [v_re, v_im]: Parts) {
     let rows = o_re
@@ -173,8 +173,8 @@ fn mul_add_row([o_re, o_im]: PartsMut, x: C64, [v_re, v_im]: Parts) {
         .zip(o_im.iter_mut())
         .zip(v_re.iter().zip(v_im));
     for ((re, im), (&vr, &vi)) in rows {
-        *re = *re + x.re * vr - x.im * vi;
-        *im = *im + x.re * vi + x.im * vr;
+        let o = C64::new(*re, *im).mul_add(x, C64::new(vr, vi));
+        (*re, *im) = (o.re, o.im);
     }
 }
 
