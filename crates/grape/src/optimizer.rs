@@ -226,15 +226,17 @@ impl SparseOp {
         SparseOp { dim, entries }
     }
 
-    /// Writes `(op · rhs)ᵀ` into the row-major `d×d` block whose parts are
-    /// `out_re` and `out_im`: the products of `op.matmul(rhs)` in its
-    /// order, each entry accumulating from `+0` in increasing column of
-    /// `op`, stored at the transposed position.
-    fn transposed_product_into(&self, rhs: &SplitMatrix, out_re: &mut [f64], out_im: &mut [f64]) {
+    /// Writes `(op · rhs)ᵀ` into `out`, the real parts of a row-major `d×d`
+    /// block followed by its imaginary parts: the products of
+    /// `op.matmul(rhs)` in its order, each entry accumulating from `+0` in
+    /// increasing column of `op`, stored at the transposed position.
+    fn transposed_product_into(&self, rhs: &SplitMatrix, out: &mut [f64]) {
         let d = self.dim;
         let [rhs_re, rhs_im] = rhs.parts();
-        out_re.fill(0.0);
-        out_im.fill(0.0);
+        // One fill per block: at d = 2 a second `memset` call per channel
+        // and step cost several percent of `optimize`.
+        out.fill(0.0);
+        let (out_re, out_im) = out.split_at_mut(d * d);
         for &(r, c, x) in &self.entries {
             // Row `r` of the product is column `r` of the block.
             let column = out_re[r..]
@@ -333,16 +335,16 @@ const TRACE_CHAINS: usize = 4;
 
 /// The traces `Tr(M·P_w) = Σ_r Σ_c M[r][c]·P_w[c][r]` of the `d×d`
 /// matrix `left` (`M`) with [`TRACE_CHAINS`] matrices `P_w`, given
-/// transposed as the consecutive row-major `d×d` blocks of the parts
-/// `blocks_re` and `blocks_im`.
+/// transposed as the consecutive blocks of `blocks`, each the real parts
+/// of a row-major `d×d` block followed by its imaginary parts.
 ///
 /// Each trace is its own chain `dg.mul_add(M[r][c], P_w[c][r])` from `+0`
 /// over `(r, c)` in row-major order, as a trace computed alone runs; the
 /// chains do not depend on each other, so they overlap.
-fn traces(left: &SplitMatrix, blocks_re: &[f64], blocks_im: &[f64]) -> [C64; TRACE_CHAINS] {
+fn traces(left: &SplitMatrix, blocks: &[f64]) -> [C64; TRACE_CHAINS] {
     let [m_re, m_im] = left.parts();
     let dd = m_re.len();
-    let block = |w: usize| (&blocks_re[w * dd..][..dd], &blocks_im[w * dd..][..dd]);
+    let block = |w: usize| blocks[2 * w * dd..][..2 * dd].split_at(dd);
     let blocks: [(&[f64], &[f64]); TRACE_CHAINS] = std::array::from_fn(block);
     let mut dg = [C64::ZERO; TRACE_CHAINS];
     for (i, (&re, &im)) in m_re.iter().zip(m_im).enumerate() {
@@ -370,10 +372,9 @@ struct Workspace {
     bwd: Vec<SplitMatrix>,
     /// `U_target† · U_N⋯U_1`, then `M_j = U_target† · B_j` per step.
     left: SplitMatrix,
-    /// The real and imaginary parts of `(H_k · F_j)ᵀ` for up to
-    /// [`TRACE_CHAINS`] channels, as consecutive `d×d` blocks.
-    hk_fwd_t_re: Vec<f64>,
-    hk_fwd_t_im: Vec<f64>,
+    /// `(H_k · F_j)ᵀ` for up to [`TRACE_CHAINS`] channels, as consecutive
+    /// blocks of `2·d²` parts (see [`traces`]).
+    hk_fwd_t: Vec<f64>,
     /// `tanh(theta)` of the current iteration, laid out like `theta`:
     /// the forward pass and the gradient share one `tanh` per parameter.
     tanh_theta: Vec<f64>,
@@ -398,8 +399,7 @@ impl Workspace {
             fwd: vec![SplitMatrix::zeros(dim); steps],
             bwd,
             left: SplitMatrix::zeros(dim),
-            hk_fwd_t_re: vec![0.0; TRACE_CHAINS * dim * dim],
-            hk_fwd_t_im: vec![0.0; TRACE_CHAINS * dim * dim],
+            hk_fwd_t: vec![0.0; TRACE_CHAINS * 2 * dim * dim],
             tanh_theta: vec![0.0; params],
             m: vec![0.0; params],
             v: vec![0.0; params],
@@ -500,17 +500,14 @@ impl Workspace {
                 let right = &self.fwd[j];
                 let chunks = self.stepper.channels.chunks(TRACE_CHAINS);
                 for (first, group) in (0..).step_by(TRACE_CHAINS).zip(chunks) {
-                    let blocks = self
-                        .hk_fwd_t_re
-                        .chunks_exact_mut(dim * dim)
-                        .zip(self.hk_fwd_t_im.chunks_exact_mut(dim * dim));
-                    for (ch, (block_re, block_im)) in group.iter().zip(blocks) {
-                        ch.op.transposed_product_into(right, block_re, block_im);
+                    let blocks = self.hk_fwd_t.chunks_exact_mut(2 * dim * dim);
+                    for (ch, block) in group.iter().zip(blocks) {
+                        ch.op.transposed_product_into(right, block);
                     }
                     // dg = Tr(left · (−i 2π dt H_k) · right). A last group
                     // of fewer channels leaves stale blocks, whose traces
                     // are dropped.
-                    let dgs = traces(&self.left, &self.hk_fwd_t_re, &self.hk_fwd_t_im);
+                    let dgs = traces(&self.left, &self.hk_fwd_t);
                     for ((k, ch), dg) in (first..).zip(group).zip(dgs) {
                         let dg = dg * self.stepper.rotation;
                         // dF/dα = 2·Re(conj(g)·dg)/d²  (maximize → ascend)

@@ -254,18 +254,58 @@ fn swap_rows(s: &mut [f64], n: usize, i: usize, j: usize) {
 ///   chain in increasing `k`; the `n` chains of a row run side by side.
 pub(crate) fn split_solve(n: usize, a: PartsMut, x: PartsMut) -> bool {
     match n {
-        2 => split_solve_n::<2>(2, a, x),
-        4 => split_solve_n::<4>(4, a, x),
-        8 => split_solve_n::<8>(8, a, x),
-        _ => split_solve_n::<0>(n, a, x),
+        2 => split_solve_square::<2>(a, x),
+        4 => split_solve_square::<4>(a, x),
+        8 => split_solve_square::<8>(a, x),
+        _ => split_solve_runtime(n, a, x),
     }
 }
 
-/// [`split_solve`] with the dimension `N` fixed at compile time, so the
-/// compiler sizes every row loop; `N = 0` reads the dimension `n` at run
-/// time instead.
-fn split_solve_n<const N: usize>(n: usize, [a_re, a_im]: PartsMut, [x_re, x_im]: PartsMut) -> bool {
-    let n = if N == 0 { n } else { N };
+/// [`split_solve`] at the dimension `N`, over fixed-size rows: the pivot
+/// row is copied into registers before the rows below it are updated,
+/// and back-substitution accumulates each row in a local array.
+fn split_solve_square<const N: usize>([a_re, a_im]: PartsMut, [x_re, x_im]: PartsMut) -> bool {
+    let [a_re, a_im, x_re, x_im] = [a_re, a_im, x_re, x_im].map(square_mut::<f64, N>);
+    for col in 0..N {
+        let column = (col..N).map(|r| C64::new(a_re[r][col], a_im[r][col]));
+        let Some(offset) = pivot(column) else {
+            return false;
+        };
+        if offset != 0 {
+            for part in [&mut *a_re, &mut *a_im, &mut *x_re, &mut *x_im] {
+                part.swap(col, col + offset);
+            }
+        }
+        let inv = C64::new(a_re[col][col], a_im[col][col]).recip();
+        let (a_pivot, x_pivot) = ([a_re[col], a_im[col]], [x_re[col], x_im[col]]);
+        for r in col + 1..N {
+            let f = C64::new(a_re[r][col], a_im[r][col]) * inv;
+            if is_zero(f) {
+                continue;
+            }
+            mul_add_row([&mut a_re[r], &mut a_im[r]], -f, [&a_pivot[0], &a_pivot[1]]);
+            mul_add_row([&mut x_re[r], &mut x_im[r]], -f, [&x_pivot[0], &x_pivot[1]]);
+        }
+        (a_re[col][col], a_im[col][col]) = (inv.re, inv.im);
+    }
+    for col in (0..N).rev() {
+        let (mut acc_re, mut acc_im) = (x_re[col], x_im[col]);
+        for k in col + 1..N {
+            let a_ck = C64::new(a_re[col][k], a_im[col][k]);
+            mul_add_row([&mut acc_re, &mut acc_im], -a_ck, [&x_re[k], &x_im[k]]);
+        }
+        let inv = C64::new(a_re[col][col], a_im[col][col]);
+        for (j, (&re, &im)) in acc_re.iter().zip(&acc_im).enumerate() {
+            let v = C64::new(re, im) * inv;
+            (x_re[col][j], x_im[col][j]) = (v.re, v.im);
+        }
+    }
+    true
+}
+
+/// [`split_solve`] at a dimension read at run time, over the row slices
+/// of the split arrays.
+fn split_solve_runtime(n: usize, [a_re, a_im]: PartsMut, [x_re, x_im]: PartsMut) -> bool {
     for col in 0..n {
         let column = (col..n).map(|r| C64::new(a_re[r * n + col], a_im[r * n + col]));
         let Some(offset) = pivot(column) else {

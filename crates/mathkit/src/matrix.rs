@@ -490,9 +490,8 @@ impl Neg for &Matrix {
 #[derive(Clone, Debug, PartialEq)]
 pub struct SplitMatrix {
     n: usize,
-    /// The `n²` real parts, then the `n²` imaginary parts: one allocation
-    /// and one copy per matrix.
-    parts: Vec<f64>,
+    re: Vec<f64>,
+    im: Vec<f64>,
 }
 
 impl SplitMatrix {
@@ -505,17 +504,15 @@ impl SplitMatrix {
         assert!(n > 0, "matrix dimensions must be nonzero");
         SplitMatrix {
             n,
-            parts: vec![0.0; 2 * n * n],
+            re: vec![0.0; n * n],
+            im: vec![0.0; n * n],
         }
     }
 
     /// The `n×n` identity matrix.
     pub fn identity(n: usize) -> Self {
         let mut m = SplitMatrix::zeros(n);
-        m.parts[..n * n]
-            .iter_mut()
-            .step_by(n + 1)
-            .for_each(|d| *d = 1.0);
+        m.re.iter_mut().step_by(n + 1).for_each(|d| *d = 1.0);
         m
     }
 
@@ -528,15 +525,13 @@ impl SplitMatrix {
     /// The row-major real and imaginary parts.
     #[inline]
     pub fn parts(&self) -> [&[f64]; 2] {
-        let (re, im) = self.parts.split_at(self.n * self.n);
-        [re, im]
+        [&self.re, &self.im]
     }
 
     /// Mutable row-major real and imaginary parts.
     #[inline]
     pub fn parts_mut(&mut self) -> [&mut [f64]; 2] {
-        let (re, im) = self.parts.split_at_mut(self.n * self.n);
-        [re, im]
+        [&mut self.re, &mut self.im]
     }
 
     fn assert_dim(&self, other: &SplitMatrix, what: &str) {
@@ -546,16 +541,16 @@ impl SplitMatrix {
     /// Overwrites `self` with the entries of `other`, without allocating.
     pub fn copy_from(&mut self, other: &SplitMatrix) {
         self.assert_dim(other, "copy_from");
-        self.parts.copy_from_slice(&other.parts);
+        self.re.copy_from_slice(&other.re);
+        self.im.copy_from_slice(&other.im);
     }
 
     /// Matrix trace, summed as [`Matrix::trace`] sums it: a `C64` fold
     /// from zero down the diagonal.
     pub fn trace(&self) -> C64 {
-        let [re, im] = self.parts();
         (0..self.n).fold(C64::ZERO, |acc, i| {
             let d = i * (self.n + 1);
-            acc + C64::new(re[d], im[d])
+            acc + C64::new(self.re[d], self.im[d])
         })
     }
 
@@ -564,10 +559,12 @@ impl SplitMatrix {
     /// NaN is skipped. [`crate::expm`] reads it only where its estimate on
     /// squared moduli lies near a squaring threshold or is not finite.
     pub(crate) fn one_norm(&self) -> f64 {
-        let (n, [re, im]) = (self.n, self.parts());
+        let n = self.n;
         let mut best = 0.0f64;
         for j in 0..n {
-            let s: f64 = (0..n).map(|i| re[i * n + j].hypot(im[i * n + j])).sum();
+            let s: f64 = (0..n)
+                .map(|i| self.re[i * n + j].hypot(self.im[i * n + j]))
+                .sum();
             best = best.max(s);
         }
         best
@@ -577,9 +574,8 @@ impl SplitMatrix {
     /// computes it.
     pub fn scaled_into(&self, s: C64, out: &mut SplitMatrix) {
         self.assert_dim(out, "scaled_into");
-        let ([re, im], [out_re, out_im]) = (self.parts(), out.parts_mut());
-        let entries = re.iter().zip(im);
-        for ((o_re, o_im), (&re, &im)) in out_re.iter_mut().zip(out_im).zip(entries) {
+        let entries = self.re.iter().zip(&self.im);
+        for ((o_re, o_im), (&re, &im)) in out.re.iter_mut().zip(&mut out.im).zip(entries) {
             let z = C64::new(re, im) * s;
             (*o_re, *o_im) = (z.re, z.im);
         }
@@ -589,9 +585,8 @@ impl SplitMatrix {
     /// computes it.
     pub fn axpy(&mut self, s: C64, other: &SplitMatrix) {
         self.assert_dim(other, "axpy");
-        let ([other_re, other_im], [re, im]) = (other.parts(), self.parts_mut());
-        let entries = other_re.iter().zip(other_im);
-        for ((re, im), (&o_re, &o_im)) in re.iter_mut().zip(im).zip(entries) {
+        let entries = other.re.iter().zip(&other.im);
+        for ((re, im), (&o_re, &o_im)) in self.re.iter_mut().zip(&mut self.im).zip(entries) {
             let z = C64::new(*re, *im).mul_add(C64::new(o_re, o_im), s);
             (*re, *im) = (z.re, z.im);
         }
@@ -635,25 +630,21 @@ impl From<&Matrix> for SplitMatrix {
         assert!(m.is_square(), "a split matrix is square");
         SplitMatrix {
             n: m.rows,
-            parts: m
-                .data
-                .iter()
-                .map(|z| z.re)
-                .chain(m.data.iter().map(|z| z.im))
-                .collect(),
+            re: m.data.iter().map(|z| z.re).collect(),
+            im: m.data.iter().map(|z| z.im).collect(),
         }
     }
 }
 
 impl From<&SplitMatrix> for Matrix {
     fn from(m: &SplitMatrix) -> Self {
-        let [re, im] = m.parts();
         Matrix {
             rows: m.n,
             cols: m.n,
-            data: re
+            data: m
+                .re
                 .iter()
-                .zip(im)
+                .zip(&m.im)
                 .map(|(&re, &im)| C64::new(re, im))
                 .collect(),
         }
