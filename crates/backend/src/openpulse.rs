@@ -27,9 +27,8 @@
 //! references, non-finite samples, or a malformed fingerprint are typed
 //! [`ImportError`]s, never defaults.
 
-use crate::schedule::{Experiment, PlayInst, PulseDef, PulseProgram};
+use crate::schedule::{scrub_zero, Experiment, PlayInst, PulseDef, PulseProgram};
 use paqoc_telemetry::json::{parse, Value};
-use std::collections::BTreeMap;
 
 /// The exporter's schema tag.
 pub const SCHEMA_VERSION: &str = "1.0";
@@ -55,23 +54,6 @@ fn fail(message: impl Into<String>) -> ImportError {
     }
 }
 
-fn scrub_zero(x: f64) -> f64 {
-    if x == 0.0 {
-        0.0
-    } else {
-        x
-    }
-}
-
-fn obj(entries: Vec<(&str, Value)>) -> Value {
-    Value::Obj(
-        entries
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect::<BTreeMap<_, _>>(),
-    )
-}
-
 /// Serializes a program to the OpenPulse JSON document.
 pub fn export(program: &PulseProgram) -> String {
     let pulse_library: Vec<Value> = program
@@ -85,7 +67,7 @@ pub fn export(program: &PulseProgram) -> String {
                     Value::Arr(vec![Value::Num(scrub_zero(re)), Value::Num(scrub_zero(im))])
                 })
                 .collect();
-            obj(vec![
+            Value::object([
                 ("name", Value::Str(p.name.clone())),
                 ("samples", Value::Arr(samples)),
             ])
@@ -99,15 +81,18 @@ pub fn export(program: &PulseProgram) -> String {
                 .instructions
                 .iter()
                 .map(|i| {
-                    obj(vec![
+                    Value::object([
                         ("name", Value::Str(i.pulse.clone())),
                         ("ch", Value::Str(i.channel.clone())),
                         ("t0", Value::Num(i.t0_dt as f64)),
                     ])
                 })
                 .collect();
-            obj(vec![
-                ("header", obj(vec![("name", Value::Str(e.name.clone()))])),
+            Value::object([
+                (
+                    "header",
+                    Value::object([("name", Value::Str(e.name.clone()))]),
+                ),
                 ("instructions", Value::Arr(instructions)),
             ])
         })
@@ -116,13 +101,13 @@ pub fn export(program: &PulseProgram) -> String {
         Some(id) => Value::Num(id as f64),
         None => Value::Null,
     };
-    let doc = obj(vec![
+    let doc = Value::object([
         ("qobj_id", Value::Str(program.qobj_id.clone())),
         ("type", Value::Str("PULSE".to_string())),
         ("schema_version", Value::Str(SCHEMA_VERSION.to_string())),
         (
             "backend",
-            obj(vec![
+            Value::object([
                 ("name", Value::Str(program.backend_name.clone())),
                 (
                     "fingerprint",
@@ -133,7 +118,7 @@ pub fn export(program: &PulseProgram) -> String {
         ),
         (
             "config",
-            obj(vec![
+            Value::object([
                 ("dt_ns", Value::Num(program.dt_ns)),
                 ("pulse_library", Value::Arr(pulse_library)),
             ]),

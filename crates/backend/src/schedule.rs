@@ -79,8 +79,8 @@ fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
 
 /// JSON's number grammar cannot distinguish `-0.0` from `0.0` (the
 /// writer prints integer-valued floats without a sign), so envelopes
-/// never carry a negative zero.
-fn scrub_zero(x: f64) -> f64 {
+/// never carry a negative zero, and neither do exported samples.
+pub(crate) fn scrub_zero(x: f64) -> f64 {
     if x == 0.0 {
         0.0
     } else {

@@ -18,7 +18,7 @@ use paqoc_circuit::Instruction;
 use paqoc_device::{AnalyticModel, Device, PulseEstimate, PulseGenError, PulseSource};
 use paqoc_exec::{run_batch, ExecOptions, PulseJob, PulseSourceFactory};
 use paqoc_telemetry::{counter, event, observe};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -101,15 +101,6 @@ pub(crate) struct GenerationOutcome {
     pub(crate) degradations: Vec<Degradation>,
     /// `true` when the deadline cut the run short.
     pub(crate) partial: bool,
-    /// Nanoseconds the prefetch batches spent in each numeric kernel
-    /// (worker-side probe attribution, see
-    /// [`BatchReport::kernel_ns`](paqoc_exec::BatchReport)). Empty when
-    /// kernel probes are disarmed or no batch ran. Schedule-dependent
-    /// soft data — never part of the deterministic outputs.
-    pub(crate) kernel_ns: BTreeMap<String, u64>,
-    /// Kernel call counts matching [`kernel_ns`](Self::kernel_ns);
-    /// deterministic across thread counts.
-    pub(crate) kernel_calls: BTreeMap<String, u64>,
 }
 
 /// Runs Algorithm 1 over a grouped circuit, with the deadline and the
@@ -153,8 +144,6 @@ pub(crate) fn generate_with(
 ) -> GenerationOutcome {
     let mut report = GeneratorReport::default();
     let mut degradations: Vec<Degradation> = Vec::new();
-    let mut kernel_ns: BTreeMap<String, u64> = BTreeMap::new();
-    let mut kernel_calls: BTreeMap<String, u64> = BTreeMap::new();
 
     // Seed every starting group (basis gates and APA gates) with a free
     // estimator latency; the fidelity-0 marker means "no real pulse
@@ -206,16 +195,7 @@ pub(crate) fn generate_with(
         // rollback rebuild the sweep re-runs, and with it the prefetch
         // (already-attached shapes are local hits and produce no jobs).
         if let Some(ctx) = exec {
-            prefetch_pending_pulses(
-                grouped,
-                device,
-                table,
-                opts,
-                deadline,
-                ctx,
-                &mut kernel_ns,
-                &mut kernel_calls,
-            );
+            prefetch_pending_pulses(grouped, device, table, opts, deadline, ctx);
         }
         let mut rollback: Option<usize> = None;
         for id in grouped.group_ids() {
@@ -348,8 +328,6 @@ pub(crate) fn generate_with(
         report,
         degradations,
         partial,
-        kernel_ns,
-        kernel_calls,
     }
 }
 
@@ -360,11 +338,6 @@ pub(crate) fn generate_with(
 /// exact sequential stats parity ([`PulseTable::absorb_batch`]);
 /// failures and deadline skips are left for the sequential ladder, whose
 /// semantics are unchanged.
-///
-/// The batch's worker-side kernel-probe attribution is folded into the
-/// `kernel_ns`/`kernel_calls` accumulators so the compile result can
-/// report it (observational only; never touches the pulses).
-#[allow(clippy::too_many_arguments)]
 fn prefetch_pending_pulses(
     grouped: &GroupedCircuit,
     device: &Device,
@@ -372,8 +345,6 @@ fn prefetch_pending_pulses(
     opts: &PaqocOptions,
     deadline: Option<Instant>,
     ctx: &BatchContext,
-    kernel_ns: &mut BTreeMap<String, u64>,
-    kernel_calls: &mut BTreeMap<String, u64>,
 ) {
     let mut seen: HashSet<String> = HashSet::new();
     let mut jobs: Vec<PulseJob> = Vec::new();
@@ -409,12 +380,6 @@ fn prefetch_pending_pulses(
         &exec_opts,
     );
     paqoc_telemetry::gauge!("core.sweep_pending_pulses", 0.0);
-    for (name, ns) in &report.kernel_ns {
-        *kernel_ns.entry(name.clone()).or_insert(0) += ns;
-    }
-    for (name, calls) in &report.kernel_calls {
-        *kernel_calls.entry(name.clone()).or_insert(0) += calls;
-    }
     table.absorb_batch(&jobs, &report);
 }
 

@@ -154,16 +154,6 @@ pub struct CompilationResult {
     /// composite key) — the byte-comparable artifact the determinism
     /// tests diff across thread counts.
     pub pulse_table: Vec<(String, PulseEstimate)>,
-    /// Nanoseconds spent in each numeric kernel (`mathkit.expm`, …)
-    /// during this compile: the caller thread's own probe delta plus
-    /// every batch worker's attribution. Empty when kernel probes are
-    /// disarmed. Times are schedule-dependent — soft observability
-    /// data, deliberately kept out of [`CompileStats`] and the
-    /// deterministic dumps.
-    pub kernel_ns: std::collections::BTreeMap<String, u64>,
-    /// Kernel call counts matching [`kernel_ns`](Self::kernel_ns).
-    /// Counts are deterministic across thread counts.
-    pub kernel_calls: std::collections::BTreeMap<String, u64>,
 }
 
 impl CompilationResult {
@@ -303,15 +293,6 @@ fn compile_inner(
         }
     }
     let _compile_span = span("compile");
-    // Caller-thread kernel-probe baseline: the sequential paths (weyl
-    // invariants, estimator latencies, non-batch GRAPE) run right here,
-    // so the compile's own delta plus the batch workers' attribution
-    // covers all kernel work this compile caused.
-    let kernels_at_start = if paqoc_telemetry::kernel_probes_enabled() {
-        Some(paqoc_telemetry::kernel_thread_totals())
-    } else {
-        None
-    };
 
     if let Some(deadline) = opts.deadline {
         if deadline.is_zero() {
@@ -480,18 +461,6 @@ fn compile_inner(
             degradations = degradations.len() as u64,
         );
     }
-    let mut kernel_ns = outcome.kernel_ns;
-    let mut kernel_calls = outcome.kernel_calls;
-    if let Some(before) = kernels_at_start {
-        for (name, (calls, ns)) in paqoc_telemetry::kernel_thread_totals() {
-            let (c0, ns0) = before.get(name).copied().unwrap_or((0, 0));
-            let (dc, dns) = (calls.saturating_sub(c0), ns.saturating_sub(ns0));
-            if dc > 0 || dns > 0 {
-                *kernel_calls.entry(name.to_string()).or_insert(0) += dc;
-                *kernel_ns.entry(name.to_string()).or_insert(0) += dns;
-            }
-        }
-    }
     Ok(CompilationResult {
         physical,
         latency_ns,
@@ -505,8 +474,6 @@ fn compile_inner(
         partial: outcome.partial,
         degradations,
         pulse_table: table.dump_entries(),
-        kernel_ns,
-        kernel_calls,
     })
 }
 

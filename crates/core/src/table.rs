@@ -36,7 +36,9 @@
 
 use paqoc_circuit::{combined_unitary, Circuit, Instruction};
 use paqoc_device::{Device, PulseEstimate, PulseGenError, PulseSource};
-use paqoc_exec::{BatchReport, Claim, JobStatus, Provenance, PulseJob, SharedPulseTable};
+use paqoc_exec::{
+    panic_message, BatchReport, Claim, JobStatus, Provenance, PulseJob, SharedPulseTable,
+};
 use paqoc_math::{phase_aligned_distance, Matrix};
 use paqoc_mining::{canonical_code, CircuitGraph};
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -156,17 +158,6 @@ pub fn group_key(group: &[Instruction]) -> String {
 /// never be served to another.
 pub fn composite_key(device: &Device, group: &[Instruction]) -> String {
     KeyPrefix::new(device).key(group)
-}
-
-/// Best-effort string form of a panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// Number of distinct qubits a group touches (its telemetry key).

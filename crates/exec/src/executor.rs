@@ -27,7 +27,7 @@ use crate::factory::{job_seed, PulseSourceFactory};
 use crate::shared_table::{Claim, Provenance, SharedPulseTable};
 use paqoc_circuit::Instruction;
 use paqoc_device::{Device, PulseEstimate};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -193,15 +193,6 @@ pub struct BatchReport {
     /// `exec.stall` journal event each, written when the generation
     /// ends). Zero when telemetry is disabled.
     pub stalls: usize,
-    /// Nanoseconds spent in each numeric kernel by this batch's
-    /// workers, keyed by kernel name (`mathkit.expm`, …). Empty when
-    /// kernel probes are disarmed. Times are schedule-dependent — soft
-    /// data, never folded into deterministic outputs.
-    pub kernel_ns: BTreeMap<String, u64>,
-    /// Kernel call counts matching [`kernel_ns`](Self::kernel_ns).
-    /// Unlike the times, the counts are deterministic across thread
-    /// counts: the same jobs run the same kernels.
-    pub kernel_calls: BTreeMap<String, u64>,
 }
 
 impl BatchReport {
@@ -229,9 +220,6 @@ struct WorkerYield {
     pending: Vec<usize>,
     /// This worker's utilization accounting.
     stats: WorkerStats,
-    /// Per-kernel `(calls, ns)` deltas this worker's jobs produced,
-    /// from the thread-local probe totals. Empty when probes are off.
-    kernels: BTreeMap<&'static str, (u64, u64)>,
     /// Stalls this worker flagged (see [`BatchReport::stalls`]).
     stalls: usize,
 }
@@ -252,7 +240,7 @@ pub fn run_batch(
     let batch_id = batch_span.id();
     let threads = opts
         .threads
-        .clamp(1, MAX_BATCH_THREADS)
+        .clamp(1, crate::MAX_THREADS)
         .min(jobs.len().max(1));
 
     // Priority-descending schedule, index-tie-broken so the order (and
@@ -293,7 +281,6 @@ pub fn run_batch(
                     done: Vec::new(),
                     pending: Vec::new(),
                     stats: WorkerStats::default(),
-                    kernels: BTreeMap::new(),
                     stalls: 0,
                 })
             })
@@ -305,8 +292,6 @@ pub fn run_batch(
     let mut statuses = vec![JobStatus::Skipped(SkipReason::Deadline); jobs.len()];
     let mut pending = Vec::new();
     let mut workers = Vec::with_capacity(yields.len());
-    let mut kernel_ns: BTreeMap<String, u64> = BTreeMap::new();
-    let mut kernel_calls: BTreeMap<String, u64> = BTreeMap::new();
     let mut stalls = 0;
     for y in yields {
         for (idx, status) in y.done {
@@ -315,10 +300,6 @@ pub fn run_batch(
         pending.extend(y.pending);
         workers.push(y.stats);
         stalls += y.stalls;
-        for (name, (calls, ns)) in y.kernels {
-            *kernel_calls.entry(name.to_string()).or_insert(0) += calls;
-            *kernel_ns.entry(name.to_string()).or_insert(0) += ns;
-        }
     }
     workers.sort_by_key(|w| w.worker);
     for idx in pending {
@@ -337,8 +318,6 @@ pub fn run_batch(
         wall: start.elapsed(),
         workers,
         stalls,
-        kernel_ns,
-        kernel_calls,
         ..BatchReport::default()
     };
     report.tally();
@@ -370,15 +349,10 @@ pub fn run_batch(
             stalls = report.stalls as u64,
             cost_units = report.cost_spent_units,
             wall_us = report.wall.as_micros() as u64,
-            kernel_us = report.kernel_ns.values().sum::<u64>() / 1_000,
         );
     }
     report
 }
-
-/// Hard ceiling on batch workers, matching
-/// [`MAX_THREADS`](crate::MAX_THREADS).
-const MAX_BATCH_THREADS: usize = 64;
 
 /// How one pulled job resolved inside the worker loop.
 enum Disposition {
@@ -404,19 +378,11 @@ fn worker(
     batch_id: Option<u64>,
 ) -> WorkerYield {
     // Worker spans run on this thread's own span stack but are linked
-    // to the batch span, so the merged journal keeps the tree intact.
+    // to the batch span, so the merged journal keeps the tree intact:
+    // every kernel call a job makes is recorded under the compile that
+    // started the batch.
     let _span = paqoc_telemetry::span_with_parent("exec.worker", batch_id);
     let metrics_on = paqoc_telemetry::enabled();
-    // Kernel attribution rides on the thread-local probe totals, which
-    // are monotone between flushes: snapshotting them before and after
-    // a job (or the whole worker) gives this worker's share without
-    // touching the global store or any lock.
-    let probes_on = paqoc_telemetry::kernel_probes_enabled();
-    let kernels_at_start = if probes_on {
-        paqoc_telemetry::kernel_thread_totals()
-    } else {
-        BTreeMap::new()
-    };
     let worker_start = Instant::now();
     let mut stats = WorkerStats {
         worker: me,
@@ -441,11 +407,6 @@ fn worker(
             paqoc_telemetry::add_gauge("exec.jobs_pending", -1.0);
             paqoc_telemetry::add_gauge("exec.workers_busy", 1.0);
         }
-        let job_kernels_before = if metrics_on && probes_on {
-            Some(paqoc_telemetry::kernel_thread_totals())
-        } else {
-            None
-        };
         let busy_start = Instant::now();
         let disposition = run_one(me, &jobs[idx], device, factory, table, opts, &mut stalls);
         let busy_ns = elapsed_ns(busy_start);
@@ -454,9 +415,6 @@ fn worker(
         if metrics_on {
             paqoc_telemetry::add_gauge("exec.workers_busy", -1.0);
         }
-        let job_kernel_ns = job_kernels_before
-            .map(|before| kernel_delta(&before).values().map(|&(_, ns)| ns).sum())
-            .unwrap_or(0u64);
         match disposition {
             Disposition::Done(status) => {
                 if metrics_on {
@@ -467,7 +425,6 @@ fn worker(
                         outcome = status_label(&status),
                         priority = jobs[idx].priority,
                         wall_us = busy_ns / 1_000,
-                        kernel_us = job_kernel_ns / 1_000,
                     );
                 }
                 done.push((idx, status));
@@ -476,31 +433,12 @@ fn worker(
         }
     }
     stats.wall_ns = elapsed_ns(worker_start);
-    let kernels = if probes_on {
-        kernel_delta(&kernels_at_start)
-    } else {
-        BTreeMap::new()
-    };
     WorkerYield {
         done,
         pending,
         stats,
-        kernels,
         stalls,
     }
-}
-
-/// Per-kernel `(calls, ns)` growth of this thread's probe totals since
-/// the `before` snapshot. Zero-growth kernels are dropped.
-fn kernel_delta(before: &BTreeMap<&'static str, (u64, u64)>) -> BTreeMap<&'static str, (u64, u64)> {
-    paqoc_telemetry::kernel_thread_totals()
-        .into_iter()
-        .filter_map(|(name, (calls, ns))| {
-            let (c0, ns0) = before.get(name).copied().unwrap_or((0, 0));
-            let delta = (calls.saturating_sub(c0), ns.saturating_sub(ns0));
-            (delta != (0, 0)).then_some((name, delta))
-        })
-        .collect()
 }
 
 /// Executes one taken job: the shared deadline gate, then the claim
@@ -593,7 +531,9 @@ fn status_label(status: &JobStatus) -> &'static str {
     }
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// Best-effort string form of a panic payload: its `&str` or `String`
+/// message, or `<non-string panic payload>` for any other type.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

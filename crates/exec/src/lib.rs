@@ -45,8 +45,8 @@ pub mod shared_table;
 pub use fair_queue::{FairQueue, Pop, PushError, QueueConfig};
 
 pub use executor::{
-    run_batch, stall_budget, BatchReport, ExecOptions, JobStatus, PulseJob, SkipReason,
-    WorkerStats, STALL_BUDGET_FLOOR,
+    panic_message, run_batch, stall_budget, BatchReport, ExecOptions, JobStatus, PulseJob,
+    SkipReason, WorkerStats, STALL_BUDGET_FLOOR,
 };
 pub use factory::{job_seed, AnalyticFactory, FaultyAnalyticFactory, PulseSourceFactory};
 pub use recorder::{interval_from_env, FlightRecorder, METRICS_ENV};

@@ -6,17 +6,17 @@
 //! generator: it drives the Table-I benchmark corpus at a configured
 //! QPS from a pool of worker threads (each its own connection and
 //! tenant), collects latency percentiles in per-thread
-//! [`Histogram`] sketches, and merges them into a [`LoadReport`].
+//! [`Histogram`] sketches, and merges them into a [`LoadReport`]. At a
+//! fixed rate each request is timed from the instant it was due, so a
+//! sender's backlog counts against the requests it delayed.
 
 use crate::protocol::{
     decode_response, encode_request, read_frame, write_frame, ConfigPreset, FrameError, Request,
-    Response, DEFAULT_MAX_FRAME_BYTES,
+    Response, Stream, DEFAULT_MAX_FRAME_BYTES,
 };
 use paqoc_math::Rng;
 use paqoc_telemetry::json::Value;
 use paqoc_telemetry::Histogram;
-use std::collections::BTreeMap;
-use std::io::{Read, Write};
 use std::net::TcpStream;
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
@@ -122,40 +122,6 @@ impl RetryPolicy {
     }
 }
 
-enum Stream {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Uds(UnixStream),
-}
-
-impl Read for Stream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            Stream::Uds(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Stream {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            Stream::Uds(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            Stream::Uds(s) => s.flush(),
-        }
-    }
-}
-
 /// A blocking framed connection to a [`crate::Server`].
 pub struct Client {
     endpoint: Endpoint,
@@ -179,24 +145,14 @@ impl Client {
     fn connect(&mut self) -> Result<&mut Stream, ClientError> {
         if self.stream.is_none() {
             let stream = match &self.endpoint {
-                Endpoint::Tcp(addr) => {
-                    let s = TcpStream::connect(addr).map_err(ClientError::Connect)?;
-                    s.set_read_timeout(Some(self.timeout))
-                        .map_err(ClientError::Connect)?;
-                    s.set_write_timeout(Some(self.timeout))
-                        .map_err(ClientError::Connect)?;
-                    Stream::Tcp(s)
-                }
+                Endpoint::Tcp(addr) => TcpStream::connect(addr).map(Stream::Tcp),
                 #[cfg(unix)]
-                Endpoint::Uds(path) => {
-                    let s = UnixStream::connect(path).map_err(ClientError::Connect)?;
-                    s.set_read_timeout(Some(self.timeout))
-                        .map_err(ClientError::Connect)?;
-                    s.set_write_timeout(Some(self.timeout))
-                        .map_err(ClientError::Connect)?;
-                    Stream::Uds(s)
-                }
-            };
+                Endpoint::Uds(path) => UnixStream::connect(path).map(Stream::Uds),
+            }
+            .map_err(ClientError::Connect)?;
+            stream
+                .set_timeouts(self.timeout, self.timeout)
+                .map_err(ClientError::Connect)?;
             self.stream = Some(stream);
         }
         Ok(self.stream.as_mut().expect("just connected"))
@@ -327,7 +283,9 @@ pub struct LoadReport {
     pub errors: u64,
     /// Transport failures that exhausted retries.
     pub transport_errors: u64,
-    /// End-to-end latency sketch, milliseconds (answered requests only).
+    /// End-to-end latency sketch, milliseconds (answered requests only),
+    /// from each request's due instant when paced (`qps > 0`) and from
+    /// its send otherwise.
     pub latency_ms: Histogram,
     /// Pulses the server generated across answered requests.
     pub pulses_generated: u64,
@@ -377,29 +335,27 @@ impl LoadReport {
     /// Serializes the report as one JSON object (the `paqoc-load`
     /// stdout contract consumed by verify.sh).
     pub fn to_json(&self) -> String {
-        let mut obj = BTreeMap::new();
-        let mut put = |k: &str, v: f64| {
-            obj.insert(k.to_string(), Value::Num(v));
-        };
-        put("sent", self.sent as f64);
-        put("ok", self.ok as f64);
-        put("degraded", self.degraded as f64);
-        put("overloaded", self.overloaded as f64);
-        put("expired", self.expired as f64);
-        put("draining", self.draining as f64);
-        put("errors", self.errors as f64);
-        put("transport_errors", self.transport_errors as f64);
-        put("answered", self.answered() as f64);
-        put("shed", self.shed() as f64);
-        put("p50_ms", self.latency_ms.p50());
-        put("p90_ms", self.latency_ms.p90());
-        put("p99_ms", self.latency_ms.p99());
-        put("mean_ms", self.latency_ms.mean());
-        put("pulses_generated", self.pulses_generated as f64);
-        put("cache_hits", self.cache_hits as f64);
-        put("store_hits", self.store_hits as f64);
-        put("hit_rate", self.hit_rate());
-        Value::Obj(obj).to_json()
+        Value::object([
+            ("sent", Value::from(self.sent)),
+            ("ok", Value::from(self.ok)),
+            ("degraded", Value::from(self.degraded)),
+            ("overloaded", Value::from(self.overloaded)),
+            ("expired", Value::from(self.expired)),
+            ("draining", Value::from(self.draining)),
+            ("errors", Value::from(self.errors)),
+            ("transport_errors", Value::from(self.transport_errors)),
+            ("answered", Value::from(self.answered())),
+            ("shed", Value::from(self.shed())),
+            ("p50_ms", Value::from(self.latency_ms.p50())),
+            ("p90_ms", Value::from(self.latency_ms.p90())),
+            ("p99_ms", Value::from(self.latency_ms.p99())),
+            ("mean_ms", Value::from(self.latency_ms.mean())),
+            ("pulses_generated", Value::from(self.pulses_generated)),
+            ("cache_hits", Value::from(self.cache_hits)),
+            ("store_hits", Value::from(self.store_hits)),
+            ("hit_rate", Value::from(self.hit_rate())),
+        ])
+        .to_json()
     }
 
     fn record(&mut self, resp: &Response, elapsed: Duration) {
@@ -457,13 +413,15 @@ pub fn replay(endpoint: &Endpoint, opts: &ReplayOptions) -> LoadReport {
                     if i >= total {
                         break;
                     }
-                    // Open-loop pacing: request i is due at start + i/qps.
-                    if opts.qps > 0.0 {
-                        let due = start + Duration::from_secs_f64(i as f64 / opts.qps);
-                        let now = Instant::now();
-                        if due > now {
-                            std::thread::sleep(due - now);
-                        }
+                    // Open-loop pacing: request i is due at start + i/qps
+                    // and is timed from then, so a sender still waiting on
+                    // an earlier reply charges that wait to the requests
+                    // it delayed. A closed loop (qps = 0) times each
+                    // request from its send.
+                    let due = (opts.qps > 0.0)
+                        .then(|| start + Duration::from_secs_f64(i as f64 / opts.qps));
+                    if let Some(wait) = due.and_then(|d| d.checked_duration_since(Instant::now())) {
+                        std::thread::sleep(wait);
                     }
                     let mut req = Request::compile(
                         i + 1,
@@ -473,9 +431,9 @@ pub fn replay(endpoint: &Endpoint, opts: &ReplayOptions) -> LoadReport {
                     req.deadline_ms = opts.deadline_ms;
                     req.config = opts.preset;
                     req.backend = opts.backend.clone();
-                    let sent_at = Instant::now();
+                    let timed_from = due.unwrap_or_else(Instant::now);
                     match client.call_retrying(&req, &opts.retry, &mut rng) {
-                        Ok(resp) => report.record(&resp, sent_at.elapsed()),
+                        Ok(resp) => report.record(&resp, timed_from.elapsed()),
                         Err(_) => {
                             report.sent += 1;
                             report.transport_errors += 1;

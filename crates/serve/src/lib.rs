@@ -30,7 +30,8 @@
 //!   pulse table to the store, and exits 0; a restart warm-loads the
 //!   store and serves previous pulses as hits.
 //!
-//! [`protocol`] defines the wire format, [`server`] the daemon, and
+//! [`protocol`] defines the wire format and the one TCP/unix-socket
+//! stream type both ends speak it over, [`server`] the daemon, and
 //! [`client`] the blocking client plus the QPS replay driver.
 
 #![deny(unsafe_code)]

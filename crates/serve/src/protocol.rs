@@ -23,8 +23,11 @@
 
 use paqoc_core::Degradation;
 use paqoc_telemetry::json::{parse, Value};
-use std::collections::BTreeMap;
 use std::io::{Read, Write};
+use std::net::TcpStream;
+#[cfg(unix)]
+use std::os::unix::net::UnixStream;
+use std::time::Duration;
 
 /// Default hard cap on a frame's payload size (1 MiB). Far above any
 /// legitimate request — the 17-benchmark corpus serializes in tens of
@@ -159,6 +162,59 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8], max_bytes: usize) -> Resu
     Ok(())
 }
 
+/// A connected TCP or unix-domain socket: the one stream type frames
+/// travel over, at the client and at the server.
+pub(crate) enum Stream {
+    Tcp(TcpStream),
+    #[cfg(unix)]
+    Uds(UnixStream),
+}
+
+impl Stream {
+    /// Sets the socket's read and write timeouts.
+    pub(crate) fn set_timeouts(&self, read: Duration, write: Duration) -> std::io::Result<()> {
+        match self {
+            Stream::Tcp(s) => {
+                s.set_read_timeout(Some(read))?;
+                s.set_write_timeout(Some(write))
+            }
+            #[cfg(unix)]
+            Stream::Uds(s) => {
+                s.set_read_timeout(Some(read))?;
+                s.set_write_timeout(Some(write))
+            }
+        }
+    }
+}
+
+impl Read for Stream {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        match self {
+            Stream::Tcp(s) => s.read(buf),
+            #[cfg(unix)]
+            Stream::Uds(s) => s.read(buf),
+        }
+    }
+}
+
+impl Write for Stream {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        match self {
+            Stream::Tcp(s) => s.write(buf),
+            #[cfg(unix)]
+            Stream::Uds(s) => s.write(buf),
+        }
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        match self {
+            Stream::Tcp(s) => s.flush(),
+            #[cfg(unix)]
+            Stream::Uds(s) => s.flush(),
+        }
+    }
+}
+
 /// What a request asks the server to do.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Op {
@@ -282,23 +338,6 @@ impl Request {
     }
 }
 
-fn obj(pairs: Vec<(&str, Value)>) -> Value {
-    Value::Obj(
-        pairs
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect::<BTreeMap<String, Value>>(),
-    )
-}
-
-fn num(n: f64) -> Value {
-    Value::Num(n)
-}
-
-fn s(v: &str) -> Value {
-    Value::Str(v.to_string())
-}
-
 fn get_u64(v: &Value, key: &str) -> Option<u64> {
     v.get(key)?.as_num().filter(|n| *n >= 0.0).map(|n| n as u64)
 }
@@ -314,27 +353,27 @@ fn get_str<'a>(v: &'a Value, key: &str) -> Option<&'a str> {
 /// Serializes a request to its wire JSON bytes.
 pub fn encode_request(req: &Request) -> Vec<u8> {
     let mut pairs = vec![
-        ("id", num(req.id as f64)),
-        ("op", s(req.op.as_str())),
-        ("tenant", s(&req.tenant)),
-        ("config", s(req.config.as_str())),
+        ("id", Value::from(req.id)),
+        ("op", Value::from(req.op.as_str())),
+        ("tenant", Value::from(req.tenant.as_str())),
+        ("config", Value::from(req.config.as_str())),
     ];
     if let Some(b) = &req.benchmark {
-        pairs.push(("benchmark", s(b)));
+        pairs.push(("benchmark", Value::from(b.as_str())));
     }
     if let Some(q) = &req.qasm {
-        pairs.push(("qasm", s(q)));
+        pairs.push(("qasm", Value::from(q.as_str())));
     }
     if let Some(d) = req.deadline_ms {
-        pairs.push(("deadline_ms", num(d as f64)));
+        pairs.push(("deadline_ms", Value::from(d)));
     }
     if req.priority != 0.0 {
-        pairs.push(("priority", num(req.priority)));
+        pairs.push(("priority", Value::from(req.priority)));
     }
     if let Some(b) = &req.backend {
-        pairs.push(("backend", s(b)));
+        pairs.push(("backend", Value::from(b.as_str())));
     }
-    obj(pairs).to_json().into_bytes()
+    Value::object(pairs).to_json().into_bytes()
 }
 
 /// `true` when every character is fit for a tenant name: printable
@@ -551,31 +590,31 @@ impl Response {
 /// Serializes one [`Degradation`] as a typed wire object. Every variant
 /// round-trips through [`degradation_from_value`] without loss.
 pub fn degradation_to_value(d: &Degradation) -> Value {
-    let mut pairs: Vec<(&str, Value)> = vec![("kind", s(d.kind()))];
+    let mut pairs: Vec<(&str, Value)> = vec![("kind", Value::from(d.kind()))];
     match d {
         Degradation::MergeRolledBack {
             gates,
             qubits,
             reason,
         } => {
-            pairs.push(("gates", num(*gates as f64)));
-            pairs.push(("qubits", num(*qubits as f64)));
-            pairs.push(("reason", s(reason)));
+            pairs.push(("gates", Value::from(*gates as u64)));
+            pairs.push(("qubits", Value::from(*qubits as u64)));
+            pairs.push(("reason", Value::from(reason.as_str())));
         }
         Degradation::EstimatorFallback { gates, reason } => {
-            pairs.push(("gates", num(*gates as f64)));
-            pairs.push(("reason", s(reason)));
+            pairs.push(("gates", Value::from(*gates as u64)));
+            pairs.push(("reason", Value::from(reason.as_str())));
         }
-        Degradation::DeadlineHit { phase } => pairs.push(("phase", s(phase))),
+        Degradation::DeadlineHit { phase } => pairs.push(("phase", Value::from(phase.as_str()))),
         Degradation::SourcePanic { gates, message } => {
-            pairs.push(("gates", num(*gates as f64)));
-            pairs.push(("message", s(message)));
+            pairs.push(("gates", Value::from(*gates as u64)));
+            pairs.push(("message", Value::from(message.as_str())));
         }
         Degradation::StoreUnavailable { reason } | Degradation::StoreReadOnly { reason } => {
-            pairs.push(("reason", s(reason)));
+            pairs.push(("reason", Value::from(reason.as_str())));
         }
     }
-    obj(pairs)
+    Value::object(pairs)
 }
 
 /// Decodes a typed degradation object (inverse of
@@ -608,69 +647,72 @@ pub fn degradation_from_value(v: &Value) -> Option<Degradation> {
 
 /// Serializes a response (echoing `id`) to its wire JSON bytes.
 pub fn encode_response(id: u64, resp: &Response) -> Vec<u8> {
-    let mut pairs: Vec<(&str, Value)> = vec![("id", num(id as f64)), ("status", s(resp.status()))];
+    let mut pairs: Vec<(&str, Value)> = vec![
+        ("id", Value::from(id)),
+        ("status", Value::from(resp.status())),
+    ];
     match resp {
         Response::Ok(r) => {
-            pairs.push(("benchmark", s(&r.benchmark)));
-            pairs.push(("latency_ns", num(r.latency_ns)));
-            pairs.push(("latency_dt", num(r.latency_dt as f64)));
-            pairs.push(("esp", num(r.esp)));
+            pairs.push(("benchmark", Value::from(r.benchmark.as_str())));
+            pairs.push(("latency_ns", Value::from(r.latency_ns)));
+            pairs.push(("latency_dt", Value::from(r.latency_dt)));
+            pairs.push(("esp", Value::from(r.esp)));
             pairs.push(("partial", Value::Bool(r.partial)));
-            pairs.push(("pulses_generated", num(r.pulses_generated as f64)));
-            pairs.push(("cache_hits", num(r.cache_hits as f64)));
-            pairs.push(("store_hits", num(r.store_hits as f64)));
-            pairs.push(("cost_units", num(r.cost_units)));
+            pairs.push(("pulses_generated", Value::from(r.pulses_generated)));
+            pairs.push(("cache_hits", Value::from(r.cache_hits)));
+            pairs.push(("store_hits", Value::from(r.store_hits)));
+            pairs.push(("cost_units", Value::from(r.cost_units)));
             pairs.push((
                 "degradations",
                 Value::Arr(r.degradations.iter().map(degradation_to_value).collect()),
             ));
-            pairs.push(("queue_ms", num(r.queue_ms as f64)));
-            pairs.push(("compile_ms", num(r.compile_ms as f64)));
+            pairs.push(("queue_ms", Value::from(r.queue_ms)));
+            pairs.push(("compile_ms", Value::from(r.compile_ms)));
             if let Some(b) = r.budget {
                 pairs.push((
                     "budget",
-                    obj(vec![
-                        ("deadline_ms", num(b.deadline_ms as f64)),
-                        ("queue_ms", num(b.queue_ms as f64)),
-                        ("remaining_ms", num(b.remaining_ms as f64)),
+                    Value::object(vec![
+                        ("deadline_ms", Value::from(b.deadline_ms)),
+                        ("queue_ms", Value::from(b.queue_ms)),
+                        ("remaining_ms", Value::from(b.remaining_ms)),
                     ]),
                 ));
             }
         }
         Response::Overloaded { scope, depth, cap } => {
-            pairs.push(("scope", s(scope)));
-            pairs.push(("depth", num(*depth as f64)));
-            pairs.push(("cap", num(*cap as f64)));
+            pairs.push(("scope", Value::from(scope.as_str())));
+            pairs.push(("depth", Value::from(*depth)));
+            pairs.push(("cap", Value::from(*cap)));
         }
         Response::Draining => {}
         Response::Expired {
             queue_ms,
             deadline_ms,
         } => {
-            pairs.push(("queue_ms", num(*queue_ms as f64)));
-            pairs.push(("deadline_ms", num(*deadline_ms as f64)));
+            pairs.push(("queue_ms", Value::from(*queue_ms)));
+            pairs.push(("deadline_ms", Value::from(*deadline_ms)));
         }
         Response::Error { kind, message } => {
-            pairs.push(("kind", s(kind)));
-            pairs.push(("message", s(message)));
+            pairs.push(("kind", Value::from(kind.as_str())));
+            pairs.push(("message", Value::from(message.as_str())));
         }
         Response::Pong { draining } => pairs.push(("draining", Value::Bool(*draining))),
         Response::Stats(st) => {
-            pairs.push(("accepted", num(st.accepted as f64)));
-            pairs.push(("completed", num(st.completed as f64)));
-            pairs.push(("shed", num(st.shed as f64)));
-            pairs.push(("overloaded", num(st.overloaded as f64)));
-            pairs.push(("draining_rejects", num(st.draining_rejects as f64)));
-            pairs.push(("bad_frames", num(st.bad_frames as f64)));
-            pairs.push(("queue_depth", num(st.queue_depth as f64)));
-            pairs.push(("active", num(st.active as f64)));
-            pairs.push(("tenants", num(st.tenants as f64)));
-            pairs.push(("table_len", num(st.table_len as f64)));
+            pairs.push(("accepted", Value::from(st.accepted)));
+            pairs.push(("completed", Value::from(st.completed)));
+            pairs.push(("shed", Value::from(st.shed)));
+            pairs.push(("overloaded", Value::from(st.overloaded)));
+            pairs.push(("draining_rejects", Value::from(st.draining_rejects)));
+            pairs.push(("bad_frames", Value::from(st.bad_frames)));
+            pairs.push(("queue_depth", Value::from(st.queue_depth)));
+            pairs.push(("active", Value::from(st.active)));
+            pairs.push(("tenants", Value::from(st.tenants)));
+            pairs.push(("table_len", Value::from(st.table_len)));
             pairs.push(("draining", Value::Bool(st.draining)));
-            pairs.push(("store", s(&st.store)));
+            pairs.push(("store", Value::from(st.store.as_str())));
         }
     }
-    obj(pairs).to_json().into_bytes()
+    Value::object(pairs).to_json().into_bytes()
 }
 
 /// Decodes a response from wire bytes, returning the echoed id with it.

@@ -37,7 +37,7 @@
 
 use crate::protocol::{
     decode_request, encode_response, read_frame, write_frame, Budget, CompileReply, ConfigPreset,
-    FrameError, Op, Request, Response, ServerStats, DEFAULT_MAX_FRAME_BYTES,
+    FrameError, Op, Request, Response, ServerStats, Stream, DEFAULT_MAX_FRAME_BYTES,
 };
 use paqoc_circuit::{parse_qasm, Circuit};
 use paqoc_core::{attach_pulse_store, try_compile_batch, Degradation, PipelineOptions};
@@ -48,10 +48,10 @@ use paqoc_exec::{
 };
 use paqoc_store::StoreOptions;
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::Read;
+use std::net::TcpListener;
 #[cfg(unix)]
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -147,59 +147,6 @@ enum Listener {
     Tcp(TcpListener),
     #[cfg(unix)]
     Uds(UnixListener),
-}
-
-enum Conn {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Uds(UnixStream),
-}
-
-impl Conn {
-    fn configure(&self, read: Duration, write: Duration) -> std::io::Result<()> {
-        // Reads tick at TICK so the loop can observe stop flags and
-        // enforce idle/slow-loris budgets itself; writes get the full
-        // budget in one shot.
-        match self {
-            Conn::Tcp(s) => {
-                s.set_read_timeout(Some(read.min(TICK)))?;
-                s.set_write_timeout(Some(write))
-            }
-            #[cfg(unix)]
-            Conn::Uds(s) => {
-                s.set_read_timeout(Some(read.min(TICK)))?;
-                s.set_write_timeout(Some(write))
-            }
-        }
-    }
-}
-
-impl Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            Conn::Uds(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            Conn::Uds(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            Conn::Uds(s) => s.flush(),
-        }
-    }
 }
 
 /// One admitted compile job, queued between connection and worker.
@@ -499,9 +446,9 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 fn accept_loop(listener: Listener, shared: &Arc<Shared>, conns: &Arc<Mutex<Vec<JoinHandle<()>>>>) {
     while !shared.draining.load(Ordering::SeqCst) {
         let conn = match &listener {
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
+            Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
             #[cfg(unix)]
-            Listener::Uds(l) => l.accept().map(|(s, _)| Conn::Uds(s)),
+            Listener::Uds(l) => l.accept().map(|(s, _)| Stream::Uds(s)),
         };
         match conn {
             Ok(conn) => {
@@ -529,7 +476,7 @@ fn accept_loop(listener: Listener, shared: &Arc<Shared>, conns: &Arc<Mutex<Vec<J
 /// Reads one frame under the connection's idle and slow-loris budgets.
 /// `Ok(None)` means the connection should close quietly (clean EOF,
 /// idle reap, slow-loris reap, or server stop).
-fn read_frame_governed(conn: &mut Conn, shared: &Shared) -> Result<Option<Vec<u8>>, FrameError> {
+fn read_frame_governed(conn: &mut Stream, shared: &Shared) -> Result<Option<Vec<u8>>, FrameError> {
     let idle_deadline = Instant::now() + shared.opts.idle_timeout;
     // Phase 1: wait for the first byte (idle budget, stop-aware).
     let mut first = [0u8; 1];
@@ -583,7 +530,7 @@ fn read_frame_governed(conn: &mut Conn, shared: &Shared) -> Result<Option<Vec<u8
 /// until `deadline`, then lets the timeout error through (which
 /// `read_frame_governed` maps to a quiet slow-loris reap).
 struct GovernedReader<'a> {
-    conn: &'a mut Conn,
+    conn: &'a mut Stream,
     first: Option<u8>,
     deadline: Instant,
 }
@@ -610,11 +557,15 @@ impl Read for GovernedReader<'_> {
     }
 }
 
-fn conn_loop(mut conn: Conn, shared: &Arc<Shared>) {
-    if conn
-        .configure(shared.opts.read_timeout, shared.opts.write_timeout)
-        .is_err()
-    {
+fn conn_loop(mut conn: Stream, shared: &Arc<Shared>) {
+    // Reads tick at TICK so the loop can observe stop flags and enforce
+    // idle/slow-loris budgets itself; writes get the full budget in one
+    // shot.
+    let (read, write) = (
+        shared.opts.read_timeout.min(TICK),
+        shared.opts.write_timeout,
+    );
+    if conn.set_timeouts(read, write).is_err() {
         return;
     }
     paqoc_telemetry::counter("serve.connections", 1);

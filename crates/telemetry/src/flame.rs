@@ -107,7 +107,7 @@ impl Snapshot {
         // total), nested time per parent ident, and each ident's
         // dominant parent.
         let mut ident_total: BTreeMap<SiteIdent, u64> = BTreeMap::new();
-        let mut top_kernel_ns: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut top_level_ns: BTreeMap<u64, u64> = BTreeMap::new();
         let mut nested_ns: BTreeMap<SiteIdent, u64> = BTreeMap::new();
         let mut heaviest: BTreeMap<SiteIdent, (u64, Option<SiteIdent>)> = BTreeMap::new();
         for site in &self.kernel_sites {
@@ -120,7 +120,7 @@ impl Snapshot {
             match &parent_ident {
                 None => {
                     if let Some(id) = site.span {
-                        *top_kernel_ns.entry(id).or_insert(0) += site.total_ns;
+                        *top_level_ns.entry(id).or_insert(0) += site.total_ns;
                     }
                 }
                 Some(p) => {
@@ -141,7 +141,7 @@ impl Snapshot {
         let mut path_cache: BTreeMap<u64, String> = BTreeMap::new();
         for s in &self.spans {
             let children = child_span_ns.get(&s.id).copied().unwrap_or(0);
-            let kernels = top_kernel_ns.get(&s.id).copied().unwrap_or(0);
+            let kernels = top_level_ns.get(&s.id).copied().unwrap_or(0);
             let self_ns = s
                 .duration_ns
                 .saturating_sub(children)

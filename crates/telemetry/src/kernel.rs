@@ -288,9 +288,9 @@ pub fn kernel_flush() {
 }
 
 /// This thread's un-flushed per-kernel running totals, as
-/// `name → (calls, total_ns)`. Monotone between flushes — the executor
-/// reads it before and after each job to compute per-job kernel deltas
-/// without touching any lock.
+/// `name → (calls, total_ns)`. Monotone between flushes, so two reads
+/// count what this thread ran in between, without touching any lock or
+/// seeing other threads' calls.
 pub fn kernel_thread_totals() -> BTreeMap<&'static str, (u64, u64)> {
     let mut totals: BTreeMap<&'static str, (u64, u64)> = BTreeMap::new();
     let _ = KERNEL_TLS.try_with(|tls| {

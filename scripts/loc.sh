@@ -6,11 +6,17 @@
 # full. `acceptance_tests.rs`, `reference_tests.rs` and
 # `search_tests.rs` are test modules kept in `src` and are left out.
 #
+# After the per-crate rows it prints two subtotals: the infrastructure
+# crates (backend, bench, exec, serve, store, telemetry) and the
+# algorithm crates (every other crate).
+#
 # Usage: scripts/loc.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+infrastructure=" backend bench exec serve store telemetry "
 total=0
+infra=0
 for dir in crates/*/; do
     crate=$(sed -n 's/^name = "\(.*\)"$/\1/p' "$dir/Cargo.toml" | head -n 1)
     lines=$(find "$dir/src" -name '*.rs' \
@@ -22,5 +28,10 @@ for dir in crates/*/; do
                          END { print n + 0 }')
     printf '%-18s %6d\n' "$crate" "$lines"
     total=$((total + lines))
+    if [[ $infrastructure == *" ${crate#paqoc-} "* ]]; then
+        infra=$((infra + lines))
+    fi
 done
+printf '%-18s %6d\n' infrastructure "$infra"
+printf '%-18s %6d\n' algorithm "$((total - infra))"
 printf '%-18s %6d\n' total "$total"

@@ -224,39 +224,3 @@ fn determinism_holds_with_flight_recorder_running() {
     assert!(recorder.samples() > 0, "recorder never sampled");
     drop(recorder);
 }
-
-/// Kernel-probe attribution under batch concurrency: the per-worker
-/// thread-local deltas merged into `CompilationResult::kernel_calls`
-/// must sum to the same totals whether one worker did everything or
-/// four split it — the same jobs run the same kernels, so the call
-/// counts are schedule-independent. The times (`kernel_ns`) are
-/// wall-clock and therefore soft: only their presence is asserted.
-/// Neither map is part of `assert_identical`, keeping the bit-identity
-/// contract (stats, pulses) free of observability data.
-#[test]
-fn kernel_probe_attribution_is_deterministic_across_thread_counts() {
-    paqoc::telemetry::set_kernel_probes(Some(true));
-    let sequential = compile_with_threads("bv", 1);
-    let parallel = compile_with_threads("bv", 4);
-    paqoc::telemetry::set_kernel_probes(None);
-
-    assert_identical("bv", &sequential, &parallel);
-    assert!(
-        !sequential.kernel_calls.is_empty(),
-        "probed compile recorded no kernel calls"
-    );
-    assert_eq!(
-        sequential.kernel_calls, parallel.kernel_calls,
-        "kernel call counts must not depend on the worker count"
-    );
-    // The analytic latency model computes Weyl invariants, so these
-    // mathkit kernels must show up with real work attributed.
-    for kernel in ["mathkit.matmul", "mathkit.eig"] {
-        let calls = sequential.kernel_calls.get(kernel).copied().unwrap_or(0);
-        assert!(calls > 0, "{kernel}: expected calls, got none");
-        assert!(
-            sequential.kernel_ns.contains_key(kernel),
-            "{kernel}: calls recorded but no time attributed"
-        );
-    }
-}
