@@ -7,8 +7,8 @@
 //! `benchmark` is a Table-I name (default `qaoa`) and `config` is `m0`,
 //! `tuned` or `minf` (default `minf`). `--batch` compiles through
 //! [`try_compile_batch`] — the parallel executor path — so the
-//! trace additionally carries `exec.job` / `exec.worker` / `exec.batch`
-//! journal events for `report jobs` and `report workers`. `--grape`
+//! trace additionally carries the `exec.job` / `exec.worker` journal
+//! events for `report jobs` and `report workers`. `--grape`
 //! swaps the free analytic pulse source for the real GRAPE optimizer
 //! (its fast test profile), which drives the `mathkit.*` /
 //! `grape.*` kernel probes hard — the configuration `report hotspots`

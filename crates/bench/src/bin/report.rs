@@ -11,8 +11,10 @@
 //!   the span tree, plus the critical path (the longest root-to-leaf
 //!   span chain).
 //! * `report workers TRACE` — per-worker utilization table from
-//!   `exec.worker` events (busy/idle split, job counts) and a stall
-//!   summary from `exec.stall` events.
+//!   `exec.worker` events (busy/idle split, job counts) and the stalls:
+//!   the `exec.job` generation attempts (`generated`, `failed`,
+//!   `panicked`) whose `wall_us` reached `paqoc_exec::stall_budget` of
+//!   their priority.
 //! * `report hotspots TRACE [--top N] [--baseline TRACE]` — ranks the
 //!   numeric kernels (`mathkit.expm`, `grape.gradient`, …) by
 //!   self-time, with per-matrix-dimension breakdowns (calls,
@@ -37,10 +39,12 @@
 //! <path>.json`, which is for Perfetto), is refused with a message
 //! saying how to record a readable one, and a non-zero exit.
 
+use paqoc_exec::stall_budget;
 use paqoc_telemetry::json::{self, Value};
 use paqoc_telemetry::{EventRecord, FieldValue, KernelStats, Snapshot};
 use std::collections::BTreeMap;
 use std::io::{self, BufWriter, ErrorKind, Write};
+use std::time::Duration;
 
 fn load_trace(path: &str) -> Result<Snapshot, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -249,20 +253,33 @@ fn cmd_workers(out: &mut impl Write, snap: &Snapshot) -> io::Result<()> {
             util
         )?;
     }
-    let stalls: Vec<&EventRecord> = snap
+    // A stall is a generation attempt that reached its budget; the
+    // budget comes from the job's priority, as the executor defines it.
+    let stalls: Vec<(&EventRecord, u64, Duration)> = snap
         .events
         .iter()
-        .filter(|e| e.name == "exec.stall")
+        .filter(|e| {
+            e.name == "exec.job"
+                && matches!(
+                    field_str(e, "outcome"),
+                    Some("generated" | "failed" | "panicked")
+                )
+        })
+        .filter_map(|e| {
+            let wall_us = field_u64(e, "wall_us")?;
+            let budget = stall_budget(field_f64(e, "priority").unwrap_or(0.0));
+            (Duration::from_micros(wall_us) >= budget).then_some((e, wall_us, budget))
+        })
         .collect();
     writeln!(out, "\nstalls flagged: {}", stalls.len())?;
-    for e in stalls.iter().take(10) {
+    for (e, wall_us, budget) in stalls.iter().take(10) {
         writeln!(
             out,
-            "  worker {} key {} — {} ms elapsed vs {} ms budget",
+            "  worker {} key {} — {:.3} ms elapsed vs {:.3} ms budget",
             field_u64(e, "worker").unwrap_or(0),
             field_str(e, "key").unwrap_or("?"),
-            field_u64(e, "elapsed_ms").unwrap_or(0),
-            field_u64(e, "budget_ms").unwrap_or(0),
+            *wall_us as f64 / 1e3,
+            budget.as_secs_f64() * 1e3,
         )?;
     }
     Ok(())

@@ -336,8 +336,8 @@ pub(crate) fn generate_with(
 /// local table entry), priority = the group's predicted latency so the
 /// biggest pulses start first. Outcomes are folded into the table with
 /// exact sequential stats parity ([`PulseTable::absorb_batch`]);
-/// failures and deadline skips are left for the sequential ladder, whose
-/// semantics are unchanged.
+/// failures and skips (deadline, quarantine, a key in flight elsewhere)
+/// are left for the sequential ladder, whose semantics are unchanged.
 fn prefetch_pending_pulses(
     grouped: &GroupedCircuit,
     device: &Device,
@@ -372,7 +372,7 @@ fn prefetch_pending_pulses(
         deadline,
     };
     paqoc_telemetry::gauge!("core.sweep_pending_pulses", jobs.len() as f64);
-    let report = run_batch(
+    let statuses = run_batch(
         &jobs,
         device,
         ctx.factory.as_ref(),
@@ -380,7 +380,7 @@ fn prefetch_pending_pulses(
         &exec_opts,
     );
     paqoc_telemetry::gauge!("core.sweep_pending_pulses", 0.0);
-    table.absorb_batch(&jobs, &report);
+    table.absorb_batch(&jobs, &statuses);
 }
 
 /// Rebuilds the grouped circuit with group `split_id` dissolved into

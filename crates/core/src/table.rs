@@ -36,9 +36,7 @@
 
 use paqoc_circuit::{combined_unitary, Circuit, Instruction};
 use paqoc_device::{Device, PulseEstimate, PulseGenError, PulseSource};
-use paqoc_exec::{
-    panic_message, BatchReport, Claim, JobStatus, Provenance, PulseJob, SharedPulseTable,
-};
+use paqoc_exec::{panic_message, Claim, JobStatus, Provenance, PulseJob, SharedPulseTable};
 use paqoc_math::{phase_aligned_distance, Matrix};
 use paqoc_mining::{canonical_code, CircuitGraph};
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -398,14 +396,15 @@ impl PulseTable {
         self.entries.contains_key(key)
     }
 
-    /// Folds a batch-prefetch report into this table, preserving exact
-    /// stats parity with the sequential path: each outcome is counted
-    /// once, exactly as the sequential first touch of that key would
-    /// have counted it, and the key is marked *fresh* so the following
-    /// sequential lookup counts nothing. A panicked job's key is
-    /// already quarantined in the cache by the worker that caught it.
-    pub fn absorb_batch(&mut self, jobs: &[PulseJob], report: &BatchReport) {
-        for (job, status) in jobs.iter().zip(&report.statuses) {
+    /// Folds a batch prefetch's final statuses (one per job, in job
+    /// order) into this table, preserving exact stats parity with the
+    /// sequential path: each outcome is counted once, exactly as the
+    /// sequential first touch of that key would have counted it, and the
+    /// key is marked *fresh* so the following sequential lookup counts
+    /// nothing. A panicked job's key is already quarantined in the cache
+    /// by the worker that caught it.
+    pub fn absorb_batch(&mut self, jobs: &[PulseJob], statuses: &[JobStatus]) {
+        for (job, status) in jobs.iter().zip(statuses) {
             match status {
                 JobStatus::Generated(est) => {
                     self.stats.pulses_generated += 1;
@@ -419,7 +418,7 @@ impl PulseTable {
                     self.entries.insert(job.key.clone(), *est);
                     self.fresh.insert(job.key.clone());
                 }
-                JobStatus::Hit(est, _) | JobStatus::Deduped(est) => {
+                JobStatus::Hit(est, _) => {
                     self.stats.cache_hits += 1;
                     self.entries.insert(job.key.clone(), *est);
                     self.fresh.insert(job.key.clone());
@@ -428,6 +427,9 @@ impl PulseTable {
                 JobStatus::Failed(_) | JobStatus::Skipped(_) => {
                     // Falls through to the sequential ladder, which
                     // does its own accounting (retries, degradations).
+                    // A key another compile holds in flight is a hit
+                    // there once that compile finishes, and is
+                    // generated and published while it has not.
                 }
             }
         }

@@ -7,7 +7,7 @@
 //! mirroring the paper's top-k ordering), and every worker takes the
 //! next job of that order from one shared atomic cursor, so long GRAPE
 //! runs start early and a free worker always takes the most important
-//! job left.
+//! job left. It returns one final [`JobStatus`] per job, in input order.
 //!
 //! Determinism: each generation uses a fresh source from the
 //! [`PulseSourceFactory`], seeded by [`job_seed`] of the key, with no
@@ -22,6 +22,12 @@
 //! crash fires once, not once per retry or worker) and the batch keeps
 //! going. The deadline is shared: once it passes, no worker starts a
 //! new generation.
+//!
+//! Accounting: with telemetry on, the journal is the one record of what
+//! a batch did. Each job writes one `exec.job` event (key, outcome,
+//! wall time) and each worker one `exec.worker` event (busy, idle and
+//! wall time) when its loop ends. Stalls are read from the `exec.job`
+//! events against [`stall_budget`] (`report workers`).
 
 use crate::factory::{job_seed, PulseSourceFactory};
 use crate::shared_table::{Claim, Provenance, SharedPulseTable};
@@ -36,7 +42,7 @@ use std::time::{Duration, Instant};
 #[derive(Clone, Debug)]
 pub struct PulseJob {
     /// Cache key (the caller's `composite_key`); opaque to the
-    /// executor, which shards, dedups and seeds by it.
+    /// executor, which claims and seeds by it.
     pub key: String,
     /// The gate group to realize (earlier instructions applied first).
     pub group: Vec<Instruction>,
@@ -65,6 +71,8 @@ pub enum SkipReason {
     Deadline,
     /// The key is quarantined from an earlier panic.
     Quarantined,
+    /// Another worker or compile holds the key in flight.
+    InFlight,
 }
 
 /// Per-job outcome, aligned with the input job order.
@@ -74,26 +82,12 @@ pub enum JobStatus {
     Generated(PulseEstimate),
     /// The pulse already existed (shard or persistent store).
     Hit(PulseEstimate, Provenance),
-    /// Another worker generated it first; this is the dedup path.
-    Deduped(PulseEstimate),
     /// Generation failed cleanly (typed source error); retriable.
     Failed(String),
     /// The source panicked; the key is now quarantined.
     Panicked(String),
     /// Not attempted (see [`SkipReason`]).
     Skipped(SkipReason),
-}
-
-impl JobStatus {
-    /// The usable pulse, when the job produced or found one.
-    pub fn estimate(&self) -> Option<PulseEstimate> {
-        match self {
-            JobStatus::Generated(est) | JobStatus::Deduped(est) | JobStatus::Hit(est, _) => {
-                Some(*est)
-            }
-            _ => None,
-        }
-    }
 }
 
 /// Batch execution knobs.
@@ -123,119 +117,27 @@ pub const STALL_BUDGET_FLOOR: Duration = Duration::from_millis(25);
 /// more time before their generation counts as a stall.
 const STALL_BUDGET_WALL_PER_PREDICTED_NS: f64 = 10_000.0;
 
-/// How long a worker may spend generating one job before the
-/// generation counts as a stall and, with telemetry on, is journaled as
-/// an `exec.stall` event when it ends: [`STALL_BUDGET_FLOOR`] + the
-/// job's predicted latency scaled by a wall-time allowance. Purely
-/// observational — nothing is cancelled; the budget bounds silence,
-/// not work.
-pub fn stall_budget(job: &PulseJob) -> Duration {
-    let scaled_ns = (job.priority.max(0.0) * STALL_BUDGET_WALL_PER_PREDICTED_NS).min(1e15);
+/// How long a generation attempt of a job with this `priority` (its
+/// predicted latency) may take before it counts as a stall:
+/// [`STALL_BUDGET_FLOOR`] + the predicted latency scaled by a wall-time
+/// allowance. Purely observational — nothing is cancelled; `report
+/// workers` flags each `exec.job` attempt whose `wall_us` reaches it.
+pub fn stall_budget(priority: f64) -> Duration {
+    let scaled_ns = (priority.max(0.0) * STALL_BUDGET_WALL_PER_PREDICTED_NS).min(1e15);
     STALL_BUDGET_FLOOR + Duration::from_nanos(scaled_ns as u64)
 }
 
-/// Per-worker utilization accounting for one batch: where this worker's
-/// wall time went, split into busy (executing jobs, dedup checks
-/// included) and idle (taking a job from the shared cursor, or finding
-/// none left). The executor guarantees `busy + idle ≈ wall` — the
-/// remainder is per-iteration bookkeeping measured in nanoseconds.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WorkerStats {
-    /// Worker index within the batch pool.
-    pub worker: usize,
-    /// Jobs this worker took (all outcomes, dedups and skips included).
-    pub jobs: usize,
-    /// Nanoseconds spent executing jobs.
-    pub busy_ns: u64,
-    /// Nanoseconds spent taking jobs or finding none left.
-    pub idle_ns: u64,
-    /// Total wall time of this worker's run loop.
-    pub wall_ns: u64,
-}
-
-impl WorkerStats {
-    /// Busy share of this worker's wall time, in `[0, 1]`.
-    pub fn utilization(&self) -> f64 {
-        if self.wall_ns == 0 {
-            0.0
-        } else {
-            self.busy_ns as f64 / self.wall_ns as f64
-        }
-    }
-}
-
-/// What a batch did, with per-job statuses in input order.
-#[derive(Clone, Debug, Default)]
-pub struct BatchReport {
-    /// One status per input job, same order.
-    pub statuses: Vec<JobStatus>,
-    /// Pulses generated by workers in this batch.
-    pub generated: usize,
-    /// Jobs resolved from a shard already holding the pulse.
-    pub shard_hits: usize,
-    /// Jobs resolved by persistent-store read-through.
-    pub store_hits: usize,
-    /// Jobs that raced an in-flight generation and reused its result.
-    pub dedup_hits: usize,
-    /// Clean generation failures.
-    pub failures: usize,
-    /// Panicking generations (keys now quarantined).
-    pub panics: usize,
-    /// Jobs skipped for deadline or quarantine.
-    pub skipped: usize,
-    /// Cost units spent by this batch's generations.
-    pub cost_spent_units: f64,
-    /// Wall-clock time of the whole batch.
-    pub wall: Duration,
-    /// Per-worker utilization accounting, indexed by worker.
-    pub workers: Vec<WorkerStats>,
-    /// Generations that ran at least their [`stall_budget`] (one
-    /// `exec.stall` journal event each, written when the generation
-    /// ends). Zero when telemetry is disabled.
-    pub stalls: usize,
-}
-
-impl BatchReport {
-    fn tally(&mut self) {
-        for status in &self.statuses {
-            match status {
-                JobStatus::Generated(est) => {
-                    self.generated += 1;
-                    self.cost_spent_units += est.cost_units;
-                }
-                JobStatus::Hit(_, Provenance::Store) => self.store_hits += 1,
-                JobStatus::Hit(_, _) => self.shard_hits += 1,
-                JobStatus::Deduped(_) => self.dedup_hits += 1,
-                JobStatus::Failed(_) => self.failures += 1,
-                JobStatus::Panicked(_) => self.panics += 1,
-                JobStatus::Skipped(_) => self.skipped += 1,
-            }
-        }
-    }
-}
-
-struct WorkerYield {
-    done: Vec<(usize, JobStatus)>,
-    /// Jobs that hit the in-flight dedup path, resolved after the join.
-    pending: Vec<usize>,
-    /// This worker's utilization accounting.
-    stats: WorkerStats,
-    /// Stalls this worker flagged (see [`BatchReport::stalls`]).
-    stalls: usize,
-}
-
 /// Runs `jobs` across `opts.threads` workers against the shared
-/// `table`, highest priority first. Statuses come back in input-job
-/// order; pulses land in the table (and its write-behind buffer — call
-/// [`SharedPulseTable::sync`] afterwards to persist).
+/// `table`, highest priority first, and returns each job's final status
+/// in input-job order. Pulses land in the table (and its write-behind
+/// buffer — call [`SharedPulseTable::sync`] afterwards to persist).
 pub fn run_batch(
     jobs: &[PulseJob],
     device: &Device,
     factory: &dyn PulseSourceFactory,
     table: &SharedPulseTable,
     opts: &ExecOptions,
-) -> BatchReport {
-    let start = Instant::now();
+) -> Vec<JobStatus> {
     let batch_span = paqoc_telemetry::span("exec.batch");
     let batch_id = batch_span.id();
     let threads = opts
@@ -263,7 +165,7 @@ pub fn run_batch(
         paqoc_telemetry::add_gauge("exec.jobs_pending", jobs.len() as f64);
     }
 
-    let yields: Vec<WorkerYield> = std::thread::scope(|scope| {
+    let done: Vec<Vec<(usize, JobStatus)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|me| {
                 let (order, cursor) = (&order, &cursor);
@@ -276,89 +178,15 @@ pub fn run_batch(
             .collect();
         handles
             .into_iter()
-            .map(|h| {
-                h.join().unwrap_or_else(|_| WorkerYield {
-                    done: Vec::new(),
-                    pending: Vec::new(),
-                    stats: WorkerStats::default(),
-                    stalls: 0,
-                })
-            })
+            .map(|h| h.join().unwrap_or_default())
             .collect()
     });
 
-    // Stitch worker results back into input order, then resolve the
-    // dedup losers now that every in-flight generation has settled.
     let mut statuses = vec![JobStatus::Skipped(SkipReason::Deadline); jobs.len()];
-    let mut pending = Vec::new();
-    let mut workers = Vec::with_capacity(yields.len());
-    let mut stalls = 0;
-    for y in yields {
-        for (idx, status) in y.done {
-            statuses[idx] = status;
-        }
-        pending.extend(y.pending);
-        workers.push(y.stats);
-        stalls += y.stalls;
+    for (idx, status) in done.into_iter().flatten() {
+        statuses[idx] = status;
     }
-    workers.sort_by_key(|w| w.worker);
-    for idx in pending {
-        let key = &jobs[idx].key;
-        statuses[idx] = if let Some(est) = table.get(key) {
-            JobStatus::Deduped(est)
-        } else if table.is_quarantined(key) {
-            JobStatus::Skipped(SkipReason::Quarantined)
-        } else {
-            JobStatus::Failed("deduped onto a generation that failed".to_string())
-        };
-    }
-
-    let mut report = BatchReport {
-        statuses,
-        wall: start.elapsed(),
-        workers,
-        stalls,
-        ..BatchReport::default()
-    };
-    report.tally();
-    if paqoc_telemetry::enabled() {
-        for w in &report.workers {
-            paqoc_telemetry::observe("exec.worker.utilization", w.utilization());
-            paqoc_telemetry::observe("exec.worker.busy_ms", w.busy_ns as f64 / 1e6);
-            paqoc_telemetry::event!(
-                "exec.worker",
-                worker = w.worker as u64,
-                jobs = w.jobs as u64,
-                busy_us = w.busy_ns / 1_000,
-                idle_us = w.idle_ns / 1_000,
-                wall_us = w.wall_ns / 1_000,
-                utilization = w.utilization(),
-            );
-        }
-        paqoc_telemetry::event!(
-            "exec.batch",
-            jobs = jobs.len() as u64,
-            threads = threads as u64,
-            generated = report.generated as u64,
-            shard_hits = report.shard_hits as u64,
-            store_hits = report.store_hits as u64,
-            dedup_hits = report.dedup_hits as u64,
-            failures = report.failures as u64,
-            panics = report.panics as u64,
-            skipped = report.skipped as u64,
-            stalls = report.stalls as u64,
-            cost_units = report.cost_spent_units,
-            wall_us = report.wall.as_micros() as u64,
-        );
-    }
-    report
-}
-
-/// How one pulled job resolved inside the worker loop.
-enum Disposition {
-    Done(JobStatus),
-    /// In-flight dedup: resolved after the batch joins.
-    Pending,
+    statuses
 }
 
 fn elapsed_ns(since: Instant) -> u64 {
@@ -376,7 +204,7 @@ fn worker(
     table: &SharedPulseTable,
     opts: &ExecOptions,
     batch_id: Option<u64>,
-) -> WorkerYield {
+) -> Vec<(usize, JobStatus)> {
     // Worker spans run on this thread's own span stack but are linked
     // to the batch span, so the merged journal keeps the tree intact:
     // every kernel call a job makes is recorded under the compile that
@@ -384,67 +212,54 @@ fn worker(
     let _span = paqoc_telemetry::span_with_parent("exec.worker", batch_id);
     let metrics_on = paqoc_telemetry::enabled();
     let worker_start = Instant::now();
-    let mut stats = WorkerStats {
-        worker: me,
-        ..WorkerStats::default()
-    };
+    let mut busy_ns = 0;
     let mut done = Vec::new();
-    let mut pending = Vec::new();
-    let mut stalls = 0;
 
-    loop {
-        // Taking a job, and finding none left, count as idle — so
-        // busy + idle covers the loop. `Relaxed` suffices: the cursor
-        // publishes no data (`order` is fixed before the workers start),
-        // and the atomic add alone hands each position out once.
-        let acquire_start = Instant::now();
-        let next = order.get(cursor.fetch_add(1, Ordering::Relaxed)).copied();
-        stats.idle_ns += elapsed_ns(acquire_start);
-        let Some(idx) = next else {
-            break;
-        };
+    // `Relaxed` suffices: the cursor publishes no data (`order` is
+    // fixed before the workers start), and the atomic add alone hands
+    // each position out once.
+    while let Some(&idx) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
         if metrics_on {
             paqoc_telemetry::add_gauge("exec.jobs_pending", -1.0);
             paqoc_telemetry::add_gauge("exec.workers_busy", 1.0);
         }
-        let busy_start = Instant::now();
-        let disposition = run_one(me, &jobs[idx], device, factory, table, opts, &mut stalls);
-        let busy_ns = elapsed_ns(busy_start);
-        stats.busy_ns += busy_ns;
-        stats.jobs += 1;
+        let job = &jobs[idx];
+        let started = Instant::now();
+        let status = run_one(me, job, device, factory, table, opts);
+        let wall_ns = elapsed_ns(started);
+        busy_ns += wall_ns;
         if metrics_on {
             paqoc_telemetry::add_gauge("exec.workers_busy", -1.0);
+            paqoc_telemetry::event!(
+                "exec.job",
+                worker = me as u64,
+                key = job.key.as_str(),
+                arity = job.qubits() as u64,
+                outcome = status_label(&status),
+                priority = job.priority,
+                wall_us = wall_ns / 1_000,
+            );
         }
-        match disposition {
-            Disposition::Done(status) => {
-                if metrics_on {
-                    paqoc_telemetry::event!(
-                        "exec.job",
-                        worker = me as u64,
-                        arity = jobs[idx].qubits() as u64,
-                        outcome = status_label(&status),
-                        priority = jobs[idx].priority,
-                        wall_us = busy_ns / 1_000,
-                    );
-                }
-                done.push((idx, status));
-            }
-            Disposition::Pending => pending.push(idx),
-        }
+        done.push((idx, status));
     }
-    stats.wall_ns = elapsed_ns(worker_start);
-    WorkerYield {
-        done,
-        pending,
-        stats,
-        stalls,
+    if metrics_on {
+        // Everything outside a job (taking one, and finding none left)
+        // is idle, so busy + idle = wall.
+        let wall_ns = elapsed_ns(worker_start);
+        paqoc_telemetry::event!(
+            "exec.worker",
+            worker = me as u64,
+            jobs = done.len() as u64,
+            busy_us = busy_ns / 1_000,
+            idle_us = wall_ns.saturating_sub(busy_ns) / 1_000,
+            wall_us = wall_ns / 1_000,
+        );
     }
+    done
 }
 
 /// Executes one taken job: the shared deadline gate, then the claim
-/// protocol and (on a successful claim) the actual generation. A
-/// generation that ran at least its [`stall_budget`] is counted in
-/// `stalls` and, with telemetry on, journaled as an `exec.stall` event.
+/// protocol and (on a successful claim) the actual generation.
 fn run_one(
     me: usize,
     job: &PulseJob,
@@ -452,45 +267,19 @@ fn run_one(
     factory: &dyn PulseSourceFactory,
     table: &SharedPulseTable,
     opts: &ExecOptions,
-    stalls: &mut usize,
-) -> Disposition {
+) -> JobStatus {
     if opts.deadline.is_some_and(|d| Instant::now() >= d) {
-        return Disposition::Done(JobStatus::Skipped(SkipReason::Deadline));
+        return JobStatus::Skipped(SkipReason::Deadline);
     }
-    let status = match table.claim(&job.key) {
+    match table.claim(&job.key) {
         Claim::Hit(est, prov) => JobStatus::Hit(est, prov),
         Claim::Quarantined => JobStatus::Skipped(SkipReason::Quarantined),
-        Claim::InFlight => {
-            paqoc_telemetry::counter("exec.dedup", 1);
-            paqoc_telemetry::event!(
-                "exec.dedup",
-                worker = me as u64,
-                arity = job.qubits() as u64,
-                key = job.key.as_str(),
-            );
-            return Disposition::Pending;
-        }
+        Claim::InFlight => JobStatus::Skipped(SkipReason::InFlight),
         Claim::Claimed => {
-            let started = Instant::now();
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 let mut source = factory.make(job_seed(&job.key));
                 source.try_generate(&job.group, device, job.target_fidelity, None)
             }));
-            let elapsed = started.elapsed();
-            let budget = stall_budget(job);
-            if elapsed >= budget && paqoc_telemetry::enabled() {
-                *stalls += 1;
-                paqoc_telemetry::counter("exec.stall", 1);
-                paqoc_telemetry::event!(
-                    "exec.stall",
-                    worker = me as u64,
-                    key = job.key.as_str(),
-                    arity = job.qubits() as u64,
-                    priority = job.priority,
-                    elapsed_ms = elapsed.as_millis() as u64,
-                    budget_ms = budget.as_millis() as u64,
-                );
-            }
             match outcome {
                 Ok(Ok(est)) => {
                     table.complete(&job.key, est);
@@ -514,8 +303,7 @@ fn run_one(
                 }
             }
         }
-    };
-    Disposition::Done(status)
+    }
 }
 
 fn status_label(status: &JobStatus) -> &'static str {
@@ -523,11 +311,11 @@ fn status_label(status: &JobStatus) -> &'static str {
         JobStatus::Generated(_) => "generated",
         JobStatus::Hit(_, Provenance::Store) => "store_hit",
         JobStatus::Hit(_, _) => "shard_hit",
-        JobStatus::Deduped(_) => "dedup",
         JobStatus::Failed(_) => "failed",
         JobStatus::Panicked(_) => "panicked",
         JobStatus::Skipped(SkipReason::Deadline) => "skipped_deadline",
         JobStatus::Skipped(SkipReason::Quarantined) => "skipped_quarantined",
+        JobStatus::Skipped(SkipReason::InFlight) => "skipped_in_flight",
     }
 }
 

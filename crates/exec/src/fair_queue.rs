@@ -106,7 +106,6 @@ pub enum Pop<T> {
 
 struct Entry<T> {
     priority: f64,
-    seq: u64,
     item: T,
 }
 
@@ -115,7 +114,6 @@ struct State<T> {
     /// Tenants with non-empty deques, in service order.
     rotation: VecDeque<String>,
     total: usize,
-    seq: u64,
     draining: bool,
 }
 
@@ -146,16 +144,10 @@ impl<T> FairQueue<T> {
                 tenants: HashMap::new(),
                 rotation: VecDeque::new(),
                 total: 0,
-                seq: 0,
                 draining: false,
             }),
             cv: Condvar::new(),
         }
-    }
-
-    /// The configured capacity limits.
-    pub fn config(&self) -> QueueConfig {
-        self.cfg
     }
 
     /// Admits one entry for `tenant`, ordered by `priority` (descending,
@@ -179,8 +171,6 @@ impl<T> FairQueue<T> {
                 cap: self.cfg.max_tenants,
             });
         }
-        state.seq += 1;
-        let seq = state.seq;
         let deque = state.tenants.entry(tenant.to_string()).or_default();
         if deque.len() >= self.cfg.per_tenant_cap {
             return Err(PushError::TenantFull {
@@ -195,14 +185,7 @@ impl<T> FairQueue<T> {
             .iter()
             .position(|e| e.priority < priority)
             .unwrap_or(deque.len());
-        deque.insert(
-            pos,
-            Entry {
-                priority,
-                seq,
-                item,
-            },
-        );
+        deque.insert(pos, Entry { priority, item });
         let depth = deque.len();
         if was_empty {
             state.rotation.push_back(tenant.to_string());
@@ -235,7 +218,6 @@ impl<T> FairQueue<T> {
                 }
                 if let Some(entry) = entry {
                     state.total -= 1;
-                    let _ = entry.seq;
                     return Pop::Item(entry.item);
                 }
                 continue;
@@ -285,15 +267,6 @@ impl<T> FairQueue<T> {
     /// Number of tenants with queued work.
     pub fn tenant_count(&self) -> usize {
         relock(&self.state).tenants.len()
-    }
-
-    /// Entries queued for one tenant.
-    pub fn depth(&self, tenant: &str) -> usize {
-        relock(&self.state)
-            .tenants
-            .get(tenant)
-            .map(VecDeque::len)
-            .unwrap_or(0)
     }
 }
 

@@ -19,7 +19,10 @@
 //!   regardless of thread count or schedule ([`factory`]).
 //! * [`run_batch`] — the worker pool itself: workers take jobs
 //!   highest priority first from one atomic cursor, with a shared
-//!   deadline, `catch_unwind` panic isolation and key quarantine
+//!   deadline, `catch_unwind` panic isolation and key quarantine, and
+//!   it returns each job's final [`JobStatus`]; with telemetry on, the
+//!   `exec.job` and `exec.worker` journal events are the record of its
+//!   outcomes, worker time and (against [`stall_budget`]) stalls
 //!   ([`executor`]).
 //! * [`FairQueue`] — bounded multi-tenant fair-share admission queue
 //!   with reject-not-buffer overload behaviour and a drain lifecycle,
@@ -45,12 +48,12 @@ pub mod shared_table;
 pub use fair_queue::{FairQueue, Pop, PushError, QueueConfig};
 
 pub use executor::{
-    panic_message, run_batch, stall_budget, BatchReport, ExecOptions, JobStatus, PulseJob,
-    SkipReason, WorkerStats, STALL_BUDGET_FLOOR,
+    panic_message, run_batch, stall_budget, ExecOptions, JobStatus, PulseJob, SkipReason,
+    STALL_BUDGET_FLOOR,
 };
 pub use factory::{job_seed, AnalyticFactory, FaultyAnalyticFactory, PulseSourceFactory};
 pub use recorder::{interval_from_env, FlightRecorder, METRICS_ENV};
-pub use shared_table::{Claim, Provenance, SharedPulseTable, StoreHealth};
+pub use shared_table::{Claim, Provenance, SharedPulseTable};
 
 /// Hard ceiling on worker counts, protecting against a typo'd
 /// `PAQOC_THREADS=4000` spawning thousands of OS threads.

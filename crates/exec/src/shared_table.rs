@@ -16,12 +16,12 @@
 //!
 //! Three invariants make it safe and cheap:
 //!
-//! * **Claim-or-wait dedup.** [`SharedPulseTable::claim`] is the entry
+//! * **One claim per key.** [`SharedPulseTable::claim`] is the entry
 //!   point for every lookup. Under the table lock it resolves the key
 //!   to a hit, a quarantine, an in-flight marker, or — exactly once per
-//!   key — a claim. Two workers can therefore never run the optimizer
-//!   for the same key: the loser records a dedup and picks up the
-//!   winner's pulse after the batch joins.
+//!   key — a claim. Two workers can therefore never both claim a key: a
+//!   batch job that finds it in flight is skipped, and the compile's
+//!   attach sweep resolves it afterwards.
 //! * **Read-through, write-behind.** A miss consults the store (its
 //!   lock is taken strictly after the table lock, so the pair can never
 //!   deadlock); completions buffer in a dirty list and reach the store
@@ -43,28 +43,6 @@ pub enum Provenance {
     Shard,
     /// Read through from the persistent store.
     Store,
-}
-
-/// Point-in-time health of the attached store, surfaced by
-/// [`SharedPulseTable::store_health`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StoreHealth {
-    /// `true` when this handle holds the single-writer lock.
-    pub writer: bool,
-    /// Bytes the store file occupies on disk.
-    pub file_bytes: u64,
-    /// Bytes a compacted file would spend on records.
-    pub live_bytes: u64,
-    /// Reclaimable bytes from overwritten/evicted records.
-    pub dead_bytes: u64,
-    /// Records evicted by this handle (LFU budget enforcement).
-    pub evictions: u64,
-    /// Compactions run by this handle.
-    pub compactions: u64,
-    /// Writes dropped because the handle degraded to read-only.
-    pub readonly_drops: u64,
-    /// Live records in the store.
-    pub records: u64,
 }
 
 /// Outcome of [`SharedPulseTable::claim`].
@@ -281,11 +259,6 @@ impl SharedPulseTable {
         self.len() == 0
     }
 
-    /// Pulses buffered for write-behind but not yet synced.
-    pub fn dirty_len(&self) -> usize {
-        relock(&self.state).dirty.len()
-    }
-
     /// Single-writer write-behind sync: drains the dirty buffer into the
     /// store (skipping keys the store already holds)
     /// and fsyncs once. Returns the number of records written; `Ok(0)`
@@ -328,23 +301,6 @@ impl SharedPulseTable {
         // when dead bytes dominate, refresh when we are a reader.
         store.maintain()?;
         Ok(written)
-    }
-
-    /// Point-in-time health of the attached store; `None` when no store
-    /// is attached.
-    pub fn store_health(&self) -> Option<StoreHealth> {
-        let guard = relock(&self.store);
-        let store = guard.as_ref()?;
-        Some(StoreHealth {
-            writer: store.role() == StoreRole::Writer,
-            file_bytes: store.file_bytes(),
-            live_bytes: store.live_bytes(),
-            dead_bytes: store.dead_bytes(),
-            evictions: store.evictions(),
-            compactions: store.compactions(),
-            readonly_drops: store.readonly_drops(),
-            records: store.len() as u64,
-        })
     }
 
     /// Deterministic snapshot of every cached pulse, sorted by key —
@@ -421,9 +377,8 @@ mod tests {
             .with_store(PulseStore::open(&path, 0xfeed).expect("open store"));
         assert_eq!(t.claim("k"), Claim::Claimed);
         t.complete("k", est(5.0));
-        assert_eq!(t.dirty_len(), 1);
         assert_eq!(t.sync().expect("sync"), 1);
-        assert_eq!(t.dirty_len(), 0);
+        assert_eq!(t.sync().expect("sync"), 0, "the buffer drained");
 
         // A fresh table over the same file resolves the key by
         // read-through, marked with store provenance.
@@ -476,6 +431,7 @@ mod tests {
         let _ = std::fs::remove_file(paqoc_store::lock_path(&path));
 
         let table = SharedPulseTable::new();
+        assert!(!table.has_store());
         let opens = std::sync::atomic::AtomicUsize::new(0);
         let start = std::sync::Barrier::new(8);
         let roles: Vec<Option<StoreRole>> = std::thread::scope(|scope| {
@@ -503,33 +459,8 @@ mod tests {
             roles.iter().flatten().collect::<Vec<_>>(),
             [&StoreRole::Writer]
         );
-        assert!(table.store_health().expect("attached").writer);
+        assert!(table.has_store());
         drop(table);
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(paqoc_store::lock_path(&path));
-    }
-
-    #[test]
-    fn store_health_reflects_attached_store() {
-        let dir = std::env::temp_dir().join(format!("paqoc_exec_health_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("tmp dir");
-        let path = dir.join("health.pqps");
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(paqoc_store::lock_path(&path));
-
-        let t = SharedPulseTable::new();
-        assert!(t.store_health().is_none(), "no store, no health");
-
-        t.attach_store(PulseStore::open(&path, 0xabcd).expect("open store"));
-        assert_eq!(t.claim("k"), Claim::Claimed);
-        t.complete("k", est(3.0));
-        t.sync().expect("sync");
-        let health = t.store_health().expect("health");
-        assert!(health.writer);
-        assert_eq!(health.records, 1);
-        assert!(health.file_bytes > 0);
-        assert!(health.live_bytes > 0);
-        assert_eq!(health.evictions, 0);
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(paqoc_store::lock_path(&path));
     }

@@ -44,12 +44,15 @@ grep -q "mathkit.matmul" target/verify_flame.txt
 echo "kernel trace smoke OK"
 
 echo "== report workers / jobs / phases smoke over the same batch trace =="
-# The batch compile above journals exec.worker, exec.job and exec.batch
-# events and spans; each report must find them, so the event fields the
-# executor writes and the report that reads them cannot drift apart.
+# The batch compile above journals exec.worker and exec.job events under
+# exec.batch and exec.worker spans; each report must find them, so the
+# event fields the executor writes and the report that reads them cannot
+# drift apart. `workers` derives its stall count from the exec.job
+# events, so the stall line proves that path runs.
 cargo run --release -p paqoc-bench --bin report -- workers \
     target/verify_kernels.jsonl | tee target/verify_workers.txt
 grep -q "busy_ms" target/verify_workers.txt
+grep -q "^stalls flagged: [0-9]" target/verify_workers.txt
 cargo run --release -p paqoc-bench --bin report -- jobs \
     target/verify_kernels.jsonl | tee target/verify_jobs.txt
 grep -q "generated" target/verify_jobs.txt

@@ -5,7 +5,10 @@
 
 use paqoc::core::{try_compile, try_compile_batch, PipelineOptions};
 use paqoc::device::{AnalyticModel, Device, FaultConfig};
-use paqoc::exec::{FaultyAnalyticFactory, PulseSourceFactory, SharedPulseTable};
+use paqoc::exec::{
+    AnalyticFactory, Claim, FaultyAnalyticFactory, PulseSourceFactory, SharedPulseTable,
+};
+use paqoc::store::{PulseStore, StoreOptions};
 use paqoc::workloads::benchmark;
 use std::sync::Arc;
 
@@ -55,17 +58,77 @@ fn sequential_compile_attaches_its_store_to_the_shared_cache() {
         ..PipelineOptions::m0()
     };
     let r = try_compile(&circuit("bv"), &device, &mut AnalyticModel::new(), &opts).expect("bv");
-    let health = cache
-        .store_health()
-        .expect("the store belongs to the shared cache");
-    assert!(health.writer);
+    assert!(cache.has_store(), "the store belongs to the shared cache");
+    assert!(
+        r.degradations.is_empty(),
+        "the compile opened the store as its writer: {:?}",
+        r.degradations
+    );
+    let reader = PulseStore::open_with(
+        &db,
+        device.fingerprint(),
+        StoreOptions {
+            read_only: true,
+            ..StoreOptions::default()
+        },
+    )
+    .expect("reopen the store read-only");
     assert_eq!(
-        health.records as usize, r.stats.pulses_generated,
+        reader.len(),
+        r.stats.pulses_generated,
         "the end-of-compile sync persisted every generated pulse"
     );
+    drop(reader);
     drop(cache);
     let _ = std::fs::remove_file(&db);
     let _ = std::fs::remove_file(paqoc::store::lock_path(&db));
+}
+
+/// A key another compile holds in flight for the whole batch compile:
+/// the prefetch cannot resolve it, so the attach sweep generates it and
+/// publishes it, and the compile reads the same as one on a private
+/// table.
+#[test]
+fn a_key_held_in_flight_elsewhere_compiles_as_on_a_private_table() {
+    let device = Device::grid5x5();
+    let program = circuit("bv");
+    let factory: Arc<dyn PulseSourceFactory> = Arc::new(AnalyticFactory);
+    let private = try_compile_batch(&program, &device, factory.clone(), &PipelineOptions::m0())
+        .expect("private");
+    let (held, _) = private.pulse_table.first().expect("bv resolves pulses");
+    for threads in [1, 2] {
+        let cache = Arc::new(SharedPulseTable::new());
+        assert_eq!(cache.claim(held), Claim::Claimed);
+        let opts = PipelineOptions {
+            threads: Some(threads),
+            shared_table: Some(cache.clone()),
+            ..PipelineOptions::m0()
+        };
+        let pooled = try_compile_batch(&program, &device, factory.clone(), &opts).expect("pooled");
+        assert_eq!(pooled.latency_dt, private.latency_dt, "threads {threads}");
+        assert_eq!(
+            pooled.esp.to_bits(),
+            private.esp.to_bits(),
+            "threads {threads}"
+        );
+        assert_eq!(
+            pooled.num_groups(),
+            private.num_groups(),
+            "threads {threads}"
+        );
+        assert_eq!(
+            pooled.stats.pulses_generated, private.stats.pulses_generated,
+            "threads {threads}"
+        );
+        assert_eq!(
+            pooled.stats.cache_hits, private.stats.cache_hits,
+            "threads {threads}"
+        );
+        assert!(
+            cache.get(held).is_some(),
+            "the sweep published the held key"
+        );
+    }
 }
 
 #[test]
