@@ -48,7 +48,8 @@ echo "== report workers / jobs / phases smoke over the same batch trace =="
 # exec.batch and exec.worker spans; each report must find them, so the
 # event fields the executor writes and the report that reads them cannot
 # drift apart. `workers` derives its stall count from the exec.job
-# events, so the stall line proves that path runs.
+# events, so the stall line proves that path runs. `phases` must also
+# list the search's own spans, which split the generate phase.
 cargo run --release -p paqoc-bench --bin report -- workers \
     target/verify_kernels.jsonl | tee target/verify_workers.txt
 grep -q "busy_ms" target/verify_workers.txt
@@ -59,6 +60,7 @@ grep -q "generated" target/verify_jobs.txt
 cargo run --release -p paqoc-bench --bin report -- phases \
     target/verify_kernels.jsonl | tee target/verify_phases.txt
 grep -q "exec.batch" target/verify_phases.txt
+grep -q "search.preprocess" target/verify_phases.txt
 # A baseline diff reads a second trace through the same loader; the
 # trace against itself must print the baseline columns.
 cargo run --release -p paqoc-bench --bin report -- hotspots \

@@ -113,12 +113,27 @@ fn compile_emits_phase_spans_and_matching_counters() {
         result.report.iterations,
         "one decision event per merge iteration"
     );
+    // The search's two phases are spans of their own inside `generate`,
+    // and its decision events nest under the criticality loop's span.
     let generate_span = snap.spans_named("generate")[0];
+    let search_spans = ["search.preprocess", "search.criticality"].map(|name| {
+        let spans = snap.spans_named(name);
+        assert_eq!(spans.len(), 1, "expected exactly one `{name}` span");
+        assert_eq!(
+            spans[0].parent,
+            Some(generate_span.id),
+            "`{name}` nests under generate"
+        );
+        spans[0]
+    });
+    let search_ns: u64 = search_spans.iter().map(|s| s.duration_ns).sum();
+    assert!(search_ns <= generate_span.duration_ns);
+    let criticality_span = search_spans[1];
     for e in &iteration_events {
         assert_eq!(
             e.span,
-            Some(generate_span.id),
-            "search events nest under the generate span"
+            Some(criticality_span.id),
+            "search events nest under the search.criticality span"
         );
     }
     // Committed merges in the journal agree with the report.
