@@ -127,15 +127,10 @@ fn main() {
             100.0 * hits as f64 / lookups as f64
         );
     }
-    // The batch path resolves hits through the shared table's own
-    // claim counters, so the per-arity table counters only reconcile
-    // with CompileStats on the sequential path.
-    if !batch {
-        assert_eq!(
-            hits as usize, result.stats.cache_hits,
-            "telemetry and CompileStats must agree on cache hits"
-        );
-    }
+    assert_eq!(
+        hits as usize, result.stats.cache_hits,
+        "telemetry and CompileStats must agree on cache hits"
+    );
 
     match paqoc_telemetry::write_env_trace() {
         Ok(Some(path)) => {

@@ -253,6 +253,7 @@ impl PulseTable {
                     ("table.shared_hit", "shared")
                 };
                 paqoc_telemetry::counter(counter, 1);
+                paqoc_telemetry::counter(&format!("table.cache_hit.q{}", group_arity(group)), 1);
                 paqoc_telemetry::event(
                     "table.lookup",
                     &[
@@ -398,40 +399,41 @@ impl PulseTable {
 
     /// Folds a batch prefetch's final statuses (one per job, in job
     /// order) into this table, preserving exact stats parity with the
-    /// sequential path: each outcome is counted once, exactly as the
-    /// sequential first touch of that key would have counted it, and the
-    /// key is marked *fresh* so the following sequential lookup counts
-    /// nothing. A panicked job's key is already quarantined in the cache
-    /// by the worker that caught it.
+    /// sequential path: each outcome is counted once, in `CompileStats`
+    /// and in the `table.cache_hit.q*`/`table.cache_miss.q*` counters,
+    /// exactly as the sequential first touch of that key would have
+    /// counted it, and the key is marked *fresh* so the following
+    /// sequential lookup counts nothing. A panicked job's key is already
+    /// quarantined in the cache by the worker that caught it.
     pub fn absorb_batch(&mut self, jobs: &[PulseJob], statuses: &[JobStatus]) {
         for (job, status) in jobs.iter().zip(statuses) {
-            match status {
+            let (est, lookup) = match status {
                 JobStatus::Generated(est) => {
                     self.stats.pulses_generated += 1;
                     self.stats.cost_units += est.cost_units;
-                    self.entries.insert(job.key.clone(), *est);
-                    self.fresh.insert(job.key.clone());
+                    (est, "miss")
                 }
-                JobStatus::Hit(est, Provenance::Store) => {
+                JobStatus::Hit(est, provenance) => {
                     self.stats.cache_hits += 1;
-                    self.stats.store_hits += 1;
-                    self.entries.insert(job.key.clone(), *est);
-                    self.fresh.insert(job.key.clone());
+                    self.stats.store_hits += usize::from(*provenance == Provenance::Store);
+                    (est, "hit")
                 }
-                JobStatus::Hit(est, _) => {
-                    self.stats.cache_hits += 1;
-                    self.entries.insert(job.key.clone(), *est);
-                    self.fresh.insert(job.key.clone());
+                JobStatus::Panicked(_) => {
+                    self.stats.source_panics += 1;
+                    continue;
                 }
-                JobStatus::Panicked(_) => self.stats.source_panics += 1,
-                JobStatus::Failed(_) | JobStatus::Skipped(_) => {
-                    // Falls through to the sequential ladder, which
-                    // does its own accounting (retries, degradations).
-                    // A key another compile holds in flight is a hit
-                    // there once that compile finishes, and is
-                    // generated and published while it has not.
-                }
+                // Falls through to the sequential ladder, which does its
+                // own accounting (retries, degradations). A key another
+                // compile holds in flight is a hit there once that
+                // compile finishes, and is generated and published while
+                // it has not.
+                JobStatus::Failed(_) | JobStatus::Skipped(_) => continue,
+            };
+            if paqoc_telemetry::enabled() {
+                paqoc_telemetry::counter(&format!("table.cache_{lookup}.q{}", job.qubits()), 1);
             }
+            self.entries.insert(job.key.clone(), *est);
+            self.fresh.insert(job.key.clone());
         }
     }
 
