@@ -120,9 +120,11 @@ fn racing_workers_make_one_generation() {
 
 /// Under `panic_storm` the racing workers still cause exactly one
 /// generation attempt: the panic quarantines the key before the claim
-/// drops, so racers resolve to quarantine skips, never to retries.
+/// drops, so racers resolve to quarantine skips, never to retries. The
+/// panic leaves one record, its job's `exec.job` event with the message.
 #[test]
 fn panic_storm_contention_quarantines_once() {
+    paqoc_telemetry::set_enabled(true);
     let table = SharedPulseTable::new();
     let cfg = FaultConfig {
         stall: Duration::from_millis(50),
@@ -158,6 +160,23 @@ fn panic_storm_contention_quarantines_once() {
     );
     assert!(table.is_quarantined("doomed-key"));
     assert!(table.get("doomed-key").is_none(), "no pulse was cached");
+    let snap = paqoc_telemetry::snapshot();
+    let panicked: Vec<&EventRecord> = snap
+        .events
+        .iter()
+        .filter(|e| {
+            e.name == "exec.job"
+                && field_str(e, "key") == "doomed-key"
+                && field_str(e, "outcome") == "panicked"
+        })
+        .collect();
+    assert_eq!(panicked.len(), 1, "one record per panic");
+    assert_eq!(
+        field_str(panicked[0], "message"),
+        "injected pulse-source panic"
+    );
+    assert!(!snap.counters.contains_key("exec.panic"));
+    assert!(snap.events.iter().all(|e| e.name != "exec.panic"));
 
     // A fresh batch on the same key skips entirely — zero attempts.
     let again = run_batch(
