@@ -17,14 +17,15 @@
 //!   cannot starve the others. Within a tenant, entries order by
 //!   priority (descending, FIFO-stable on ties) — the same order
 //!   [`run_batch`](crate::run_batch) takes pulse jobs in.
+//! * **A pop waits for an event.** [`FairQueue::pop`] blocks until an
+//!   entry arrives or drain begins; it has no timeout to poll on.
 //! * **Drain is a one-way valve.** [`FairQueue::drain`] permanently
 //!   rejects new pushes with [`PushError::Draining`] while letting
 //!   consumers keep popping; once the queue runs dry every pop answers
-//!   [`Pop::Drained`], which is the workers' signal to exit.
+//!   `None`, which is the workers' signal to exit.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
 
 /// Capacity limits for a [`FairQueue`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -91,17 +92,6 @@ impl std::fmt::Display for PushError {
             PushError::Draining => write!(f, "queue is draining"),
         }
     }
-}
-
-/// Outcome of a [`FairQueue::pop`].
-#[derive(Debug, PartialEq, Eq)]
-pub enum Pop<T> {
-    /// The next entry, fair-share order.
-    Item(T),
-    /// Nothing arrived within the timeout; the queue is still open.
-    TimedOut,
-    /// The queue is draining and empty — consumers should exit.
-    Drained,
 }
 
 struct Entry<T> {
@@ -195,11 +185,10 @@ impl<T> FairQueue<T> {
         Ok(depth)
     }
 
-    /// Takes the next entry in fair-share order, waiting up to `timeout`
-    /// for one to arrive. `Drained` means the queue is closed *and*
-    /// empty — the consumer's exit signal.
-    pub fn pop(&self, timeout: Duration) -> Pop<T> {
-        let deadline = Instant::now() + timeout;
+    /// Takes the next entry in fair-share order, waiting until one
+    /// arrives. `None` means the queue is closed *and* empty — the
+    /// consumer's exit signal.
+    pub fn pop(&self) -> Option<T> {
         let mut state = relock(&self.state);
         loop {
             if let Some(tenant) = state.rotation.pop_front() {
@@ -218,31 +207,24 @@ impl<T> FairQueue<T> {
                 }
                 if let Some(entry) = entry {
                     state.total -= 1;
-                    return Pop::Item(entry.item);
+                    return Some(entry.item);
                 }
                 continue;
             }
             if state.draining {
-                return Pop::Drained;
+                return None;
             }
-            let now = Instant::now();
-            if now >= deadline {
-                return Pop::TimedOut;
-            }
-            let (next, timed_out) = self
+            state = self
                 .cv
-                .wait_timeout(state, deadline - now)
+                .wait(state)
                 .unwrap_or_else(|poison| poison.into_inner());
-            state = next;
-            if timed_out.timed_out() && state.rotation.is_empty() && !state.draining {
-                return Pop::TimedOut;
-            }
         }
     }
 
     /// Closes the queue: every future push answers
     /// [`PushError::Draining`], pops keep serving what was admitted, and
-    /// once empty every pop answers [`Pop::Drained`]. Irreversible.
+    /// once empty every pop, waiting or not, answers `None`.
+    /// Irreversible.
     pub fn drain(&self) {
         let mut state = relock(&self.state);
         state.draining = true;
@@ -273,8 +255,7 @@ impl<T> FairQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const TICK: Duration = Duration::from_millis(200);
+    use std::time::Duration;
 
     #[test]
     fn pop_serves_tenants_round_robin() {
@@ -285,10 +266,7 @@ mod tests {
         }
         q.push("b", 0.0, 100).expect("push b");
         q.push("b", 0.0, 101).expect("push b");
-        let mut order = Vec::new();
-        while let Pop::Item(v) = q.pop(Duration::from_millis(10)) {
-            order.push(v);
-        }
+        let order: Vec<u32> = (0..6).map(|_| q.pop().expect("queued")).collect();
         // a, b alternate until b runs dry, then a finishes.
         assert_eq!(order, vec![0, 100, 1, 101, 2, 3]);
     }
@@ -299,9 +277,9 @@ mod tests {
         q.push("t", 1.0, "low-first").expect("push");
         q.push("t", 5.0, "high").expect("push");
         q.push("t", 1.0, "low-second").expect("push");
-        assert_eq!(q.pop(TICK), Pop::Item("high"));
-        assert_eq!(q.pop(TICK), Pop::Item("low-first"));
-        assert_eq!(q.pop(TICK), Pop::Item("low-second"));
+        assert_eq!(q.pop(), Some("high"));
+        assert_eq!(q.pop(), Some("low-first"));
+        assert_eq!(q.pop(), Some("low-second"));
     }
 
     #[test]
@@ -351,7 +329,7 @@ mod tests {
             q.push("b", 0.0, 2),
             Err(PushError::TooManyTenants { .. })
         ));
-        assert_eq!(q.pop(TICK), Pop::Item(1));
+        assert_eq!(q.pop(), Some(1));
         assert_eq!(q.tenant_count(), 0, "drained tenant must be forgotten");
         assert_eq!(q.push("b", 0.0, 2), Ok(1));
     }
@@ -362,27 +340,30 @@ mod tests {
         q.push("t", 0.0, 1).expect("push");
         q.drain();
         assert_eq!(q.push("t", 0.0, 2), Err(PushError::Draining));
-        assert_eq!(q.pop(TICK), Pop::Item(1), "backlog still served");
-        assert_eq!(q.pop(TICK), Pop::Drained);
-        assert_eq!(q.pop(TICK), Pop::Drained, "drained is sticky");
+        assert_eq!(q.pop(), Some(1), "backlog still served");
+        assert_eq!(q.pop(), None);
+        assert_eq!(q.pop(), None, "drained is sticky");
     }
 
     #[test]
-    fn pop_times_out_on_an_open_empty_queue() {
-        let q: FairQueue<u32> = FairQueue::new(QueueConfig::default());
-        let t0 = Instant::now();
-        assert_eq!(q.pop(Duration::from_millis(20)), Pop::TimedOut);
-        assert!(t0.elapsed() >= Duration::from_millis(20));
+    fn a_pop_on_an_open_empty_queue_waits_for_a_push() {
+        let q = std::sync::Arc::new(FairQueue::<u32>::new(QueueConfig::default()));
+        let q2 = q.clone();
+        let h = std::thread::spawn(move || q2.pop());
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(!h.is_finished(), "an open empty queue must not answer");
+        q.push("t", 0.0, 7).expect("push");
+        assert_eq!(h.join().expect("join"), Some(7));
     }
 
     #[test]
     fn drain_wakes_blocked_consumers() {
         let q = std::sync::Arc::new(FairQueue::<u32>::new(QueueConfig::default()));
         let q2 = q.clone();
-        let h = std::thread::spawn(move || q2.pop(Duration::from_secs(30)));
+        let h = std::thread::spawn(move || q2.pop());
         std::thread::sleep(Duration::from_millis(20));
         q.drain();
-        assert_eq!(h.join().expect("join"), Pop::Drained);
+        assert_eq!(h.join().expect("join"), None);
     }
 
     #[test]
@@ -412,12 +393,8 @@ mod tests {
             let q = q.clone();
             poppers.push(std::thread::spawn(move || {
                 let mut got = 0u64;
-                loop {
-                    match q.pop(Duration::from_millis(50)) {
-                        Pop::Item(_) => got += 1,
-                        Pop::Drained => break,
-                        Pop::TimedOut => continue,
-                    }
+                while q.pop().is_some() {
+                    got += 1;
                 }
                 got
             }));

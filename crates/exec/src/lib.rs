@@ -25,8 +25,9 @@
 //!   outcomes, worker time and (against [`stall_budget`]) stalls
 //!   ([`executor`]).
 //! * [`FairQueue`] — bounded multi-tenant fair-share admission queue
-//!   with reject-not-buffer overload behaviour and a drain lifecycle,
-//!   the scheduling core of the resident service ([`fair_queue`]).
+//!   with reject-not-buffer overload behaviour, a pop that blocks until
+//!   work or drain arrives, and a drain lifecycle: the scheduling core
+//!   of the resident service ([`fair_queue`]).
 //! * [`FlightRecorder`] — opt-in background metrics sampler
 //!   (`PAQOC_METRICS_MS`) snapshotting gauges and process CPU/RSS into
 //!   the event journal, strictly off the job-execution path
@@ -45,7 +46,7 @@ pub mod fair_queue;
 pub mod recorder;
 pub mod shared_table;
 
-pub use fair_queue::{FairQueue, Pop, PushError, QueueConfig};
+pub use fair_queue::{FairQueue, PushError, QueueConfig};
 
 pub use executor::{
     panic_message, run_batch, stall_budget, ExecOptions, JobStatus, PulseJob, SkipReason,

@@ -43,6 +43,15 @@ impl Endpoint {
         }
         Endpoint::Tcp(s.to_string())
     }
+
+    /// Opens a connection to the endpoint.
+    pub(crate) fn connect(&self) -> std::io::Result<Stream> {
+        match self {
+            Endpoint::Tcp(addr) => TcpStream::connect(addr).map(Stream::Tcp),
+            #[cfg(unix)]
+            Endpoint::Uds(path) => UnixStream::connect(path).map(Stream::Uds),
+        }
+    }
 }
 
 /// Why a call failed.
@@ -144,14 +153,10 @@ impl Client {
 
     fn connect(&mut self) -> Result<&mut Stream, ClientError> {
         if self.stream.is_none() {
-            let stream = match &self.endpoint {
-                Endpoint::Tcp(addr) => TcpStream::connect(addr).map(Stream::Tcp),
-                #[cfg(unix)]
-                Endpoint::Uds(path) => UnixStream::connect(path).map(Stream::Uds),
-            }
-            .map_err(ClientError::Connect)?;
+            let stream = self.endpoint.connect().map_err(ClientError::Connect)?;
             stream
-                .set_timeouts(self.timeout, self.timeout)
+                .set_read_timeout(self.timeout)
+                .and_then(|()| stream.set_write_timeout(self.timeout))
                 .map_err(ClientError::Connect)?;
             self.stream = Some(stream);
         }

@@ -24,7 +24,7 @@
 use paqoc_core::Degradation;
 use paqoc_telemetry::json::{parse, Value};
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
 use std::time::Duration;
@@ -170,48 +170,57 @@ pub(crate) enum Stream {
     Uds(UnixStream),
 }
 
-impl Stream {
-    /// Sets the socket's read and write timeouts.
-    pub(crate) fn set_timeouts(&self, read: Duration, write: Duration) -> std::io::Result<()> {
-        match self {
-            Stream::Tcp(s) => {
-                s.set_read_timeout(Some(read))?;
-                s.set_write_timeout(Some(write))
-            }
+/// Calls the same method on whichever socket a [`Stream`] holds.
+macro_rules! on_socket {
+    ($stream:expr, $s:ident => $call:expr) => {
+        match $stream {
+            Stream::Tcp($s) => $call,
             #[cfg(unix)]
-            Stream::Uds(s) => {
-                s.set_read_timeout(Some(read))?;
-                s.set_write_timeout(Some(write))
-            }
+            Stream::Uds($s) => $call,
         }
+    };
+}
+
+impl Stream {
+    /// Sets how long one read may wait.
+    pub(crate) fn set_read_timeout(&self, read: Duration) -> std::io::Result<()> {
+        on_socket!(self, s => s.set_read_timeout(Some(read)))
+    }
+
+    /// Sets how long one write may wait.
+    pub(crate) fn set_write_timeout(&self, write: Duration) -> std::io::Result<()> {
+        on_socket!(self, s => s.set_write_timeout(Some(write)))
+    }
+
+    /// A second handle to the same socket.
+    pub(crate) fn try_clone(&self) -> std::io::Result<Stream> {
+        match self {
+            Stream::Tcp(s) => s.try_clone().map(Stream::Tcp),
+            #[cfg(unix)]
+            Stream::Uds(s) => s.try_clone().map(Stream::Uds),
+        }
+    }
+
+    /// Shuts the socket's read half, write half or both, for every
+    /// handle to it.
+    pub(crate) fn shutdown(&self, how: Shutdown) -> std::io::Result<()> {
+        on_socket!(self, s => s.shutdown(how))
     }
 }
 
 impl Read for Stream {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            Stream::Uds(s) => s.read(buf),
-        }
+        on_socket!(self, s => s.read(buf))
     }
 }
 
 impl Write for Stream {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            Stream::Uds(s) => s.write(buf),
-        }
+        on_socket!(self, s => s.write(buf))
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            Stream::Uds(s) => s.flush(),
-        }
+        on_socket!(self, s => s.flush())
     }
 }
 

@@ -31,10 +31,18 @@
 //! [`Server::drain`] (SIGTERM in the binary, or a `drain` request):
 //! stop accepting, close the queue (new pushes answer `draining`),
 //! answer or shed everything already admitted, join the workers, sync
-//! the pulse table to the store, release connection threads, and return
-//! a [`DrainSummary`]. The binary exits 0 afterwards, and a restart
-//! warm-loads the store.
+//! the pulse table to the store, shut the connections' reads and join
+//! their threads, and return a [`DrainSummary`]. The binary exits 0
+//! afterwards, and a restart warm-loads the store.
+//!
+//! Every thread waits for an event, not a tick: the accept loop blocks
+//! in `accept` (drain wakes it by connecting to the daemon's own
+//! address), workers in [`FairQueue::pop`], and connection threads in
+//! reads bounded by their idle and frame budgets (drain shuts their read
+//! halves). Only [`Server::run_until`] polls, because a signal handler
+//! can do no more than set a flag.
 
+use crate::client::Endpoint;
 use crate::protocol::{
     decode_request, encode_response, read_frame, write_frame, Budget, CompileReply, ConfigPreset,
     FrameError, Op, Request, Response, ServerStats, Stream, DEFAULT_MAX_FRAME_BYTES,
@@ -43,13 +51,13 @@ use paqoc_circuit::{parse_qasm, Circuit};
 use paqoc_core::{attach_pulse_store, try_compile_batch, Degradation, PipelineOptions};
 use paqoc_device::{Device, FaultConfig};
 use paqoc_exec::{
-    AnalyticFactory, FairQueue, FaultyAnalyticFactory, Pop, PulseSourceFactory, PushError,
-    QueueConfig, SharedPulseTable,
+    AnalyticFactory, FairQueue, FaultyAnalyticFactory, PulseSourceFactory, PushError, QueueConfig,
+    SharedPulseTable,
 };
 use paqoc_store::StoreOptions;
 use std::collections::BTreeMap;
-use std::io::Read;
-use std::net::TcpListener;
+use std::io::{ErrorKind, Read};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener};
 #[cfg(unix)]
 use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
@@ -139,8 +147,9 @@ pub struct DrainSummary {
     pub table_len: usize,
 }
 
-/// How often blocked loops re-check drain/stop flags. Short enough
-/// that drain completes promptly, long enough to stay off profiles.
+/// How often [`Server::run_until`] polls its stop flag, and how long
+/// the accept loop backs off after a failed accept (so running out of
+/// descriptors cannot spin it).
 const TICK: Duration = Duration::from_millis(50);
 
 enum Listener {
@@ -230,8 +239,6 @@ struct Shared {
     counters: Counters,
     /// Set by drain(): stop admitting.
     draining: AtomicBool,
-    /// Set at the end of drain: connection threads exit.
-    stopping: AtomicBool,
 }
 
 impl Shared {
@@ -278,49 +285,53 @@ impl Shared {
     }
 }
 
+/// A live connection: its thread, and a second handle to its socket
+/// through which drain shuts the reads.
+type Conn = (JoinHandle<()>, Stream);
+
 /// A running daemon (see the module docs for the lifecycle).
 pub struct Server {
     shared: Arc<Shared>,
     local_addr: String,
-    accept: Option<JoinHandle<()>>,
+    /// Where drain connects to wake the blocked accept loop.
+    wake: Endpoint,
+    /// The accept loop; it returns the connections still live.
+    accept: JoinHandle<Vec<Conn>>,
     workers: Vec<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl Server {
     /// Binds, attaches the store (if configured), and starts the
     /// accept loop and worker pool.
     pub fn start(opts: ServeOptions) -> std::io::Result<Server> {
-        let listener = match &opts.addr {
+        let (listener, local_addr, wake) = match &opts.addr {
             BindAddr::Tcp(addr) => {
                 let l = TcpListener::bind(addr)?;
-                l.set_nonblocking(true)?;
-                Listener::Tcp(l)
+                let bound = l.local_addr()?;
+                // A wildcard address is reached through its family's
+                // loopback address.
+                let mut wake = bound;
+                if wake.ip().is_unspecified() {
+                    wake.set_ip(match wake {
+                        SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                        SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                    });
+                }
+                let wake = Endpoint::Tcp(wake.to_string());
+                (Listener::Tcp(l), bound.to_string(), wake)
             }
             #[cfg(unix)]
             BindAddr::Uds(path) => {
                 // A stale socket file from a previous run blocks bind.
                 let _ = std::fs::remove_file(path);
                 let l = UnixListener::bind(path)?;
-                l.set_nonblocking(true)?;
-                Listener::Uds(l)
+                let wake = Endpoint::Uds(path.clone());
+                (Listener::Uds(l), path.display().to_string(), wake)
             }
-        };
-        let local_addr = match &listener {
-            Listener::Tcp(l) => l
-                .local_addr()
-                .map(|a| a.to_string())
-                .unwrap_or_else(|_| "tcp:?".to_string()),
-            #[cfg(unix)]
-            Listener::Uds(_) => match &opts.addr {
-                #[cfg(unix)]
-                BindAddr::Uds(p) => p.display().to_string(),
-                _ => "uds:?".to_string(),
-            },
         };
 
         let default_slot = open_slot(&opts.backend, &opts)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
+            .map_err(|e| std::io::Error::new(ErrorKind::InvalidInput, e))?;
         let factory: Arc<dyn PulseSourceFactory> = match opts.fault {
             Some(cfg) => Arc::new(FaultyAnalyticFactory::new(cfg)),
             None => Arc::new(AnalyticFactory),
@@ -333,7 +344,6 @@ impl Server {
             factory,
             counters: Counters::default(),
             draining: AtomicBool::new(false),
-            stopping: AtomicBool::new(false),
             opts,
         });
 
@@ -346,21 +356,19 @@ impl Server {
             })
             .collect::<std::io::Result<Vec<_>>>()?;
 
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let accept = {
             let shared = shared.clone();
-            let conns = conns.clone();
             std::thread::Builder::new()
                 .name("paqoc-serve-accept".to_string())
-                .spawn(move || accept_loop(listener, &shared, &conns))?
+                .spawn(move || accept_loop(listener, &shared))?
         };
 
         Ok(Server {
             shared,
             local_addr,
-            accept: Some(accept),
+            wake,
+            accept,
             workers,
-            conns,
         })
     }
 
@@ -380,29 +388,30 @@ impl Server {
     }
 
     /// Blocks until `should_stop` answers true or a client sends
-    /// `drain`, then drains. The binary's main loop.
-    pub fn run_until(mut self, should_stop: impl Fn() -> bool) -> DrainSummary {
+    /// `drain`, then drains. The binary's main loop: it polls every
+    /// `TICK`, because a signal handler can only set a flag.
+    pub fn run_until(self, should_stop: impl Fn() -> bool) -> DrainSummary {
         while !should_stop() && !self.shared.draining.load(Ordering::SeqCst) {
             std::thread::sleep(TICK);
         }
-        self.drain_inner()
+        self.drain()
     }
 
     /// Gracefully shuts the server down (see the module docs) and
     /// returns what happened.
-    pub fn drain(mut self) -> DrainSummary {
-        self.drain_inner()
-    }
-
-    fn drain_inner(&mut self) -> DrainSummary {
+    pub fn drain(self) -> DrainSummary {
         let shared = &self.shared;
         shared.draining.store(true, Ordering::SeqCst);
         shared.queue.drain();
         paqoc_telemetry::event!("serve.drain_begin");
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
+        // The accept loop checks `draining` each time `accept` returns:
+        // a connection of our own wakes it. A failed connect is retried
+        // until the loop has ended, so it cannot hang drain.
+        while !self.accept.is_finished() && self.wake.connect().is_err() {
+            std::thread::yield_now();
         }
-        for h in self.workers.drain(..) {
+        let conns = self.accept.join().unwrap_or_default();
+        for h in self.workers {
             let _ = h.join();
         }
         // Everything admitted has now been answered or shed; flush the
@@ -413,12 +422,11 @@ impl Server {
             .iter()
             .map(|slot| slot.table.sync().unwrap_or(0))
             .sum();
-        shared.stopping.store(true, Ordering::SeqCst);
-        let handles = {
-            let mut guard = lock(&self.conns);
-            guard.drain(..).collect::<Vec<_>>()
-        };
-        for h in handles {
+        // Every admitted job is answered, so no connection waits on a
+        // worker: end each one's reads (a reply still being written
+        // completes) and wait for its thread.
+        for (h, conn) in conns {
+            let _ = conn.shutdown(Shutdown::Read);
             let _ = h.join();
         }
         let summary = DrainSummary {
@@ -443,26 +451,39 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poison| poison.into_inner())
 }
 
-fn accept_loop(listener: Listener, shared: &Arc<Shared>, conns: &Arc<Mutex<Vec<JoinHandle<()>>>>) {
-    while !shared.draining.load(Ordering::SeqCst) {
+fn accept_loop(listener: Listener, shared: &Arc<Shared>) -> Vec<Conn> {
+    let mut conns: Vec<Conn> = Vec::new();
+    loop {
         let conn = match &listener {
             Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
             #[cfg(unix)]
             Listener::Uds(l) => l.accept().map(|(s, _)| Stream::Uds(s)),
         };
-        match conn {
-            Ok(conn) => {
-                let shared = shared.clone();
-                let spawned = std::thread::Builder::new()
-                    .name("paqoc-serve-conn".to_string())
-                    .spawn(move || conn_loop(conn, &shared));
-                match spawned {
-                    Ok(h) => lock(conns).push(h),
-                    Err(_) => paqoc_telemetry::counter("serve.spawn_failures", 1),
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => std::thread::sleep(TICK),
-            Err(_) => std::thread::sleep(TICK),
+        // Drain's own wake-up connection, or any accepted after drain
+        // began, is closed unserved.
+        if shared.draining.load(Ordering::SeqCst) {
+            break;
+        }
+        let Ok(mut conn) = conn else {
+            std::thread::sleep(TICK);
+            continue;
+        };
+        // Dropping the handle of a thread that has ended frees it.
+        conns.retain(|(h, _)| !h.is_finished());
+        let Ok(peer) = conn.try_clone() else {
+            continue;
+        };
+        let shared = shared.clone();
+        let spawned = std::thread::Builder::new()
+            .name("paqoc-serve-conn".to_string())
+            .spawn(move || {
+                conn_loop(&mut conn, &shared);
+                // The registry's handle would keep the client connected.
+                let _ = conn.shutdown(Shutdown::Both);
+            });
+        match spawned {
+            Ok(h) => conns.push((h, peer)),
+            Err(_) => paqoc_telemetry::counter("serve.spawn_failures", 1),
         }
     }
     // Dropping the listener closes the socket; for UDS also remove the
@@ -471,160 +492,108 @@ fn accept_loop(listener: Listener, shared: &Arc<Shared>, conns: &Arc<Mutex<Vec<J
     if let BindAddr::Uds(path) = &shared.opts.addr {
         let _ = std::fs::remove_file(path);
     }
+    conns
 }
 
-/// Reads one frame under the connection's idle and slow-loris budgets.
-/// `Ok(None)` means the connection should close quietly (clean EOF,
-/// idle reap, slow-loris reap, or server stop).
-fn read_frame_governed(conn: &mut Stream, shared: &Shared) -> Result<Option<Vec<u8>>, FrameError> {
-    let idle_deadline = Instant::now() + shared.opts.idle_timeout;
-    // Phase 1: wait for the first byte (idle budget, stop-aware).
-    let mut first = [0u8; 1];
-    loop {
-        if shared.stopping.load(Ordering::SeqCst) {
-            return Ok(None);
-        }
-        match conn.read(&mut first) {
-            Ok(0) => return Ok(None),
-            Ok(_) => break,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if Instant::now() >= idle_deadline {
-                    paqoc_telemetry::counter("serve.idle_reaped", 1);
-                    return Ok(None);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(FrameError::Io(e)),
-        }
-    }
-    // Phase 2: the rest of the frame under the per-frame budget. A
-    // dribbling client gets until read_timeout in total, then is reaped.
-    let frame_deadline = Instant::now() + shared.opts.read_timeout;
-    let mut reader = GovernedReader {
+/// Reads one request frame. `Ok(None)` means the connection should
+/// close quietly: a clean EOF, an idle reap (no first byte within
+/// `idle_timeout`) or a slow-loris reap (the rest of the frame not
+/// within `read_timeout` of its first byte).
+fn read_request(conn: &mut Stream, opts: &ServeOptions) -> Result<Option<Vec<u8>>, FrameError> {
+    let mut reader = FrameReader {
         conn,
-        first: Some(first[0]),
-        deadline: frame_deadline,
+        opts,
+        deadline: None,
     };
-    match read_frame(&mut reader, shared.opts.max_frame_bytes) {
-        Ok(None) => Ok(None),
-        Ok(Some(frame)) => Ok(Some(frame)),
+    match read_frame(&mut reader, opts.max_frame_bytes) {
         Err(FrameError::Io(e))
-            if matches!(
-                e.kind(),
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-            ) =>
+            if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
         {
-            paqoc_telemetry::counter("serve.slow_loris_reaped", 1);
+            let reap = match reader.deadline {
+                None => "serve.idle_reaped",
+                Some(_) => "serve.slow_loris_reaped",
+            };
+            paqoc_telemetry::counter(reap, 1);
             Ok(None)
         }
-        Err(e) => Err(e),
+        other => other,
     }
 }
 
-/// Adapts a ticking socket to [`read_frame`]: retries short timeouts
-/// until `deadline`, then lets the timeout error through (which
-/// `read_frame_governed` maps to a quiet slow-loris reap).
-struct GovernedReader<'a> {
+/// A connection as [`read_frame`] reads one frame from it, under one
+/// budget per frame: before the frame's first byte a read may wait
+/// `idle_timeout`, after it only what is left of `read_timeout`. A
+/// client dribbling one byte at a time is reaped however promptly each
+/// byte arrives.
+struct FrameReader<'a> {
     conn: &'a mut Stream,
-    first: Option<u8>,
-    deadline: Instant,
+    opts: &'a ServeOptions,
+    /// When the frame's `read_timeout` runs out; `None` until its first
+    /// byte.
+    deadline: Option<Instant>,
 }
 
-impl Read for GovernedReader<'_> {
+impl Read for FrameReader<'_> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        if buf.is_empty() {
-            return Ok(0);
+        let wait = match self.deadline {
+            None => self.opts.idle_timeout,
+            Some(at) => at.saturating_duration_since(Instant::now()),
+        };
+        if wait.is_zero() {
+            return Err(ErrorKind::TimedOut.into());
         }
-        if let Some(b) = self.first.take() {
-            buf[0] = b;
-            return Ok(1);
+        self.conn.set_read_timeout(wait)?;
+        let n = self.conn.read(buf)?;
+        if n > 0 && self.deadline.is_none() {
+            self.deadline = Some(Instant::now() + self.opts.read_timeout);
         }
-        loop {
-            match self.conn.read(buf) {
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) && Instant::now() < self.deadline => {}
-                other => return other,
-            }
-        }
+        Ok(n)
     }
 }
 
-fn conn_loop(mut conn: Stream, shared: &Arc<Shared>) {
-    // Reads tick at TICK so the loop can observe stop flags and enforce
-    // idle/slow-loris budgets itself; writes get the full budget in one
-    // shot.
-    let (read, write) = (
-        shared.opts.read_timeout.min(TICK),
-        shared.opts.write_timeout,
-    );
-    if conn.set_timeouts(read, write).is_err() {
+fn conn_loop(conn: &mut Stream, shared: &Arc<Shared>) {
+    if conn.set_write_timeout(shared.opts.write_timeout).is_err() {
         return;
     }
     paqoc_telemetry::counter("serve.connections", 1);
     loop {
-        let frame = match read_frame_governed(&mut conn, shared) {
+        let frame = match read_request(conn, &shared.opts) {
             Ok(None) => return,
             Ok(Some(frame)) => frame,
             Err(e) => {
                 // Hostile or broken input: answer typed (best-effort)
                 // and close — one bad frame never takes a worker down.
-                shared.counters.bad_frames.fetch_add(1, Ordering::SeqCst);
-                paqoc_telemetry::counter("serve.bad_frames", 1);
-                let resp = Response::Error {
-                    kind: e.kind().to_string(),
-                    message: e.to_string(),
-                };
-                let _ = write_frame(
-                    &mut conn,
-                    &encode_response(0, &resp),
-                    shared.opts.max_frame_bytes,
-                );
+                answer_bad_frame(conn, shared, &e);
                 return;
             }
         };
         let req = match decode_request(&frame) {
             Ok(req) => req,
-            Err(e) => {
-                shared.counters.bad_frames.fetch_add(1, Ordering::SeqCst);
-                paqoc_telemetry::counter("serve.bad_frames", 1);
-                let resp = Response::Error {
-                    kind: e.kind().to_string(),
-                    message: e.to_string(),
-                };
-                // Malformed-but-framed requests get an answer and the
-                // connection stays open: the framing is intact.
-                if write_frame(
-                    &mut conn,
-                    &encode_response(0, &resp),
-                    shared.opts.max_frame_bytes,
-                )
-                .is_err()
-                {
-                    return;
-                }
-                continue;
-            }
+            // Malformed-but-framed requests get an answer and the
+            // connection stays open: the framing is intact.
+            Err(e) if answer_bad_frame(conn, shared, &e) => continue,
+            Err(_) => return,
         };
-        let id = req.id;
-        let resp = handle_request(req, shared);
-        if write_frame(
-            &mut conn,
-            &encode_response(id, &resp),
-            shared.opts.max_frame_bytes,
-        )
-        .is_err()
-        {
+        let reply = encode_response(req.id, &handle_request(req, shared));
+        if write_frame(conn, &reply, shared.opts.max_frame_bytes).is_err() {
             return;
         }
     }
+}
+
+/// Counts a bad frame and answers it with a typed error; `false` when
+/// the answer could not be written.
+fn answer_bad_frame(conn: &mut Stream, shared: &Shared, e: &FrameError) -> bool {
+    shared.counters.bad_frames.fetch_add(1, Ordering::SeqCst);
+    paqoc_telemetry::counter("serve.bad_frames", 1);
+    let reply = encode_response(
+        0,
+        &Response::Error {
+            kind: e.kind().to_string(),
+            message: e.to_string(),
+        },
+    );
+    write_frame(conn, &reply, shared.opts.max_frame_bytes).is_ok()
 }
 
 fn handle_request(req: Request, shared: &Arc<Shared>) -> Response {
@@ -743,24 +712,18 @@ fn admit_compile(req: Request, shared: &Arc<Shared>) -> Response {
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
-    loop {
-        match shared.queue.pop(TICK) {
-            Pop::TimedOut => continue,
-            Pop::Drained => return,
-            Pop::Item(job) => {
-                paqoc_telemetry::set_gauge("serve.queue_depth", shared.queue.len() as f64);
-                let resp = serve_job(&job, shared);
-                let shed = matches!(resp, Response::Draining | Response::Expired { .. });
-                if shed {
-                    shared.counters.shed.fetch_add(1, Ordering::SeqCst);
-                    paqoc_telemetry::counter("serve.shed", 1);
-                } else {
-                    shared.counters.completed.fetch_add(1, Ordering::SeqCst);
-                    paqoc_telemetry::counter("serve.completed", 1);
-                }
-                let _ = job.resp.send(resp);
-            }
+    while let Some(job) = shared.queue.pop() {
+        paqoc_telemetry::set_gauge("serve.queue_depth", shared.queue.len() as f64);
+        let resp = serve_job(&job, shared);
+        let shed = matches!(resp, Response::Draining | Response::Expired { .. });
+        if shed {
+            shared.counters.shed.fetch_add(1, Ordering::SeqCst);
+            paqoc_telemetry::counter("serve.shed", 1);
+        } else {
+            shared.counters.completed.fetch_add(1, Ordering::SeqCst);
+            paqoc_telemetry::counter("serve.completed", 1);
         }
+        let _ = job.resp.send(resp);
     }
 }
 
