@@ -27,6 +27,7 @@ use paqoc_device::{AnalyticModel, Device};
 use paqoc_exec::{AnalyticFactory, PulseSourceFactory};
 use paqoc_grape::{GrapeFactory, GrapeSource};
 use paqoc_workloads::{all_benchmarks, benchmark};
+use std::io::{BufWriter, ErrorKind, Write};
 use std::sync::Arc;
 
 fn main() {
@@ -93,23 +94,6 @@ fn main() {
     };
 
     let snap = paqoc_telemetry::snapshot();
-    println!(
-        "profile: {} / paqoc({config}) — {} physical gates, {} groups, {} dt{}",
-        b.name,
-        result.physical.len(),
-        result.num_groups(),
-        result.latency_dt,
-        if result.partial { " (PARTIAL)" } else { "" }
-    );
-    if !result.degradations.is_empty() {
-        println!("degradations ({}):", result.degradations.len());
-        for d in &result.degradations {
-            println!("  - {d}");
-        }
-    }
-    println!();
-    print!("{}", snap.render_report());
-
     // Pulse-table cache hit rate across all group sizes.
     let sum_prefix = |prefix: &str| -> u64 {
         snap.counters
@@ -119,32 +103,63 @@ fn main() {
             .sum()
     };
     let hits = sum_prefix("table.cache_hit.");
-    let misses = sum_prefix("table.cache_miss.");
-    let lookups = hits + misses;
-    if lookups > 0 {
-        println!(
-            "pulse-table cache: {hits}/{lookups} hits ({:.1}%)",
-            100.0 * hits as f64 / lookups as f64
-        );
+    let lookups = hits + sum_prefix("table.cache_miss.");
+    let trace = paqoc_telemetry::write_env_trace();
+    if let Err(e) = &trace {
+        eprintln!("failed to write trace: {e}");
     }
+
+    let stdout = std::io::stdout();
+    let mut out = BufWriter::new(stdout.lock());
+    let printed = (|| {
+        writeln!(
+            out,
+            "profile: {} / paqoc({config}) — {} physical gates, {} groups, {} dt{}",
+            b.name,
+            result.physical.len(),
+            result.num_groups(),
+            result.latency_dt,
+            if result.partial { " (PARTIAL)" } else { "" }
+        )?;
+        if !result.degradations.is_empty() {
+            writeln!(out, "degradations ({}):", result.degradations.len())?;
+            for d in &result.degradations {
+                writeln!(out, "  - {d}")?;
+            }
+        }
+        writeln!(out)?;
+        write!(out, "{}", snap.render_report())?;
+        if lookups > 0 {
+            writeln!(
+                out,
+                "pulse-table cache: {hits}/{lookups} hits ({:.1}%)",
+                100.0 * hits as f64 / lookups as f64
+            )?;
+        }
+        if let Ok(Some(path)) = &trace {
+            if path.extension().is_some_and(|e| e == "json") {
+                writeln!(
+                    out,
+                    "trace written to {} (Chrome trace format — open in https://ui.perfetto.dev \
+                     or chrome://tracing)",
+                    path.display()
+                )?;
+            } else {
+                writeln!(out, "trace written to {} (JSON Lines)", path.display())?;
+            }
+        }
+        out.flush()
+    })();
     assert_eq!(
         hits as usize, result.stats.cache_hits,
         "telemetry and CompileStats must agree on cache hits"
     );
-
-    match paqoc_telemetry::write_env_trace() {
-        Ok(Some(path)) => {
-            if path.extension().is_some_and(|e| e == "json") {
-                println!(
-                    "trace written to {} (Chrome trace format — open in https://ui.perfetto.dev \
-                     or chrome://tracing)",
-                    path.display()
-                );
-            } else {
-                println!("trace written to {} (JSON Lines)", path.display());
-            }
+    // A reader that stops early (`profile … | head`) closes the pipe:
+    // that ends the profile quietly. Any other write error is a failure.
+    if let Err(e) = printed {
+        if e.kind() != ErrorKind::BrokenPipe {
+            eprintln!("profile: cannot write the profile: {e}");
+            std::process::exit(1);
         }
-        Ok(None) => {}
-        Err(e) => eprintln!("failed to write trace: {e}"),
     }
 }

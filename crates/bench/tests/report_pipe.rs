@@ -1,10 +1,10 @@
-//! `report` ends quietly when its reader goes away, and fails on any
-//! other write error.
+//! `report` and `profile` end quietly when their reader goes away, and
+//! fail on any other write error.
 //!
-//! Each view runs with stdout piped and the read end dropped right after
-//! the spawn, so the report's first write meets a closed pipe. It must
-//! exit 0 without a panic. The same view written to `/dev/full` fails
-//! with a non-zero exit.
+//! Each view (and `profile bv m0`) runs with stdout piped and the read
+//! end dropped right after the spawn, so its first write meets a closed
+//! pipe. It must exit 0 without a panic. The same command written to
+//! `/dev/full` fails with a non-zero exit.
 
 use std::fs::File;
 use std::path::{Path, PathBuf};
@@ -23,16 +23,23 @@ fn write_trace(path: &Path) {
     std::fs::write(path, paqoc_telemetry::snapshot().to_jsonl()).expect("write the trace");
 }
 
-/// Every view's arguments: the trace views over `trace`, and the ledger
-/// view over the committed ledger.
-fn views(trace: &Path) -> Vec<Vec<String>> {
+/// Every command as binary and arguments: each `report` view (the trace
+/// views over `trace`, the ledger view over the committed ledger), then
+/// `profile bv m0`.
+fn views(trace: &Path) -> Vec<(&'static str, Vec<String>)> {
+    let report = env!("CARGO_BIN_EXE_report");
     let trace = trace.display().to_string();
     let ledger = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_perf.json");
-    let mut views: Vec<Vec<String>> = ["jobs", "phases", "workers", "hotspots", "flame"]
-        .iter()
-        .map(|view| vec![view.to_string(), trace.clone()])
-        .collect();
-    views.push(vec!["ledger".into(), ledger.display().to_string()]);
+    let mut views: Vec<(&'static str, Vec<String>)> =
+        ["jobs", "phases", "workers", "hotspots", "flame"]
+            .iter()
+            .map(|view| (report, vec![view.to_string(), trace.clone()]))
+            .collect();
+    views.push((report, vec!["ledger".into(), ledger.display().to_string()]));
+    views.push((
+        env!("CARGO_BIN_EXE_profile"),
+        vec!["bv".into(), "m0".into()],
+    ));
     views
 }
 
@@ -43,30 +50,30 @@ fn a_closed_pipe_ends_the_report_quietly() {
     std::fs::create_dir_all(&dir).expect("create the scratch directory");
     let trace = dir.join("trace.jsonl");
     write_trace(&trace);
-    for args in views(&trace) {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_report"))
+    for (bin, args) in views(&trace) {
+        let mut child = Command::new(bin)
             .args(&args)
             .stdout(Stdio::piped())
             .stderr(Stdio::piped())
             .spawn()
-            .expect("spawn report");
+            .expect("spawn the command");
         drop(child.stdout.take());
-        let output = child.wait_with_output().expect("wait for report");
+        let output = child.wait_with_output().expect("wait for the command");
         let stderr = String::from_utf8_lossy(&output.stderr);
-        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
-        assert_eq!(output.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
+        assert_eq!(output.status.code(), Some(0), "{bin} {args:?}: {stderr}");
 
         // The same view has output to write: a full device fails it.
         if Path::new("/dev/full").exists() {
             let full = File::create("/dev/full").expect("open /dev/full");
-            let output = Command::new(env!("CARGO_BIN_EXE_report"))
+            let output = Command::new(bin)
                 .args(&args)
                 .stdout(full)
                 .output()
-                .expect("run report");
+                .expect("run the command");
             let stderr = String::from_utf8_lossy(&output.stderr);
-            assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
-            assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
+            assert_eq!(output.status.code(), Some(1), "{bin} {args:?}: {stderr}");
         }
     }
     std::fs::remove_dir_all(&dir).expect("remove the scratch directory");

@@ -318,23 +318,23 @@ impl GroupedCircuit {
 
         let mut new_preds = BTreeSet::new();
         let mut new_succs = BTreeSet::new();
+        // Taking a member's sets leaves them empty, as a dead group's
+        // are; the rewiring below changes only other groups' sets.
         for &old in &[first, second] {
-            for &p in &self.preds[old].clone() {
+            for p in std::mem::take(&mut self.preds[old]) {
                 if p != first && p != second {
                     self.succs[p].remove(&old);
                     self.succs[p].insert(new_id);
                     new_preds.insert(p);
                 }
             }
-            for &s in &self.succs[old].clone() {
+            for s in std::mem::take(&mut self.succs[old]) {
                 if s != first && s != second {
                     self.preds[s].remove(&old);
                     self.preds[s].insert(new_id);
                     new_succs.insert(s);
                 }
             }
-            self.preds[old].clear();
-            self.succs[old].clear();
         }
         self.preds.push(new_preds);
         self.succs.push(new_succs);
