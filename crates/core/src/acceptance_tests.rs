@@ -4,7 +4,7 @@
 use crate::generator::PaqocOptions;
 use crate::group::{GroupKind, GroupedCircuit};
 use crate::pipeline::{
-    accept_apa_occurrences, partition_is_acyclic, try_compile, PipelineOptions, QuotientDag,
+    accept_apa_occurrences, partition_is_acyclic, try_compile, PipelineOptions, Quotient,
 };
 use crate::table::group_key;
 use paqoc_circuit::{Circuit, Instruction};
@@ -141,7 +141,7 @@ fn flat_acceptance(
     device: &Device,
     opts: &PaqocOptions,
 ) -> Decisions {
-    let out = accept_apa_occurrences(physical, apa, device, &mut AnalyticModel::new(), opts);
+    let out = accept_apa_occurrences(physical, apa, device, &mut AnalyticModel::new(), opts, None);
     (
         out.partition,
         [
@@ -239,7 +239,12 @@ fn flat_acceptance_matches_the_rebuild_everything_reference() {
     }
     let mut table1 = paqoc_workloads::all_benchmarks();
     table1.sort_by_key(|b| ((b.build)().len(), b.name));
-    for b in &table1[..5] {
+    // The five smallest programs, and the two whose acceptance makes the
+    // most trials: the kept order moves most there.
+    let largest = table1
+        .iter()
+        .filter(|b| ["majority_239", "dnn"].contains(&b.name));
+    for b in table1[..5].iter().chain(largest) {
         let (physical, apa) = physical_and_cover(&(b.build)(), &device, false);
         inputs.push((b.name.to_string(), physical, apa));
     }
@@ -287,57 +292,69 @@ fn brute_force_acyclic(c: &Circuit, owner: &[usize], num_nodes: usize) -> bool {
 #[test]
 fn flat_pass_agrees_with_grouped_circuit_and_brute_force() {
     let mut rng = Rng::seed_from_u64(0xf1a7);
-    let mut dag = QuotientDag::default();
     let (mut acyclic, mut cyclic) = (0, 0);
     for _ in 0..400 {
         let c = random_circuit(&mut rng);
         let (n, nq) = (c.len(), c.num_qubits());
-        // Disjoint sets drawn from short index windows: mostly convex,
-        // sometimes not.
-        let mut owner: Vec<usize> = (0..n).collect();
+        // Occurrences claimed one at a time on one quotient, each drawn
+        // from a short index window of the singletons left: mostly
+        // convex, sometimes not. An acyclic one is kept or released at
+        // random, so later trials run on the order earlier ones rewrote
+        // and after trials that must leave no trace.
+        let mut dag = Quotient::new(c.instructions(), nq);
         let mut partition: Vec<(Vec<usize>, GroupKind)> = Vec::new();
+        let mut lat: Vec<f64> = (0..n).map(|_| rng.random::<f64>() * 97.0).collect();
         for _ in 0..rng.random_range(1..=5usize) {
             let start: usize = rng.random_range(0..n);
             let want = rng.random_range(2..=4usize);
-            let node = n + partition.len();
             let set: Vec<usize> = (start..n.min(start + want + 3))
-                .filter(|&i| owner[i] == i && rng.random::<f64>() < 0.7)
+                .filter(|&i| {
+                    partition.iter().all(|(s, _)| !s.contains(&i)) && rng.random::<f64>() < 0.7
+                })
                 .take(want)
                 .collect();
             if set.len() < 2 {
                 continue;
             }
-            for &i in &set {
-                owner[i] = node;
+            let mut trial = partition.clone();
+            trial.push((set.clone(), GroupKind::Apa(0)));
+            let mut owner: Vec<usize> = (0..n).collect();
+            for (node, (s, _)) in (n..).zip(&trial) {
+                for &i in s {
+                    owner[i] = node;
+                }
             }
-            partition.push((set, GroupKind::Apa(0)));
-        }
-        let num_nodes = n + partition.len();
+            let num_nodes = n + trial.len();
 
-        let verdict = dag.sort(c.instructions(), nq, &owner, num_nodes);
-        assert_eq!(verdict, brute_force_acyclic(&c, &owner, num_nodes));
-        assert_eq!(
-            verdict,
-            partition_is_acyclic(c.instructions(), nq, &partition)
-        );
-        if !verdict {
-            cyclic += 1;
-            continue;
-        }
-        acyclic += 1;
-        let lat: Vec<f64> = (0..num_nodes).map(|_| rng.random::<f64>() * 97.0).collect();
-        let mut g = GroupedCircuit::new(c.instructions(), nq, &partition);
-        for id in g.group_ids() {
-            // Partition sets come first in the grouped circuit, then the
-            // remaining instructions as singletons.
-            let node = if id < partition.len() {
-                n + id
+            let verdict = dag.claim(&set);
+            assert_eq!(verdict, brute_force_acyclic(&c, &owner, num_nodes));
+            assert_eq!(verdict, partition_is_acyclic(c.instructions(), nq, &trial));
+            if !verdict {
+                cyclic += 1;
+                continue;
+            }
+            acyclic += 1;
+            lat.push(rng.random::<f64>() * 97.0);
+            let mut g = GroupedCircuit::new(c.instructions(), nq, &trial);
+            for id in g.group_ids() {
+                // Partition sets come first in the grouped circuit, then
+                // the remaining instructions as singletons.
+                let node = if id < trial.len() {
+                    n + id
+                } else {
+                    g.group(id).indices[0]
+                };
+                g.group_mut(id).latency_ns = lat[node];
+            }
+            assert_eq!(dag.trial_span(&lat).to_bits(), g.makespan_ns().to_bits());
+            if rng.random::<f64>() < 0.7 {
+                dag.accept();
+                partition = trial;
             } else {
-                g.group(id).indices[0]
-            };
-            g.group_mut(id).latency_ns = lat[node];
+                lat.pop();
+                dag.release();
+            }
         }
-        assert_eq!(dag.longest_path(&lat).to_bits(), g.makespan_ns().to_bits());
     }
     assert!(
         acyclic > 50 && cyclic > 50,

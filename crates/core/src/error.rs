@@ -120,7 +120,9 @@ pub enum Degradation {
     /// The wall-clock deadline expired mid-compilation; the phase named
     /// here was cut short and the result is marked partial.
     DeadlineHit {
-        /// Phase interrupted (`"merge"` or `"attach"`).
+        /// Phase interrupted (`"group"`, `"merge"` or `"attach"`): APA
+        /// acceptance, the merge search or the pulse attach. A compile
+        /// records at most one, for the first phase the deadline cut.
         phase: String,
     },
     /// The pulse source **panicked** on a group; the supervisor caught

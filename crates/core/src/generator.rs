@@ -124,6 +124,9 @@ pub(crate) struct GenerationOutcome {
 /// pulse generation; when it passes the run finishes with the current
 /// valid grouping marked `partial` instead of erroring. Every
 /// concession is recorded in [`GenerationOutcome::degradations`].
+/// `deadline_hit` says an earlier phase already hit the deadline and
+/// recorded it: the run is partial from the start, skips the search
+/// (which would stop at once) and records no second hit.
 ///
 /// With a parallel-prefetch context `exec`, every pending pulse of each
 /// attach sweep is first generated as a [`PulseJob`] batch on the
@@ -140,6 +143,7 @@ pub(crate) fn generate_with(
     table: &mut PulseTable,
     opts: &PaqocOptions,
     deadline: Option<Instant>,
+    deadline_hit: bool,
     exec: Option<&BatchContext>,
 ) -> GenerationOutcome {
     let mut report = GeneratorReport::default();
@@ -164,18 +168,20 @@ pub(crate) fn generate_with(
 
     // One compilation gets at most one DeadlineHit degradation and one
     // `pipeline.deadline_hits` increment, whether the deadline trips in
-    // the merge loop, the attach loop, or both: only the deadline makes
-    // a run partial, so `partial` doubles as the "already noted" flag.
-    let mut partial = run_search(
-        grouped,
-        device,
-        estimator,
-        opts,
-        deadline,
-        &mut report,
-        &mut degradations,
-        &mut (),
-    );
+    // the group phase, the merge loop, the attach loop, or several: only
+    // the deadline makes a run partial, so `partial` doubles as the
+    // "already noted" flag.
+    let mut partial = deadline_hit
+        || run_search(
+            grouped,
+            device,
+            estimator,
+            opts,
+            deadline,
+            &mut report,
+            &mut degradations,
+            &mut (),
+        );
 
     // Attach real generated pulses to every group still carrying an
     // estimate (fidelity-0 marker). Recurring shapes hit the table.
@@ -447,6 +453,7 @@ mod tests {
             &mut table,
             opts,
             None,
+            false,
             None,
         );
         (grouped, outcome.report, table)

@@ -5,34 +5,38 @@
 //! Both make the decisions they made when every round rebuilt its state
 //! from the grouped circuit; what changed is what a round recomputes.
 //!
+//! * The search sorts the DAG once and keeps that topological order
+//!   ([`KeptOrder`]) to its end; a contraction rewrites only the slots
+//!   between its two members.
 //! * Ids are never reused and a group never changes while it lives, so
 //!   a pair's qubit-cap verdict and its merged-latency estimate are fixed
 //!   for the pair's life. Each is computed once: the verdict as a
 //!   popcount over qubit bitsets, the estimate into one map both phases
-//!   share.
+//!   share (and beside its candidate tuple).
 //! * Algorithm 1 keeps its candidate tuples. A contraction drops the
 //!   tuples naming its two members and derives only those the merged
 //!   node can add: its edges, the sibling pairs around it and the sibling
 //!   pairs around each of its neighbours. Every iteration still
-//!   recomputes the windows, the critical flags and the score of every
-//!   pair with a critical member, from one topological order.
-//! * The preprocessing keeps a topological order, `cp_before`/`cp_after`,
-//!   the live groups and the sources. A round walks the live groups only
-//!   and reads the span at the sources. After a merge it recomputes
-//!   `after` in the merged node's ancestor cone at once and `before` only
-//!   as far as a round reads it, in kept order; a max of the same values
-//!   is the same float. Its contractibility search stops at the pair's
-//!   successor's position in the kept order.
+//!   recomputes the windows (over the kept order), the critical flags and
+//!   the score of every pair with a critical member. A trial merge
+//!   searches for a path only up to its later member's slot and reads its
+//!   span from one backward pass over the order it would leave.
+//! * The preprocessing keeps `cp_before`/`cp_after`, the live groups and
+//!   the sources. A round walks the live groups only and reads the span
+//!   at the sources. After a merge it recomputes `after` in the merged
+//!   node's ancestor cone at once and `before` only as far as a round
+//!   reads it, in kept order; a max of the same values is the same float.
 //!
 //! DESIGN.md §15 explains each step.
 
 use crate::error::Degradation;
 use crate::generator::{GeneratorReport, PaqocOptions};
-use crate::group::{GroupedCircuit, SpanScratch, Windows};
+use crate::group::{GroupedCircuit, KeptOrder, Marks, VACANT};
 use paqoc_circuit::Instruction;
 use paqoc_device::{AnalyticModel, Device, LoweredGroup};
 use paqoc_math::FastHash;
-use paqoc_telemetry::{counter, event, span, FieldValue};
+use paqoc_telemetry::{counter, span};
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::time::Instant;
 
@@ -132,18 +136,16 @@ struct SearchState {
     /// Each group's [`AnalyticModel::lower`] once a pair estimate needed
     /// it.
     lowered: Vec<Option<Option<Vec<Instruction>>>>,
-    /// Both windows of every group (`cp_before` and `cp_after`), and the
-    /// topological order of the last full pass.
-    windows: Windows,
-    /// Scratch of the graph searches.
-    stack: Vec<usize>,
-    /// `seen[v] == epoch` marks `v` visited by the current search.
-    seen: Vec<u32>,
-    epoch: u32,
-    /// The preprocessing's kept topological order, with [`VACANT`]
-    /// slots, and each live group's slot in it.
-    topo: Vec<usize>,
-    pos: Vec<usize>,
+    /// Each group's latency by id, in one dense array.
+    lat: Vec<f64>,
+    /// Both windows of every group by id: `cp_before` and `cp_after`.
+    before: Vec<f64>,
+    after: Vec<f64>,
+    /// Marks of the graph searches.
+    marks: Marks,
+    /// The topological order sorted when the search starts and kept to
+    /// its end.
+    order: KeptOrder,
     /// `before` is exact at every kept position below `fresh`, and is
     /// brought up to date on read ([`refresh_before`](Self::refresh_before)).
     fresh: usize,
@@ -154,42 +156,51 @@ struct SearchState {
     sources: Vec<usize>,
     /// Scratch: positions waiting in [`propagate`](Self::propagate).
     heap: BinaryHeap<usize>,
-    /// Scratch of the commit's trial span.
-    span_scratch: SpanScratch,
 }
 
-/// A slot of the kept topological order that no group holds.
-const VACANT: usize = usize::MAX;
-
 impl SearchState {
+    /// The state as the search starts, with one topological order and both
+    /// windows over it. Checks the source span's premise on every latency.
     fn new(grouped: &GroupedCircuit) -> Self {
         let words = grouped.num_qubits().div_ceil(64).max(1);
         let bound = grouped.id_bound();
         let mut qubit_bits = vec![0u64; bound * words];
+        let mut lat = vec![0.0; bound];
         for id in 0..bound {
             if let Some(g) = grouped.try_group(id) {
                 for &q in &g.qubits {
                     qubit_bits[id * words + q / 64] |= 1 << (q % 64);
                 }
+                lat[id] = g.latency_ns;
             }
         }
-        SearchState {
+        let order = KeptOrder::new(grouped.topological_order(), bound);
+        let mut state = SearchState {
             words,
             qubit_bits,
             pair_est: HashMap::default(),
             lowered: Vec::new(),
-            windows: Windows::default(),
-            stack: Vec::new(),
-            seen: Vec::new(),
-            epoch: 0,
-            topo: Vec::new(),
-            pos: Vec::new(),
-            fresh: 0,
-            next_live: Vec::new(),
+            lat,
+            before: Vec::new(),
+            after: Vec::new(),
+            marks: Marks::default(),
+            fresh: order.topo.len(),
+            order,
+            next_live: (1..=bound).chain([bound]).collect(),
             sources: Vec::new(),
             heap: BinaryHeap::new(),
-            span_scratch: SpanScratch::default(),
+        };
+        state.grow(grouped);
+        state.windows(grouped);
+        for &v in &state.order.topo {
+            state.next_live[v] = v;
+            let latency = state.lat[v];
+            assert!((0.0..f64::INFINITY).contains(&latency), "latency {latency}");
+            if grouped.preds(v).is_empty() {
+                state.sources.push(v);
+            }
         }
+        state
     }
 
     fn bits(&self, id: usize) -> &[u64] {
@@ -268,8 +279,8 @@ impl SearchState {
         let (first, second) = match link {
             Link::None => {
                 return (
-                    self.windows.before[a].max(self.windows.before[b]),
-                    self.windows.after[a].max(self.windows.after[b]),
+                    self.before[a].max(self.before[b]),
+                    self.after[a].max(self.after[b]),
                 );
             }
             Link::Forward => (a, b),
@@ -279,40 +290,29 @@ impl SearchState {
             .preds(second)
             .iter()
             .filter(|&&p| p != first)
-            .map(|&p| self.windows.before[p] + grouped.group(p).latency_ns)
-            .fold(self.windows.before[first], f64::max);
+            .map(|&p| self.before[p] + self.lat[p])
+            .fold(self.before[first], f64::max);
         let new_after = grouped
             .succs(first)
             .iter()
             .filter(|&&s| s != second)
-            .map(|&s| grouped.group(s).latency_ns + self.windows.after[s])
-            .fold(self.windows.after[second], f64::max);
+            .map(|&s| self.lat[s] + self.after[s])
+            .fold(self.after[second], f64::max);
         (new_before, new_after)
     }
 
     /// Sizes the per-id buffers for every id minted so far.
     fn grow(&mut self, grouped: &GroupedCircuit) {
         let bound = grouped.id_bound();
-        self.windows.before.resize(bound, 0.0);
-        self.windows.after.resize(bound, 0.0);
-        self.seen.resize(bound, 0);
-        self.pos.resize(bound, 0);
+        self.before.resize(bound, 0.0);
+        self.after.resize(bound, 0.0);
+        self.order.grow(bound);
     }
 
-    /// Recomputes both windows over the whole DAG; returns the makespan.
+    /// Recomputes both windows over the kept order; returns the makespan.
     fn windows(&mut self, grouped: &GroupedCircuit) -> f64 {
-        let span = grouped.windows_into(&mut self.windows);
-        self.grow(grouped);
-        span
-    }
-
-    /// Starts a new graph search: every `seen` mark becomes stale.
-    fn next_epoch(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.seen.fill(0);
-            self.epoch = 1;
-        }
+        let lat = |v| self.lat[v];
+        grouped.windows_along(&self.order.topo, lat, &mut self.before, &mut self.after)
     }
 
     /// The makespan from the kept `after`, read at the sources: every
@@ -320,33 +320,11 @@ impl SearchState {
     /// own (latencies are finite and non-negative, and adding one never
     /// lowers a sum), so the max over the sources is the same float as
     /// the max over every live group.
-    fn source_span(&self, grouped: &GroupedCircuit) -> f64 {
+    fn source_span(&self) -> f64 {
         self.sources
             .iter()
-            .map(|&v| grouped.group(v).latency_ns + self.windows.after[v])
+            .map(|&v| self.lat[v] + self.after[v])
             .fold(0.0, f64::max)
-    }
-
-    /// Starts keeping the preprocessing's state from a full windows pass:
-    /// its topological order, with every `before` exact, the live walk
-    /// and the sources. Checks the source span's premise on every latency.
-    fn keep_state(&mut self, grouped: &GroupedCircuit) {
-        self.windows(grouped);
-        self.topo.clear();
-        self.topo.extend_from_slice(&self.windows.order);
-        self.fresh = self.topo.len();
-        self.sources.clear();
-        let bound = grouped.id_bound();
-        self.next_live = (1..=bound).chain([bound]).collect();
-        for (i, &v) in self.topo.iter().enumerate() {
-            self.pos[v] = i;
-            self.next_live[v] = v;
-            let latency = grouped.group(v).latency_ns;
-            assert!((0.0..f64::INFINITY).contains(&latency), "latency {latency}");
-            if grouped.preds(v).is_empty() {
-                self.sources.push(v);
-            }
-        }
     }
 
     /// The smallest live id at or above `v`, or the id bound; halves the
@@ -364,43 +342,93 @@ impl SearchState {
     /// the same values a full pass folds, so it is the same float.
     fn refresh_before(&mut self, grouped: &GroupedCircuit, end: usize) {
         for i in self.fresh..end {
-            let v = self.topo[i];
+            let v = self.order.topo[i];
             if v != VACANT {
-                self.windows.before[v] = grouped.preds(v).iter().fold(0.0f64, |best, &p| {
-                    best.max(grouped.group(p).latency_ns + self.windows.before[p])
-                });
+                self.before[v] = grouped
+                    .preds(v)
+                    .iter()
+                    .fold(0.0f64, |best, &p| best.max(self.lat[p] + self.before[p]));
             }
         }
         self.fresh = self.fresh.max(end);
     }
 
-    /// `true` when contracting the edge `a → b` keeps the DAG acyclic:
-    /// no path `a ⇝ x ⇝ b` through a third group (a path `b ⇝ a` would
-    /// close a cycle with the edge). The search stops at `b`'s position in
-    /// the kept order; when it finds no path it leaves the descendants of
-    /// `a` placed before `b` marked.
-    fn edge_contractible(&mut self, grouped: &GroupedCircuit, a: usize, b: usize) -> bool {
-        self.next_epoch();
-        !third_path(
-            &mut self.seen,
-            self.epoch,
-            &mut self.stack,
-            grouped,
-            a,
-            b,
-            &self.pos,
+    /// `true` when contracting `first` and `second`, placed in that
+    /// order, keeps the DAG acyclic: no path `first ⇝ x ⇝ second` through
+    /// a third group (none runs back from `second`). The search stops at
+    /// `second`'s slot, where every such path ends; when it finds no path
+    /// it leaves the descendants of `first` placed before `second` marked.
+    fn contractible(&mut self, grouped: &GroupedCircuit, first: usize, second: usize) -> bool {
+        let pos = &self.order.pos;
+        let enter = |s: usize| pos[s] <= pos[second];
+        let succs = |v: usize| grouped.succs(v).iter().copied();
+        !self
+            .marks
+            .detour(grouped.id_bound(), (first, second), enter, succs)
+    }
+
+    /// The makespan after contracting `first` and `second`, placed in
+    /// that order and just passed by [`contractible`](Self::contractible),
+    /// into one group of latency `est`: the bits a clone, a merge and
+    /// `makespan_ns` give. `first` stands for the merged group, `second`
+    /// read as `first`, in the order [`contract`](Self::contract) would
+    /// leave. Counts one `group.contractions`, as the trial merge did.
+    fn trial_span(
+        &mut self,
+        grouped: &GroupedCircuit,
+        first: usize,
+        second: usize,
+        est: f64,
+    ) -> f64 {
+        counter("group.contractions", 1);
+        let (lo, hi) = (self.order.pos[first], self.order.pos[second]);
+        let (marks, lat) = (&self.marks, &self.lat);
+        let member = |v: usize| v == first || v == second;
+        self.order
+            .segment(lo, hi, first, member, |v| marks.marked(v));
+        self.order.trial_span(
+            lo,
+            hi,
+            |v| if v == first { est } else { lat[v] },
+            |v| {
+                let more: &[usize] = if v == first {
+                    grouped.succs(second)
+                } else {
+                    &[]
+                };
+                grouped
+                    .succs(v)
+                    .iter()
+                    .chain(more)
+                    .map(move |&s| if s == second { first } else { s })
+                    .filter(move |&s| s != v)
+            },
         )
     }
 
+    /// Contracts `a` and `b`, just passed by `contractible`, into a group
+    /// of latency `est` (estimate only: fidelity 0), placed in kept order.
+    fn contract(&mut self, grouped: &mut GroupedCircuit, a: usize, b: usize, est: f64) -> usize {
+        let (lo, hi) = {
+            let (x, y) = (self.order.pos[a], self.order.pos[b]);
+            (x.min(y), x.max(y))
+        };
+        let m = grouped.contract(a, b);
+        grouped.group_mut(m).latency_ns = est;
+        grouped.group_mut(m).fidelity = 0.0; // marker: estimate only
+        self.push_merged(a, b);
+        self.lat.push(est);
+        self.grow(grouped);
+        let marks = &self.marks;
+        self.order
+            .segment(lo, hi, m, |v| v == a || v == b, |v| marks.marked(v));
+        self.order.place(lo, hi);
+        m
+    }
+
     /// Contracts the contractible edge `a → b` into a group of latency
-    /// `est` and brings the kept state up to date. Returns the new id.
-    ///
-    /// The order: between `a` and `b`, the descendants of `a` move after
-    /// the merged node and everything else before it, keeping their
-    /// relative order. No edge runs from a descendant of `a` to a group
-    /// that is not one, a predecessor of `b` is not a descendant of `a`
-    /// (the edge is contractible), and the merged node's other
-    /// neighbours lie outside the span, so the order stays topological.
+    /// `est` and brings the preprocessing's state up to date. Returns the
+    /// new id.
     ///
     /// The windows: only the merged node's descendants, all placed at or
     /// after `a`'s old slot, can start at another time, so `before` stays
@@ -419,38 +447,11 @@ impl SearchState {
         b: usize,
         est: f64,
     ) -> usize {
-        let (lo, hi) = (self.pos[a], self.pos[b]);
-        let contractible = self.edge_contractible(grouped, a, b);
+        let lo = self.order.pos[a];
+        let contractible = self.contractible(grouped, a, b);
         assert!(contractible, "({a},{b}) is not contractible");
         counter("group.contractions", 1);
-        let m = grouped.contract(a, b);
-        grouped.group_mut(m).latency_ns = est;
-        grouped.group_mut(m).fidelity = 0.0; // marker: estimate only
-        self.push_merged(a, b);
-        self.grow(grouped);
-
-        // The slots `lo..=hi`: the others, the merged node, then the
-        // marked descendants of `a`; the freed slot last.
-        let segment = &mut self.stack;
-        segment.clear();
-        let epoch = self.epoch;
-        for &v in &self.topo[lo + 1..hi] {
-            if v != VACANT && self.seen[v] != epoch {
-                segment.push(v);
-            }
-        }
-        segment.push(m);
-        for &v in &self.topo[lo + 1..hi] {
-            if v != VACANT && self.seen[v] == epoch {
-                segment.push(v);
-            }
-        }
-        for (i, slot) in self.topo[lo..=hi].iter_mut().enumerate() {
-            *slot = segment.get(i).copied().unwrap_or(VACANT);
-        }
-        for i in lo..lo + segment.len() {
-            self.pos[self.topo[i]] = i;
-        }
+        let m = self.contract(grouped, a, b, est);
         self.fresh = self.fresh.min(lo);
         self.next_live[a] = a + 1;
         self.next_live[b] = b + 1;
@@ -468,24 +469,24 @@ impl SearchState {
     /// `after` (or is `m`). A max of the same values is the same float,
     /// so every value is what a full `cp_after` pass gives.
     fn propagate(&mut self, grouped: &GroupedCircuit, m: usize) {
-        self.next_epoch();
+        self.marks.restart(grouped.id_bound());
+        self.marks.mark(m);
         self.heap.clear();
-        self.heap.push(self.pos[m]);
-        self.seen[m] = self.epoch;
+        self.heap.push(self.order.pos[m]);
         while let Some(at) = self.heap.pop() {
-            let v = self.topo[at];
-            let after = &mut self.windows.after;
-            let value = grouped.succs(v).iter().fold(0.0f64, |best, &s| {
-                best.max(grouped.group(s).latency_ns + after[s])
-            });
+            let v = self.order.topo[at];
+            let (lat, after) = (&self.lat, &mut self.after);
+            let value = grouped
+                .succs(v)
+                .iter()
+                .fold(0.0f64, |best, &s| best.max(lat[s] + after[s]));
             if v != m && value.to_bits() == after[v].to_bits() {
                 continue;
             }
             after[v] = value;
             for &p in grouped.preds(v) {
-                if self.seen[p] != self.epoch {
-                    self.seen[p] = self.epoch;
-                    self.heap.push(self.pos[p]);
+                if self.marks.mark(p) {
+                    self.heap.push(self.order.pos[p]);
                 }
             }
         }
@@ -521,12 +522,11 @@ impl SearchState {
         // merged away leaves its merged node on the path), and ids are
         // never reused. So each pair's graph search finds a path once.
         let mut blocked: HashSet<u64, FastHash> = HashSet::default();
-        self.keep_state(grouped);
         loop {
             if deadline.is_some_and(|d| Instant::now() >= d) {
                 return merges;
             }
-            let span = self.source_span(grouped);
+            let span = self.source_span();
             let mut found = None;
             let mut a = self.next_live(0);
             'scan: while a < grouped.id_bound() {
@@ -534,7 +534,7 @@ impl SearchState {
                     if self.union_size(a, b) > cap || blocked.contains(&key(a, b)) {
                         continue;
                     }
-                    if !self.edge_contractible(grouped, a, b) {
+                    if !self.contractible(grouped, a, b) {
                         blocked.insert(key(a, b));
                         continue;
                     }
@@ -543,7 +543,7 @@ impl SearchState {
                     // must not exceed the current span (the rest of the
                     // DAG can only have gotten lighter). It reads `before`
                     // at `a` and `b`'s predecessors, all placed before `b`.
-                    self.refresh_before(grouped, self.pos[b]);
+                    self.refresh_before(grouped, self.order.pos[b]);
                     let (new_before, new_after) = self.merged_window(grouped, a, b, Link::Forward);
                     if new_before + est + new_after <= span + opts.tolerance_ns {
                         found = Some((a, b, est));
@@ -581,7 +581,7 @@ impl SearchState {
         let mut candidates = Candidates::default();
         candidates.seed(self, grouped, opts.max_qubits);
         let mut critical: Vec<bool> = Vec::new();
-        let mut scored: Vec<(f64, f64, usize, usize)> = Vec::new();
+        let mut scored: Vec<Scored> = Vec::new();
         let mut touched: Vec<usize> = Vec::new();
 
         for _ in 0..opts.max_iterations {
@@ -601,9 +601,8 @@ impl SearchState {
             let mut top_len = 0usize;
             critical.clear();
             critical.resize(grouped.id_bound(), false);
-            for &g in &self.windows.order {
-                let weight =
-                    self.windows.before[g] + grouped.group(g).latency_ns + self.windows.after[g];
+            for g in self.order.nodes() {
+                let weight = self.before[g] + self.lat[g] + self.after[g];
                 critical[g] = weight >= span - opts.tolerance_ns;
                 let at = top[..top_len]
                     .iter()
@@ -623,7 +622,8 @@ impl SearchState {
             let pruned_qubit_cap = candidates.capped;
             let (mut case1, mut case2, mut case3) = (0usize, 0usize, 0usize);
             scored.clear();
-            for &Open { a, b, link } in &candidates.open {
+            for open in &mut candidates.open {
+                let Open { a, b, link, .. } = *open;
                 match (critical[a], critical[b]) {
                     (true, true) => case1 += 1,
                     (true, false) | (false, true) => case2 += 1,
@@ -636,7 +636,9 @@ impl SearchState {
                 // time; scoring stays cheap. Free latency estimate of the
                 // merged gate (Obs. 1 & 2 via the analytic model; no
                 // pulse-generation cost incurred), computed once per pair.
-                let est = self.estimate(grouped, device, estimator, opts.target_fidelity, a, b);
+                let est = *open.est.get_or_insert_with(|| {
+                    self.estimate(grouped, device, estimator, opts.target_fidelity, a, b)
+                });
                 // Paper's three-term critical path update: the merged
                 // node's heaviest path vs the heaviest path elsewhere
                 // (approximated by the unmerged span of the untouched
@@ -658,11 +660,11 @@ impl SearchState {
                 // span gain, yet merging all of them is what eventually
                 // shortens the circuit — so zero-span-gain merges are
                 // accepted when they strictly reduce total pulse time.
-                let local_gain = grouped.group(a).latency_ns + grouped.group(b).latency_ns - est;
+                let local_gain = self.lat[a] + self.lat[b] - est;
                 if span_gain > opts.tolerance_ns
                     || (span_gain >= -opts.tolerance_ns && local_gain > opts.tolerance_ns)
                 {
-                    scored.push((span_gain, local_gain, a, b));
+                    scored.push((total_key(span_gain), total_key(local_gain), Reverse((a, b))));
                 }
             }
             // One counter call per iteration, from the local sums; a zero
@@ -681,12 +683,10 @@ impl SearchState {
             // Note: no early break on an empty `scored` — the loop falls
             // through to the per-iteration decision event below and exits
             // via `committed == 0`, so every counted iteration is
-            // journaled.
-            scored.sort_by(|x, y| {
-                y.0.total_cmp(&x.0)
-                    .then(y.1.total_cmp(&x.1))
-                    .then((x.2, x.3).cmp(&(y.2, y.3)))
-            });
+            // journaled. The pairs come off a heap best first, only as
+            // far as the commits need.
+            let scored_len = scored.len();
+            let mut ranked = BinaryHeap::from(std::mem::take(&mut scored));
 
             // Commit up to top-k disjoint candidates, each validated with
             // the (free) estimator latency and rolled back if it fails to
@@ -695,54 +695,50 @@ impl SearchState {
             // generated once the grouping is final.
             let mut committed = 0usize;
             touched.clear();
-            for &(_, _, a, b) in &scored {
-                if committed >= opts.top_k {
+            while committed < opts.top_k {
+                let Some((_, _, Reverse((a, b)))) = ranked.pop() else {
                     break;
-                }
+                };
                 if touched.contains(&a) || touched.contains(&b) {
                     continue; // candidate invalidated by an earlier merge
                 }
-                if !grouped.contractible(a, b) {
+                let (first, second) = if self.order.pos[a] < self.order.pos[b] {
+                    (a, b)
+                } else {
+                    (b, a)
+                };
+                if !self.contractible(grouped, first, second) {
                     continue;
                 }
-                let saved_latency = grouped.group(a).latency_ns + grouped.group(b).latency_ns;
+                let saved_latency = self.lat[a] + self.lat[b];
                 let est = self.pair_est[&key(a, b)];
                 // The trial span is computed on the contracted DAG without
                 // building it; the merge happens only on commit.
-                let new_span = grouped.contracted_makespan(a, b, est, &mut self.span_scratch);
+                let new_span = self.trial_span(grouped, first, second, est);
                 // Commit on strict span decrease, or on span non-increase
                 // with a strict total-pulse-time decrease (guarantees
                 // monotonic span and loop termination).
                 let total_gain = saved_latency - est;
                 let commit = new_span < span - opts.tolerance_ns
                     || (new_span <= span + opts.tolerance_ns && total_gain > opts.tolerance_ns);
-                if paqoc_telemetry::enabled() {
-                    let (ga, gb) = (grouped.group(a), grouped.group(b));
-                    let gates = ga.instructions.len() + gb.instructions.len();
-                    let qubits = self.union_size(a, b);
-                    event(
-                        if commit {
-                            "search.merge_commit"
-                        } else {
-                            "search.merge_reject"
-                        },
-                        &[
-                            ("iter", FieldValue::U64(report.iterations as u64)),
-                            ("a", FieldValue::U64(a as u64)),
-                            ("b", FieldValue::U64(b as u64)),
-                            ("gates", FieldValue::U64(gates as u64)),
-                            ("qubits", FieldValue::U64(qubits as u64)),
-                            ("predicted_latency_ns", FieldValue::F64(est)),
-                            ("predicted_span_gain_ns", FieldValue::F64(span - new_span)),
-                            ("local_gain_ns", FieldValue::F64(total_gain)),
-                        ],
-                    );
-                }
+                let gates = |g: usize| grouped.group(g).instructions.len() as u64;
+                paqoc_telemetry::event!(
+                    if commit {
+                        "search.merge_commit"
+                    } else {
+                        "search.merge_reject"
+                    },
+                    iter = report.iterations as u64,
+                    a = a as u64,
+                    b = b as u64,
+                    gates = gates(a) + gates(b),
+                    qubits = self.union_size(a, b) as u64,
+                    predicted_latency_ns = est,
+                    predicted_span_gain_ns = span - new_span,
+                    local_gain_ns = total_gain,
+                );
                 if commit {
-                    let m = grouped.contract(a, b);
-                    grouped.group_mut(m).latency_ns = est;
-                    grouped.group_mut(m).fidelity = 0.0; // marker: estimate only
-                    self.push_merged(a, b);
+                    let m = self.contract(grouped, a, b, est);
                     candidates.replace(self, grouped, a, b, m, opts.max_qubits);
                     touched.push(a);
                     touched.push(b);
@@ -756,6 +752,7 @@ impl SearchState {
                     sink.record(Decision::Reject { a, b });
                 }
             }
+            scored = ranked.into_vec();
             sink.record(Decision::Iteration {
                 span_bits: span.to_bits(),
                 candidates: candidates_total,
@@ -763,7 +760,7 @@ impl SearchState {
                 case2,
                 case3,
                 pruned_qubit_cap,
-                scored: scored.len(),
+                scored: scored_len,
             });
             // One decision event per merge iteration, whatever happened:
             // the journal's view of the whole criticality search.
@@ -778,7 +775,7 @@ impl SearchState {
                 case3 = case3 as u64,
                 pruned_case3 = pruned_case3 as u64,
                 pruned_qubit_cap = pruned_qubit_cap as u64,
-                scored = scored.len() as u64,
+                scored = scored_len as u64,
                 committed = committed as u64,
             );
             if committed == 0 {
@@ -789,39 +786,14 @@ impl SearchState {
     }
 }
 
-/// `true` when a path `from ⇝ x ⇝ to` runs through a third group, found
-/// by a depth-first search that marks (`seen[x] = epoch`) what it visits.
-/// `pos` is a topological position, so a group placed after `to` cannot
-/// reach it and is never entered.
-fn third_path(
-    seen: &mut [u32],
-    epoch: u32,
-    stack: &mut Vec<usize>,
-    grouped: &GroupedCircuit,
-    from: usize,
-    to: usize,
-    pos: &[usize],
-) -> bool {
-    let limit = pos[to];
-    stack.clear();
-    for &s in grouped.succs(from) {
-        if s != to && pos[s] <= limit {
-            seen[s] = epoch;
-            stack.push(s);
-        }
-    }
-    while let Some(v) = stack.pop() {
-        for &s in grouped.succs(v) {
-            if s == to {
-                return true;
-            }
-            if seen[s] != epoch && pos[s] <= limit {
-                seen[s] = epoch;
-                stack.push(s);
-            }
-        }
-    }
-    false
+/// A scored pair, greatest first: span gain, then local gain (each as
+/// its [`total_key`]), then the smaller pair.
+type Scored = (i64, i64, Reverse<(usize, usize)>);
+
+/// An integer key in `f64::total_cmp` order.
+fn total_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
 /// The direct edge between the members of a pair `(a, b)`, if any. It
@@ -854,6 +826,8 @@ struct Open {
     a: usize,
     b: usize,
     link: Link,
+    /// The pair's merged estimate, once a scoring needed it.
+    est: Option<f64>,
 }
 
 /// A candidate tuple's slot in [`Candidates::index`] when it is over the
@@ -907,6 +881,7 @@ impl Candidates {
                 a,
                 b,
                 link: Link::between(grouped, a, b),
+                est: None,
             });
         }
         for id in [a, b] {
@@ -1012,6 +987,7 @@ impl DecisionSink for Vec<Decision> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::group::tests::random_grouped;
     use crate::search_tests::{random_grouping, reference_windows, seed};
     use paqoc_math::Rng;
     use std::collections::BTreeMap;
@@ -1078,7 +1054,7 @@ mod tests {
                     candidates.capped,
                     candidates.index.len() - candidates.open.len()
                 );
-                for (slot, &Open { a, b, link }) in candidates.open.iter().enumerate() {
+                for (slot, &Open { a, b, link, .. }) in candidates.open.iter().enumerate() {
                     assert_eq!(candidates.index[&key(a, b)], slot);
                     assert_eq!(link, Link::between(&grouped, a, b), "({a},{b})");
                 }
@@ -1099,6 +1075,19 @@ mod tests {
         assert!(contractions > 2000, "only {contractions} contractions");
     }
 
+    /// `true` when the kept order is topological over the live groups and
+    /// holds each of them once, at its recorded slot.
+    fn assert_topological(state: &SearchState, grouped: &GroupedCircuit, name: &str) {
+        let live = grouped.group_ids();
+        for &v in &live {
+            assert_eq!(state.order.topo[state.order.pos[v]], v, "{name}");
+            for &s in grouped.succs(v) {
+                assert!(state.order.pos[v] < state.order.pos[s], "{name}: {v} → {s}");
+            }
+        }
+        assert_eq!(state.order.nodes().count(), live.len(), "{name}");
+    }
+
     /// After every preprocessing contraction the kept windows are the
     /// full passes' bits — `before` once brought up to date, to a random
     /// kept position and then to the end — the span read at the sources
@@ -1114,39 +1103,29 @@ mod tests {
             let mut grouped = random_grouping(&mut rng);
             seed(&mut grouped, &device, &opts);
             let mut state = SearchState::new(&grouped);
-            state.keep_state(&grouped);
             loop {
                 let (before, after, span) = reference_windows(&grouped);
                 let live = grouped.group_ids();
-                let end = rng.random_range(0..=state.topo.len());
+                let end = rng.random_range(0..=state.order.topo.len());
                 state.refresh_before(&grouped, end);
-                for &v in live.iter().filter(|&&v| state.pos[v] < end) {
+                for &v in live.iter().filter(|&&v| state.order.pos[v] < end) {
                     assert_eq!(
-                        state.windows.before[v].to_bits(),
+                        state.before[v].to_bits(),
                         before[v].to_bits(),
                         "circuit {i}: {v} placed below {end}"
                     );
                 }
-                state.refresh_before(&grouped, state.topo.len());
+                state.refresh_before(&grouped, state.order.topo.len());
                 for &v in &live {
                     assert_eq!(
-                        state.windows.before[v].to_bits(),
+                        state.before[v].to_bits(),
                         before[v].to_bits(),
                         "circuit {i}"
                     );
-                    assert_eq!(
-                        state.windows.after[v].to_bits(),
-                        after[v].to_bits(),
-                        "circuit {i}"
-                    );
-                    assert_eq!(state.topo[state.pos[v]], v);
-                    for &s in grouped.succs(v) {
-                        assert!(state.pos[v] < state.pos[s], "circuit {i}: {v} → {s}");
-                    }
+                    assert_eq!(state.after[v].to_bits(), after[v].to_bits(), "circuit {i}");
                 }
-                let held = state.topo.iter().filter(|&&v| v != VACANT).count();
-                assert_eq!(held, live.len(), "circuit {i}");
-                assert_eq!(state.source_span(&grouped).to_bits(), span.to_bits());
+                assert_topological(&state, &grouped, &format!("circuit {i}"));
+                assert_eq!(state.source_span().to_bits(), span.to_bits());
                 let mut walk = vec![state.next_live(0)];
                 while *walk.last().unwrap() < grouped.id_bound() {
                     walk.push(state.next_live(walk.last().unwrap() + 1));
@@ -1160,7 +1139,7 @@ mod tests {
                 let mut open = Vec::new();
                 for (a, b) in edges {
                     let contractible = grouped.contractible(a, b);
-                    assert_eq!(state.edge_contractible(&grouped, a, b), contractible);
+                    assert_eq!(state.contractible(&grouped, a, b), contractible);
                     if contractible {
                         open.push((a, b));
                     }
@@ -1175,5 +1154,138 @@ mod tests {
             }
         }
         assert!(contractions > 2000, "only {contractions} contractions");
+    }
+
+    /// The criticality loop's kept state, driven as the loop drives it at
+    /// `top_k` 1 and 3: each iteration's windows over the kept order, then
+    /// up to `top_k` disjoint commits of candidate pairs, each checked for
+    /// contractibility at its commit. Every iteration's windows and span
+    /// are the full passes' bits, and after every commit the kept order is
+    /// topological over the live groups.
+    #[test]
+    fn criticality_windows_and_order_stay_exact() {
+        let device = Device::grid5x5();
+        let opts = PaqocOptions::default();
+        let mut rng = Rng::seed_from_u64(0xc417);
+        let (mut commits, mut blocked) = (0, 0);
+        for i in 0..200 {
+            let top_k = [1, 3][i % 2];
+            let mut grouped = random_grouping(&mut rng);
+            seed(&mut grouped, &device, &opts);
+            let mut state = SearchState::new(&grouped);
+            loop {
+                let span = state.windows(&grouped);
+                let (before, after, want) = reference_windows(&grouped);
+                assert_eq!(span.to_bits(), want.to_bits(), "circuit {i}");
+                for v in grouped.group_ids() {
+                    assert_eq!(
+                        (state.before[v].to_bits(), state.after[v].to_bits()),
+                        (before[v].to_bits(), after[v].to_bits()),
+                        "circuit {i}: group {v}"
+                    );
+                }
+                let mut pairs: Vec<(usize, usize)> = enumerate(&grouped, usize::MAX)
+                    .into_keys()
+                    .filter(|&(a, b)| grouped.contractible(a, b))
+                    .collect();
+                if pairs.is_empty() {
+                    break;
+                }
+                for _ in 0..top_k {
+                    if pairs.is_empty() {
+                        break;
+                    }
+                    let (a, b) = pairs.swap_remove(rng.random_range(0..pairs.len()));
+                    let (first, second) = if state.order.pos[a] < state.order.pos[b] {
+                        (a, b)
+                    } else {
+                        (b, a)
+                    };
+                    let contractible = grouped.contractible(a, b);
+                    assert_eq!(state.contractible(&grouped, first, second), contractible);
+                    if !contractible {
+                        blocked += 1; // an earlier commit of the iteration closed a path
+                        continue;
+                    }
+                    let est = rng.random::<f64>() * 90.0 + 1.0;
+                    let mut trial = grouped.clone();
+                    let m = trial.merge(a, b);
+                    trial.group_mut(m).latency_ns = est;
+                    assert_eq!(
+                        state.trial_span(&grouped, first, second, est).to_bits(),
+                        reference_windows(&trial).2.to_bits(),
+                        "circuit {i}: pair ({a},{b})"
+                    );
+                    assert_eq!(state.contract(&mut grouped, a, b, est), m);
+                    pairs.retain(|&(x, y)| ![a, b].contains(&x) && ![a, b].contains(&y));
+                    assert_eq!(
+                        grouped.group(m).latency_ns.to_bits(),
+                        state.lat[m].to_bits()
+                    );
+                    assert_topological(&state, &grouped, &format!("circuit {i}"));
+                    commits += 1;
+                }
+            }
+        }
+        assert!(
+            commits > 2000 && blocked > 0,
+            "{commits} commits, {blocked} blocked"
+        );
+    }
+
+    /// The trial span against clone + merge + makespan on every
+    /// contractible pair of random DAGs — direct edges, siblings and
+    /// diamonds (a shared predecessor and a shared successor) — with one
+    /// state for every trial of a DAG, so stale buffers must not leak in.
+    #[test]
+    fn trial_span_matches_clone_merge_makespan() {
+        let mut rng = Rng::seed_from_u64(0xc0de);
+        let (mut direct, mut siblings, mut diamonds) = (0, 0, 0);
+        for _ in 0..150 {
+            let g = random_grouped(&mut rng, 30);
+            let mut state = SearchState::new(&g);
+            let ids = g.group_ids();
+            for (i, &a) in ids.iter().enumerate() {
+                for &b in &ids[i + 1..] {
+                    let (first, second) = if state.order.pos[a] < state.order.pos[b] {
+                        (a, b)
+                    } else {
+                        (b, a)
+                    };
+                    let contractible = g.contractible(a, b);
+                    assert_eq!(state.contractible(&g, first, second), contractible);
+                    if !contractible {
+                        continue;
+                    }
+                    // `contract` orders a contractible pair by its
+                    // direct edge: no other path joins the members.
+                    assert_eq!(g.has_path(b, a), g.succs(b).contains(&a), "({a},{b})");
+                    let lat = rng.random::<f64>() * 97.0;
+                    let mut trial = g.clone();
+                    let m = trial.merge(a, b);
+                    trial.group_mut(m).latency_ns = lat;
+                    assert_eq!(
+                        state.trial_span(&g, first, second, lat).to_bits(),
+                        reference_windows(&trial).2.to_bits(),
+                        "pair ({a},{b})"
+                    );
+                    let shares =
+                        |adj: &[usize], other: &[usize]| adj.iter().any(|x| other.contains(x));
+                    let shared_pred = shares(g.preds(a), g.preds(b));
+                    let shared_succ = shares(g.succs(a), g.succs(b));
+                    if g.succs(a).contains(&b) || g.succs(b).contains(&a) {
+                        direct += 1;
+                    } else if shared_pred && shared_succ {
+                        diamonds += 1;
+                    } else if shared_pred || shared_succ {
+                        siblings += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            direct > 100 && siblings > 100 && diamonds > 30,
+            "direct {direct}, siblings {siblings}, diamonds {diamonds}"
+        );
     }
 }
